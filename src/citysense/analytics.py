@@ -22,6 +22,7 @@ from .domain import (
     NodeDescriptor,
     Quantity,
     haversine_distance,
+    mean,
 )
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
@@ -216,8 +217,8 @@ def compare_populations(
         lo = min(min(va), min(vb))
         hi = max(max(va), max(vb))
         edges = _safe_edges(bin_count, lo, hi)
-        mean_a = sum(va) / len(va)
-        mean_b = sum(vb) / len(vb)
+        mean_a = mean(va)
+        mean_b = mean(vb)
         rows.append(
             ComparisonRow(
                 quantity=q,

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from enum import Enum
+from typing import Sequence
 
 
 class Quantity(str, Enum):
@@ -151,6 +153,53 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     dlmb = math.radians(b.lon - a.lon)
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+UTC_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+SECONDS_PER_DAY = 86400
+
+# UTC day number (epoch seconds // 86400) -> "YYYY-MM-DD". A pure cache:
+# cleared when full, so it stays small however many days a process formats.
+_DAY_PREFIXES: dict[int, str] = {}
+_MAX_DAY_PREFIXES = 1024
+
+
+def format_utc(ts: int) -> str:
+    """Render epoch seconds as ``YYYY-MM-DDTHH:MM:SSZ`` (UTC).
+
+    Equal to ``datetime.fromtimestamp(ts, timezone.utc).strftime(UTC_FORMAT)``;
+    the date part goes through ``strftime`` once per UTC day.
+    """
+    day, sec = divmod(ts, SECONDS_PER_DAY)
+    prefix = _DAY_PREFIXES.get(day)
+    if prefix is None:
+        if len(_DAY_PREFIXES) >= _MAX_DAY_PREFIXES:
+            _DAY_PREFIXES.clear()
+        prefix = _DAY_PREFIXES[day] = datetime.fromtimestamp(
+            day * SECONDS_PER_DAY, tz=timezone.utc
+        ).strftime("%Y-%m-%d")
+    hours, sec = divmod(sec, 3600)
+    minutes, sec = divmod(sec, 60)
+    return f"{prefix}T{hours:02d}:{minutes:02d}:{sec:02d}Z"
+
+
+def parse_utc(text: str) -> int:
+    """Inverse of :func:`format_utc`. Raises ValueError on anything
+    ``strptime`` rejects for ``UTC_FORMAT``."""
+    dt = datetime.strptime(text, UTC_FORMAT).replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean of a non-empty sequence of finite values.
+
+    The deviations from the smallest value are summed exactly with
+    ``math.fsum``, so the result does not depend on the order of ``values``,
+    and a sequence holding one repeated value has exactly that value as its
+    mean (``fsum(values) / len(values)`` can miss it by an ulp).
+    """
+    lo = min(values)
+    return lo + math.fsum(v - lo for v in values) / len(values)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,10 @@ import numpy as np
 from .domain import (
     GeoPoint,
     NON_NEGATIVE_QUANTITIES,
+    SECONDS_PER_DAY,
     Quantity,
     haversine_distance,
 )
-
-SECONDS_PER_DAY = 86400
 
 
 class UnknownQuantityError(KeyError):

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .domain import Flag, Measurement, Quantity
+from .domain import Flag, Measurement, Quantity, format_utc, mean
 
 HOUR_S = 3600
 O3_WINDOW_S = 8 * HOUR_S
@@ -99,8 +98,8 @@ def _mean_index(
 ) -> IndexValue:
     if not values:
         return IndexValue(kind, station_id, window_end, math.nan, IndexColor.UNKNOWN)
-    mean = sum(values) / len(values)
-    return IndexValue(kind, station_id, window_end, mean, classify(mean, bands))
+    value = mean(values)
+    return IndexValue(kind, station_id, window_end, value, classify(value, bands))
 
 
 def aqi_o3(values: Sequence[float], station_id: str = "", window_end: int = 0) -> IndexValue:
@@ -353,10 +352,6 @@ def update_indexes_on_ingest(
     return computer.update(t)
 
 
-def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def index_record_line(iv: IndexValue) -> str:
     """Line format: kind,station,window-end ISO-8601,value,color"""
-    return f"{iv.kind.value},{iv.station_id},{_iso(iv.window_end)},{iv.value!r},{iv.color.value}"
+    return f"{iv.kind.value},{iv.station_id},{format_utc(iv.window_end)},{iv.value!r},{iv.color.value}"

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field as dc_field
-from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path as FsPath
 
 import yaml
 
-from .domain import GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio
+from .domain import GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, parse_utc
 from .field import FieldModel, GaussianPlume, Path
 from .indexes import ThermalModel, apparent_temperature_model, identity_thermal_model
 from .netsim import ConfigError, DEFAULT_LINKS, LinkModel
@@ -92,8 +91,7 @@ class ScenarioConfig:
 
     @property
     def start_epoch(self) -> int:
-        dt = datetime.strptime(self.start_time, "%Y-%m-%dT%H:%M:%SZ")
-        return int(dt.replace(tzinfo=timezone.utc).timestamp())
+        return parse_utc(self.start_time)
 
     @property
     def thermal_model(self) -> ThermalModel:
@@ -201,20 +199,27 @@ def _parse_field(raw: dict, seed: int) -> FieldModel:
         parsed = []
         for e in entries:
             _check_keys(e, {"lat", "lon", "sigma_m", "amplitude"}, "plume")
+            sigma_m = float(e["sigma_m"])
+            if not sigma_m > 0:
+                raise ConfigError(f"field.plumes.{code}: sigma_m must be > 0, got {sigma_m}")
             parsed.append(
                 GaussianPlume(
                     center=GeoPoint(float(e["lat"]), float(e["lon"])),
-                    sigma_m=float(e["sigma_m"]),
+                    sigma_m=sigma_m,
                     amplitude=float(e["amplitude"]),
                 )
             )
         plumes[q] = tuple(parsed)
+    noise_sigma = _quantity_map(raw.get("noise_sigma"), "field.noise_sigma")
+    for q, sigma in noise_sigma.items():
+        if not sigma >= 0:
+            raise ConfigError(f"field.noise_sigma.{q.value} must be >= 0, got {sigma}")
     return FieldModel(
         seed=seed,
         baseline=_quantity_map(_require(raw, "baseline", "field"), "field.baseline"),
         diurnal_amplitude=_quantity_map(raw.get("diurnal_amplitude"), "field.diurnal_amplitude"),
         traffic_coupling=_quantity_map(raw.get("traffic_coupling"), "field.traffic_coupling"),
-        noise_sigma=_quantity_map(raw.get("noise_sigma"), "field.noise_sigma"),
+        noise_sigma=noise_sigma,
         plumes=plumes,
     )
 

@@ -15,23 +15,30 @@ File format (normative, one record per line, comma separated):
 Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and kept
 sorted by (timestamp, node_id, quantity). Duplicate (node, timestamp,
 quantity) triples are rejected idempotently on append.
+
+Loading validates every record as ``append`` does. Timestamps, positions,
+flag sets and quantity codes repeat across lines, so one load parses and
+validates each distinct field value once and its records share the result;
+each line's value and unit are still checked on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path as FsPath
 from typing import Iterable
 
 from .domain import (
+    SECONDS_PER_DAY,
     Flag,
     GeoPoint,
     Measurement,
     Quantity,
     ReportBatch,
     UNITS,
+    format_utc,
     haversine_distance,
+    parse_utc,
     validate_measurement,
 )
 
@@ -40,39 +47,51 @@ class StorageError(OSError):
     """Raised when the backing files cannot be read or written."""
 
 
-def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _from_iso(text: str) -> int:
-    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
-
-
 def serialize_measurement(m: Measurement) -> str:
     flags = ";".join(sorted(f.value for f in m.flags))
     return (
-        f"{_iso(m.timestamp)},{m.node_id},{m.position.lat!r},{m.position.lon!r},"
+        f"{format_utc(m.timestamp)},{m.node_id},{m.position.lat!r},{m.position.lon!r},"
         f"{m.quantity.value},{m.value!r},{m.unit},{flags}"
     )
 
 
+class _RecordParser:
+    """Parses record lines, running the strict parse of each distinct
+    timestamp, position, flags and quantity text once per parser."""
+
+    def __init__(self):
+        self._quantities: dict[str, Quantity] = {}
+        self._timestamps: dict[str, int] = {}
+        self._positions: dict[tuple[str, str], GeoPoint] = {}
+        self._flags: dict[str, frozenset[Flag]] = {}
+
+    def __call__(self, line: str) -> Measurement:
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != 8:
+            raise ValueError(f"malformed record: {line!r}")
+        ts, node_id, lat, lon, qcode, value, unit, flags = parts
+        quantity = self._quantities.get(qcode)
+        if quantity is None:
+            quantity = self._quantities[qcode] = Quantity(qcode)
+        if unit != UNITS[quantity]:
+            raise ValueError(f"unit {unit!r} does not match quantity {qcode}")
+        timestamp = self._timestamps.get(ts)
+        if timestamp is None:
+            timestamp = self._timestamps[ts] = parse_utc(ts)
+        position = self._positions.get((lat, lon))
+        if position is None:
+            position = self._positions[lat, lon] = GeoPoint(float(lat), float(lon))
+        value = float(value)
+        flag_set = self._flags.get(flags)
+        if flag_set is None:
+            flag_set = self._flags[flags] = frozenset(Flag(f) for f in flags.split(";") if f)
+        return validate_measurement(
+            Measurement(node_id, timestamp, position, quantity, value, flag_set)
+        )
+
+
 def parse_measurement(line: str) -> Measurement:
-    parts = line.rstrip("\n").split(",")
-    if len(parts) != 8:
-        raise ValueError(f"malformed record: {line!r}")
-    ts, node_id, lat, lon, qcode, value, unit, flags = parts
-    quantity = Quantity(qcode)
-    if unit != UNITS[quantity]:
-        raise ValueError(f"unit {unit!r} does not match quantity {qcode}")
-    return Measurement(
-        node_id=node_id,
-        timestamp=_from_iso(ts),
-        position=GeoPoint(float(lat), float(lon)),
-        quantity=quantity,
-        value=float(value),
-        flags=frozenset(Flag(f) for f in flags.split(";") if f),
-    )
+    return _RecordParser()(line)
 
 
 @dataclass(frozen=True)
@@ -129,14 +148,18 @@ class MeasurementStore:
                     f.unlink()
             self._records: list[Measurement] = []
             self._keys: set[tuple[str, int, Quantity]] = set()
+            parse = _RecordParser()
             for f in sorted(self.root.glob("measurements-*.txt")):
-                for line in f.read_text().splitlines():
-                    m = parse_measurement(line)
+                for lineno, line in enumerate(f.read_text().splitlines(), 1):
+                    try:
+                        m = parse(line)
+                    except ValueError as e:
+                        raise ValueError(f"{f.name} line {lineno}: {e}") from e
                     self._records.append(m)
                     self._keys.add((m.node_id, m.timestamp, m.quantity))
         except OSError as e:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
-        self._dirty_days: set[str] = set()
+        self._dirty_days: set[int] = set()  # UTC day numbers
 
     def __enter__(self):
         return self
@@ -167,22 +190,23 @@ class MeasurementStore:
                 continue
             self._keys.add(key)
             self._records.append(m)
-            self._dirty_days.add(_iso(m.timestamp)[:10])
+            self._dirty_days.add(m.timestamp // SECONDS_PER_DAY)
             written += 1
         return written
 
     def flush(self) -> None:
         if not self._dirty_days:
             return
-        by_day: dict[str, list[Measurement]] = {}
+        by_day: dict[int, list[Measurement]] = {}
         for m in self._records:
-            day = _iso(m.timestamp)[:10]
+            day = m.timestamp // SECONDS_PER_DAY
             if day in self._dirty_days:
                 by_day.setdefault(day, []).append(m)
         try:
             for day, records in by_day.items():
                 records.sort(key=_sort_key)
-                path = self.root / f"measurements-{day}.txt"
+                date = format_utc(day * SECONDS_PER_DAY)[:10]
+                path = self.root / f"measurements-{date}.txt"
                 path.write_text(
                     "\n".join(serialize_measurement(m) for m in records) + "\n"
                 )
@@ -214,8 +238,8 @@ def serialize_delivery(
     link: str | None,
     arrival_t: int | None,
 ) -> str:
-    arrival = _iso(arrival_t) if arrival_t is not None else ""
-    return f"{_iso(emitted_t)},{node_id},{quantity.value},{outcome},{link or ''},{arrival}"
+    arrival = format_utc(arrival_t) if arrival_t is not None else ""
+    return f"{format_utc(emitted_t)},{node_id},{quantity.value},{outcome},{link or ''},{arrival}"
 
 
 def write_delivery_log(lines: Iterable[str], path: str | FsPath) -> None:

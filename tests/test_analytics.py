@@ -195,6 +195,22 @@ class TestComparePopulations:
         assert row.below_lod_rate_a == pytest.approx(1 / 3)
         assert row.below_lod_rate_b == 0.0
 
+    @pytest.mark.parametrize("value,n_a,n_b", [(2.28, 1000, 700), (0.1, 288, 96), (14.7, 576, 192)])
+    def test_one_repeated_value_has_exactly_zero_eta(self, value, n_a, n_b):
+        a = [meas(value, Quantity.CO, node="A") for _ in range(n_a)]
+        b = [meas(value, Quantity.CO, node="B") for _ in range(n_b)]
+        (row,) = compare_populations(a, b).rows
+        assert row.mean_a == row.mean_b == value
+        assert row.eta == 0.0
+
+    def test_means_independent_of_sample_order(self):
+        rng = np.random.default_rng(5)
+        a = [meas(float(v)) for v in rng.normal(420, 5, 500)]
+        b = [meas(float(v)) for v in rng.normal(450, 5, 300)]
+        (row,) = compare_populations(a, b).rows
+        (reversed_row,) = compare_populations(a[::-1], b[::-1]).rows
+        assert (reversed_row.mean_a, reversed_row.mean_b) == (row.mean_a, row.mean_b)
+
     def test_eta_recomputable_from_stored_means(self):
         a = [meas(v) for v in (400.0, 410.0)]
         b = [meas(v) for v in (450.0, 452.0)]

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+import yaml
 
 from citysense.cli import main
 
@@ -57,6 +58,53 @@ class TestSimulate:
         assert digest_tree(sim_dir) == before
 
 
+def _corrupt_first_value(data_dir, node, quantity, value):
+    """Replace the value of ``node``'s first ``quantity`` record in a day file."""
+    day_file = sorted(data_dir.glob("measurements-*.txt"))[0]
+    lines = day_file.read_text().splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if fields[1] == node and fields[4] == quantity:
+            fields[5] = value
+            lines[i] = ",".join(fields)
+            break
+    else:
+        raise AssertionError(f"no {node} {quantity} record")
+    day_file.write_text("\n".join(lines) + "\n")
+
+
+def _assert_one_line_data_error(rc, err):
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+class TestSimulateConfigErrors:
+    def _run_with(self, small_scenario_file, tmp_path, edit):
+        raw = yaml.safe_load(small_scenario_file.read_text())
+        edit(raw)
+        path = tmp_path / "edited.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        return main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+
+    def test_zero_plume_sigma_exits_1(self, small_scenario_file, tmp_path, capsys):
+        def edit(raw):
+            raw["field"]["plumes"] = {"co": [{"lat": 43.716, "lon": 10.3966, "sigma_m": 0, "amplitude": 1.5}]}
+
+        assert self._run_with(small_scenario_file, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sigma_m" in err
+
+    def test_negative_noise_sigma_exits_1(self, small_scenario_file, tmp_path, capsys):
+        def edit(raw):
+            raw["field"]["noise_sigma"]["o3"] = -2.5
+
+        assert self._run_with(small_scenario_file, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "noise_sigma" in err
+
+
 class TestIndexes:
     def test_emits_per_station_records(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "idx"
@@ -69,6 +117,14 @@ class TestIndexes:
         assert station == "T1"
         assert stamp.endswith("Z")
         assert "T1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
+    def test_invalid_stored_value_is_data_error(self, sim_dir, tmp_path, capsys, value):
+        _corrupt_first_value(sim_dir, "T1", "o3", value)
+        capsys.readouterr()
+        rc = main(["indexes", str(sim_dir), "--out", str(tmp_path / "idx")])
+        _assert_one_line_data_error(rc, capsys.readouterr().err)
+        assert not list((tmp_path / "idx").glob("indexes_*.txt"))
 
     def test_empty_store_is_data_error(self, tmp_path):
         assert main(["indexes", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")]) == 2
@@ -103,6 +159,14 @@ class TestCompare:
             first_line = capsys.readouterr().out.splitlines()[0]
             counts[radius] = int(first_line.split()[1])
         assert counts["5"] < counts["500"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
+    def test_invalid_stored_value_is_data_error(self, sim_dir, tmp_path, capsys, value):
+        _corrupt_first_value(sim_dir, "T1", "o3", value)
+        capsys.readouterr()
+        rc = main(["compare", str(sim_dir), "--mode", "paths", "--out", str(tmp_path / "cmp")])
+        _assert_one_line_data_error(rc, capsys.readouterr().err)
+        assert not (tmp_path / "cmp" / "comparison.json").exists()
 
     def test_missing_nodes_json_is_data_error(self, sim_dir, tmp_path, capsys):
         (sim_dir / "nodes.json").unlink()

@@ -1,9 +1,12 @@
 import math
+import random
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from citysense.domain import (
+    UTC_FORMAT,
     GeoPoint,
     Measurement,
     NodeDescriptor,
@@ -15,7 +18,10 @@ from citysense.domain import (
     ValidationError,
     co_mg_m3_to_ppm,
     co_ppm_to_mg_m3,
+    format_utc,
     haversine_distance,
+    mean,
+    parse_utc,
     validate_measurement,
 )
 
@@ -156,3 +162,70 @@ class TestReportBatch:
         m = meas(timestamp=1000)
         batch = ReportBatch("C0", 1000, (m,))
         assert batch.measurements == (m,)
+
+
+def _epoch(text):
+    return int(datetime.strptime(text, UTC_FORMAT).replace(tzinfo=timezone.utc).timestamp())
+
+
+class TestUtcTime:
+    @given(st.integers(0, _epoch("2100-12-31T23:59:59Z")))
+    @example(0)
+    @example(_epoch("1972-02-29T12:00:00Z"))
+    @example(_epoch("2000-02-29T23:59:59Z"))
+    @example(_epoch("2000-03-01T00:00:00Z"))
+    @example(_epoch("2016-02-29T00:00:00Z"))
+    @example(_epoch("2096-02-29T06:30:15Z"))
+    @example(_epoch("1999-12-31T23:59:59Z"))
+    @example(_epoch("2000-01-01T00:00:00Z"))
+    @example(_epoch("2099-12-31T23:59:59Z"))
+    @example(_epoch("2100-12-31T23:59:59Z"))
+    def test_format_matches_strftime_and_round_trips(self, ts):
+        text = format_utc(ts)
+        assert text == datetime.fromtimestamp(ts, tz=timezone.utc).strftime(UTC_FORMAT)
+        assert parse_utc(text) == ts
+
+    def test_example(self):
+        assert format_utc(1_429_488_300) == "2015-04-20T00:05:00Z"
+        assert parse_utc("2015-04-20T00:05:00Z") == 1_429_488_300
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2015-04-20T24:00:00Z",  # hour 24
+            "2015-04-20T00:60:00Z",  # minute 60
+            "2015-04-20T00:00:60Z",  # second 60
+            "2015-02-30T00:00:00Z",  # Feb 30
+            "2015-13-01T00:00:00Z",  # month 13
+            "2015-04-20 00:00:00Z",  # space instead of T
+            "2015-04-20T00:00:00",  # missing Z
+            "2015-04-20T00:00:00Zx",  # trailing text
+        ],
+    )
+    def test_parse_rejects_what_strptime_rejects(self, text):
+        with pytest.raises(ValueError):
+            datetime.strptime(text, UTC_FORMAT)
+        with pytest.raises(ValueError):
+            parse_utc(text)
+
+
+class TestMean:
+    @given(
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+        st.integers(1, 400),
+    )
+    @example(0.1, 96)
+    @example(14.7, 288)
+    def test_one_repeated_value_is_its_own_mean(self, value, n):
+        assert mean([value] * n) == value
+
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=200), st.randoms())
+    def test_independent_of_order(self, values, rnd):
+        shuffled = list(values)
+        rnd.shuffle(shuffled)
+        assert mean(shuffled) == mean(values)
+
+    def test_close_to_exact_mean(self):
+        rng = random.Random(3)
+        values = [rng.uniform(0.0, 500.0) for _ in range(1000)]
+        assert mean(values) == pytest.approx(math.fsum(values) / len(values), rel=1e-15)

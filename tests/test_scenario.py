@@ -100,6 +100,27 @@ class TestValidation:
         with pytest.raises(Exception, match="wind_speed"):
             parse_scenario(raw)
 
+    @pytest.mark.parametrize("sigma_m", [0.0, -400.0, float("nan")])
+    def test_plume_sigma_must_be_positive(self, small_scenario_file, sigma_m):
+        raw = self._raw(small_scenario_file)
+        raw["field"]["plumes"] = {
+            "co": [{"lat": 43.716, "lon": 10.3966, "sigma_m": sigma_m, "amplitude": 1.5}]
+        }
+        with pytest.raises(ConfigError, match="sigma_m"):
+            parse_scenario(raw)
+
+    @pytest.mark.parametrize("sigma", [-2.5, float("nan")])
+    def test_noise_sigma_must_be_non_negative(self, small_scenario_file, sigma):
+        raw = self._raw(small_scenario_file)
+        raw["field"]["noise_sigma"]["o3"] = sigma
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            parse_scenario(raw)
+
+    def test_zero_noise_sigma_accepted(self, small_scenario_file):
+        raw = self._raw(small_scenario_file)
+        raw["field"]["noise_sigma"]["o3"] = 0.0
+        assert parse_scenario(raw).field.noise_sigma[Quantity.O3] == 0.0
+
     def test_with_seed_reseeds_field_too(self, small_scenario_file):
         cfg = load_scenario(small_scenario_file)
         reseeded = with_seed(cfg, 12345)

@@ -13,6 +13,7 @@ from citysense.domain import (
     Quantity,
     Radio,
     ReportBatch,
+    ValidationError,
 )
 from citysense.store import (
     MeasurementStore,
@@ -78,6 +79,40 @@ class TestRecordFormat:
         line = "2015-04-20T00:00:00Z,T1,43.716,10.3966,co2,451.0,mg/m3,"
         with pytest.raises(ValueError):
             parse_measurement(line)
+
+
+    @pytest.mark.parametrize(
+        "qcode,unit,value",
+        [("o3", "ug/m3", "nan"), ("co2", "ppmV", "inf"), ("temperature", "degC", "-inf"),
+         ("o3", "ug/m3", "-2.5")],
+    )
+    def test_rejects_invalid_value(self, qcode, unit, value):
+        line = f"2015-04-20T00:00:00Z,T1,43.716,10.3966,{qcode},{value},{unit},"
+        with pytest.raises(ValidationError, match="value"):
+            parse_measurement(line)
+
+    def test_negative_value_allowed_where_physical(self):
+        line = "2015-04-20T00:00:00Z,T1,43.716,10.3966,temperature,-2.5,degC,"
+        assert parse_measurement(line).value == -2.5
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "2015-04-20T24:00:00Z,T1,43.716,10.3966,co2,451.0,ppmV,",
+            "2015-04-20T00:00:00Z,T1,91.0,10.3966,co2,451.0,ppmV,",
+            "2015-04-20T00:00:00Z,T1,43.716,10.3966,co2,451.0,ppmV,dusty",
+            "2015-04-20T00:00:00Z,T1,43.716,10.3966,nox,451.0,ppmV,",
+        ],
+    )
+    def test_rejects_bad_field_after_good_lines(self, tmp_path, line):
+        # Field values already seen are reused within one load; a new, bad
+        # one must still go through the strict parse and fail.
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(27))
+        day_file = tmp_path / "measurements-2015-04-20.txt"
+        day_file.write_text(day_file.read_text() + line + "\n")
+        with pytest.raises(ValueError):
+            MeasurementStore(tmp_path)
 
 
 def batch_of(n, t0=T0):
@@ -191,6 +226,16 @@ class TestStore:
             QueryFilter(t0=0, t1=1, geo_center=P)
         with pytest.raises(ValueError):
             QueryFilter(t0=0, t1=1, geo_center=P, geo_radius_m=0.0)
+
+    def test_loaded_records_share_repeated_field_values(self, tmp_path):
+        flags = frozenset({Flag.QUANTIZED})
+        with MeasurementStore(tmp_path) as store:
+            store.append([meas(node=f"N{i}", t=T0 + 300 * (i % 2), flags=flags) for i in range(6)])
+        loaded = MeasurementStore(tmp_path).all()
+        assert len(loaded) == 6
+        assert len({id(m.position) for m in loaded}) == 1
+        assert len({id(m.flags) for m in loaded}) == 1
+        assert all(m.position == P and m.flags == flags for m in loaded)
 
     def test_overwrite_mode_clears_existing_files(self, tmp_path):
         with MeasurementStore(tmp_path) as store:

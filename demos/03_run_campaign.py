@@ -11,7 +11,7 @@ Run: python demos/03_run_campaign.py
 
 import collections
 
-from citysense import load_scenario, run
+from citysense import apparent_temperature_model, compute_indexes, load_scenario, run
 from citysense.netsim import DeliveryOutcome
 
 cfg = load_scenario("pisa-default")
@@ -32,7 +32,10 @@ print(f"\ngas node-reports per 15-minute window: {counts} "
       f"(9 sensing nodes x 3 sampling slots = 27)")
 
 print("\nlast index refresh of the day:")
-final_t = max(iv.window_end for iv in result.index_updates)
-for iv in result.index_updates:
+index_values = compute_indexes(
+    (m for _, m in result.server_measurements), cfg.uplink_period_s, apparent_temperature_model
+)
+final_t = max(iv.window_end for iv in index_values)
+for iv in index_values:
     if iv.window_end == final_t and iv.station_id in ("T2", "F5", "M1"):
         print(f"  {iv.station_id:3s} {iv.kind.value:7s} value={iv.value:7.2f} -> {iv.color.value}")

@@ -28,7 +28,7 @@ from .domain import (
     haversine_distance,
     validate_measurement,
 )
-from .field import FieldModel, GaussianPlume, Path, field_value, path_position
+from .field import FieldModel, GaussianPlume, Path, path_position
 from .indexes import (
     IndexColor,
     IndexComputer,
@@ -38,6 +38,7 @@ from .indexes import (
     apparent_temperature_model,
     aqi_o3,
     aqi_pm,
+    compute_indexes,
     identity_thermal_model,
     tci,
     traffic_index,

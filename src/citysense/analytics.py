@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .domain import (
+    EXCLUDED_FLAGS,
     Flag,
     GeoPoint,
     Measurement,
@@ -27,11 +28,6 @@ from .domain import (
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
 DEFAULT_BIN_COUNT = 30
-
-# Flags that make a sample unusable for means and PMFs. Below-LoD samples
-# are zero-clamped placeholders: dropping them from the statistics but
-# counting them separately keeps population means honest.
-_EXCLUDED = frozenset({Flag.BELOW_LOD, Flag.WARMING_UP})
 
 
 class EmptySampleError(ValueError):
@@ -178,7 +174,7 @@ class ComparisonReport:
 def _clean_values(ms: Iterable[Measurement]) -> dict[Quantity, list[float]]:
     out: dict[Quantity, list[float]] = {}
     for m in ms:
-        if not (m.flags & _EXCLUDED):
+        if not (m.flags & EXCLUDED_FLAGS):
             out.setdefault(m.quantity, []).append(m.value)
     return out
 
@@ -237,7 +233,7 @@ def compare_populations(
 
 
 def _round_sig(x: float, sig: int = 3) -> float:
-    if x == 0.0 or not math.isfinite(x):
+    if x == 0.0:
         return x
     return round(x, sig - 1 - int(math.floor(math.log10(abs(x)))))
 
@@ -246,8 +242,9 @@ def write_comparison_report(report: ComparisonReport, out_dir: str | FsPath) -> 
     """Emit ``comparison.json`` plus one two-column PMF data file per
     (quantity, population), ready for any plotting tool.
 
-    Relative errors are rounded to three significant figures in the JSON;
-    the full-precision means are stored alongside, so eta stays recomputable.
+    Relative errors are rounded to three significant figures, or ``null``
+    where eta is undefined (zero reference mean); the full-precision means
+    are stored alongside, so eta stays recomputable. The JSON is strict.
     """
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,7 +257,7 @@ def write_comparison_report(report: ComparisonReport, out_dir: str | FsPath) -> 
             row.quantity.value: {
                 f"mean_{label_a}": row.mean_a,
                 f"mean_{label_b}": row.mean_b,
-                "relative_error": _round_sig(row.eta),
+                "relative_error": _round_sig(row.eta) if math.isfinite(row.eta) else None,
                 f"n_{label_a}": row.n_a,
                 f"n_{label_b}": row.n_b,
                 f"below_lod_rate_{label_a}": row.below_lod_rate_a,
@@ -270,7 +267,7 @@ def write_comparison_report(report: ComparisonReport, out_dir: str | FsPath) -> 
         },
     }
     report_path = out / "comparison.json"
-    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     written.append(report_path)
     for row in report.rows:
         for label, pmf in ((label_a, row.pmf_a), (label_b, row.pmf_b)):

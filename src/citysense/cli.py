@@ -23,9 +23,9 @@ from .domain import GeoPoint, NodeKind
 from .indexes import (
     DEFAULT_MANEUVER_EQUIVALENTS,
     DegenerateCompositionError,
-    IndexComputer,
     TrafficAccessConfig,
     apparent_temperature_model,
+    compute_indexes,
     identity_thermal_model,
     index_record_line,
     traffic_index,
@@ -119,19 +119,19 @@ def _cmd_simulate(args) -> int:
     (out / "nodes.json").write_text(json.dumps(nodes_doc, indent=2, sort_keys=True) + "\n")
 
     print(f"scenario {cfg.name!r} seed {cfg.seed}: {cfg.duration_s} s simulated")
-    total_emitted = total_lost = 0
+    total_emitted = total_undelivered = 0
     for node in cfg.nodes:
         tally = result.tally_for_node(node.descriptor.node_id)
         if tally.emitted == 0:
             continue
         total_emitted += tally.emitted
-        total_lost += tally.lost
+        total_undelivered += tally.lost + tally.dropped
         print(
             f"  {node.descriptor.node_id}: emitted {tally.emitted}, "
             f"to coordinator {tally.to_coordinator}, direct {tally.to_server}, "
-            f"lost {tally.lost}"
+            f"lost {tally.lost}, dropped {tally.dropped}"
         )
-    rate = total_lost / total_emitted if total_emitted else 0.0
+    rate = total_undelivered / total_emitted if total_emitted else 0.0
     print(f"  server received {len(result.server_measurements)} measurements, "
           f"loss rate {rate:.4f}")
     return EXIT_OK
@@ -152,25 +152,15 @@ def _cmd_indexes(args) -> int:
         print(f"data error: no measurements under {args.data_dir}", file=sys.stderr)
         return EXIT_DATA
     model = identity_thermal_model if args.thermal == "identity" else apparent_temperature_model
-    computer = IndexComputer(thermal_model=model)
-    t_i = args.uplink_period_s
-    t_min, t_max = records[0].timestamp, records[-1].timestamp
-    grid = range((t_min // t_i + 1) * t_i, (t_max // t_i + 2) * t_i, t_i)
-
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for old in out.glob("indexes_*.txt"):
         old.unlink()
     lines_by_station: dict[str, list[str]] = {}
     latest: dict[tuple[str, str], str] = {}
-    i = 0
-    for t in grid:
-        while i < len(records) and records[i].timestamp < t:
-            computer.ingest([records[i]])
-            i += 1
-        for iv in computer.update(t):
-            lines_by_station.setdefault(iv.station_id, []).append(index_record_line(iv))
-            latest[(iv.station_id, iv.kind.value)] = iv.color.value
+    for iv in compute_indexes(records, args.uplink_period_s, model):
+        lines_by_station.setdefault(iv.station_id, []).append(index_record_line(iv))
+        latest[(iv.station_id, iv.kind.value)] = iv.color.value
     for station in sorted(lines_by_station):
         (out / f"indexes_{station}.txt").write_text(
             "\n".join(lines_by_station[station]) + "\n"

@@ -101,6 +101,11 @@ class Flag(str, Enum):
     QUANTIZED = "quantized"
 
 
+# Flags that keep a stored reading out of index windows, means and PMFs:
+# below-LoD readings are zero-clamped placeholders, warm-up ones untrusted.
+EXCLUDED_FLAGS = frozenset({Flag.BELOW_LOD, Flag.WARMING_UP})
+
+
 class NodeKind(str, Enum):
     FIXED = "fixed"
     MOBILE = "mobile"
@@ -276,7 +281,7 @@ ALLOWED_QUANTITIES: dict[NodeKind, frozenset[Quantity]] = {
     NodeKind.WEATHER_STATION: _WEATHER_QUANTITIES,
 }
 
-_REQUIRED_RADIOS: dict[NodeKind, frozenset[Radio]] = {
+REQUIRED_RADIOS: dict[NodeKind, frozenset[Radio]] = {
     NodeKind.FIXED: frozenset({Radio.SHORT_RANGE_FIXED}),
     NodeKind.MOBILE: frozenset(
         {Radio.SHORT_RANGE_FIXED, Radio.SHORT_RANGE_MOBILE, Radio.WIDE_AREA}
@@ -299,7 +304,7 @@ class NodeDescriptor:
     def __post_init__(self):
         if not self.node_id or any(c in self.node_id for c in ",; \t\n"):
             raise ValidationError("node_id", f"bad identifier {self.node_id!r}")
-        missing = _REQUIRED_RADIOS[self.kind] - self.radios
+        missing = REQUIRED_RADIOS[self.kind] - self.radios
         if missing:
             raise ValidationError(
                 "radios",

@@ -93,10 +93,6 @@ class FieldModel:
         return v
 
 
-def field_value(f: FieldModel, quantity: Quantity, position: GeoPoint, t: int | float) -> float:
-    return f.value(quantity, position, t)
-
-
 def _stable_id_hash(node_id: str) -> int:
     # hash() is salted per process; measurements must not depend on that.
     return int.from_bytes(hashlib.blake2s(node_id.encode(), digest_size=8).digest(), "big")

@@ -8,11 +8,13 @@ belongs to the band above it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
-from .domain import Flag, Measurement, Quantity, format_utc, mean
+from .domain import EXCLUDED_FLAGS, Measurement, Quantity, format_utc, mean
 
 HOUR_S = 3600
 O3_WINDOW_S = 8 * HOUR_S
@@ -276,10 +278,7 @@ def traffic_index(
 
 
 # ---------------------------------------------------------------------------
-# Streaming recomputation on ingest
-
-# Flags that disqualify a reading from index windows.
-_EXCLUDED = {Flag.BELOW_LOD, Flag.WARMING_UP}
+# Recomputation from stored readings
 
 _TCI_INPUTS = (
     Quantity.TEMPERATURE,
@@ -304,7 +303,7 @@ class IndexComputer:
 
     def ingest(self, measurements: Iterable[Measurement]) -> None:
         for m in measurements:
-            if m.flags & _EXCLUDED:
+            if m.flags & EXCLUDED_FLAGS:
                 continue
             if m.quantity not in (Quantity.O3, Quantity.PM25, *_TCI_INPUTS):
                 continue
@@ -344,12 +343,31 @@ class IndexComputer:
         return out
 
 
-def update_indexes_on_ingest(
-    computer: IndexComputer, measurements: Iterable[Measurement], t: int
+def compute_indexes(
+    records: Iterable[Measurement],
+    period_s: int,
+    thermal_model: ThermalModel = identity_thermal_model,
 ) -> list[IndexValue]:
-    """Ingest one report's measurements and recompute all indexes at ``t``."""
-    computer.ingest(measurements)
-    return computer.update(t)
+    """Every index on a reporting grid of ``period_s``, from stored readings.
+
+    The grid holds each multiple of ``period_s`` after the first reading,
+    through the first multiple after the last one. At each grid point ``t``
+    the readings stamped before ``t`` are ingested, then every index is
+    recomputed with windows ending at ``t``. Records may come in any order.
+    """
+    ordered = sorted(records, key=attrgetter("timestamp"))
+    if not ordered:
+        return []
+    computer = IndexComputer(thermal_model=thermal_model)
+    first, last = ordered[0].timestamp // period_s, ordered[-1].timestamp // period_s
+    out: list[IndexValue] = []
+    i = 0
+    for t in range((first + 1) * period_s, (last + 2) * period_s, period_s):
+        j = bisect_left(ordered, t, lo=i, key=attrgetter("timestamp"))
+        computer.ingest(ordered[i:j])
+        out.extend(computer.update(t))
+        i = j
+    return out
 
 
 def index_record_line(iv: IndexValue) -> str:

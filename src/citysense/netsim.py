@@ -6,7 +6,9 @@ sub-GHz short-range link (subject to Bernoulli per-message loss); a mobile
 node uses its short-range radio when some fixed-site node is inside radio
 range and otherwise falls back to the wide-area uplink straight to the
 server. The coordinator batches everything it heard and uplinks on a fixed
-reporting grid, which in turn triggers index recomputation server-side.
+reporting grid. A reading that reaches the coordinator after its window was
+uplinked can join no later batch: it is dropped and counted, so every
+emitted reading ends delivered to the server, lost on a link, or dropped.
 
 The event loop is logically single-threaded: events are processed in strict
 (time, sequence) order, so equal seeds give byte-identical results.
@@ -36,7 +38,6 @@ from .domain import (
     haversine_distance,
 )
 from .field import loss_generator
-from .indexes import IndexComputer, IndexValue
 from .nodes import sample
 
 if TYPE_CHECKING:
@@ -190,11 +191,6 @@ class Delivery:
     batch: ReportBatch | None = None
 
 
-@dataclass(frozen=True)
-class IndexTick:
-    window_end: int
-
-
 class EventQueue:
     """Priority queue over (time, sequence); deterministic total order."""
 
@@ -218,6 +214,7 @@ class Tally:
     to_coordinator: int = 0
     to_server: int = 0
     lost: int = 0
+    dropped: int = 0  # reached the coordinator too late for any batch
 
     @property
     def delivered(self) -> int:
@@ -233,7 +230,6 @@ class SimulationResult:
     server_measurements: list[tuple[int, Measurement]] = field(default_factory=list)
     batches: list[ReportBatch] = field(default_factory=list)
     deliveries: list[DeliveryRecord] = field(default_factory=list)
-    index_updates: list[IndexValue] = field(default_factory=list)
     tallies: dict[tuple[str, Quantity], Tally] = field(default_factory=dict)
 
     def tally_for_node(self, node_id: str) -> Tally:
@@ -244,6 +240,7 @@ class SimulationResult:
                 agg.to_coordinator += t.to_coordinator
                 agg.to_server += t.to_server
                 agg.lost += t.lost
+                agg.dropped += t.dropped
         return agg
 
     def gas_reports_per_window(self, t_i: int, start_epoch: int) -> dict[int, int]:
@@ -255,6 +252,15 @@ class SimulationResult:
                 window = (m.timestamp - start_epoch) // t_i + 1
                 seen.setdefault(window, set()).add((m.node_id, m.timestamp))
         return {w: len(s) for w, s in sorted(seen.items())}
+
+
+def _drop_stale(buffer: list[tuple[int, Measurement]], before: float, tallies: dict) -> None:
+    """Take every entry stamped before ``before`` out of the coordinator
+    buffer and count it as dropped: no later window can batch it."""
+    for _, m in buffer:
+        if m.timestamp < before:
+            tallies[(m.node_id, m.quantity)].dropped += 1
+    buffer[:] = [entry for entry in buffer if entry[1].timestamp >= before]
 
 
 def run(scenario: "ScenarioConfig") -> SimulationResult:
@@ -281,7 +287,6 @@ def run(scenario: "ScenarioConfig") -> SimulationResult:
     by_id = {s.descriptor.node_id: s for s in states}
 
     result = SimulationResult(scenario_name=scenario.name, seed=scenario.seed)
-    computer = IndexComputer(thermal_model=scenario.thermal_model)
     queue = EventQueue()
     buffer: list[tuple[int, Measurement]] = []
 
@@ -290,17 +295,10 @@ def run(scenario: "ScenarioConfig") -> SimulationResult:
             continue
         for t in range(0, scenario.duration_s, scenario.sample_period_s):
             queue.push(start + t, SampleTick(s.descriptor.node_id))
-    uplink_grid = range(
-        scenario.uplink_period_s, scenario.duration_s + 1, scenario.uplink_period_s
-    )
     if coordinator is not None:
-        for t in uplink_grid:
+        period = scenario.uplink_period_s
+        for t in range(period, scenario.duration_s + 1, period):
             queue.push(start + t, UplinkTick(coordinator))
-    else:
-        # No coordinator: still recompute indexes on the reporting grid.
-        wa_latency = int(scenario.links[Radio.WIDE_AREA].latency_s)
-        for t in uplink_grid:
-            queue.push(start + t + wa_latency, IndexTick(window_end=start + t))
 
     while queue:
         t, _, event = queue.pop()
@@ -323,23 +321,18 @@ def run(scenario: "ScenarioConfig") -> SimulationResult:
             batch = coordinator_uplink(
                 event.coordinator_id, t - scenario.uplink_period_s, t, buffer
             )
+            _drop_stale(buffer, t, result.tallies)
             wa_latency = scenario.links[Radio.WIDE_AREA].latency_s
             queue.push(t + int(wa_latency), Delivery("server", batch=batch))
-        elif isinstance(event, IndexTick):
-            result.index_updates.extend(computer.update(event.window_end))
         elif isinstance(event, Delivery):
             if event.destination == "coordinator":
                 buffer.append((t, event.measurement))
             elif event.measurement is not None:
                 result.server_measurements.append((t, event.measurement))
-                computer.ingest([event.measurement])
             else:
                 batch = event.batch
                 result.batches.append(batch)
                 for m in batch.measurements:
                     result.server_measurements.append((t, m))
-                computer.ingest(batch.measurements)
-                # Every received report triggers an index refresh with
-                # windows ending at the report-slot boundary.
-                result.index_updates.extend(computer.update(batch.uplink_time))
+    _drop_stale(buffer, math.inf, result.tallies)
     return result

@@ -9,7 +9,6 @@ Schema (all durations in seconds, all coordinates WGS84 decimal degrees):
     duration_s: 86400
     sample_period_s: 300        # per-node sampling cadence
     uplink_period_s: 900        # coordinator reporting cadence
-    thermal_model: apparent     # identity | apparent
     field:
       baseline:          {temperature: 14.7, co2: 451.1, ...}
       diurnal_amplitude: {temperature: 3.0, ...}        # optional
@@ -35,31 +34,20 @@ Schema (all durations in seconds, all coordinates WGS84 decimal degrees):
 from __future__ import annotations
 
 import dataclasses
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path as FsPath
 
 import yaml
 
-from .domain import GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, parse_utc
+from .domain import (
+    REQUIRED_RADIOS, GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, parse_utc,
+)
 from .field import FieldModel, GaussianPlume, Path
-from .indexes import ThermalModel, apparent_temperature_model, identity_thermal_model
 from .netsim import ConfigError, DEFAULT_LINKS, LinkModel
 from .nodes import NodeState, SensorSpec, default_sensor_spec
-
-_DEFAULT_RADIOS: dict[NodeKind, frozenset[Radio]] = {
-    NodeKind.FIXED: frozenset({Radio.SHORT_RANGE_FIXED}),
-    NodeKind.MOBILE: frozenset(
-        {Radio.SHORT_RANGE_FIXED, Radio.SHORT_RANGE_MOBILE, Radio.WIDE_AREA}
-    ),
-    NodeKind.COORDINATOR: frozenset({Radio.SHORT_RANGE_FIXED, Radio.WIDE_AREA}),
-    NodeKind.WEATHER_STATION: frozenset({Radio.SHORT_RANGE_FIXED}),
-}
-
-_THERMAL_MODELS: dict[str, ThermalModel] = {
-    "identity": identity_thermal_model,
-    "apparent": apparent_temperature_model,
-}
 
 
 @dataclass
@@ -87,15 +75,10 @@ class ScenarioConfig:
     sensor_overrides: dict[Quantity, SensorSpec] = dc_field(default_factory=dict)
     sample_period_s: int = 300
     uplink_period_s: int = 900
-    thermal_model_name: str = "identity"
 
     @property
     def start_epoch(self) -> int:
         return parse_utc(self.start_time)
-
-    @property
-    def thermal_model(self) -> ThermalModel:
-        return _THERMAL_MODELS[self.thermal_model_name]
 
     def validate(self) -> None:
         if self.duration_s < 0:
@@ -106,8 +89,6 @@ class ScenarioConfig:
             raise ConfigError("uplink_period_s must be a multiple of sample_period_s")
         if self.duration_s % self.uplink_period_s != 0:
             raise ConfigError("duration_s must be a multiple of uplink_period_s")
-        if self.thermal_model_name not in _THERMAL_MODELS:
-            raise ConfigError(f"unknown thermal model {self.thermal_model_name!r}")
         try:
             self.start_epoch
         except ValueError as e:
@@ -181,10 +162,27 @@ def _quantity(code: str, context: str) -> Quantity:
         raise ConfigError(f"{context}: unknown quantity {code!r}") from None
 
 
+@contextmanager
+def _config_errors(context: str):
+    """Report a domain check that fails while parsing (an out-of-range
+    latitude, a bad sensor spec, ...) as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{context}: {e}") from None
+
+
+def _finite(value, context: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{context} must be finite, got {value}")
+    return value
+
+
 def _quantity_map(raw: dict | None, context: str) -> dict[Quantity, float]:
-    if raw is None:
-        return {}
-    return {_quantity(k, context): float(v) for k, v in raw.items()}
+    return {_quantity(k, context): _finite(v, f"{context}.{k}") for k, v in (raw or {}).items()}
 
 
 def _parse_field(raw: dict, seed: int) -> FieldModel:
@@ -206,7 +204,7 @@ def _parse_field(raw: dict, seed: int) -> FieldModel:
                 GaussianPlume(
                     center=GeoPoint(float(e["lat"]), float(e["lon"])),
                     sigma_m=sigma_m,
-                    amplitude=float(e["amplitude"]),
+                    amplitude=_finite(e["amplitude"], f"field.plumes.{code}: amplitude"),
                 )
             )
         plumes[q] = tuple(parsed)
@@ -273,17 +271,18 @@ def _parse_node(raw: dict) -> NodeSetup:
         _quantity(q, f"node {nid}.quantities") for q in raw.get("quantities", [])
     )
     home = None
-    if kind is not NodeKind.MOBILE:
-        if "lat" not in raw or "lon" not in raw:
-            raise ConfigError(f"node {nid}: {kind.value} nodes need lat/lon")
-        home = GeoPoint(float(raw["lat"]), float(raw["lon"]))
-    descriptor = NodeDescriptor(
-        node_id=nid,
-        kind=kind,
-        sensor_suite=suite,
-        radios=_DEFAULT_RADIOS[kind],
-        home_position=home,
-    )
+    with _config_errors(f"node {nid}"):
+        if kind is not NodeKind.MOBILE:
+            if "lat" not in raw or "lon" not in raw:
+                raise ConfigError(f"node {nid}: {kind.value} nodes need lat/lon")
+            home = GeoPoint(float(raw["lat"]), float(raw["lon"]))
+        descriptor = NodeDescriptor(
+            node_id=nid,
+            kind=kind,
+            sensor_suite=suite,
+            radios=REQUIRED_RADIOS[kind],
+            home_position=home,
+        )
     bias_add: dict[Quantity, float] = {}
     bias_mul: dict[Quantity, float] = {}
     for code, b in (raw.get("bias") or {}).items():
@@ -310,7 +309,6 @@ _TOP_KEYS = {
     "duration_s",
     "sample_period_s",
     "uplink_period_s",
-    "thermal_model",
     "field",
     "paths",
     "links",
@@ -323,25 +321,25 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a mapping")
     _check_keys(raw, _TOP_KEYS, "scenario")
-    seed = int(_require(raw, "seed", "scenario"))
-    paths = {}
-    for name, vertices in (raw.get("paths") or {}).items():
-        pts = tuple(GeoPoint(float(lat), float(lon)) for lat, lon in vertices)
-        paths[str(name)] = Path(name=str(name), vertices=pts)
-    cfg = ScenarioConfig(
-        name=str(_require(raw, "name", "scenario")),
-        seed=seed,
-        start_time=str(_require(raw, "start_time", "scenario")),
-        duration_s=int(_require(raw, "duration_s", "scenario")),
-        field=_parse_field(_require(raw, "field", "scenario"), seed),
-        nodes=[_parse_node(n) for n in _require(raw, "nodes", "scenario")],
-        paths=paths,
-        links=_parse_links(raw.get("links")),
-        sensor_overrides=_parse_sensors(raw.get("sensors")),
-        sample_period_s=int(raw.get("sample_period_s", 300)),
-        uplink_period_s=int(raw.get("uplink_period_s", 900)),
-        thermal_model_name=str(raw.get("thermal_model", "identity")),
-    )
+    with _config_errors("scenario"):
+        seed = int(_require(raw, "seed", "scenario"))
+        paths = {}
+        for name, vertices in (raw.get("paths") or {}).items():
+            pts = tuple(GeoPoint(float(lat), float(lon)) for lat, lon in vertices)
+            paths[str(name)] = Path(name=str(name), vertices=pts)
+        cfg = ScenarioConfig(
+            name=str(_require(raw, "name", "scenario")),
+            seed=seed,
+            start_time=str(_require(raw, "start_time", "scenario")),
+            duration_s=int(_require(raw, "duration_s", "scenario")),
+            field=_parse_field(_require(raw, "field", "scenario"), seed),
+            nodes=[_parse_node(n) for n in _require(raw, "nodes", "scenario")],
+            paths=paths,
+            links=_parse_links(raw.get("links")),
+            sensor_overrides=_parse_sensors(raw.get("sensors")),
+            sample_period_s=int(raw.get("sample_period_s", 300)),
+            uplink_period_s=int(raw.get("uplink_period_s", 900)),
+        )
     cfg.validate()
     return cfg
 

@@ -7,7 +7,6 @@ start_time: "2015-04-20T00:00:00Z"
 duration_s: 1800
 sample_period_s: 300
 uplink_period_s: 900
-thermal_model: identity
 
 field:
   baseline: {temperature: 15.0, co2: 451.1, o3: 51.33, relative_humidity: 70.0,

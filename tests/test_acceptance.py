@@ -227,6 +227,9 @@ def test_criterion_4_conservation_under_loss(pisa, loss):
     assert result.tallies
     for tally in result.tallies.values():
         assert tally.emitted == tally.delivered + tally.lost
+    assert sum(
+        t.to_coordinator + t.to_server - t.dropped for t in result.tallies.values()
+    ) == len(result.server_measurements)
     if loss == 1.0:
         assert all(t.delivered == 0 for t in result.tallies.values())
     ok(4, f"delivered + lost = emitted for every channel at loss_prob {loss}")

@@ -237,3 +237,14 @@ class TestReportWriter:
         cols = [line.split() for line in lines]
         assert all(len(c) == 2 for c in cols)
         assert sum(float(c[1]) for c in cols) == pytest.approx(1.0, abs=1e-9)
+
+    def test_undefined_relative_error_is_null_in_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        report = compare_populations([meas(1.0, Quantity.RAIN)], [meas(0.0, Quantity.RAIN)])
+        assert math.isnan(report.rows[0].eta)
+        write_comparison_report(report, tmp_path)
+        doc = json.loads((tmp_path / "comparison.json").read_text(), parse_constant=reject)
+        assert doc["rows"]["rain"]["relative_error"] is None
+        assert doc["rows"]["rain"]["mean_b"] == 0.0

@@ -80,19 +80,35 @@ def _assert_one_line_data_error(rc, err):
     assert "Traceback" not in err
 
 
-class TestSimulateConfigErrors:
-    def _run_with(self, small_scenario_file, tmp_path, edit):
-        raw = yaml.safe_load(small_scenario_file.read_text())
-        edit(raw)
-        path = tmp_path / "edited.yaml"
-        path.write_text(yaml.safe_dump(raw))
-        return main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+def _simulate_edited(small_scenario_file, tmp_path, edit):
+    """Run ``simulate`` on the small scenario after ``edit`` changed it."""
+    raw = yaml.safe_load(small_scenario_file.read_text())
+    edit(raw)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
 
+
+class TestSimulateSummary:
+    def test_late_arrivals_are_reported_as_dropped(self, small_scenario_file, tmp_path, capsys):
+        # Fixed readings reach the coordinator 1000 s after sampling, past
+        # the 900 s uplink of their window: all 2 x 60 of them are dropped.
+        def edit(raw):
+            raw["links"] = {"short_range_fixed": {"latency_s": 1000}}
+
+        assert _simulate_edited(small_scenario_file, tmp_path, edit) == 0
+        out = capsys.readouterr().out
+        assert "T1: emitted 60, to coordinator 60, direct 0, lost 0, dropped 60" in out
+        assert "F2: emitted 60, to coordinator 60, direct 0, lost 0, dropped 60" in out
+        assert "server received 48 measurements, loss rate 0.7143" in out  # 120 / 168
+
+
+class TestSimulateConfigErrors:
     def test_zero_plume_sigma_exits_1(self, small_scenario_file, tmp_path, capsys):
         def edit(raw):
             raw["field"]["plumes"] = {"co": [{"lat": 43.716, "lon": 10.3966, "sigma_m": 0, "amplitude": 1.5}]}
 
-        assert self._run_with(small_scenario_file, tmp_path, edit) == 1
+        assert _simulate_edited(small_scenario_file, tmp_path, edit) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "sigma_m" in err
 
@@ -100,9 +116,35 @@ class TestSimulateConfigErrors:
         def edit(raw):
             raw["field"]["noise_sigma"]["o3"] = -2.5
 
-        assert self._run_with(small_scenario_file, tmp_path, edit) == 1
+        assert _simulate_edited(small_scenario_file, tmp_path, edit) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "noise_sigma" in err
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda raw: raw["nodes"][1].update(lat=95.0), "node T1: position: latitude 95.0"),
+            (lambda raw: raw["sensors"].update(co2={"t90_s": 0}), "bad sensor spec for co2"),
+            (
+                lambda raw: raw["field"]["baseline"].update(temperature=float("nan")),
+                "field.baseline.temperature must be finite",
+            ),
+            (
+                lambda raw: raw["field"].update(plumes={"co": [
+                    {"lat": 43.716, "lon": 10.3966, "sigma_m": 400, "amplitude": float("inf")}
+                ]}),
+                "amplitude must be finite",
+            ),
+            (lambda raw: raw.update(thermal_model="apparent"), "unknown keys ['thermal_model']"),
+        ],
+        ids=["latitude", "t90", "nan-baseline", "inf-plume-amplitude", "thermal-model-key"],
+    )
+    def test_bad_value_exits_1_with_one_line(self, small_scenario_file, tmp_path, capsys, edit, needle):
+        assert _simulate_edited(small_scenario_file, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error:") and needle in err
+        assert "Traceback" not in err
 
 
 class TestIndexes:

@@ -11,7 +11,6 @@ from citysense.field import (
     GaussianPlume,
     Path,
     UnknownQuantityError,
-    field_value,
     noise_generator,
     path_position,
 )
@@ -31,8 +30,8 @@ class TestFieldValue:
     def test_constant_field(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
         for t in (0, 12345, 86400 * 3):
-            assert field_value(f, Quantity.CO2, P, t) == 420.0
-            assert field_value(f, Quantity.CO2, offset(P, 2000), t) == 420.0
+            assert f.value(Quantity.CO2, P, t) == 420.0
+            assert f.value(Quantity.CO2, offset(P, 2000), t) == 420.0
 
     def test_deterministic_per_query(self):
         f = FieldModel(

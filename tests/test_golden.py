@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from citysense.cli import main
-from citysense.indexes import index_record_line
+from citysense.indexes import apparent_temperature_model, compute_indexes, index_record_line
 from citysense.netsim import run
 from citysense.scenario import load_scenario, with_seed
 
@@ -106,15 +106,22 @@ def test_output_digests(outputs, step):
     assert written == GOLDEN[step]
 
 
-def test_in_run_indexes_equal_recomputed_indexes(outputs):
-    """Every index record ``run()`` computes on ingest equals the line
-    ``citysense indexes`` writes for the same kind, station and window end."""
-    result = run(with_seed(load_scenario("pisa-default"), int(SEED)))
-    recomputed = {}
-    for path in (outputs / "indexes").glob("indexes_*.txt"):
-        for line in path.read_text().splitlines():
-            recomputed[tuple(line.split(",")[:3])] = line
-    in_run = [index_record_line(iv) for iv in result.index_updates]
-    assert len(in_run) == len(recomputed) == 1824
-    for line in in_run:
-        assert recomputed.get(tuple(line.split(",")[:3])) == line
+def test_compute_indexes_over_run_equals_indexes_step(outputs):
+    """``compute_indexes`` over the records ``run()`` hands the server gives
+    exactly the lines ``citysense indexes`` writes from the stored day files,
+    so in-memory records and the store round trip give the same indexes."""
+    cfg = with_seed(load_scenario("pisa-default"), int(SEED))
+    result = run(cfg)
+    values = compute_indexes(
+        (m for _, m in result.server_measurements), cfg.uplink_period_s,
+        apparent_temperature_model,
+    )
+    in_memory: dict[str, list[str]] = {}
+    for iv in values:
+        in_memory.setdefault(iv.station_id, []).append(index_record_line(iv))
+    written = {
+        p.name[len("indexes_"):-len(".txt")]: p.read_text().splitlines()
+        for p in (outputs / "indexes").glob("indexes_*.txt")
+    }
+    assert len(values) == sum(map(len, written.values())) == 1824
+    assert in_memory == written

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,11 +17,11 @@ from citysense.indexes import (
     aqi_o3,
     aqi_pm,
     classify,
+    compute_indexes,
     identity_thermal_model,
     index_record_line,
     tci,
     traffic_index,
-    update_indexes_on_ingest,
 )
 
 EPS = 1e-9
@@ -278,7 +279,8 @@ class TestIndexComputer:
         for window in range(8):
             t0 = window * 900
             ms = [o3_measurement(150.0, t0 + k * 300) for k in range(3)]
-            updates = update_indexes_on_ingest(computer, ms, t0 + 900)
+            computer.ingest(ms)
+            updates = computer.update(t0 + 900)
             out_colors.extend(
                 iv.color for iv in updates if iv.kind is IndexKind.AQI_O3
             )
@@ -337,6 +339,46 @@ class TestIndexComputer:
         computer = IndexComputer()
         computer.ingest([Measurement("M1", 300, P, Quantity.TEMPERATURE, 20.0)])
         assert [iv.kind for iv in computer.update(900)] == []
+
+
+class TestComputeIndexes:
+    def _o3(self, records):
+        return [
+            (iv.window_end, iv.value)
+            for iv in compute_indexes(records, 900)
+            if iv.kind is IndexKind.AQI_O3
+        ]
+
+    def test_no_records_no_values(self):
+        assert compute_indexes([], 900) == []
+
+    def test_grid_runs_from_after_first_to_after_last_reading(self):
+        values = self._o3([o3_measurement(40.0, 300), o3_measurement(100.0, 1000)])
+        assert values == [(900, 40.0), (1800, 70.0)]
+
+    def test_reading_on_a_grid_point_counts_at_the_next_point(self):
+        values = self._o3([o3_measurement(40.0, 300), o3_measurement(100.0, 900)])
+        assert values == [(900, 40.0), (1800, 70.0)]
+        # a first reading on a grid point starts the grid one period later
+        assert self._o3([o3_measurement(100.0, 900)]) == [(1800, 100.0)]
+
+    def test_input_order_does_not_matter(self):
+        ms = []
+        for t in range(0, 6 * 3600, 300):
+            ms.append(o3_measurement(50.0 + t % 7, t))
+            ms.append(Measurement("T2", t, P, Quantity.PM25, 5.0 + t % 11))
+            for q, v in (
+                (Quantity.TEMPERATURE, 15.0 + t / 3600),
+                (Quantity.RADIANT_TEMPERATURE, 16.0),
+                (Quantity.WIND_SPEED, 0.5),
+                (Quantity.RELATIVE_HUMIDITY, 60.0),
+            ):
+                ms.append(Measurement("T1", t, P, q, v))
+        expected = compute_indexes(ms, 900, apparent_temperature_model)
+        assert {iv.kind for iv in expected} == {IndexKind.AQI_O3, IndexKind.AQI_PM, IndexKind.TCI}
+        shuffled = list(ms)
+        random.Random(5).shuffle(shuffled)
+        assert compute_indexes(shuffled, 900, apparent_temperature_model) == expected
 
 
 class TestRecordLine:

@@ -209,6 +209,25 @@ class TestRun:
             assert tally.emitted == tally.delivered + tally.lost
             lost_total += tally.lost
         assert lost_total > 0
+        assert sum(
+            t.to_coordinator + t.to_server - t.dropped for t in result.tallies.values()
+        ) == len(result.server_measurements)
+
+    def test_late_arrivals_are_dropped_and_counted(self, pisa):
+        # A short-range latency above the uplink period makes every fixed
+        # reading reach the coordinator after its window was uplinked.
+        links = dict(pisa.links)
+        links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 0.0, 1000.0)
+        result = run(dataclasses.replace(pisa, links=links))
+        tallies = result.tallies.values()
+        assert sum(t.emitted for t in tallies) == 27648
+        assert sum(t.lost for t in tallies) == 0
+        assert sum(t.dropped for t in tallies) == 23040
+        assert len(result.server_measurements) == 4608
+        assert sum(
+            t.to_coordinator + t.to_server - t.dropped for t in tallies
+        ) == len(result.server_measurements)
+        assert all(t.dropped <= t.to_coordinator for t in tallies)
 
     def test_causality(self, pisa):
         cfg = dataclasses.replace(pisa, duration_s=1800)

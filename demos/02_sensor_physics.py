@@ -8,7 +8,7 @@ Run: python demos/02_sensor_physics.py
 """
 
 from citysense import FieldModel, GeoPoint, Quantity
-from citysense.domain import Flag, NodeDescriptor, NodeKind, Radio, co_ppm_to_mg_m3
+from citysense.domain import Flag, NodeDescriptor, NodeKind, co_ppm_to_mg_m3
 from citysense.nodes import NodeState, lag_filter, quantize, sample
 
 P = GeoPoint(43.716, 10.3966)
@@ -28,7 +28,7 @@ field = FieldModel(seed=1, baseline={Quantity.CO2: 451.1}, noise_sigma={Quantity
 node = NodeState(
     descriptor=NodeDescriptor(
         "demo", NodeKind.FIXED, frozenset({Quantity.CO2}),
-        frozenset({Radio.SHORT_RANGE_FIXED}), home_position=P,
+        home_position=P,
     ),
     powered_since=0,
 )
@@ -42,7 +42,7 @@ field = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(3.0)})
 node = NodeState(
     descriptor=NodeDescriptor(
         "demo2", NodeKind.FIXED, frozenset({Quantity.CO}),
-        frozenset({Radio.SHORT_RANGE_FIXED}), home_position=P,
+        home_position=P,
     ),
 )
 (m,) = sample(node, field, 0)

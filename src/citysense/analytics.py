@@ -25,6 +25,7 @@ from .domain import (
     haversine_distance,
     mean,
 )
+from .store import write_atomic
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
 DEFAULT_BIN_COUNT = 30
@@ -267,7 +268,7 @@ def write_comparison_report(report: ComparisonReport, out_dir: str | FsPath) -> 
         },
     }
     report_path = out / "comparison.json"
-    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    write_atomic(report_path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     written.append(report_path)
     for row in report.rows:
         for label, pmf in ((label_a, row.pmf_a), (label_b, row.pmf_b)):
@@ -276,6 +277,6 @@ def write_comparison_report(report: ComparisonReport, out_dir: str | FsPath) -> 
                 f"{center!r} {p!r}"
                 for center, p in zip(pmf.bin_centers(), pmf.probabilities)
             ]
-            path.write_text("\n".join(lines) + "\n")
+            write_atomic(path, "\n".join(lines) + "\n")
             written.append(path)
     return written

@@ -11,9 +11,8 @@ import json
 import sys
 from pathlib import Path as FsPath
 
-import yaml
-
 from .analytics import (
+    DEFAULT_ASSOCIATION_RADIUS_M,
     NoOverlapError,
     associate_mobile_to_fixed,
     compare_populations,
@@ -21,9 +20,6 @@ from .analytics import (
 )
 from .domain import GeoPoint, NodeKind
 from .indexes import (
-    DEFAULT_MANEUVER_EQUIVALENTS,
-    DegenerateCompositionError,
-    TrafficAccessConfig,
     apparent_temperature_model,
     compute_indexes,
     identity_thermal_model,
@@ -31,8 +27,10 @@ from .indexes import (
     traffic_index,
 )
 from .netsim import ConfigError, run
-from .scenario import load_scenario, with_seed
-from .store import MeasurementStore, StorageError, serialize_delivery, write_delivery_log
+from .scenario import load_access, load_scenario, with_seed
+from .store import (
+    MeasurementStore, StorageError, serialize_delivery, write_atomic, write_delivery_log,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,7 +66,7 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--mode", choices=("paths", "mobile-fixed"), required=True)
     p_cmp.add_argument("--out", required=True, help="output directory")
     p_cmp.add_argument(
-        "--radius-m", type=float, default=500.0,
+        "--radius-m", type=float, default=DEFAULT_ASSOCIATION_RADIUS_M,
         help="association radius for mobile-fixed mode",
     )
 
@@ -116,7 +114,7 @@ def _cmd_simulate(args) -> int:
         }
         for n in cfg.nodes
     }
-    (out / "nodes.json").write_text(json.dumps(nodes_doc, indent=2, sort_keys=True) + "\n")
+    write_atomic(out / "nodes.json", json.dumps(nodes_doc, indent=2, sort_keys=True) + "\n")
 
     print(f"scenario {cfg.name!r} seed {cfg.seed}: {cfg.duration_s} s simulated")
     total_emitted = total_undelivered = 0
@@ -162,9 +160,7 @@ def _cmd_indexes(args) -> int:
         lines_by_station.setdefault(iv.station_id, []).append(index_record_line(iv))
         latest[(iv.station_id, iv.kind.value)] = iv.color.value
     for station in sorted(lines_by_station):
-        (out / f"indexes_{station}.txt").write_text(
-            "\n".join(lines_by_station[station]) + "\n"
-        )
+        write_atomic(out / f"indexes_{station}.txt", "\n".join(lines_by_station[station]) + "\n")
     for (station, kind), color in sorted(latest.items()):
         print(f"{station} {kind}: {color}")
     return EXIT_OK
@@ -258,42 +254,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_traffic(args) -> int:
-    path = FsPath(args.config)
-    if not path.is_file():
-        raise ConfigError(f"access configuration not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{path}: invalid YAML: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    allowed = {
-        "composition", "maneuver_shares", "steepness_pct", "grade",
-        "localization", "s_b", "maneuver_equivalents",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    try:
-        cfg = TrafficAccessConfig(
-            composition={str(k): float(v) for k, v in (raw.get("composition") or {}).items()},
-            maneuver_shares={
-                str(k): float(v) for k, v in (raw.get("maneuver_shares") or {"straight": 1.0}).items()
-            },
-            steepness_pct=float(raw.get("steepness_pct", 0.0)),
-            grade=str(raw.get("grade", "flat")),
-            localization=str(raw.get("localization", "residential")),
-            s_b=float(raw.get("s_b", 1800.0)),
-            maneuver_equivalents=(
-                {str(k): float(v) for k, v in raw["maneuver_equivalents"].items()}
-                if raw.get("maneuver_equivalents")
-                else dict(DEFAULT_MANEUVER_EQUIVALENTS)
-            ),
-        )
-        k1, k2, k3, k4 = cfg.factors()
-        iv = traffic_index(cfg)
-    except (DegenerateCompositionError, ValueError) as e:
-        raise ConfigError(str(e)) from None
+    cfg = load_access(args.config)
+    k1, k2, k3, k4 = cfg.factors()
+    iv = traffic_index(cfg)
     print(f"composition factor  K1 = {k1:.6f}")
     print(f"steepness factor    K2 = {k2:.6f}")
     print(f"localization factor K3 = {k3:.6f}")

@@ -281,16 +281,6 @@ ALLOWED_QUANTITIES: dict[NodeKind, frozenset[Quantity]] = {
     NodeKind.WEATHER_STATION: _WEATHER_QUANTITIES,
 }
 
-REQUIRED_RADIOS: dict[NodeKind, frozenset[Radio]] = {
-    NodeKind.FIXED: frozenset({Radio.SHORT_RANGE_FIXED}),
-    NodeKind.MOBILE: frozenset(
-        {Radio.SHORT_RANGE_FIXED, Radio.SHORT_RANGE_MOBILE, Radio.WIDE_AREA}
-    ),
-    NodeKind.COORDINATOR: frozenset({Radio.SHORT_RANGE_FIXED, Radio.WIDE_AREA}),
-    NodeKind.WEATHER_STATION: frozenset({Radio.SHORT_RANGE_FIXED}),
-}
-
-
 @dataclass(frozen=True)
 class NodeDescriptor:
     """Identity and capabilities of one network node."""
@@ -298,18 +288,11 @@ class NodeDescriptor:
     node_id: str
     kind: NodeKind
     sensor_suite: frozenset[Quantity]
-    radios: frozenset[Radio]
     home_position: GeoPoint | None = None
 
     def __post_init__(self):
         if not self.node_id or any(c in self.node_id for c in ",; \t\n"):
             raise ValidationError("node_id", f"bad identifier {self.node_id!r}")
-        missing = REQUIRED_RADIOS[self.kind] - self.radios
-        if missing:
-            raise ValidationError(
-                "radios",
-                f"{self.kind.value} node {self.node_id} lacks {sorted(r.value for r in missing)}",
-            )
         forbidden = self.sensor_suite - ALLOWED_QUANTITIES[self.kind]
         if forbidden:
             raise ValidationError(

@@ -47,6 +47,10 @@ class GaussianPlume:
     sigma_m: float
     amplitude: float
 
+    def __post_init__(self):
+        if not self.sigma_m > 0:
+            raise ValueError(f"sigma_m must be > 0, got {self.sigma_m}")
+
 
 def _rush_hour_profile(tod_s: float) -> float:
     # Two commuter peaks (08:00, 18:00), sigma 2.5 h, max ~1.
@@ -69,6 +73,11 @@ class FieldModel:
     traffic_coupling: dict[Quantity, float] = field(default_factory=dict)
     plumes: dict[Quantity, tuple[GaussianPlume, ...]] = field(default_factory=dict)
     noise_sigma: dict[Quantity, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for q, sigma in self.noise_sigma.items():
+            if not sigma >= 0:
+                raise ValueError(f"noise_sigma.{q.value} must be >= 0, got {sigma}")
 
     def value(self, quantity: Quantity, position: GeoPoint, t: int | float) -> float:
         """Ground-truth value of ``quantity`` at ``position`` and epoch second ``t``."""
@@ -116,6 +125,10 @@ class Path:
     name: str
     vertices: tuple[GeoPoint, ...]
 
+    def __post_init__(self):
+        if not self.vertices:
+            raise EmptyPathError(f"path {self.name!r} has no vertices")
+
     def segment_lengths(self) -> tuple[float, ...]:
         return tuple(
             haversine_distance(a, b) for a, b in zip(self.vertices, self.vertices[1:])
@@ -137,8 +150,6 @@ def path_position(path: Path, speed_mps: float, t: float) -> GeoPoint:
     (ping-pong): after reaching the far end the traveller turns around, so
     position is periodic with period ``2 * length / speed``.
     """
-    if not path.vertices:
-        raise EmptyPathError(path.name)
     if len(path.vertices) == 1:
         return path.vertices[0]
     if speed_mps <= 0.0:

@@ -91,10 +91,6 @@ class IndexValue:
         return INDEX_UNITS[self.kind]
 
 
-class InsufficientDataError(ValueError):
-    """The averaging window holds no usable samples."""
-
-
 def _mean_index(
     kind: IndexKind, bands, values: Sequence[float], station_id: str, window_end: int
 ) -> IndexValue:
@@ -239,8 +235,10 @@ class TrafficAccessConfig:
                 raise ValueError(f"{label}: shares must sum to 1")
         if self.grade not in ("flat", "uphill", "downhill"):
             raise ValueError(f"grade {self.grade!r} not flat/uphill/downhill")
-        if self.steepness_pct < 0:
-            raise ValueError("steepness_pct is an absolute percentage")
+        if not 0.0 <= self.steepness_pct < math.inf:
+            raise ValueError("steepness_pct must be a finite absolute percentage")
+        if not 0.0 < self.s_b < math.inf:
+            raise ValueError(f"s_b must be positive and finite, got {self.s_b}")
         if self.localization not in LOCALIZATION_FACTORS:
             raise ValueError(f"unknown localization {self.localization!r}")
 

@@ -35,6 +35,7 @@ from .domain import (
     Quantity,
     Radio,
     ReportBatch,
+    SECONDS_PER_DAY,
     haversine_distance,
 )
 from .field import loss_generator
@@ -64,8 +65,8 @@ class LinkModel:
             raise ValueError("loss_prob must be within [0, 1]")
         if self.range_m <= 0.0:
             raise ValueError("range_m must be positive")
-        if self.latency_s < 0.0:
-            raise ValueError("latency_s must be non-negative")
+        if not 0.0 <= self.latency_s <= SECONDS_PER_DAY:
+            raise ValueError(f"latency_s must be within [0, {SECONDS_PER_DAY}] s")
 
 
 DEFAULT_LINKS: dict[Radio, LinkModel] = {

@@ -4,13 +4,13 @@ deployment (field, paths, nodes, links, timing, seed).
 Schema (all durations in seconds, all coordinates WGS84 decimal degrees):
 
     name: pisa-default
-    seed: 20150420
+    seed: 20150420              # integer >= 0
     start_time: "2015-04-20T00:00:00Z"
-    duration_s: 86400
+    duration_s: 86400           # a multiple of uplink_period_s
     sample_period_s: 300        # per-node sampling cadence
     uplink_period_s: 900        # coordinator reporting cadence
     field:
-      baseline:          {temperature: 14.7, co2: 451.1, ...}
+      baseline:          {temperature: 14.7, co2: 451.1, ...}  # every measured quantity
       diurnal_amplitude: {temperature: 3.0, ...}        # optional
       traffic_coupling:  {co: 0.5, ...}                 # optional
       noise_sigma:       {temperature: 0.15, ...}       # optional
@@ -18,10 +18,10 @@ Schema (all durations in seconds, all coordinates WGS84 decimal degrees):
         co: [{lat: 43.716, lon: 10.3966, sigma_m: 400, amplitude: 1.5}]
     paths:
       heavy_traffic: [[lat, lon], [lat, lon], ...]
-    links:
-      short_range_fixed:  {range_m: 500, loss_prob: 0.0, latency_s: 1}
+    links:                    # optional; latency_s within [0, 86400]
+      short_range_fixed:  {loss_prob: 0.0, latency_s: 1}
       short_range_mobile: {range_m: 300, loss_prob: 0.0, latency_s: 1}
-      wide_area:          {range_m: .inf, loss_prob: 0.0, latency_s: 2}
+      wide_area:          {loss_prob: 0.0, latency_s: 2}
     sensors:                  # optional per-quantity overrides
       co: {lod: 0.0}
     nodes:
@@ -29,23 +29,28 @@ Schema (all durations in seconds, all coordinates WGS84 decimal degrees):
          quantities: [temperature, co2, ...]}
       - {id: M1, kind: mobile, route: heavy_traffic, speed_mps: 4.0,
          quantities: [...], bias: {hc: {mul: 1.0, add: 0.0}}}
+
+``range_m`` is read only under ``short_range_mobile``: routing reads no
+other radio's range. A malformed value (missing, null, quoted, a bool, a
+fractional integer, non-finite, out of range) is a one-line ConfigError
+naming the key; ``load_access`` reads traffic access files the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from enum import Enum
 from importlib import resources
 from pathlib import Path as FsPath
 
 import yaml
 
-from .domain import (
-    REQUIRED_RADIOS, GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, parse_utc,
-)
+from .domain import GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, parse_utc
 from .field import FieldModel, GaussianPlume, Path
+from .indexes import TrafficAccessConfig
 from .netsim import ConfigError, DEFAULT_LINKS, LinkModel
 from .nodes import NodeState, SensorSpec, default_sensor_spec
 
@@ -81,6 +86,8 @@ class ScenarioConfig:
         return parse_utc(self.start_time)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.duration_s < 0:
             raise ConfigError("duration_s must be >= 0")
         if self.sample_period_s <= 0 or self.uplink_period_s <= 0:
@@ -89,10 +96,8 @@ class ScenarioConfig:
             raise ConfigError("uplink_period_s must be a multiple of sample_period_s")
         if self.duration_s % self.uplink_period_s != 0:
             raise ConfigError("duration_s must be a multiple of uplink_period_s")
-        try:
+        with _config_errors("start_time"):
             self.start_epoch
-        except ValueError as e:
-            raise ConfigError(f"bad start_time: {e}") from None
         seen: set[str] = set()
         coordinators = 0
         for n in self.nodes:
@@ -111,6 +116,9 @@ class ScenarioConfig:
                     raise ConfigError(f"node {nid!r}: speed must be positive")
             if n.path_tag is not None and n.path_tag not in self.paths:
                 raise ConfigError(f"node {nid!r}: unknown path tag {n.path_tag!r}")
+            unset = sorted(q.value for q in n.descriptor.sensor_suite - set(self.field.baseline))
+            if unset:
+                raise ConfigError(f"node {nid!r}: no field.baseline for {unset}")
         if coordinators > 1:
             raise ConfigError("at most one coordinator is supported")
         missing = set(self.links) ^ set(Radio)
@@ -140,26 +148,69 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# YAML loading
+# The checked reader: every YAML value is read by one of these. They reject
+# null, a wrong type, a non-finite number and a fractional integer, naming
+# the key; range rules stay in the domain constructors (_config_errors).
+
+_REQUIRED = object()
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+def _get(raw: dict, key: str, context: str, read, default=_REQUIRED, **kw):
+    """``read(raw[key])``, or ``default`` when the key is absent."""
+    name = f"{context}.{key}" if context else key
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        return default
+    return read(raw[key], name, **kw)
 
 
-def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
-    unknown = set(mapping) - allowed
+def _mapping(value, context: str, keys: set[str] | None = None) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a mapping, got {value!r}")
+    unknown = set(value) - keys if keys is not None else None
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown, key=str)}")
+    return value
 
 
-def _quantity(code: str, context: str) -> Quantity:
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context} must be a list, got {value!r}")
+    return value
+
+
+def _text(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context} must be a string, got {value!r}")
+    return value
+
+
+def _member(value, context: str, enum: type[Enum]):
     try:
-        return Quantity(code)
+        return enum(value)
     except ValueError:
-        raise ConfigError(f"{context}: unknown quantity {code!r}") from None
+        raise ConfigError(f"{context}: {value!r} is not one of {[m.value for m in enum]}") from None
+
+
+def _number(value, context: str, integer: bool = False):
+    """A finite float, or with ``integer`` an int (``3.0`` reads as 3)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{context} must be {kind}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf or an int beyond the float range
+        raise ConfigError(f"{context} must be finite, got {value}")
+    if integer and value != int(value):
+        raise ConfigError(f"{context} must be an integer, got {value}")
+    return int(value) if integer else float(value)
+
+
+def _number_map(value, context: str, keys: type[Enum] | None = None) -> dict:
+    """A mapping of numbers keyed by strings, or by members of ``keys``."""
+    return {
+        _member(k, context, keys) if keys else _text(k, f"{context} key"): _number(v, f"{context}.{k}")
+        for k, v in _mapping(value, context).items()
+    }
 
 
 @contextmanager
@@ -174,198 +225,175 @@ def _config_errors(context: str):
         raise ConfigError(f"{context}: {e}") from None
 
 
-def _finite(value, context: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{context} must be finite, got {value}")
-    return value
-
-
-def _quantity_map(raw: dict | None, context: str) -> dict[Quantity, float]:
-    return {_quantity(k, context): _finite(v, f"{context}.{k}") for k, v in (raw or {}).items()}
-
-
-def _parse_field(raw: dict, seed: int) -> FieldModel:
-    _check_keys(
-        raw,
-        {"baseline", "diurnal_amplitude", "traffic_coupling", "noise_sigma", "plumes"},
-        "field",
-    )
-    plumes: dict[Quantity, tuple[GaussianPlume, ...]] = {}
-    for code, entries in (raw.get("plumes") or {}).items():
-        q = _quantity(code, "field.plumes")
-        parsed = []
-        for e in entries:
-            _check_keys(e, {"lat", "lon", "sigma_m", "amplitude"}, "plume")
-            sigma_m = float(e["sigma_m"])
-            if not sigma_m > 0:
-                raise ConfigError(f"field.plumes.{code}: sigma_m must be > 0, got {sigma_m}")
-            parsed.append(
-                GaussianPlume(
-                    center=GeoPoint(float(e["lat"]), float(e["lon"])),
-                    sigma_m=sigma_m,
-                    amplitude=_finite(e["amplitude"], f"field.plumes.{code}: amplitude"),
-                )
-            )
-        plumes[q] = tuple(parsed)
-    noise_sigma = _quantity_map(raw.get("noise_sigma"), "field.noise_sigma")
-    for q, sigma in noise_sigma.items():
-        if not sigma >= 0:
-            raise ConfigError(f"field.noise_sigma.{q.value} must be >= 0, got {sigma}")
-    return FieldModel(
-        seed=seed,
-        baseline=_quantity_map(_require(raw, "baseline", "field"), "field.baseline"),
-        diurnal_amplitude=_quantity_map(raw.get("diurnal_amplitude"), "field.diurnal_amplitude"),
-        traffic_coupling=_quantity_map(raw.get("traffic_coupling"), "field.traffic_coupling"),
-        noise_sigma=noise_sigma,
-        plumes=plumes,
-    )
-
-
-def _parse_links(raw: dict | None) -> dict[Radio, LinkModel]:
-    links = dict(DEFAULT_LINKS)
-    for code, cfg in (raw or {}).items():
-        try:
-            radio = Radio(code)
-        except ValueError:
-            raise ConfigError(f"links: unknown radio {code!r}") from None
-        _check_keys(cfg, {"range_m", "loss_prob", "latency_s"}, f"links.{code}")
-        base = DEFAULT_LINKS[radio]
-        links[radio] = LinkModel(
-            kind=radio,
-            range_m=float(cfg.get("range_m", base.range_m)),
-            loss_prob=float(cfg.get("loss_prob", base.loss_prob)),
-            latency_s=float(cfg.get("latency_s", base.latency_s)),
+def _replace(base, raw: dict, context: str):
+    """``base`` with the numbers in ``raw`` as fields, checked by its constructor."""
+    with _config_errors(context):
+        return dataclasses.replace(
+            base, **{k: _number(v, f"{context}.{k}") for k, v in raw.items()}
         )
+
+
+def _point(raw: dict, context: str) -> GeoPoint:
+    lat, lon = (_get(raw, k, context, _number) for k in ("lat", "lon"))
+    with _config_errors(context):
+        return GeoPoint(lat, lon)
+
+
+def _vertex(value, context: str) -> GeoPoint:
+    pair = _list(value, context)
+    if len(pair) != 2:
+        raise ConfigError(f"{context} must be a [lat, lon] pair, got {value!r}")
+    return _point(dict(zip(("lat", "lon"), pair)), context)
+
+
+def _parse_plume(value, context: str) -> GaussianPlume:
+    raw = _mapping(value, context, {"lat", "lon", "sigma_m", "amplitude"})
+    sigma_m, amplitude = (_get(raw, k, context, _number) for k in ("sigma_m", "amplitude"))
+    with _config_errors(context):
+        return GaussianPlume(_point(raw, context), sigma_m, amplitude)
+
+
+def _parse_field(value, context: str, seed: int) -> FieldModel:
+    maps = ("diurnal_amplitude", "traffic_coupling", "noise_sigma")
+    raw = _mapping(value, context, {"baseline", "plumes", *maps})
+    plumes: dict[Quantity, tuple[GaussianPlume, ...]] = {}
+    for code, entries in _get(raw, "plumes", context, _mapping, {}).items():
+        where = f"{context}.plumes.{code}"
+        plumes[_member(code, f"{context}.plumes", Quantity)] = tuple(
+            _parse_plume(e, f"{where}[{i}]") for i, e in enumerate(_list(entries, where))
+        )
+    with _config_errors(context):
+        return FieldModel(
+            seed=seed,
+            baseline=_get(raw, "baseline", context, _number_map, keys=Quantity),
+            plumes=plumes,
+            **{k: _get(raw, k, context, _number_map, {}, keys=Quantity) for k in maps},
+        )
+
+
+def _parse_links(value, context: str) -> dict[Radio, LinkModel]:
+    links = dict(DEFAULT_LINKS)
+    for code, cfg in _mapping(value, context).items():
+        radio, where = _member(code, context, Radio), f"{context}.{code}"
+        keys = {"loss_prob", "latency_s"}
+        if radio is Radio.SHORT_RANGE_MOBILE:  # routing reads no other radio's range
+            keys.add("range_m")
+        links[radio] = _replace(links[radio], _mapping(cfg, where, keys), where)
     return links
 
 
-def _parse_sensors(raw: dict | None) -> dict[Quantity, SensorSpec]:
+def _parse_sensors(value, context: str) -> dict[Quantity, SensorSpec]:
     overrides = {}
-    for code, cfg in (raw or {}).items():
-        q = _quantity(code, "sensors")
-        _check_keys(cfg, {"warmup_s", "t90_s", "lod", "resolution"}, f"sensors.{code}")
-        base = default_sensor_spec(q)
-        overrides[q] = SensorSpec(
-            quantity=q,
-            warmup_s=float(cfg.get("warmup_s", base.warmup_s)),
-            t90_s=float(cfg.get("t90_s", base.t90_s)),
-            lod=float(cfg.get("lod", base.lod)),
-            resolution=float(cfg.get("resolution", base.resolution)),
-        )
+    for code, cfg in _mapping(value, context).items():
+        q, where = _member(code, context, Quantity), f"{context}.{code}"
+        cfg = _mapping(cfg, where, {"warmup_s", "t90_s", "lod", "resolution"})
+        overrides[q] = _replace(default_sensor_spec(q), cfg, where)
     return overrides
 
 
-def _parse_node(raw: dict) -> NodeSetup:
-    _check_keys(
-        raw,
-        {"id", "kind", "lat", "lon", "quantities", "path", "route", "speed_mps", "bias"},
-        "node",
-    )
-    nid = str(_require(raw, "id", "node"))
-    try:
-        kind = NodeKind(_require(raw, "kind", f"node {nid}"))
-    except ValueError:
-        raise ConfigError(f"node {nid}: unknown kind {raw.get('kind')!r}") from None
-    suite = frozenset(
-        _quantity(q, f"node {nid}.quantities") for q in raw.get("quantities", [])
-    )
-    home = None
-    with _config_errors(f"node {nid}"):
-        if kind is not NodeKind.MOBILE:
-            if "lat" not in raw or "lon" not in raw:
-                raise ConfigError(f"node {nid}: {kind.value} nodes need lat/lon")
-            home = GeoPoint(float(raw["lat"]), float(raw["lon"]))
-        descriptor = NodeDescriptor(
-            node_id=nid,
-            kind=kind,
-            sensor_suite=suite,
-            radios=REQUIRED_RADIOS[kind],
-            home_position=home,
-        )
-    bias_add: dict[Quantity, float] = {}
-    bias_mul: dict[Quantity, float] = {}
-    for code, b in (raw.get("bias") or {}).items():
-        q = _quantity(code, f"node {nid}.bias")
-        _check_keys(b, {"add", "mul"}, f"node {nid}.bias.{code}")
-        if "add" in b:
-            bias_add[q] = float(b["add"])
-        if "mul" in b:
-            bias_mul[q] = float(b["mul"])
+_NODE_KEYS = {"id", "kind", "lat", "lon", "quantities", "path", "route", "speed_mps", "bias"}
+
+
+def _parse_node(value, context: str) -> NodeSetup:
+    raw = _mapping(value, context, _NODE_KEYS)
+    nid = _get(raw, "id", context, _text)
+    context = f"node {nid}"
+    kind = _get(raw, "kind", context, _member, enum=NodeKind)
+    home = None if kind is NodeKind.MOBILE else _point(raw, context)
+    codes = _get(raw, "quantities", context, _list, [])
+    suite = frozenset(_member(q, f"{context}.quantities", Quantity) for q in codes)
+    with _config_errors(context):
+        descriptor = NodeDescriptor(nid, kind, suite, home)
+    bias_add, bias_mul = {}, {}
+    for code, b in _get(raw, "bias", context, _mapping, {}).items():
+        q, where = _member(code, f"{context}.bias", Quantity), f"{context}.bias.{code}"
+        b = _mapping(b, where, {"add", "mul"})
+        for key, bias in (("add", bias_add), ("mul", bias_mul)):
+            if key in b:
+                bias[q] = _get(b, key, where, _number)
     return NodeSetup(
         descriptor=descriptor,
-        route=raw.get("route"),
-        speed_mps=float(raw.get("speed_mps", 4.0)),
-        path_tag=raw.get("path"),
+        route=_get(raw, "route", context, _text, None),
+        speed_mps=_get(raw, "speed_mps", context, _number, NodeSetup.speed_mps),
+        path_tag=_get(raw, "path", context, _text, None),
         bias_add=bias_add,
         bias_mul=bias_mul,
     )
 
 
 _TOP_KEYS = {
-    "name",
-    "seed",
-    "start_time",
-    "duration_s",
-    "sample_period_s",
-    "uplink_period_s",
-    "field",
-    "paths",
-    "links",
-    "sensors",
-    "nodes",
+    "name", "seed", "start_time", "duration_s", "sample_period_s", "uplink_period_s",
+    "field", "paths", "links", "sensors", "nodes",
 }
 
 
-def parse_scenario(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario file must contain a mapping")
-    _check_keys(raw, _TOP_KEYS, "scenario")
-    with _config_errors("scenario"):
-        seed = int(_require(raw, "seed", "scenario"))
-        paths = {}
-        for name, vertices in (raw.get("paths") or {}).items():
-            pts = tuple(GeoPoint(float(lat), float(lon)) for lat, lon in vertices)
-            paths[str(name)] = Path(name=str(name), vertices=pts)
-        cfg = ScenarioConfig(
-            name=str(_require(raw, "name", "scenario")),
-            seed=seed,
-            start_time=str(_require(raw, "start_time", "scenario")),
-            duration_s=int(_require(raw, "duration_s", "scenario")),
-            field=_parse_field(_require(raw, "field", "scenario"), seed),
-            nodes=[_parse_node(n) for n in _require(raw, "nodes", "scenario")],
-            paths=paths,
-            links=_parse_links(raw.get("links")),
-            sensor_overrides=_parse_sensors(raw.get("sensors")),
-            sample_period_s=int(raw.get("sample_period_s", 300)),
-            uplink_period_s=int(raw.get("uplink_period_s", 900)),
-        )
+def parse_scenario(raw) -> ScenarioConfig:
+    raw = _mapping(raw, "scenario", _TOP_KEYS)
+    seed = _get(raw, "seed", "", _number, integer=True)
+    paths = {}
+    for name, vertices in _get(raw, "paths", "", _mapping, {}).items():
+        where = f"paths.{name}"
+        points = tuple(_vertex(v, f"{where}[{i}]") for i, v in enumerate(_list(vertices, where)))
+        with _config_errors(where):
+            paths[str(name)] = Path(str(name), points)
+    cfg = ScenarioConfig(
+        name=_get(raw, "name", "", _text),
+        seed=seed,
+        start_time=_get(raw, "start_time", "", _text),
+        duration_s=_get(raw, "duration_s", "", _number, integer=True),
+        field=_get(raw, "field", "", _parse_field, seed=seed),
+        nodes=[_parse_node(n, f"nodes[{i}]") for i, n in enumerate(_get(raw, "nodes", "", _list))],
+        paths=paths,
+        links=_get(raw, "links", "", _parse_links, dict(DEFAULT_LINKS)),
+        sensor_overrides=_get(raw, "sensors", "", _parse_sensors, {}),
+        **{k: _get(raw, k, "", _number, getattr(ScenarioConfig, k), integer=True)
+           for k in ("sample_period_s", "uplink_period_s")},
+    )
     cfg.validate()
     return cfg
+
+
+def _read_yaml(path) -> object:
+    """The YAML document in ``path``; a one-line ConfigError if unreadable."""
+    try:
+        return yaml.safe_load(path.read_text())
+    except (OSError, ValueError, yaml.YAMLError) as e:
+        raise ConfigError(f"cannot read {path}: {' '.join(str(e).split())}") from None
 
 
 def load_scenario(path_or_name: str | FsPath) -> ScenarioConfig:
     """Load a scenario YAML from a filesystem path, or one of the bundled
     scenarios by bare name (e.g. ``pisa-default``)."""
-    p = FsPath(path_or_name)
-    if p.exists():
-        text = p.read_text()
-        origin = str(p)
-    else:
-        candidate = resources.files("citysense").joinpath(f"data/{path_or_name}.yaml")
-        if not candidate.is_file():
+    path = FsPath(path_or_name)
+    if not path.is_file():
+        path = resources.files("citysense").joinpath(f"data/{path_or_name}.yaml")
+        if not path.is_file():
             raise ConfigError(f"scenario file not found: {path_or_name}")
-        text = candidate.read_text()
-        origin = f"bundled:{path_or_name}"
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{origin}: invalid YAML: {e}") from None
-    return parse_scenario(raw)
+    return parse_scenario(_read_yaml(path))
+
+
+# An access file holds TrafficAccessConfig's fields; absent ones keep its defaults.
+_ACCESS_FIELDS = {
+    "composition": _number_map, "maneuver_shares": _number_map,
+    "maneuver_equivalents": _number_map, "steepness_pct": _number, "s_b": _number,
+    "grade": _text, "localization": _text,
+}
+
+
+def load_access(path: str | FsPath) -> TrafficAccessConfig:
+    """Load a ``citysense traffic`` access file through the same reader."""
+    raw = _mapping(_read_yaml(FsPath(path)), "access file", set(_ACCESS_FIELDS))
+    _get(raw, "composition", "", _mapping)
+    with _config_errors("access file"):
+        cfg = TrafficAccessConfig(
+            **{k: read(raw[k], k) for k, read in _ACCESS_FIELDS.items() if k in raw}
+        )
+        cfg.factors()  # a mix with no defined traffic index is a config error too
+    return cfg
 
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
     """A copy of ``cfg`` with every stochastic stream re-seeded."""
-    return dataclasses.replace(
-        cfg, seed=seed, field=dataclasses.replace(cfg.field, seed=seed)
-    )
+    cfg = dataclasses.replace(cfg, seed=seed, field=dataclasses.replace(cfg.field, seed=seed))
+    cfg.validate()
+    return cfg

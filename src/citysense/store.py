@@ -24,6 +24,7 @@ each line's value and unit are still checked on their own.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Iterable
@@ -45,6 +46,19 @@ from .domain import (
 
 class StorageError(OSError):
     """Raised when the backing files cannot be read or written."""
+
+
+def write_atomic(path: str | FsPath, text: str) -> None:
+    """Replace ``path`` by ``text`` via a temporary file in the same directory
+    and ``os.replace``: a failed write leaves the old file and no temporary."""
+    path = FsPath(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def serialize_measurement(m: Measurement) -> str:
@@ -206,9 +220,9 @@ class MeasurementStore:
             for day, records in by_day.items():
                 records.sort(key=_sort_key)
                 date = format_utc(day * SECONDS_PER_DAY)[:10]
-                path = self.root / f"measurements-{date}.txt"
-                path.write_text(
-                    "\n".join(serialize_measurement(m) for m in records) + "\n"
+                write_atomic(
+                    self.root / f"measurements-{date}.txt",
+                    "\n".join(serialize_measurement(m) for m in records) + "\n",
                 )
         except OSError as e:
             raise StorageError(f"cannot write store at {self.root}: {e}") from e
@@ -243,4 +257,4 @@ def serialize_delivery(
 
 
 def write_delivery_log(lines: Iterable[str], path: str | FsPath) -> None:
-    FsPath(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -22,7 +22,6 @@ from citysense.domain import (
     NodeDescriptor,
     NodeKind,
     Quantity,
-    Radio,
 )
 
 P = GeoPoint(43.716, 10.3966)
@@ -40,7 +39,7 @@ def meas(value, quantity=Quantity.CO2, node="M1", t=0, position=P, flags=frozens
 def station(node_id, position):
     return NodeDescriptor(
         node_id, NodeKind.FIXED, frozenset({Quantity.CO2}),
-        frozenset({Radio.SHORT_RANGE_FIXED}), home_position=position,
+        home_position=position,
     )
 
 

@@ -52,6 +52,12 @@ class TestSimulate:
         main(["simulate", "--scenario", str(small_scenario_file), "--out", str(b), "--seed", "2"])
         assert digest_tree(a) != digest_tree(b)
 
+    def test_no_step_leaves_a_temporary_file(self, sim_dir, tmp_path):
+        assert main(["indexes", str(sim_dir), "--out", str(tmp_path / "idx")]) == 0
+        assert main(["compare", str(sim_dir), "--mode", "paths", "--out", str(tmp_path / "cmp")]) == 0
+        leftovers = [p for p in tmp_path.rglob("*") if p.name.startswith(".") or p.suffix == ".tmp"]
+        assert leftovers == []
+
     def test_rerun_overwrites_deterministically(self, small_scenario_file, sim_dir):
         before = digest_tree(sim_dir)
         assert main(["simulate", "--scenario", str(small_scenario_file), "--out", str(sim_dir)]) == 0
@@ -103,6 +109,74 @@ class TestSimulateSummary:
         assert "server received 48 measurements, loss rate 0.7143" in out  # 120 / 168
 
 
+def _set(*path_and_value):
+    """An edit that sets the value at ``path`` (keys and list indexes)
+    inside the raw scenario, creating missing mappings on the way."""
+    *path, value = path_and_value
+
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+def _drop(*path):
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return edit
+
+
+NAN, INF = float("nan"), float("inf")
+PLUME = {"lat": 43.716, "lon": 10.3966, "sigma_m": 400, "amplitude": 1.5}
+
+# More (edit, text the message must contain) cases for
+# test_bad_value_exits_1_with_one_line. Nodes: 0 C0, 1 T1, 2 F2, 3 M1.
+MALFORMED = {
+    "lat-null": (_set("nodes", 1, "lat", None), "node T1.lat"),
+    "lat-quoted": (_set("nodes", 1, "lat", "43.716"), "node T1.lat"),
+    "latency-nan": (_set("links", "short_range_fixed", "latency_s", NAN),
+                    "links.short_range_fixed.latency_s"),
+    "latency-1e300": (_set("links", "wide_area", "latency_s", 1e300), "latency_s"),
+    "bias-add-nan": (_set("nodes", 3, "bias", {"co2": {"add": NAN}}), "node M1.bias.co2.add"),
+    "bias-mul-inf": (_set("nodes", 3, "bias", {"co2": {"mul": INF}}), "node M1.bias.co2.mul"),
+    "bias-scalar": (_set("nodes", 3, "bias", {"co2": 3.0}), "node M1.bias.co2"),
+    "plume-without-sigma": (
+        _set("field", "plumes", {"co": [{k: v for k, v in PLUME.items() if k != "sigma_m"}]}),
+        "sigma_m",
+    ),
+    "plume-null": (_set("field", "plumes", {"co": [None]}), "field.plumes.co[0]"),
+    "seed-null": (_set("seed", None), "seed"),
+    "seed-negative": (_set("seed", -1), "seed"),
+    "seed-bool": (_set("seed", True), "seed"),
+    "sample-period-null": (_set("sample_period_s", None), "sample_period_s"),
+    "duration-fractional": (_set("duration_s", 1800.7), "duration_s"),
+    "t90-nan": (_set("sensors", "co2", "t90_s", NAN), "sensors.co2.t90_s"),
+    "lod-nan": (_set("sensors", "co2", "lod", NAN), "sensors.co2.lod"),
+    "sensor-null": (_set("sensors", "co", None), "sensors.co"),
+    "vertex-scalar": (_set("paths", "loop", 0, 43.716), "paths.loop[0]"),
+    "path-null": (_set("paths", "loop", None), "paths.loop"),
+    "path-empty": (_set("paths", "loop", []), "paths.loop"),
+    "nodes-scalar": (_set("nodes", 5), "nodes"),
+    "node-null": (_set("nodes", 2, None), "nodes[2]"),
+    "link-null": (_set("links", "wide_area", None), "links.wide_area"),
+    "field-null": (_set("field", None), "field"),
+    "speed-nan": (_set("nodes", 3, "speed_mps", NAN), "node M1.speed_mps"),
+    "speed-inf": (_set("nodes", 3, "speed_mps", INF), "node M1.speed_mps"),
+    "range-nan": (_set("links", "short_range_mobile", "range_m", NAN),
+                  "links.short_range_mobile.range_m"),
+    "range-on-fixed-radio": (_set("links", "short_range_fixed", "range_m", 500),
+                             "unknown keys ['range_m']"),
+    "no-baseline": (_drop("field", "baseline", "co2"), "field.baseline"),
+}
+
+
 class TestSimulateConfigErrors:
     def test_zero_plume_sigma_exits_1(self, small_scenario_file, tmp_path, capsys):
         def edit(raw):
@@ -136,8 +210,10 @@ class TestSimulateConfigErrors:
                 "amplitude must be finite",
             ),
             (lambda raw: raw.update(thermal_model="apparent"), "unknown keys ['thermal_model']"),
+            *MALFORMED.values(),
         ],
-        ids=["latitude", "t90", "nan-baseline", "inf-plume-amplitude", "thermal-model-key"],
+        ids=["latitude", "t90", "nan-baseline", "inf-plume-amplitude", "thermal-model-key",
+             *MALFORMED],
     )
     def test_bad_value_exits_1_with_one_line(self, small_scenario_file, tmp_path, capsys, edit, needle):
         assert _simulate_edited(small_scenario_file, tmp_path, edit) == 1
@@ -145,6 +221,12 @@ class TestSimulateConfigErrors:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error:") and needle in err
         assert "Traceback" not in err
+
+    def test_negative_seed_flag_exits_1(self, small_scenario_file, tmp_path, capsys):
+        rc = main(["simulate", "--scenario", str(small_scenario_file),
+                   "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: seed")
 
 
 class TestIndexes:
@@ -259,6 +341,27 @@ class TestTraffic:
 
     def test_missing_file(self, tmp_path):
         assert main(["traffic", str(tmp_path / "none.yaml")]) == 1
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("composition: {cars: null}\n", "composition.cars"),
+            ("composition: [1, 2]\n", "composition"),
+            ("composition: {cars: 1.0}\nmaneuver_equivalents: [1]\n", "maneuver_equivalents"),
+            ("composition: {cars: 1.0}\ns_b: .nan\n", "s_b"),
+            ("composition: {cars: 1.0}\ns_b: -5\n", "s_b"),
+            ("composition: {cars: 1.0}\nsteepness_pct: .inf\n", "steepness_pct"),
+            ("composition: {cars: '1.0'}\n", "composition.cars"),
+            ("grade: flat\n", "composition"),
+        ],
+        ids=["share-null", "composition-list", "equivalents-list", "s_b-nan", "s_b-negative",
+             "steepness-inf", "share-quoted", "no-composition"],
+    )
+    def test_malformed_value_exits_1(self, tmp_path, capsys, text, needle):
+        assert main(["traffic", str(self._write(tmp_path, text))]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:") and needle in err
 
 
 class TestParser:

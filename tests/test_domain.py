@@ -12,7 +12,6 @@ from citysense.domain import (
     NodeDescriptor,
     NodeKind,
     Quantity,
-    Radio,
     ReportBatch,
     UNITS,
     ValidationError,
@@ -108,20 +107,11 @@ class TestCoConversion:
 
 
 class TestNodeDescriptor:
-    def test_mobile_requires_all_three_radios(self):
-        with pytest.raises(ValidationError):
-            NodeDescriptor(
-                "M1", NodeKind.MOBILE,
-                frozenset({Quantity.CO2}),
-                frozenset({Radio.SHORT_RANGE_MOBILE}),
-            )
-
     def test_wind_speed_never_on_mobile(self):
         with pytest.raises(ValidationError):
             NodeDescriptor(
                 "M1", NodeKind.MOBILE,
                 frozenset({Quantity.WIND_SPEED}),
-                frozenset({Radio.SHORT_RANGE_FIXED, Radio.SHORT_RANGE_MOBILE, Radio.WIDE_AREA}),
             )
 
     def test_fixed_needs_home_position(self):
@@ -129,7 +119,6 @@ class TestNodeDescriptor:
             NodeDescriptor(
                 "T1", NodeKind.FIXED,
                 frozenset({Quantity.CO2}),
-                frozenset({Radio.SHORT_RANGE_FIXED}),
                 home_position=None,
             )
 
@@ -138,7 +127,6 @@ class TestNodeDescriptor:
             NodeDescriptor(
                 "M1", NodeKind.MOBILE,
                 frozenset({Quantity.CO2}),
-                frozenset({Radio.SHORT_RANGE_FIXED, Radio.SHORT_RANGE_MOBILE, Radio.WIDE_AREA}),
                 home_position=P,
             )
 
@@ -146,7 +134,6 @@ class TestNodeDescriptor:
         n = NodeDescriptor(
             "T1", NodeKind.FIXED,
             frozenset({Quantity.WIND_SPEED, Quantity.PM25}),
-            frozenset({Radio.SHORT_RANGE_FIXED}),
             home_position=P,
         )
         assert n.kind is NodeKind.FIXED

@@ -162,6 +162,15 @@ class TestTrafficIndex:
         assert iv.value == 1800.0
         assert iv.kind is IndexKind.TI
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"s_b": math.nan}, {"s_b": math.inf}, {"s_b": 0.0}, {"s_b": -5.0},
+         {"steepness_pct": math.nan}, {"steepness_pct": math.inf}, {"steepness_pct": -1.0}],
+    )
+    def test_rejects_bad_base_factor_and_steepness(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            TrafficAccessConfig(composition={"cars": 1.0}, **kw)
+
     def test_all_buses(self):
         iv = traffic_index(TrafficAccessConfig(composition={"buses": 1.0}))
         assert iv.value == pytest.approx(800.0, rel=1e-12)

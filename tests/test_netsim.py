@@ -43,14 +43,13 @@ def meas(node_id="T1", position=P, quantity=Quantity.CO2, timestamp=300, value=4
 def fixed_descriptor(node_id="T1"):
     return NodeDescriptor(
         node_id, NodeKind.FIXED, frozenset({Quantity.CO2}),
-        frozenset({Radio.SHORT_RANGE_FIXED}), home_position=P,
+        home_position=P,
     )
 
 
 def mobile_descriptor(node_id="M1"):
     return NodeDescriptor(
         node_id, NodeKind.MOBILE, frozenset({Quantity.CO2}),
-        frozenset({Radio.SHORT_RANGE_FIXED, Radio.SHORT_RANGE_MOBILE, Radio.WIDE_AREA}),
     )
 
 
@@ -87,7 +86,7 @@ class TestRouteMeasurement:
     def test_coordinator_reading_enters_buffer_directly(self):
         d = NodeDescriptor(
             "C0", NodeKind.COORDINATOR, frozenset({Quantity.CO2}),
-            frozenset({Radio.SHORT_RANGE_FIXED, Radio.WIDE_AREA}), home_position=P,
+            home_position=P,
         )
         r = route_measurement(meas("C0"), d, TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
@@ -100,6 +99,9 @@ class TestRouteMeasurement:
             LinkModel(Radio.WIDE_AREA, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             LinkModel(Radio.WIDE_AREA, 10.0, 0.0, -1.0)
+        with pytest.raises(ValueError, match="latency_s"):
+            LinkModel(Radio.WIDE_AREA, math.inf, 0.0, 86401.0)
+        assert LinkModel(Radio.WIDE_AREA, math.inf, 0.0, 86400.0).latency_s == 86400.0
 
 
 class TestCoordinatorUplink:

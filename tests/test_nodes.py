@@ -9,7 +9,6 @@ from citysense.domain import (
     NodeDescriptor,
     NodeKind,
     Quantity,
-    Radio,
     co_ppm_to_mg_m3,
 )
 from citysense.field import FieldModel, Path
@@ -23,14 +22,10 @@ from citysense.nodes import (
 )
 
 P = GeoPoint(43.716, 10.3966)
-FIXED_RADIOS = frozenset({Radio.SHORT_RANGE_FIXED})
-MOBILE_RADIOS = frozenset(
-    {Radio.SHORT_RANGE_FIXED, Radio.SHORT_RANGE_MOBILE, Radio.WIDE_AREA}
-)
 
 
 def fixed_node(suite, sensors=None, **kw):
-    d = NodeDescriptor("T1", NodeKind.FIXED, frozenset(suite), FIXED_RADIOS, home_position=P)
+    d = NodeDescriptor("T1", NodeKind.FIXED, frozenset(suite), home_position=P)
     return NodeState(descriptor=d, sensors=sensors or {}, **kw)
 
 
@@ -157,7 +152,7 @@ class TestSample:
 
     def test_mobile_positions_stay_on_route(self):
         route = Path("r", (P, GeoPoint(43.716, 10.4053)))
-        d = NodeDescriptor("M1", NodeKind.MOBILE, frozenset({Quantity.CO2}), MOBILE_RADIOS)
+        d = NodeDescriptor("M1", NodeKind.MOBILE, frozenset({Quantity.CO2}))
         node = NodeState(descriptor=d, trajectory=(route, 4.0))
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
         for t in range(0, 3600, 300):
@@ -165,7 +160,7 @@ class TestSample:
             assert _distance_to_segment(m.position, route.vertices[0], route.vertices[1]) < 1.0
 
     def test_mobile_requires_trajectory(self):
-        d = NodeDescriptor("M1", NodeKind.MOBILE, frozenset({Quantity.CO2}), MOBILE_RADIOS)
+        d = NodeDescriptor("M1", NodeKind.MOBILE, frozenset({Quantity.CO2}))
         with pytest.raises(ValueError):
             NodeState(descriptor=d)
 

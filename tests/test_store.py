@@ -11,7 +11,6 @@ from citysense.domain import (
     NodeDescriptor,
     NodeKind,
     Quantity,
-    Radio,
     ReportBatch,
     ValidationError,
 )
@@ -20,6 +19,7 @@ from citysense.store import (
     QueryFilter,
     parse_measurement,
     serialize_measurement,
+    write_atomic,
 )
 
 P = GeoPoint(43.716, 10.3966)
@@ -212,7 +212,7 @@ class TestStore:
         )
         a = NodeDescriptor(
             "A", NodeKind.FIXED, frozenset({Quantity.CO2}),
-            frozenset({Radio.SHORT_RANGE_FIXED}), home_position=P,
+            home_position=P,
         )
         assoc = associate_mobile_to_fixed(samples, [a], radius_m=500.0)
         assert sorted(circle, key=lambda m: m.timestamp) == sorted(
@@ -244,3 +244,20 @@ class TestStore:
             assert len(store) == 0
             store.append([meas()])
         assert len(MeasurementStore(tmp_path).all()) == 1
+
+
+class TestWriteAtomic:
+    def test_replaces_the_file(self, tmp_path):
+        path = tmp_path / "nodes.json"
+        write_atomic(path, "old\n")
+        write_atomic(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["nodes.json"]
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "nodes.json"
+        write_atomic(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "new \ud800\n")  # a lone surrogate fails mid-write
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["nodes.json"]

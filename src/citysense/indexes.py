@@ -8,7 +8,7 @@ belongs to the band above it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -237,6 +237,8 @@ class TrafficAccessConfig:
             raise ValueError(f"grade {self.grade!r} not flat/uphill/downhill")
         if not 0.0 <= self.steepness_pct < math.inf:
             raise ValueError("steepness_pct must be a finite absolute percentage")
+        if self.grade == "uphill" and self.steepness_pct >= 100.0 / 3.0:
+            raise ValueError(f"uphill steepness_pct must be below 100/3 (K2 > 0), got {self.steepness_pct}")
         if not 0.0 < self.s_b < math.inf:
             raise ValueError(f"s_b must be positive and finite, got {self.s_b}")
         if self.localization not in LOCALIZATION_FACTORS:
@@ -284,60 +286,57 @@ _TCI_INPUTS = (
     Quantity.WIND_SPEED,
     Quantity.RELATIVE_HUMIDITY,
 )
+_INDEX_INPUTS = frozenset({Quantity.O3, Quantity.PM25, *_TCI_INPUTS})
+_AQI = ((Quantity.O3, O3_WINDOW_S, aqi_o3), (Quantity.PM25, PM_WINDOW_S, aqi_pm))
 
 
 class IndexComputer:
-    """Maintains per-station windows and recomputes indexes on each ingest.
+    """Maintains per-station series and recomputes indexes from them.
 
     Call :meth:`ingest` with newly stored measurements, then :meth:`update`
     at every reporting boundary; only stations that ever produced usable
     data for an index are emitted.
+
+    Each (station, quantity) series is two parallel lists, timestamps and
+    values, sorted by timestamp and never trimmed. A reading goes in after
+    those with an equal timestamp (``bisect_right``; an append when readings
+    come in order), so each window is a slice between two binary searches.
     """
 
     def __init__(self, thermal_model: ThermalModel = identity_thermal_model):
         self.thermal_model = thermal_model
-        # station -> quantity -> list of (t, value), append-only in t order
-        self._series: dict[str, dict[Quantity, list[tuple[int, float]]]] = {}
+        # station -> quantity -> (timestamps, values), sorted by timestamp
+        self._series: dict[str, dict[Quantity, tuple[list[int], list[float]]]] = {}
 
     def ingest(self, measurements: Iterable[Measurement]) -> None:
         for m in measurements:
-            if m.flags & EXCLUDED_FLAGS:
+            if m.flags & EXCLUDED_FLAGS or m.quantity not in _INDEX_INPUTS:
                 continue
-            if m.quantity not in (Quantity.O3, Quantity.PM25, *_TCI_INPUTS):
-                continue
-            series = self._series.setdefault(m.node_id, {}).setdefault(m.quantity, [])
-            series.append((m.timestamp, m.value))
-
-    def _window(self, station: str, q: Quantity, t0: int, t1: int) -> list[float]:
-        return [v for ts, v in self._series.get(station, {}).get(q, []) if t0 <= ts < t1]
+            ts, vs = self._series.setdefault(m.node_id, {}).setdefault(m.quantity, ([], []))
+            i = bisect_right(ts, m.timestamp) if ts and m.timestamp < ts[-1] else len(ts)
+            ts.insert(i, m.timestamp)
+            vs.insert(i, m.value)
 
     def update(self, t: int) -> list[IndexValue]:
-        """Recompute every index with windows ending at ``t`` (exclusive)."""
+        """Recompute every index with windows ending at ``t`` (exclusive);
+        the thermal index takes each input's latest reading stamped <= ``t``."""
         out: list[IndexValue] = []
         for station in sorted(self._series):
             series = self._series[station]
-            if Quantity.O3 in series:
-                out.append(aqi_o3(self._window(station, Quantity.O3, t - O3_WINDOW_S, t), station, t))
-            if Quantity.PM25 in series:
-                out.append(aqi_pm(self._window(station, Quantity.PM25, t - PM_WINDOW_S, t), station, t))
+            for q, window_s, index in _AQI:
+                if q in series:
+                    ts, vs = series[q]
+                    out.append(index(vs[bisect_left(ts, t - window_s):bisect_left(ts, t)], station, t))
             if all(q in series for q in _TCI_INPUTS):
-                latest = {}
+                latest = []
                 for q in _TCI_INPUTS:
-                    usable = [(ts, v) for ts, v in series[q] if ts <= t]
-                    if usable:
-                        latest[q] = usable[-1][1]
-                if len(latest) == len(_TCI_INPUTS):
-                    out.append(
-                        tci(
-                            latest[Quantity.TEMPERATURE],
-                            latest[Quantity.RADIANT_TEMPERATURE],
-                            latest[Quantity.WIND_SPEED],
-                            latest[Quantity.RELATIVE_HUMIDITY],
-                            station,
-                            t,
-                            model=self.thermal_model,
-                        )
-                    )
+                    ts, vs = series[q]
+                    i = bisect_right(ts, t)
+                    if i == 0:
+                        break
+                    latest.append(vs[i - 1])
+                else:
+                    out.append(tci(*latest, station, t, model=self.thermal_model))
         return out
 
 

@@ -84,11 +84,15 @@ def quantize(v: float, resolution: float) -> float:
     """Round to the nearest multiple of ``resolution``, ties away from zero.
 
     ``resolution == 0`` means a continuous channel: ``v`` is returned as is.
+    So it is when ``abs(v) / resolution >= 2**53``: the resolution is then
+    below the float spacing at ``v``, and the ratio may overflow.
     """
     if resolution == 0.0:
         return v
-    steps = math.floor(abs(v) / resolution + 0.5)
-    return math.copysign(steps * resolution, v)
+    steps = abs(v) / resolution
+    if not steps < 2.0**53:
+        return v
+    return math.copysign(math.floor(steps + 0.5) * resolution, v)
 
 
 @dataclass

@@ -27,7 +27,7 @@ Schema (all durations in seconds, all coordinates WGS84 decimal degrees):
     nodes:
       - {id: T1, kind: fixed, lat: ..., lon: ..., path: heavy_traffic,
          quantities: [temperature, co2, ...]}
-      - {id: M1, kind: mobile, route: heavy_traffic, speed_mps: 4.0,
+      - {id: M1, kind: mobile, route: heavy_traffic, speed_mps: 4.0,  # no lat/lon
          quantities: [...], bias: {hc: {mul: 1.0, add: 0.0}}}
 
 ``range_m`` is read only under ``short_range_mobile``: routing reads no
@@ -299,7 +299,11 @@ def _parse_node(value, context: str) -> NodeSetup:
     nid = _get(raw, "id", context, _text)
     context = f"node {nid}"
     kind = _get(raw, "kind", context, _member, enum=NodeKind)
-    home = None if kind is NodeKind.MOBILE else _point(raw, context)
+    if kind is NodeKind.MOBILE:  # positioned by its route alone
+        _mapping(raw, context, _NODE_KEYS - {"lat", "lon"})
+        home = None
+    else:
+        home = _point(raw, context)
     codes = _get(raw, "quantities", context, _list, [])
     suite = frozenset(_member(q, f"{context}.quantities", Quantity) for q in codes)
     with _config_errors(context):

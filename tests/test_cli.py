@@ -174,6 +174,7 @@ MALFORMED = {
     "range-on-fixed-radio": (_set("links", "short_range_fixed", "range_m", 500),
                              "unknown keys ['range_m']"),
     "no-baseline": (_drop("field", "baseline", "co2"), "field.baseline"),
+    "lat-on-mobile": (_set("nodes", 3, "lat", 43.716), "node M1: unknown keys ['lat']"),
 }
 
 
@@ -221,6 +222,10 @@ class TestSimulateConfigErrors:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error:") and needle in err
         assert "Traceback" not in err
+
+    def test_tiny_sensor_resolution_runs(self, small_scenario_file, tmp_path):
+        # 400 / 1e-320 overflows a float: quantize must leave the value alone
+        assert _simulate_edited(small_scenario_file, tmp_path, _set("sensors", "co2", "resolution", 1e-320)) == 0
 
     def test_negative_seed_flag_exits_1(self, small_scenario_file, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(small_scenario_file),
@@ -353,9 +358,10 @@ class TestTraffic:
             ("composition: {cars: 1.0}\nsteepness_pct: .inf\n", "steepness_pct"),
             ("composition: {cars: '1.0'}\n", "composition.cars"),
             ("grade: flat\n", "composition"),
+            ("composition: {cars: 1.0}\nsteepness_pct: 50\ngrade: uphill\n", "steepness_pct"),
         ],
         ids=["share-null", "composition-list", "equivalents-list", "s_b-nan", "s_b-negative",
-             "steepness-inf", "share-quoted", "no-composition"],
+             "steepness-inf", "share-quoted", "no-composition", "steep-uphill"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, text, needle):
         assert main(["traffic", str(self._write(tmp_path, text))]) == 1

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from citysense.domain import Flag, GeoPoint, Measurement, Quantity
+from citysense.domain import EXCLUDED_FLAGS, Flag, GeoPoint, Measurement, Quantity
 from citysense.indexes import (
     DegenerateCompositionError,
     IndexColor,
@@ -23,8 +24,13 @@ from citysense.indexes import (
     tci,
     traffic_index,
 )
+from citysense.netsim import run
+from citysense.scenario import load_scenario, with_seed
 
 EPS = 1e-9
+TCI_INPUTS = (
+    Quantity.TEMPERATURE, Quantity.RADIANT_TEMPERATURE, Quantity.WIND_SPEED, Quantity.RELATIVE_HUMIDITY,
+)
 P = GeoPoint(43.716, 10.3966)
 
 
@@ -171,6 +177,17 @@ class TestTrafficIndex:
         with pytest.raises(ValueError, match=next(iter(kw))):
             TrafficAccessConfig(composition={"cars": 1.0}, **kw)
 
+    def test_uphill_grade_must_keep_k2_positive(self):
+        # K2 = 1 - 0.03 * s reaches 0 at s = 100/3
+        limit = 100.0 / 3.0
+        for grade in ("flat", "downhill"):
+            assert traffic_index(TrafficAccessConfig({"cars": 1.0}, steepness_pct=50.0, grade=grade)).value > 0
+        below = TrafficAccessConfig({"cars": 1.0}, steepness_pct=math.nextafter(limit, 0.0), grade="uphill")
+        assert below.factors()[1] > 0.0 and traffic_index(below).value > 0.0
+        for s in (limit, 50.0):
+            with pytest.raises(ValueError, match="steepness_pct"):
+                TrafficAccessConfig({"cars": 1.0}, steepness_pct=s, grade="uphill")
+
     def test_all_buses(self):
         iv = traffic_index(TrafficAccessConfig(composition={"buses": 1.0}))
         assert iv.value == pytest.approx(800.0, rel=1e-12)
@@ -281,6 +298,15 @@ def o3_measurement(value, t, node="T1", flags=frozenset()):
     return Measurement(node, t, P, Quantity.O3, value, flags)
 
 
+def tci_readings(t, temp, node="T1"):
+    return [
+        Measurement(node, t, P, Quantity.TEMPERATURE, temp),
+        Measurement(node, t, P, Quantity.RADIANT_TEMPERATURE, temp + 1.0),
+        Measurement(node, t, P, Quantity.WIND_SPEED, 0.1 * (t // 300 % 7)),
+        Measurement(node, t, P, Quantity.RELATIVE_HUMIDITY, 40.0 + t // 300 % 50),
+    ]
+
+
 class TestIndexComputer:
     def test_constant_stream_is_yellow_every_tick(self):
         computer = IndexComputer()
@@ -370,6 +396,21 @@ class TestComputeIndexes:
         assert values == [(900, 40.0), (1800, 70.0)]
         # a first reading on a grid point starts the grid one period later
         assert self._o3([o3_measurement(100.0, 900)]) == [(1800, 100.0)]
+        # so do thermal inputs, though update(t) reads those stamped <= t
+        tci_values = [
+            (iv.window_end, iv.value)
+            for iv in compute_indexes([*tci_readings(300, 10.0), *tci_readings(900, 20.0)], 900)
+        ]
+        assert tci_values == [(900, 10.0), (1800, 20.0)]
+
+    def test_station_appears_only_after_its_first_reading(self):
+        records = [o3_measurement(40.0, t, node="T1") for t in range(0, 3600, 300)]
+        records += [o3_measurement(60.0, t, node="T2") for t in range(2000, 3600, 300)]
+        records += tci_readings(2000, 20.0, node="T3")
+        stations = {}
+        for iv in compute_indexes(records, 900):
+            stations.setdefault(iv.station_id, []).append(iv.window_end)
+        assert stations == {"T1": [900, 1800, 2700, 3600], "T2": [2700, 3600], "T3": [2700, 3600]}
 
     def test_input_order_does_not_matter(self):
         ms = []
@@ -388,6 +429,109 @@ class TestComputeIndexes:
         shuffled = list(ms)
         random.Random(5).shuffle(shuffled)
         assert compute_indexes(shuffled, 900, apparent_temperature_model) == expected
+
+
+class RescanReference:
+    """Brute-force index windows: every update rescans each station's whole
+    history, as ``IndexComputer`` once did. A window is a list comprehension
+    over the readings in arrival order; a thermal input is the last reading
+    appended among those stamped <= t."""
+
+    def __init__(self, thermal_model):
+        self.thermal_model = thermal_model
+        self.series: dict[str, dict[Quantity, list[tuple[int, float]]]] = {}
+
+    def ingest(self, measurements):
+        for m in measurements:
+            if m.flags & EXCLUDED_FLAGS or m.quantity not in (Quantity.O3, Quantity.PM25, *TCI_INPUTS):
+                continue
+            self.series.setdefault(m.node_id, {}).setdefault(m.quantity, []).append((m.timestamp, m.value))
+
+    def update(self, t):
+        out = []
+        for station in sorted(self.series):
+            series = self.series[station]
+            for q, window_s, index in ((Quantity.O3, 8 * 3600, aqi_o3), (Quantity.PM25, 24 * 3600, aqi_pm)):
+                if q in series:
+                    out.append(index([v for ts, v in series[q] if t - window_s <= ts < t], station, t))
+            if all(q in series for q in TCI_INPUTS):
+                latest = {}
+                for q in TCI_INPUTS:
+                    usable = [(ts, v) for ts, v in series[q] if ts <= t]
+                    if usable:
+                        latest[q] = usable[-1][1]
+                if len(latest) == len(TCI_INPUTS):
+                    out.append(tci(*(latest[q] for q in TCI_INPUTS), station, t, model=self.thermal_model))
+        return out
+
+
+def reference_indexes(records, period_s, thermal_model):
+    """The grid of ``compute_indexes`` driven by ``RescanReference``."""
+    ordered = sorted(records, key=lambda m: m.timestamp)
+    reference = RescanReference(thermal_model)
+    first, last = ordered[0].timestamp // period_s, ordered[-1].timestamp // period_s
+    out, i = [], 0
+    for t in range((first + 1) * period_s, (last + 2) * period_s, period_s):
+        j = i
+        while j < len(ordered) and ordered[j].timestamp < t:
+            j += 1
+        reference.ingest(ordered[i:j])
+        out.extend(reference.update(t))
+        i = j
+    return out
+
+
+@pytest.fixture(scope="module")
+def three_day_records():
+    cfg = with_seed(load_scenario("pisa-default"), 7)
+    cfg = dataclasses.replace(cfg, duration_s=3 * 86400)
+    return cfg.uplink_period_s, [m for _, m in run(cfg).server_measurements]
+
+
+class TestWindowsAgainstRescan:
+    @pytest.mark.parametrize("model", [identity_thermal_model, apparent_temperature_model])
+    def test_three_day_campaign_equals_rescan(self, three_day_records, model):
+        period_s, records = three_day_records
+        got = [index_record_line(iv) for iv in compute_indexes(records, period_s, model)]
+        want = [index_record_line(iv) for iv in reference_indexes(records, period_s, model)]
+        assert {line.split(",")[0] for line in got} == {"aqi_o3", "aqi_pm", "tci"}
+        assert len(got) > 5000
+        assert got == want  # value repr and colour, exactly
+
+
+class TestIngestOrder:
+    def _readings(self):
+        ms = []
+        for t in range(0, 30 * 3600, 300):
+            ms.append(o3_measurement(50.0 + t % 13, t, node="T1"))
+            ms.append(Measurement("T2", t + 7, P, Quantity.PM25, 5.0 + t % 11))
+            ms += tci_readings(t + 11, 10.0 + (t % 3600) / 300)
+        return ms
+
+    def test_shuffled_ingest_in_several_calls_equals_sorted_ingest(self):
+        ms = self._readings()  # in timestamp order
+        expected = IndexComputer(apparent_temperature_model)
+        expected.ingest(ms)
+        shuffled = list(ms)
+        random.Random(11).shuffle(shuffled)
+        computer = IndexComputer(apparent_temperature_model)
+        for k in range(0, len(shuffled), 97):
+            computer.ingest(shuffled[k:k + 97])
+        # every reading is held before the first update, so each update
+        # must pick its windows and latest thermal inputs by timestamp
+        for t in range(900, 31 * 3600, 900):
+            assert computer.update(t) == expected.update(t)
+        latest = [m.value for m in ms if m.timestamp == 911 and m.quantity in TCI_INPUTS]
+        (got,) = [iv for iv in computer.update(1000) if iv.kind is IndexKind.TCI]
+        assert got == tci(*latest, "T1", 1000, model=apparent_temperature_model)
+
+    def test_tci_takes_latest_timestamp_not_last_ingested(self):
+        computer = IndexComputer()
+        computer.ingest(tci_readings(1200, 30.0))  # later reading arrives first
+        computer.ingest(tci_readings(600, 20.0))
+        computer.ingest(tci_readings(300, 10.0))
+        values = [iv.value for t in (300, 900, 1200) for iv in computer.update(t)]
+        assert values == [10.0, 20.0, 30.0]
 
 
 class TestRecordLine:

@@ -59,7 +59,19 @@ class TestQuantize:
     def test_zero_resolution_is_identity(self):
         assert quantize(3.14159, 0.0) == 3.14159
 
-    @given(st.floats(-1e6, 1e6), st.sampled_from([0.05, 0.5, 1.0, 2.5]))
+    @pytest.mark.parametrize(
+        "v, res",
+        [(400.0, 1e-320), (-400.0, 1e-320), (1e300, 1e-10), (2.0**53, 1.0), (2.0**60 + 2**8, 1.0)],
+    )
+    def test_resolution_below_float_spacing_returns_value(self, v, res):
+        # abs(v) / res is >= 2**53 or overflows: the float spacing at v
+        # exceeds res, so rounding to a multiple of res cannot move v
+        assert quantize(v, res) == v
+
+    @given(
+        st.floats(-1e300, 1e300),
+        st.one_of(st.sampled_from([0.05, 0.5, 1.0, 2.5]), st.floats(0.0, 1e300)),
+    )
     def test_never_moves_more_than_half_a_step(self, v, res):
         assert abs(quantize(v, res) - v) <= res / 2 + 1e-9 * abs(v)
 

@@ -47,6 +47,7 @@ from .netsim import (
     DeliveryOutcome,
     LinkModel,
     SimulationResult,
+    choose_link,
     coordinator_uplink,
     route_measurement,
     run,

@@ -180,14 +180,15 @@ def _clean_values(ms: Iterable[Measurement]) -> dict[Quantity, list[float]]:
     return out
 
 
-def _below_lod_rate(ms: Iterable[Measurement], q: Quantity) -> float:
-    total = flagged = 0
+def _below_lod_rates(ms: Iterable[Measurement]) -> dict[Quantity, float]:
+    """Share of each quantity's readings flagged below LoD, in one pass."""
+    totals: dict[Quantity, int] = {}
+    flagged: dict[Quantity, int] = {}
     for m in ms:
-        if m.quantity is q:
-            total += 1
-            if Flag.BELOW_LOD in m.flags:
-                flagged += 1
-    return flagged / total if total else 0.0
+        totals[m.quantity] = totals.get(m.quantity, 0) + 1
+        if Flag.BELOW_LOD in m.flags:
+            flagged[m.quantity] = flagged.get(m.quantity, 0) + 1
+    return {q: flagged.get(q, 0) / n for q, n in totals.items()}
 
 
 def compare_populations(
@@ -208,6 +209,8 @@ def compare_populations(
     only = sorted(set(values_a) ^ set(values_b), key=lambda q: q.value)
     if not shared:
         raise NoOverlapError("populations share no quantity with usable samples")
+    lod_rates_a = _below_lod_rates(a)
+    lod_rates_b = _below_lod_rates(b)
     rows = []
     for q in shared:
         va, vb = values_a[q], values_b[q]
@@ -226,8 +229,8 @@ def compare_populations(
                 pmf_b=estimate_pmf(vb, tuple(edges.tolist()), q),
                 n_a=len(va),
                 n_b=len(vb),
-                below_lod_rate_a=_below_lod_rate(a, q),
-                below_lod_rate_b=_below_lod_rate(b, q),
+                below_lod_rate_a=lod_rates_a[q],
+                below_lod_rate_b=lod_rates_b[q],
             )
         )
     return ComparisonReport(labels=labels, rows=tuple(rows), incomparable=tuple(only))

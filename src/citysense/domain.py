@@ -163,29 +163,25 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
 UTC_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 SECONDS_PER_DAY = 86400
 
-# UTC day number (epoch seconds // 86400) -> "YYYY-MM-DD". A pure cache:
-# cleared when full, so it stays small however many days a process formats.
-_DAY_PREFIXES: dict[int, str] = {}
-_MAX_DAY_PREFIXES = 1024
+# Epoch second -> its ``UTC_FORMAT`` text. A run formats each of a few
+# hundred or thousand distinct stamps hundreds of times. A pure cache:
+# cleared when full, so it stays small however many stamps a process formats.
+_STAMPS: dict[int, str] = {}
+_MAX_STAMPS = 16384
 
 
 def format_utc(ts: int) -> str:
     """Render epoch seconds as ``YYYY-MM-DDTHH:MM:SSZ`` (UTC).
 
-    Equal to ``datetime.fromtimestamp(ts, timezone.utc).strftime(UTC_FORMAT)``;
-    the date part goes through ``strftime`` once per UTC day.
+    Equal to ``datetime.fromtimestamp(ts, timezone.utc).strftime(UTC_FORMAT)``,
+    which runs once per distinct stamp held in the cache.
     """
-    day, sec = divmod(ts, SECONDS_PER_DAY)
-    prefix = _DAY_PREFIXES.get(day)
-    if prefix is None:
-        if len(_DAY_PREFIXES) >= _MAX_DAY_PREFIXES:
-            _DAY_PREFIXES.clear()
-        prefix = _DAY_PREFIXES[day] = datetime.fromtimestamp(
-            day * SECONDS_PER_DAY, tz=timezone.utc
-        ).strftime("%Y-%m-%d")
-    hours, sec = divmod(sec, 3600)
-    minutes, sec = divmod(sec, 60)
-    return f"{prefix}T{hours:02d}:{minutes:02d}:{sec:02d}Z"
+    stamp = _STAMPS.get(ts)
+    if stamp is None:
+        if len(_STAMPS) >= _MAX_STAMPS:
+            _STAMPS.clear()
+        stamp = _STAMPS[ts] = datetime.fromtimestamp(ts, tz=timezone.utc).strftime(UTC_FORMAT)
+    return stamp
 
 
 def parse_utc(text: str) -> int:

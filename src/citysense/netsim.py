@@ -5,7 +5,10 @@ Topology is a star: fixed-site nodes always reach the coordinator over the
 sub-GHz short-range link (subject to Bernoulli per-message loss); a mobile
 node uses its short-range radio when some fixed-site node is inside radio
 range and otherwise falls back to the wide-area uplink straight to the
-server. The coordinator batches everything it heard and uplinks on a fixed
+server. Every reading of one sample tick shares the node's position, so
+the link is chosen once per tick (``choose_link``, the only anchor scan)
+and each reading then takes only its own loss draw (``route_measurement``).
+The coordinator batches everything it heard and uplinks on a fixed
 reporting grid. A reading that reaches the coordinator after its window was
 uplinked can join no later batch: it is dropped and counted, so every
 emitted reading ends delivered to the server, lost on a link, or dropped.
@@ -100,45 +103,54 @@ class NetworkTopology:
     links: dict[Radio, LinkModel]
 
 
-def route_measurement(
-    m: Measurement,
-    node: NodeDescriptor,
-    topo: NetworkTopology,
-    rng: np.random.Generator,
-) -> DeliveryRecord:
-    """Decide how one freshly sampled measurement travels.
+@dataclass(frozen=True)
+class LinkChoice:
+    """How every reading of one sample tick travels: over ``link`` (None for
+    the coordinator's own readings, which take no radio hop), to ``outcome``
+    unless the link loses it."""
+
+    link: LinkModel | None
+    outcome: DeliveryOutcome
+
+
+def choose_link(node: NodeDescriptor, position: GeoPoint, topo: NetworkTopology) -> LinkChoice:
+    """Decide the link for the readings ``node`` takes at ``position``.
 
     Fixed-site kinds go to the coordinator over the short-range link; a
     mobile checks whether any static node is within its short-range radio
-    range and otherwise uplinks directly over the wide area network. Loss is
-    Bernoulli per message with the chosen link's probability; a lost message
-    is an outcome, not an error, and is never retried.
+    range and otherwise uplinks directly over the wide area network. Every
+    reading of one tick shares a position, so this runs once per tick.
     """
     if node.kind is NodeKind.COORDINATOR:
-        # Local readings enter the coordinator buffer without a radio hop.
-        return DeliveryRecord(m, DeliveryOutcome.DELIVERED_TO_COORDINATOR, None, m.timestamp)
-    if node.kind is NodeKind.MOBILE:
+        return LinkChoice(None, DeliveryOutcome.DELIVERED_TO_COORDINATOR)
+    if topo.coordinator_id is not None:
+        if node.kind is not NodeKind.MOBILE:
+            return LinkChoice(topo.links[Radio.SHORT_RANGE_FIXED],
+                              DeliveryOutcome.DELIVERED_TO_COORDINATOR)
         mobile_link = topo.links[Radio.SHORT_RANGE_MOBILE]
-        in_range = any(
-            haversine_distance(m.position, pos) <= mobile_link.range_m
+        if any(
+            haversine_distance(position, pos) <= mobile_link.range_m
             for _, pos in topo.anchors
-        )
-        if in_range and topo.coordinator_id is not None:
-            link = mobile_link
-            outcome = DeliveryOutcome.DELIVERED_TO_COORDINATOR
-        else:
-            link = topo.links[Radio.WIDE_AREA]
-            outcome = DeliveryOutcome.DELIVERED_TO_SERVER
-    else:
-        if topo.coordinator_id is None:
-            link = topo.links[Radio.WIDE_AREA]
-            outcome = DeliveryOutcome.DELIVERED_TO_SERVER
-        else:
-            link = topo.links[Radio.SHORT_RANGE_FIXED]
-            outcome = DeliveryOutcome.DELIVERED_TO_COORDINATOR
+        ):
+            return LinkChoice(mobile_link, DeliveryOutcome.DELIVERED_TO_COORDINATOR)
+    return LinkChoice(topo.links[Radio.WIDE_AREA], DeliveryOutcome.DELIVERED_TO_SERVER)
+
+
+def route_measurement(
+    m: Measurement, choice: LinkChoice, rng: np.random.Generator
+) -> DeliveryRecord:
+    """Send one freshly sampled measurement the way ``choice`` says.
+
+    Loss is Bernoulli per message with the chosen link's probability; a lost
+    message is an outcome, not an error, and is never retried.
+    """
+    link = choice.link
+    if link is None:
+        # Local readings enter the coordinator buffer without a radio hop.
+        return DeliveryRecord(m, choice.outcome, None, m.timestamp)
     if link.loss_prob > 0.0 and rng.random() < link.loss_prob:
         return DeliveryRecord(m, DeliveryOutcome.LOST, link.kind, None)
-    return DeliveryRecord(m, outcome, link.kind, int(m.timestamp + link.latency_s))
+    return DeliveryRecord(m, choice.outcome, link.kind, int(m.timestamp + link.latency_s))
 
 
 def coordinator_uplink(
@@ -305,10 +317,16 @@ def run(scenario: "ScenarioConfig") -> SimulationResult:
         t, _, event = queue.pop()
         if isinstance(event, SampleTick):
             node = by_id[event.node_id]
-            for m in sample(node, field_model, t):
-                record = route_measurement(m, node.descriptor, topo, loss_rngs[event.node_id])
+            readings = sample(node, field_model, t)  # only nodes with a suite tick
+            choice = choose_link(node.descriptor, readings[0].position, topo)
+            rng = loss_rngs[event.node_id]
+            for m in readings:
+                record = route_measurement(m, choice, rng)
                 result.deliveries.append(record)
-                tally = result.tallies.setdefault((m.node_id, m.quantity), Tally())
+                key = (m.node_id, m.quantity)
+                tally = result.tallies.get(key)
+                if tally is None:
+                    tally = result.tallies[key] = Tally()
                 tally.emitted += 1
                 if record.outcome is DeliveryOutcome.LOST:
                     tally.lost += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,19 +86,58 @@ def quantize(v: float, resolution: float) -> float:
 
     ``resolution == 0`` means a continuous channel: ``v`` is returned as is.
     So it is when ``abs(v) / resolution >= 2**53``: the resolution is then
-    below the float spacing at ``v``, and the ratio may overflow.
+    below the float spacing at ``v``, and the ratio may overflow. Where the
+    rounded multiple would pass the largest float, the multiple toward zero
+    is taken instead, so a finite ``v`` always gives a finite result.
     """
     if resolution == 0.0:
         return v
     steps = abs(v) / resolution
     if not steps < 2.0**53:
         return v
-    return math.copysign(math.floor(steps + 0.5) * resolution, v)
+    n = math.floor(steps + 0.5)
+    rounded = n * resolution
+    if rounded == math.inf:
+        rounded = (n - 1) * resolution
+    return math.copysign(rounded, v)
+
+
+class _Channel(NamedTuple):
+    """One row of a node's channel table: everything ``sample`` needs about
+    a quantity that does not change from one reading to the next."""
+
+    quantity: Quantity
+    spec: SensorSpec
+    bias_mul: float
+    bias_add: float
+    noise_sigma: float
+    noise: np.random.Generator | None  # None when the channel has no noise
+    non_negative: bool
+
+
+# Flag bits of one reading -> its flag set; readings share these 8 sets.
+_WARMING_UP, _BELOW_LOD, _QUANTIZED = 1, 2, 4
+_FLAG_SETS = tuple(
+    frozenset(
+        f for bit, f in ((_WARMING_UP, Flag.WARMING_UP), (_BELOW_LOD, Flag.BELOW_LOD),
+                         (_QUANTIZED, Flag.QUANTIZED))
+        if bits & bit
+    )
+    for bits in range(8)
+)
 
 
 @dataclass
 class NodeState:
-    """Mutable per-node simulation state, owned by a single simulation actor."""
+    """Mutable per-node simulation state, owned by a single simulation actor.
+
+    ``sensors``, ``bias_add``, ``bias_mul`` and the field's noise are read
+    once, at the node's first ``sample``, into a channel table: one row per
+    quantity of the suite, in order of ``Quantity.value``, holding the spec,
+    both biases, the noise sigma and generator, and whether the quantity is
+    non-negative. They are fixed from then on; a later change to them, or a
+    different field passed to ``sample``, is not seen.
+    """
 
     descriptor: NodeDescriptor
     powered_since: int = 0
@@ -106,7 +146,7 @@ class NodeState:
     bias_add: dict[Quantity, float] = field(default_factory=dict)
     bias_mul: dict[Quantity, float] = field(default_factory=dict)
     last_filtered: dict[Quantity, float] = field(default_factory=dict)
-    _noise: dict[Quantity, np.random.Generator] = field(default_factory=dict)
+    _channels: tuple[_Channel, ...] | None = field(default=None, init=False, repr=False)
     _last_sample_t: int | None = None
 
     def __post_init__(self):
@@ -121,9 +161,19 @@ class NodeState:
             return path_position(route, speed, t - self.powered_since)
         return self.descriptor.home_position
 
-    def attach_noise(self, f: FieldModel) -> None:
-        for q in sorted(self.descriptor.sensor_suite, key=lambda q: q.value):
-            self._noise[q] = noise_generator(f, self.descriptor.node_id, q)
+    def channel_table(self, f: FieldModel) -> tuple[_Channel, ...]:
+        """The node's channel table, built from ``f`` on the first call."""
+        if self._channels is None:
+            rows = []
+            for q in sorted(self.descriptor.sensor_suite, key=lambda q: q.value):
+                sigma = f.noise_sigma.get(q, 0.0)
+                noise = noise_generator(f, self.descriptor.node_id, q) if sigma > 0.0 else None
+                rows.append(_Channel(
+                    q, self.sensors[q], self.bias_mul.get(q, 1.0), self.bias_add.get(q, 0.0),
+                    sigma, noise, q in NON_NEGATIVE_QUANTITIES,
+                ))
+            self._channels = tuple(rows)
+        return self._channels
 
 
 def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
@@ -133,48 +183,37 @@ def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
     Degraded readings are emitted with flags rather than dropped, so the
     analytics layer sees the full population.
     """
-    if not node._noise and node.descriptor.sensor_suite:
-        node.attach_noise(f)
     dt = float(t - node._last_sample_t) if node._last_sample_t is not None else None
     node._last_sample_t = t
+    node_id = node.descriptor.node_id
     position = node.position_at(t)
+    age = t - node.powered_since
+    last_filtered = node.last_filtered
     out: list[Measurement] = []
-    for q in sorted(node.descriptor.sensor_suite, key=lambda q: q.value):
-        spec = node.sensors[q]
-        truth = f.value(q, position, t)
-        raw = truth * node.bias_mul.get(q, 1.0) + node.bias_add.get(q, 0.0)
-        sigma = f.noise_sigma.get(q, 0.0)
-        if sigma > 0.0:
-            raw += node._noise[q].normal(0.0, sigma)
-        prev = node.last_filtered.get(q)
+    for q, spec, bias_mul, bias_add, sigma, noise, non_negative in node.channel_table(f):
+        raw = f.value(q, position, t) * bias_mul + bias_add
+        if noise is not None:
+            raw += noise.normal(0.0, sigma)
+        prev = last_filtered.get(q)
         if prev is None or dt is None:
             value = raw  # sensor settles on its first reading
         else:
             value = lag_filter(prev, raw, dt, spec.t90_s)
-        node.last_filtered[q] = value
-        if q in NON_NEGATIVE_QUANTITIES and value < 0.0:
+        last_filtered[q] = value
+        if non_negative and value < 0.0:
             value = 0.0
-        flags: set[Flag] = set()
-        if spec.warmup_s > 0 and (t - node.powered_since) < spec.warmup_s:
-            flags.add(Flag.WARMING_UP)
+        bits = 0
+        if spec.warmup_s > 0 and age < spec.warmup_s:
+            bits = _WARMING_UP
         if spec.lod > 0.0 and value < spec.lod:
             value = 0.0
-            flags.add(Flag.BELOW_LOD)
+            bits |= _BELOW_LOD
         if spec.resolution > 0.0:
             quantized = quantize(value, spec.resolution)
             if quantized != value:
-                flags.add(Flag.QUANTIZED)
+                bits |= _QUANTIZED
             value = quantized
-        out.append(
-            validate_measurement(
-                Measurement(
-                    node_id=node.descriptor.node_id,
-                    timestamp=t,
-                    position=position,
-                    quantity=q,
-                    value=value,
-                    flags=frozenset(flags),
-                )
-            )
-        )
+        out.append(validate_measurement(
+            Measurement(node_id, t, position, q, value, _FLAG_SETS[bits])
+        ))
     return out

@@ -61,8 +61,15 @@ def write_atomic(path: str | FsPath, text: str) -> None:
         raise
 
 
+# Flag set -> its record text. Sets compare by content, so there is at most
+# one entry per subset of ``Flag``.
+_FLAGS_TEXT: dict[frozenset[Flag], str] = {}
+
+
 def serialize_measurement(m: Measurement) -> str:
-    flags = ";".join(sorted(f.value for f in m.flags))
+    flags = _FLAGS_TEXT.get(m.flags)
+    if flags is None:
+        flags = _FLAGS_TEXT[m.flags] = ";".join(sorted(f.value for f in m.flags))
     return (
         f"{format_utc(m.timestamp)},{m.node_id},{m.position.lat!r},{m.position.lon!r},"
         f"{m.quantity.value},{m.value!r},{m.unit},{flags}"

@@ -194,6 +194,17 @@ class TestComparePopulations:
         assert row.below_lod_rate_a == pytest.approx(1 / 3)
         assert row.below_lod_rate_b == 0.0
 
+    def test_below_lod_rate_is_per_quantity(self):
+        low = frozenset({Flag.BELOW_LOD})
+        a = [meas(0.0, Quantity.HC, flags=low), meas(4.0, Quantity.HC), meas(0.0, Quantity.HC, flags=low),
+             meas(450.0), meas(460.0), meas(0.0, flags=low), meas(470.0), meas(480.0)]
+        b = [meas(5.0, Quantity.HC), meas(455.0)]
+        rates = {
+            row.quantity: (row.below_lod_rate_a, row.below_lod_rate_b)
+            for row in compare_populations(a, b).rows
+        }
+        assert rates == {Quantity.CO2: (0.2, 0.0), Quantity.HC: (2 / 3, 0.0)}
+
     @pytest.mark.parametrize("value,n_a,n_b", [(2.28, 1000, 700), (0.1, 288, 96), (14.7, 576, 192)])
     def test_one_repeated_value_has_exactly_zero_eta(self, value, n_a, n_b):
         a = [meas(value, Quantity.CO, node="A") for _ in range(n_a)]

@@ -227,6 +227,17 @@ class TestSimulateConfigErrors:
         # 400 / 1e-320 overflows a float: quantize must leave the value alone
         assert _simulate_edited(small_scenario_file, tmp_path, _set("sensors", "co2", "resolution", 1e-320)) == 0
 
+    def test_resolution_near_the_largest_float_runs(self, small_scenario_file, tmp_path, capsys):
+        # 1.5e308 rounds to 2e308 = inf: quantize must keep the value finite
+        def edit(raw):
+            _set("field", "baseline", "co2", 1.5e308)(raw)
+            _set("sensors", "co2", "resolution", 1e308)(raw)
+
+        rc = _simulate_edited(small_scenario_file, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert rc == 0 or (rc == 1 and len(err.strip().splitlines()) == 1)
+
     def test_negative_seed_flag_exits_1(self, small_scenario_file, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(small_scenario_file),
                    "--out", str(tmp_path / "o"), "--seed", "-1"])

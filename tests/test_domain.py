@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import example, given, strategies as st
 
+from citysense import domain
 from citysense.domain import (
     UTC_FORMAT,
     GeoPoint,
@@ -171,6 +172,15 @@ class TestUtcTime:
         text = format_utc(ts)
         assert text == datetime.fromtimestamp(ts, tz=timezone.utc).strftime(UTC_FORMAT)
         assert parse_utc(text) == ts
+
+    def test_stamp_cache_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(domain, "_STAMPS", {})
+        monkeypatch.setattr(domain, "_MAX_STAMPS", 8)
+        for ts in range(1_429_488_000, 1_429_488_000 + 50 * 300, 300):
+            for _ in range(2):
+                text = format_utc(ts)
+                assert text == datetime.fromtimestamp(ts, tz=timezone.utc).strftime(UTC_FORMAT)
+                assert len(domain._STAMPS) <= 8
 
     def test_example(self):
         assert format_utc(1_429_488_300) == "2015-04-20T00:05:00Z"

@@ -4,12 +4,15 @@ for the bundled ``pisa-default`` scenario, one simulated day, seed 7.
 A change to any digest is an output change and needs an explicit
 re-baseline in CHANGES.md. The ``simulate`` files are pinned as first
 recorded; the ``indexes`` and ``compare`` files as re-baselined when means
-became exact sums (``domain.mean``).
+became exact sums (``domain.mean``). A lossy two-hour variant pins the
+``simulate`` files of the paths the lossless day does not take.
 """
 
 import hashlib
+from importlib import resources
 
 import pytest
+import yaml
 
 from citysense.cli import main
 from citysense.indexes import apparent_temperature_model, compute_indexes, index_record_line
@@ -125,3 +128,45 @@ def test_compute_indexes_over_run_equals_indexes_step(outputs):
     }
     assert len(values) == sum(map(len, written.values())) == 1824
     assert in_memory == written
+
+
+# ``pisa-default`` for 2 hours with 5 % loss on every link and the datasheet
+# LoD on every gas channel (its ``sensors`` overrides removed): it pins the
+# loss draws and ``below_lod`` readings, which the lossless run above never
+# makes, together with the mobile range decisions (M2 leaves short range
+# between the F anchors).
+LOSSY_SIMULATE = {
+    "delivery-log.txt": "936e0accb492ed25f47ebd5fab047c2a3bc4c310e01cd3acd500079ed22b380c",
+    "measurements-2015-04-20.txt": "50982f07fc0101adbac32303898c84ef50b22bfc67c2221e11fbd62853bc58cd",
+    "nodes.json": "663daef0db0832366f0f744cc397319a85fef913b4e1e14d884f45fcafab4601",
+}
+
+
+@pytest.fixture(scope="module")
+def lossy_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-lossy")
+    doc = yaml.safe_load(
+        resources.files("citysense").joinpath("data/pisa-default.yaml").read_text()
+    )
+    doc["duration_s"] = 7200
+    for link in doc["links"].values():
+        link["loss_prob"] = 0.05
+    del doc["sensors"]
+    scenario = root / "lossy.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    out = root / "simulate"
+    argv = ["simulate", "--scenario", str(scenario), "--seed", SEED, "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+def test_lossy_simulate_digests(lossy_outputs):
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(lossy_outputs.iterdir())
+    }
+    assert written == LOSSY_SIMULATE
+    log = (lossy_outputs / "delivery-log.txt").read_text()
+    day = (lossy_outputs / "measurements-2015-04-20.txt").read_text()
+    assert ",lost," in log and ",short_range_mobile," in log and ",wide_area," in log
+    assert ",below_lod" in day or ";below_lod" in day

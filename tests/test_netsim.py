@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from citysense import netsim
 from citysense.domain import (
     GAS_QUANTITIES,
     GeoPoint,
@@ -18,11 +19,15 @@ from citysense.netsim import (
     DeliveryOutcome,
     EventQueue,
     LinkModel,
+    DeliveryRecord,
     NetworkTopology,
+    choose_link,
     coordinator_uplink,
     route_measurement,
     run,
 )
+from citysense.domain import haversine_distance
+from citysense.field import loss_generator
 from citysense.scenario import load_scenario, with_seed
 from citysense.store import serialize_delivery
 
@@ -53,33 +58,41 @@ def mobile_descriptor(node_id="M1"):
     )
 
 
+def route(m, node, topo, rng):
+    """Route ``m`` as ``run()`` does: the link chosen at its position."""
+    return route_measurement(m, choose_link(node, m.position, topo), rng)
+
+
 class TestRouteMeasurement:
     def test_fixed_lossless_reaches_coordinator(self):
-        r = route_measurement(meas(), fixed_descriptor(), TOPO, np.random.default_rng(0))
+        r = route(meas(), fixed_descriptor(), TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
         assert r.link is Radio.SHORT_RANGE_FIXED
         assert r.arrival_t == 300 + 1
 
     def test_mobile_out_of_range_falls_back_to_wide_area(self):
         # 4.9 km from every anchor, short-range radio reaches 300 m
-        r = route_measurement(
-            meas("M1", position=FAR), mobile_descriptor(), TOPO, np.random.default_rng(0)
-        )
+        r = route(meas("M1", position=FAR), mobile_descriptor(), TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_SERVER
         assert r.link is Radio.WIDE_AREA
 
     def test_mobile_in_range_uses_short_range(self):
-        r = route_measurement(
-            meas("M1", position=P), mobile_descriptor(), TOPO, np.random.default_rng(0)
-        )
+        r = route(meas("M1", position=P), mobile_descriptor(), TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
         assert r.link is Radio.SHORT_RANGE_MOBILE
+
+    def test_no_coordinator_sends_everything_over_the_wide_area(self):
+        topo = dataclasses.replace(TOPO, coordinator_id=None)
+        for m, node in ((meas(), fixed_descriptor()), (meas("M1"), mobile_descriptor())):
+            r = route(m, node, topo, np.random.default_rng(0))
+            assert r.outcome is DeliveryOutcome.DELIVERED_TO_SERVER
+            assert r.link is Radio.WIDE_AREA and r.arrival_t == 300 + 2
 
     def test_certain_loss_is_lost(self):
         links = dict(DEFAULT_LINKS)
         links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 1.0, 1.0)
         topo = dataclasses.replace(TOPO, links=links)
-        r = route_measurement(meas(), fixed_descriptor(), topo, np.random.default_rng(0))
+        r = route(meas(), fixed_descriptor(), topo, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.LOST
         assert r.arrival_t is None
 
@@ -88,7 +101,7 @@ class TestRouteMeasurement:
             "C0", NodeKind.COORDINATOR, frozenset({Quantity.CO2}),
             home_position=P,
         )
-        r = route_measurement(meas("C0"), d, TOPO, np.random.default_rng(0))
+        r = route(meas("C0"), d, TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
         assert r.link is None and r.arrival_t == 300
 
@@ -282,3 +295,76 @@ class TestRun:
             if key in last:
                 assert d.measurement.timestamp > last[key]
             last[key] = d.measurement.timestamp
+
+
+def _per_reading_route(m, node, topo, rng):
+    """Routing as it was before the link was chosen once per tick: every
+    reading scans every anchor itself, then takes its loss draw."""
+    if node.kind is NodeKind.COORDINATOR:
+        return DeliveryRecord(m, DeliveryOutcome.DELIVERED_TO_COORDINATOR, None, m.timestamp)
+    if node.kind is NodeKind.MOBILE:
+        mobile_link = topo.links[Radio.SHORT_RANGE_MOBILE]
+        in_range = any(
+            haversine_distance(m.position, pos) <= mobile_link.range_m
+            for _, pos in topo.anchors
+        )
+        if in_range and topo.coordinator_id is not None:
+            link, outcome = mobile_link, DeliveryOutcome.DELIVERED_TO_COORDINATOR
+        else:
+            link, outcome = topo.links[Radio.WIDE_AREA], DeliveryOutcome.DELIVERED_TO_SERVER
+    elif topo.coordinator_id is None:
+        link, outcome = topo.links[Radio.WIDE_AREA], DeliveryOutcome.DELIVERED_TO_SERVER
+    else:
+        link, outcome = topo.links[Radio.SHORT_RANGE_FIXED], DeliveryOutcome.DELIVERED_TO_COORDINATOR
+    if link.loss_prob > 0.0 and rng.random() < link.loss_prob:
+        return DeliveryRecord(m, DeliveryOutcome.LOST, link.kind, None)
+    return DeliveryRecord(m, outcome, link.kind, int(m.timestamp + link.latency_s))
+
+
+@pytest.fixture(scope="module")
+def lossy_pisa(pisa):
+    # M2 rides the fitness path, whose anchors stand 1 km apart: it is in
+    # short range near them and out of it between them.
+    links = {
+        kind: dataclasses.replace(link, loss_prob=0.2) for kind, link in pisa.links.items()
+    }
+    return dataclasses.replace(pisa, duration_s=7200, links=links)
+
+
+class TestRoutingOncePerTick:
+    def test_anchor_scan_runs_at_most_once_per_mobile_tick(self, lossy_pisa, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return haversine_distance(a, b)
+
+        monkeypatch.setattr(netsim, "haversine_distance", counted)
+        run(lossy_pisa)
+        states = lossy_pisa.build_node_states()
+        mobiles = sum(1 for s in states if s.descriptor.kind is NodeKind.MOBILE)
+        anchors = len(states) - mobiles
+        ticks = lossy_pisa.duration_s // lossy_pisa.sample_period_s
+        # 2 mobiles x 24 ticks x 9 anchors = 432; per reading it was 8x more
+        assert 0 < len(calls) <= mobiles * ticks * anchors
+
+    def test_deliveries_equal_per_reading_reference(self, lossy_pisa):
+        result = run(lossy_pisa)
+        states = {s.descriptor.node_id: s.descriptor for s in lossy_pisa.build_node_states()}
+        topo = NetworkTopology(
+            coordinator_id="C0",
+            anchors=tuple(
+                (nid, d.home_position) for nid, d in states.items()
+                if d.kind is not NodeKind.MOBILE
+            ),
+            links=lossy_pisa.links,
+        )
+        rngs = {nid: loss_generator(lossy_pisa.seed, nid) for nid in states}
+        expected = [
+            _per_reading_route(d.measurement, states[d.measurement.node_id], topo,
+                               rngs[d.measurement.node_id])
+            for d in result.deliveries
+        ]
+        assert result.deliveries == expected
+        m2 = {d.outcome for d in result.deliveries if d.measurement.node_id == "M2"}
+        assert m2 == set(DeliveryOutcome)

@@ -75,6 +75,17 @@ class TestQuantize:
     def test_never_moves_more_than_half_a_step(self, v, res):
         assert abs(quantize(v, res) - v) <= res / 2 + 1e-9 * abs(v)
 
+    @pytest.mark.parametrize("v, res, out", [(1.5e308, 1e308, 1e308), (-1.5e308, 1e308, -1e308)])
+    def test_rounding_past_the_largest_float_goes_toward_zero(self, v, res, out):
+        assert quantize(v, res) == out
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_finite_in_finite_out(self, v, res):
+        assert math.isfinite(quantize(v, res))
+
 
 class TestDefaultSensorSpecs:
     def test_gas_channels_carry_datasheet_limits(self):
@@ -183,6 +194,28 @@ class TestSample:
             node = fixed_node({Quantity.CO2}, sensors={Quantity.CO2: SensorSpec(Quantity.CO2, lod=0.0)})
             runs.append([sample(node, f, t)[0].value for t in range(0, 3000, 300)])
         assert runs[0] == runs[1]
+
+    def test_channel_table_is_built_once_at_first_sample(self):
+        f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0, Quantity.O3: 50.0})
+        node = fixed_node({Quantity.O3, Quantity.CO2}, bias_add={Quantity.CO2: 5.0})
+        (co2, _) = sample(node, f, 0)
+        table = node.channel_table(f)
+        assert [row.quantity for row in table] == [Quantity.CO2, Quantity.O3]
+        assert table[0].bias_add == 5.0 and table[0].noise is None
+        # biases are fixed after the first sample: a later edit is not seen
+        node.bias_add[Quantity.CO2] = 100.0
+        (later, _) = sample(node, f, 300)
+        assert node.channel_table(f) is table
+        assert later.value == co2.value == 425.0
+
+    def test_readings_share_interned_flag_sets(self):
+        f = FieldModel(seed=1, baseline={Quantity.CO2: 5.4, Quantity.HC: 2.0})
+        node = fixed_node({Quantity.CO2, Quantity.HC})
+        readings = [m for t in range(0, 900, 300) for m in sample(node, f, t)]  # warm-up 900 s
+        assert {m.flags for m in readings} == {
+            frozenset({Flag.WARMING_UP, Flag.BELOW_LOD})
+        }
+        assert len({id(m.flags) for m in readings}) == 1
 
     def test_one_measurement_per_suite_quantity(self):
         f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})

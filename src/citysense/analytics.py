@@ -124,6 +124,9 @@ def associate_mobile_to_fixed(
     ``radius_m`` meters; equidistant candidates go to the lower station id.
 
     Deterministic and idempotent: every sample lands in exactly one cell.
+    Samples at one position (every quantity of a tick, a node standing
+    still) share one result, so the stations are scanned once per distinct
+    position, not once per sample.
     """
     stations: list[tuple[str, GeoPoint]] = []
     for s in fixed_stations:
@@ -134,12 +137,17 @@ def associate_mobile_to_fixed(
     stations.sort(key=lambda s: s[0])
     by_station: dict[str, list[Measurement]] = {}
     unassociated: list[Measurement] = []
+    nearest: dict[GeoPoint, tuple[str | None, float]] = {}
     for m in mobile:
-        best_id, best_d = None, math.inf
-        for sid, pos in stations:
-            d = haversine_distance(m.position, pos)
-            if d < best_d:  # ties keep the earlier (lower) id
-                best_id, best_d = sid, d
+        best = nearest.get(m.position)
+        if best is None:
+            best_id, best_d = None, math.inf
+            for sid, pos in stations:
+                d = haversine_distance(m.position, pos)
+                if d < best_d:  # ties keep the earlier (lower) id
+                    best_id, best_d = sid, d
+            best = nearest[m.position] = (best_id, best_d)
+        best_id, best_d = best
         if best_id is not None and best_d <= radius_m:
             by_station.setdefault(best_id, []).append(m)
         else:

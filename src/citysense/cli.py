@@ -18,7 +18,7 @@ from .analytics import (
     compare_populations,
     write_comparison_report,
 )
-from .domain import GeoPoint, NodeKind
+from .domain import GeoPoint, NodeKind, Radio
 from .indexes import (
     apparent_temperature_model,
     compute_indexes,
@@ -26,7 +26,7 @@ from .indexes import (
     index_record_line,
     traffic_index,
 )
-from .netsim import ConfigError, run
+from .netsim import ConfigError, DeliveryOutcome, run
 from .scenario import load_access, load_scenario, with_seed
 from .store import (
     MeasurementStore, StorageError, serialize_delivery, write_atomic, write_delivery_log,
@@ -78,6 +78,11 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # simulate
 
+# Member -> its delivery-log code; a dict lookup per line is cheaper than
+# the ``.value`` descriptor call.
+_OUTCOME_CODES = {o: o.value for o in DeliveryOutcome}
+_RADIO_CODES = {r: r.value for r in Radio}
+
 
 def _cmd_simulate(args) -> int:
     cfg = load_scenario(args.scenario)
@@ -96,8 +101,8 @@ def _cmd_simulate(args) -> int:
                 d.measurement.timestamp,
                 d.measurement.node_id,
                 d.measurement.quantity,
-                d.outcome.value,
-                d.link.value if d.link else None,
+                _OUTCOME_CODES[d.outcome],
+                _RADIO_CODES[d.link] if d.link else None,
                 d.arrival_t,
             )
             for d in result.deliveries

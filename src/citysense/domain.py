@@ -8,6 +8,7 @@ freely between concurrent contexts.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -32,6 +33,10 @@ class Quantity(str, Enum):
     SOLAR_RADIATION = "solar_radiation"
     RAIN = "rain"
 
+
+# Quantity -> its file code. A dict lookup costs a fraction of the
+# ``.value`` descriptor call, which matters where it runs once per record.
+QUANTITY_CODES: dict[Quantity, str] = {q: q.value for q in Quantity}
 
 # Single source of truth for units. Total over Quantity (tested).
 UNITS: dict[Quantity, str] = {
@@ -131,7 +136,7 @@ class ValidationError(ValueError):
 EARTH_RADIUS_M = 6371000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS84 position in decimal degrees."""
 
@@ -203,7 +208,7 @@ def mean(values: Sequence[float]) -> float:
     return lo + math.fsum(v - lo for v in values) / len(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     """One geo-referenced, timestamped sensor reading.
 
@@ -277,6 +282,18 @@ ALLOWED_QUANTITIES: dict[NodeKind, frozenset[Quantity]] = {
     NodeKind.WEATHER_STATION: _WEATHER_QUANTITIES,
 }
 
+# Node identifiers, as the store's record format and the per-station output
+# file names need them.
+NODE_ID = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def validate_node_id(node_id: str) -> str:
+    """Return ``node_id`` unchanged iff it is a whole match of ``NODE_ID``."""
+    if not NODE_ID.fullmatch(node_id):
+        raise ValidationError("node_id", f"bad identifier {node_id!r}")
+    return node_id
+
+
 @dataclass(frozen=True)
 class NodeDescriptor:
     """Identity and capabilities of one network node."""
@@ -287,8 +304,7 @@ class NodeDescriptor:
     home_position: GeoPoint | None = None
 
     def __post_init__(self):
-        if not self.node_id or any(c in self.node_id for c in ",; \t\n"):
-            raise ValidationError("node_id", f"bad identifier {self.node_id!r}")
+        validate_node_id(self.node_id)
         forbidden = self.sensor_suite - ALLOWED_QUANTITIES[self.kind]
         if forbidden:
             raise ValidationError(

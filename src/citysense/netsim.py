@@ -35,6 +35,7 @@ from .domain import (
     Measurement,
     NodeDescriptor,
     NodeKind,
+    QUANTITY_CODES,
     Quantity,
     Radio,
     ReportBatch,
@@ -173,7 +174,7 @@ def coordinator_uplink(
         else:
             remaining.append((arrival_t, m))
     buffer[:] = remaining
-    picked.sort(key=lambda m: (m.timestamp, m.node_id, m.quantity.value))
+    picked.sort(key=lambda m: (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity]))
     if not picked:
         logger.warning("empty uplink batch at t=%d", window_end)
     return ReportBatch(

@@ -16,10 +16,21 @@ Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and kept
 sorted by (timestamp, node_id, quantity). Duplicate (node, timestamp,
 quantity) triples are rejected idempotently on append.
 
-Loading validates every record as ``append`` does. Timestamps, positions,
-flag sets and quantity codes repeat across lines, so one load parses and
-validates each distinct field value once and its records share the result;
-each line's value and unit are still checked on their own.
+Loading validates every record as ``append`` does, and each node id against
+``domain.NODE_ID`` as well. Timestamps, positions, flag sets, node ids and
+quantity codes repeat across lines, so one load parses and validates each
+distinct field value once and its records share the result; each line's
+value and unit are still checked on their own.
+
+Loading also checks the order of the records, taking each record's key
+(timestamp, node_id, quantity code) from its line. While every key is
+greater than the one before, the records are already in ``all()`` order,
+and a duplicate triple shows as an equal adjacent key. Once a key is out of
+order (a hand-edited file), the rest of the load checks duplicates against
+the set of keys loaded so far, and ``all()`` sorts. A duplicate is a data
+error naming its file and line, never a reading counted twice. The key set
+``append`` needs for its idempotence is built on the first ``append``, so a
+store opened only for reading never builds it.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from .domain import (
     Flag,
     GeoPoint,
     Measurement,
+    QUANTITY_CODES,
     Quantity,
     ReportBatch,
     UNITS,
@@ -41,6 +53,7 @@ from .domain import (
     haversine_distance,
     parse_utc,
     validate_measurement,
+    validate_node_id,
 )
 
 
@@ -72,29 +85,41 @@ def serialize_measurement(m: Measurement) -> str:
         flags = _FLAGS_TEXT[m.flags] = ";".join(sorted(f.value for f in m.flags))
     return (
         f"{format_utc(m.timestamp)},{m.node_id},{m.position.lat!r},{m.position.lon!r},"
-        f"{m.quantity.value},{m.value!r},{m.unit},{flags}"
+        f"{QUANTITY_CODES[m.quantity]},{m.value!r},{m.unit},{flags}"
     )
+
+
+# A record's sort key: (timestamp, node_id, quantity code).
+RecordKey = tuple[int, str, str]
 
 
 class _RecordParser:
     """Parses record lines, running the strict parse of each distinct
-    timestamp, position, flags and quantity text once per parser."""
+    timestamp, position, flags, node id and quantity text once per parser."""
 
     def __init__(self):
-        self._quantities: dict[str, Quantity] = {}
+        self._node_ids: dict[str, str] = {}
+        self._quantities: dict[str, tuple[Quantity, str]] = {}
         self._timestamps: dict[str, int] = {}
         self._positions: dict[tuple[str, str], GeoPoint] = {}
         self._flags: dict[str, frozenset[Flag]] = {}
 
-    def __call__(self, line: str) -> Measurement:
-        parts = line.rstrip("\n").split(",")
+    def __call__(self, line: str) -> tuple[RecordKey, Measurement]:
+        """The sort key and the validated record of one line, given
+        without its line end."""
+        parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed record: {line!r}")
         ts, node_id, lat, lon, qcode, value, unit, flags = parts
-        quantity = self._quantities.get(qcode)
-        if quantity is None:
-            quantity = self._quantities[qcode] = Quantity(qcode)
-        if unit != UNITS[quantity]:
+        known_id = self._node_ids.get(node_id)
+        if known_id is None:
+            known_id = self._node_ids[node_id] = validate_node_id(node_id)
+        known_quantity = self._quantities.get(qcode)
+        if known_quantity is None:
+            quantity = Quantity(qcode)
+            known_quantity = self._quantities[qcode] = (quantity, UNITS[quantity])
+        quantity, expected_unit = known_quantity
+        if unit != expected_unit:
             raise ValueError(f"unit {unit!r} does not match quantity {qcode}")
         timestamp = self._timestamps.get(ts)
         if timestamp is None:
@@ -106,13 +131,13 @@ class _RecordParser:
         flag_set = self._flags.get(flags)
         if flag_set is None:
             flag_set = self._flags[flags] = frozenset(Flag(f) for f in flags.split(";") if f)
-        return validate_measurement(
-            Measurement(node_id, timestamp, position, quantity, value, flag_set)
+        return (timestamp, known_id, qcode), validate_measurement(
+            Measurement(known_id, timestamp, position, quantity, value, flag_set)
         )
 
 
 def parse_measurement(line: str) -> Measurement:
-    return _RecordParser()(line)
+    return _RecordParser()(line.rstrip("\n"))[1]
 
 
 @dataclass(frozen=True)
@@ -147,8 +172,13 @@ class QueryFilter:
         return True
 
 
-def _sort_key(m: Measurement):
-    return (m.timestamp, m.node_id, m.quantity.value)
+def _sort_key(m: Measurement) -> RecordKey:
+    return (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity])
+
+
+def _duplicate(key: RecordKey) -> ValueError:
+    timestamp, node_id, qcode = key
+    return ValueError(f"duplicate record: {node_id} {qcode} at {format_utc(timestamp)}")
 
 
 class MeasurementStore:
@@ -168,19 +198,39 @@ class MeasurementStore:
                 for f in self.root.glob("measurements-*.txt"):
                     f.unlink()
             self._records: list[Measurement] = []
-            self._keys: set[tuple[str, int, Quantity]] = set()
-            parse = _RecordParser()
-            for f in sorted(self.root.glob("measurements-*.txt")):
-                for lineno, line in enumerate(f.read_text().splitlines(), 1):
-                    try:
-                        m = parse(line)
-                    except ValueError as e:
-                        raise ValueError(f"{f.name} line {lineno}: {e}") from e
-                    self._records.append(m)
-                    self._keys.add((m.node_id, m.timestamp, m.quantity))
+            self._in_order = self._load(sorted(self.root.glob("measurements-*.txt")))
         except OSError as e:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
+        # (node, timestamp, quantity) of every record, built on first append
+        self._keys: set[tuple[str, int, Quantity]] | None = None
         self._dirty_days: set[int] = set()  # UTC day numbers
+
+    def _load(self, files: list[FsPath]) -> bool:
+        """Append the records of ``files`` to ``_records``, rejecting
+        duplicates; True iff they came in strictly ascending key order."""
+        parse = _RecordParser()
+        records = self._records
+        last: RecordKey | None = None
+        seen: set[RecordKey] | None = None  # keys so far, once out of order
+        for f in files:
+            for lineno, line in enumerate(f.read_text().splitlines(), 1):
+                try:
+                    key, m = parse(line)
+                    if seen is None:
+                        if last is None or key > last:
+                            last = key
+                        elif key == last:
+                            raise _duplicate(key)
+                        else:
+                            seen = {_sort_key(r) for r in records}
+                    if seen is not None:
+                        if key in seen:
+                            raise _duplicate(key)
+                        seen.add(key)
+                except ValueError as e:
+                    raise ValueError(f"{f.name} line {lineno}: {e}") from e
+                records.append(m)
+        return seen is None
 
     def __enter__(self):
         return self
@@ -203,6 +253,8 @@ class MeasurementStore:
             items = (batch,)
         else:
             items = batch
+        if self._keys is None:
+            self._keys = {(m.node_id, m.timestamp, m.quantity) for m in self._records}
         written = 0
         for m in items:
             validate_measurement(m)
@@ -213,6 +265,8 @@ class MeasurementStore:
             self._records.append(m)
             self._dirty_days.add(m.timestamp // SECONDS_PER_DAY)
             written += 1
+        if written:
+            self._in_order = False
         return written
 
     def flush(self) -> None:
@@ -240,6 +294,9 @@ class MeasurementStore:
         return sorted((m for m in self._records if f.matches(m)), key=_sort_key)
 
     def all(self) -> list[Measurement]:
+        """Every record, in (timestamp, node_id, quantity) order."""
+        if self._in_order:
+            return list(self._records)
         return sorted(self._records, key=_sort_key)
 
 
@@ -260,7 +317,10 @@ def serialize_delivery(
     arrival_t: int | None,
 ) -> str:
     arrival = format_utc(arrival_t) if arrival_t is not None else ""
-    return f"{format_utc(emitted_t)},{node_id},{quantity.value},{outcome},{link or ''},{arrival}"
+    return (
+        f"{format_utc(emitted_t)},{node_id},{QUANTITY_CODES[quantity]},{outcome},"
+        f"{link or ''},{arrival}"
+    )
 
 
 def write_delivery_log(lines: Iterable[str], path: str | FsPath) -> None:

@@ -22,6 +22,7 @@ from citysense.domain import (
     NodeDescriptor,
     NodeKind,
     Quantity,
+    haversine_distance,
 )
 
 P = GeoPoint(43.716, 10.3966)
@@ -137,6 +138,49 @@ class TestAssociation:
         assert first == second
         counted = sum(len(v) for v in first.by_station.values()) + len(first.unassociated)
         assert counted == len(samples)
+
+
+def brute_force_association(mobile, stations, radius_m):
+    """Reference: every sample scans every station; (distance, id) order
+    sends a tie to the lower id."""
+    by_station, unassociated = {}, []
+    for m in mobile:
+        d, sid = min((haversine_distance(m.position, s.home_position), s.node_id) for s in stations)
+        if d <= radius_m:
+            by_station.setdefault(sid, []).append(m)
+        else:
+            unassociated.append(m)
+    return {k: tuple(v) for k, v in sorted(by_station.items())}, tuple(unassociated)
+
+
+class TestAssociationDifferential:
+    def test_matches_brute_force_on_shared_positions_ties_and_the_radius(self):
+        rng = np.random.default_rng(5)
+        stations = [station(f"S{i:02d}", offset(P, float(d)))
+                    for i, d in enumerate(rng.uniform(-3000, 3000, 12))]
+        # An equidistant pair: longitude offsets of exactly +-2**-8 degrees.
+        tie = GeoPoint(43.72, 10.5)
+        e1, e0 = station("E1", GeoPoint(43.72, 10.5 + 2**-8)), station("E0", GeoPoint(43.72, 10.5 - 2**-8))
+        stations += [e1, e0]
+        # A sample exactly at the radius from its only nearby station.
+        lone = station("L0", GeoPoint(43.9, 10.3966))
+        stations.append(lone)
+        edge = offset(lone.home_position, 420)
+        radius = haversine_distance(edge, lone.home_position)
+        places = [offset(P, float(d)) for d in rng.uniform(-3500, 3500, 40)] + [tie, edge]
+        samples = [
+            meas(float(i), quantity=q, t=300 * i, position=places[int(rng.integers(len(places)))])
+            for i in range(600) for q in (Quantity.CO2, Quantity.O3)
+        ]
+        samples += [meas(1.0, position=tie), meas(2.0, position=GeoPoint(edge.lat, edge.lon))]
+        assoc = associate_mobile_to_fixed(samples, stations, radius_m=radius)
+        by_station, unassociated = brute_force_association(samples, stations, radius)
+        assert dict(assoc.by_station) == by_station
+        assert assoc.unassociated == unassociated
+        assert haversine_distance(tie, e0.home_position) == haversine_distance(tie, e1.home_position)
+        assert assoc.by_station["E0"][-1].value == 1.0  # the tie goes to the lower id
+        assert assoc.by_station["L0"][-1].value == 2.0  # d == radius_m is inside
+        assert unassociated, "some sample should fall outside every radius"
 
 
 class TestComparePopulations:

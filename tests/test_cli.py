@@ -79,6 +79,11 @@ def _corrupt_first_value(data_dir, node, quantity, value):
     day_file.write_text("\n".join(lines) + "\n")
 
 
+def _first_day_file(data_dir):
+    day_file = sorted(data_dir.glob("measurements-*.txt"))[0]
+    return day_file, day_file.read_text().splitlines()
+
+
 def _assert_one_line_data_error(rc, err):
     assert rc == 2
     assert len(err.strip().splitlines()) == 1
@@ -175,6 +180,7 @@ MALFORMED = {
                              "unknown keys ['range_m']"),
     "no-baseline": (_drop("field", "baseline", "co2"), "field.baseline"),
     "lat-on-mobile": (_set("nodes", 3, "lat", 43.716), "node M1: unknown keys ['lat']"),
+    "node-id-slash": (_set("nodes", 1, "id", "T/1"), "node T/1: node_id: bad identifier 'T/1'"),
 }
 
 
@@ -265,6 +271,30 @@ class TestIndexes:
         rc = main(["indexes", str(sim_dir), "--out", str(tmp_path / "idx")])
         _assert_one_line_data_error(rc, capsys.readouterr().err)
         assert not list((tmp_path / "idx").glob("indexes_*.txt"))
+
+    @pytest.mark.parametrize("node_id", ["", "../evil", "T/1"])
+    def test_node_id_outside_the_grammar_is_data_error(self, sim_dir, tmp_path, capsys, node_id):
+        day_file, lines = _first_day_file(sim_dir)
+        fields = lines[0].split(",")
+        fields[1] = node_id
+        day_file.write_text("\n".join([",".join(fields)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        rc = main(["indexes", str(sim_dir), "--out", str(tmp_path / "idx")])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert f"{day_file.name} line 1: node_id: bad identifier {node_id!r}" in err
+        assert not (tmp_path / "idx").exists()
+
+    def test_duplicate_record_is_data_error(self, sim_dir, tmp_path, capsys):
+        day_file, lines = _first_day_file(sim_dir)
+        day_file.write_text("\n".join(lines[:5] + [lines[4]] + lines[5:]) + "\n")
+        capsys.readouterr()
+        for argv in (["indexes", str(sim_dir), "--out", str(tmp_path / "idx")],
+                     ["compare", str(sim_dir), "--mode", "paths", "--out", str(tmp_path / "cmp")]):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            _assert_one_line_data_error(rc, err)
+            assert f"{day_file.name} line 6: duplicate record" in err
 
     def test_empty_store_is_data_error(self, tmp_path):
         assert main(["indexes", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")]) == 2

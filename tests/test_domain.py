@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from datetime import datetime, timezone
@@ -131,6 +132,11 @@ class TestNodeDescriptor:
                 home_position=P,
             )
 
+    @pytest.mark.parametrize("node_id", ["", "T/1", "../evil", "T 1", "T,1", "T;1", "T.1", "T\u00e91"])
+    def test_id_outside_the_store_grammar_rejected(self, node_id):
+        with pytest.raises(ValidationError, match="node_id: bad identifier"):
+            NodeDescriptor(node_id, NodeKind.FIXED, frozenset({Quantity.CO2}), home_position=P)
+
     def test_valid_fixed_node(self):
         n = NodeDescriptor(
             "T1", NodeKind.FIXED,
@@ -138,6 +144,26 @@ class TestNodeDescriptor:
             home_position=P,
         )
         assert n.kind is NodeKind.FIXED
+
+
+class TestFrozenValues:
+    def test_assignment_raises(self):
+        m = meas()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.value = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            P.lat = 0.0
+
+    def test_no_instance_dict(self):
+        assert not hasattr(meas(), "__dict__")
+        assert not hasattr(P, "__dict__")
+
+    def test_equal_values_hash_equal(self):
+        a = meas(flags=frozenset({domain.Flag.QUANTIZED}), position=GeoPoint(43.716, 10.3966))
+        b = meas(flags=frozenset({domain.Flag.QUANTIZED}), position=GeoPoint(43.716, 10.3966))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.position is not P and a.position == P and hash(a.position) == hash(P)
+        assert a != meas(value=1.0) and GeoPoint(43.716, 10.0) != P
 
 
 class TestReportBatch:

@@ -17,6 +17,7 @@ from citysense.domain import (
 from citysense.store import (
     MeasurementStore,
     QueryFilter,
+    _sort_key,
     parse_measurement,
     serialize_measurement,
     write_atomic,
@@ -75,6 +76,16 @@ class TestRecordFormat:
         with pytest.raises(ValueError):
             parse_measurement("not,a,record")
 
+    @pytest.mark.parametrize("node_id", ["", "T/1", "../evil", "T.1"])
+    def test_rejects_node_id_outside_the_grammar(self, node_id):
+        line = f"2015-04-20T00:00:00Z,{node_id},43.716,10.3966,co2,451.0,ppmV,"
+        with pytest.raises(ValidationError, match="node_id: bad identifier"):
+            parse_measurement(line)
+
+    def test_trailing_newline_accepted(self):
+        line = "2015-04-20T00:00:00Z,T1,43.716,10.3966,co2,451.0,ppmV,quantized"
+        assert parse_measurement(line + "\n") == parse_measurement(line)
+
     def test_rejects_unit_mismatch(self):
         line = "2015-04-20T00:00:00Z,T1,43.716,10.3966,co2,451.0,mg/m3,"
         with pytest.raises(ValueError):
@@ -102,6 +113,7 @@ class TestRecordFormat:
             "2015-04-20T00:00:00Z,T1,91.0,10.3966,co2,451.0,ppmV,",
             "2015-04-20T00:00:00Z,T1,43.716,10.3966,co2,451.0,ppmV,dusty",
             "2015-04-20T00:00:00Z,T1,43.716,10.3966,nox,451.0,ppmV,",
+            "2015-04-20T00:00:00Z,../evil,43.716,10.3966,co2,451.0,ppmV,",
         ],
     )
     def test_rejects_bad_field_after_good_lines(self, tmp_path, line):
@@ -244,6 +256,76 @@ class TestStore:
             assert len(store) == 0
             store.append([meas()])
         assert len(MeasurementStore(tmp_path).all()) == 1
+
+
+def _day_file_lines(root):
+    (day_file,) = root.glob("measurements-*.txt")
+    return day_file, day_file.read_text().splitlines()
+
+
+class TestLoadOrder:
+    def test_swapped_lines_load_sorted(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(27))
+        day_file, lines = _day_file_lines(tmp_path)
+        lines[3], lines[20] = lines[20], lines[3]
+        day_file.write_text("\n".join(lines) + "\n")
+        loaded = MeasurementStore(tmp_path).all()
+        records = [parse_measurement(line) for line in lines]
+        assert loaded == sorted(records, key=_sort_key)
+        assert loaded != records
+
+    def test_appended_after_load_come_back_sorted(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(18, t0=T0 + 600))
+        store = MeasurementStore(tmp_path)
+        early = [meas(node="A0", t=T0), meas(node="Z9", t=T0 + 600), meas(node="B5", t=T0 + 900)]
+        assert store.append(early) == 3
+        assert store.all() == sorted(list(batch_of(18, t0=T0 + 600).measurements) + early, key=_sort_key)
+
+    def test_reopened_after_flush_round_trips(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(27))
+            store.append(meas(node="A0", t=T0 + 86400))
+            expected = store.all()
+        assert MeasurementStore(tmp_path).all() == expected
+        assert expected == sorted(expected, key=_sort_key)
+
+    def test_all_returns_a_copy(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(9))
+        store = MeasurementStore(tmp_path)
+        store.all().clear()
+        assert len(store.all()) == 9
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["in-order", "out-of-order"])
+    def test_duplicate_line_is_rejected_with_its_line(self, tmp_path, swap):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(27))
+        day_file, lines = _day_file_lines(tmp_path)
+        if swap:  # line 2 now sorts before line 1
+            lines[0], lines[1] = lines[1], lines[0]
+        lines.insert(6, lines[5])  # an adjacent copy of line 6, as line 7
+        day_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="measurements-2015-04-20.txt line 7: duplicate record"):
+            MeasurementStore(tmp_path)
+
+    def test_duplicate_far_apart_in_an_unsorted_file_is_rejected(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(27))
+        day_file, lines = _day_file_lines(tmp_path)
+        lines.append(lines[0])
+        day_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 28: duplicate record: N0 co2 at 2015-04-20T00:00:00Z"):
+            MeasurementStore(tmp_path)
+
+    def test_duplicate_across_day_files_is_rejected(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(9))
+        day_file, lines = _day_file_lines(tmp_path)
+        (tmp_path / "measurements-2015-04-21.txt").write_text(lines[-1] + "\n")
+        with pytest.raises(ValueError, match="measurements-2015-04-21.txt line 1: duplicate"):
+            MeasurementStore(tmp_path)
 
 
 class TestWriteAtomic:

@@ -25,7 +25,7 @@ from .domain import (
     haversine_distance,
     mean,
 )
-from .store import write_atomic
+from .store import atomic_writer, write_atomic
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
 DEFAULT_BIN_COUNT = 30
@@ -284,10 +284,10 @@ def write_comparison_report(report: ComparisonReport, out_dir: str | FsPath) -> 
     for row in report.rows:
         for label, pmf in ((label_a, row.pmf_a), (label_b, row.pmf_b)):
             path = out / f"pmf_{row.quantity.value}_{label}.dat"
-            lines = [
-                f"{center!r} {p!r}"
-                for center, p in zip(pmf.bin_centers(), pmf.probabilities)
-            ]
-            write_atomic(path, "\n".join(lines) + "\n")
+            with atomic_writer(path) as f:
+                f.writelines(
+                    f"{center!r} {p!r}\n"
+                    for center, p in zip(pmf.bin_centers(), pmf.probabilities)
+                )
             written.append(path)
     return written

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path as FsPath
+from typing import TextIO
 
 from .analytics import (
     DEFAULT_ASSOCIATION_RADIUS_M,
@@ -18,18 +19,19 @@ from .analytics import (
     compare_populations,
     write_comparison_report,
 )
-from .domain import GeoPoint, NodeKind, Radio
+from .domain import GeoPoint, Measurement, NodeKind, Radio
 from .indexes import (
+    IndexValue,
     apparent_temperature_model,
     compute_indexes,
     identity_thermal_model,
     index_record_line,
     traffic_index,
 )
-from .netsim import ConfigError, DeliveryOutcome, run
+from .netsim import ConfigError, DeliveryOutcome, DeliveryRecord, RunSink, run
 from .scenario import load_access, load_scenario, with_seed
 from .store import (
-    MeasurementStore, StorageError, serialize_delivery, write_atomic, write_delivery_log,
+    MeasurementStore, StorageError, atomic_writer, serialize_delivery, write_atomic,
 )
 
 EXIT_OK = 0
@@ -84,31 +86,44 @@ _OUTCOME_CODES = {o: o.value for o in DeliveryOutcome}
 _RADIO_CODES = {r: r.value for r in Radio}
 
 
+class _LogSink(RunSink):
+    """Writes each reading's delivery-log line as the run routes it, and
+    keeps only the readings the server receives, for the store."""
+
+    def __init__(self, log: TextIO):
+        self._write = log.write
+        self.received: list[Measurement] = []
+
+    def delivery(self, d: DeliveryRecord) -> None:
+        m = d.measurement
+        line = serialize_delivery(
+            m.timestamp,
+            m.node_id,
+            m.quantity,
+            _OUTCOME_CODES[d.outcome],
+            _RADIO_CODES[d.link] if d.link else None,
+            d.arrival_t,
+        )
+        self._write(f"{line}\n")
+
+    def arrival(self, t: int, m: Measurement) -> None:
+        self.received.append(m)
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
-    result = run(cfg)
 
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with MeasurementStore(out, overwrite=True) as store:
-        for _, m in result.server_measurements:
-            store.append(m)
-    write_delivery_log(
-        (
-            serialize_delivery(
-                d.measurement.timestamp,
-                d.measurement.node_id,
-                d.measurement.quantity,
-                _OUTCOME_CODES[d.outcome],
-                _RADIO_CODES[d.link] if d.link else None,
-                d.arrival_t,
-            )
-            for d in result.deliveries
-        ),
-        out / "delivery-log.txt",
-    )
+    # The log is renamed into place only once the run and the store writes
+    # succeed; a failed run leaves every earlier output as it was.
+    with atomic_writer(out / "delivery-log.txt") as log:
+        sink = _LogSink(log)
+        result = run(cfg, sink)
+        with MeasurementStore(out, overwrite=True) as store:
+            store.append(sink.received)
     nodes_doc = {
         n.descriptor.node_id: {
             "kind": n.descriptor.kind.value,
@@ -135,7 +150,7 @@ def _cmd_simulate(args) -> int:
             f"lost {tally.lost}, dropped {tally.dropped}"
         )
     rate = total_undelivered / total_emitted if total_emitted else 0.0
-    print(f"  server received {len(result.server_measurements)} measurements, "
+    print(f"  server received {len(sink.received)} measurements, "
           f"loss rate {rate:.4f}")
     return EXIT_OK
 
@@ -159,13 +174,14 @@ def _cmd_indexes(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for old in out.glob("indexes_*.txt"):
         old.unlink()
-    lines_by_station: dict[str, list[str]] = {}
+    by_station: dict[str, list[IndexValue]] = {}
     latest: dict[tuple[str, str], str] = {}
     for iv in compute_indexes(records, args.uplink_period_s, model):
-        lines_by_station.setdefault(iv.station_id, []).append(index_record_line(iv))
+        by_station.setdefault(iv.station_id, []).append(iv)
         latest[(iv.station_id, iv.kind.value)] = iv.color.value
-    for station in sorted(lines_by_station):
-        write_atomic(out / f"indexes_{station}.txt", "\n".join(lines_by_station[station]) + "\n")
+    for station in sorted(by_station):
+        with atomic_writer(out / f"indexes_{station}.txt") as f:
+            f.writelines(f"{index_record_line(iv)}\n" for iv in by_station[station])
     for (station, kind), color in sorted(latest.items()):
         print(f"{station} {kind}: {color}")
     return EXIT_OK

@@ -190,10 +190,17 @@ def format_utc(ts: int) -> str:
 
 
 def parse_utc(text: str) -> int:
-    """Inverse of :func:`format_utc`. Raises ValueError on anything
-    ``strptime`` rejects for ``UTC_FORMAT``."""
-    dt = datetime.strptime(text, UTC_FORMAT).replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    """Inverse of :func:`format_utc`. Raises ValueError, naming ``text`` by
+    its repr, on anything ``format_utc`` does not write: what ``strptime``
+    rejects for ``UTC_FORMAT``, and what it accepts beyond it (a space-padded
+    field, non-ASCII digits)."""
+    try:
+        ts = int(datetime.strptime(text, UTC_FORMAT).replace(tzinfo=timezone.utc).timestamp())
+    except ValueError:
+        ts = None
+    if ts is None or format_utc(ts) != text:
+        raise ValueError(f"timestamp {text!r} is not {UTC_FORMAT}")
+    return ts
 
 
 def mean(values: Sequence[float]) -> float:

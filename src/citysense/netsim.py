@@ -14,7 +14,11 @@ uplinked can join no later batch: it is dropped and counted, so every
 emitted reading ends delivered to the server, lost on a link, or dropped.
 
 The event loop is logically single-threaded: events are processed in strict
-(time, sequence) order, so equal seeds give byte-identical results.
+(time, sequence) order, so equal seeds give byte-identical results. It hands
+each result to a ``RunSink`` as it is produced: every reading's fate when it
+is routed, every server arrival and every batch the server receives. The
+default sink, the ``SimulationResult`` itself, keeps them all; a sink that
+writes them out as they come keeps a run's memory from growing with them.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class DeliveryOutcome(str, Enum):
     LOST = "lost"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     measurement: Measurement
     outcome: DeliveryOutcome
@@ -188,17 +192,17 @@ def coordinator_uplink(
 # assigned at push time, so ties resolve by insertion order.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleTick:
     node_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UplinkTick:
     coordinator_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     destination: str  # "coordinator" | "server"
     measurement: Measurement | None = None
@@ -235,9 +239,26 @@ class Tally:
         return self.to_coordinator + self.to_server
 
 
+class RunSink:
+    """Receives the results of ``run`` as the event loop produces them.
+    Each method does nothing here; a sink overrides what it needs."""
+
+    def delivery(self, record: DeliveryRecord) -> None:
+        """The fate of one emitted reading, when it is routed."""
+
+    def arrival(self, t: int, m: Measurement) -> None:
+        """One reading reaching the server at ``t``."""
+
+    def batch(self, batch: ReportBatch) -> None:
+        """One coordinator batch reaching the server; each of its readings
+        then arrives on its own."""
+
+
 @dataclass
-class SimulationResult:
-    """Everything a run produced, in deterministic order."""
+class SimulationResult(RunSink):
+    """Everything a run produced, in deterministic order. It is the sink
+    ``run`` records into when it is given none; with another sink, only the
+    tallies are filled."""
 
     scenario_name: str
     seed: int
@@ -267,6 +288,15 @@ class SimulationResult:
                 seen.setdefault(window, set()).add((m.node_id, m.timestamp))
         return {w: len(s) for w, s in sorted(seen.items())}
 
+    def delivery(self, record: DeliveryRecord) -> None:
+        self.deliveries.append(record)
+
+    def arrival(self, t: int, m: Measurement) -> None:
+        self.server_measurements.append((t, m))
+
+    def batch(self, batch: ReportBatch) -> None:
+        self.batches.append(batch)
+
 
 def _drop_stale(buffer: list[tuple[int, Measurement]], before: float, tallies: dict) -> None:
     """Take every entry stamped before ``before`` out of the coordinator
@@ -277,8 +307,10 @@ def _drop_stale(buffer: list[tuple[int, Measurement]], before: float, tallies: d
     buffer[:] = [entry for entry in buffer if entry[1].timestamp >= before]
 
 
-def run(scenario: "ScenarioConfig") -> SimulationResult:
-    """Execute the scenario and return its full, deterministic output."""
+def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationResult:
+    """Execute the scenario, handing each result to ``sink`` as it is
+    produced, and return the tallies; with no sink, the returned result
+    holds the full, deterministic output as well."""
     scenario.validate()
     states = scenario.build_node_states()
     field_model = scenario.field
@@ -301,6 +333,9 @@ def run(scenario: "ScenarioConfig") -> SimulationResult:
     by_id = {s.descriptor.node_id: s for s in states}
 
     result = SimulationResult(scenario_name=scenario.name, seed=scenario.seed)
+    if sink is None:
+        sink = result
+    on_delivery, on_arrival = sink.delivery, sink.arrival
     queue = EventQueue()
     buffer: list[tuple[int, Measurement]] = []
 
@@ -323,7 +358,7 @@ def run(scenario: "ScenarioConfig") -> SimulationResult:
             rng = loss_rngs[event.node_id]
             for m in readings:
                 record = route_measurement(m, choice, rng)
-                result.deliveries.append(record)
+                on_delivery(record)
                 key = (m.node_id, m.quantity)
                 tally = result.tallies.get(key)
                 if tally is None:
@@ -348,11 +383,11 @@ def run(scenario: "ScenarioConfig") -> SimulationResult:
             if event.destination == "coordinator":
                 buffer.append((t, event.measurement))
             elif event.measurement is not None:
-                result.server_measurements.append((t, event.measurement))
+                on_arrival(t, event.measurement)
             else:
                 batch = event.batch
-                result.batches.append(batch)
+                sink.batch(batch)
                 for m in batch.measurements:
-                    result.server_measurements.append((t, m))
+                    on_arrival(t, m)
     _drop_stale(buffer, math.inf, result.tallies)
     return result

@@ -357,10 +357,15 @@ def parse_scenario(raw) -> ScenarioConfig:
     return cfg
 
 
+# libyaml's safe loader where this PyYAML build has it: it builds the same
+# documents as the pure-Python one, several times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _read_yaml(path) -> object:
     """The YAML document in ``path``; a one-line ConfigError if unreadable."""
     try:
-        return yaml.safe_load(path.read_text())
+        return yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except (OSError, ValueError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read {path}: {' '.join(str(e).split())}") from None
 

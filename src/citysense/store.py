@@ -16,11 +16,14 @@ Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and kept
 sorted by (timestamp, node_id, quantity). Duplicate (node, timestamp,
 quantity) triples are rejected idempotently on append.
 
-Loading validates every record as ``append`` does, and each node id against
-``domain.NODE_ID`` as well. Timestamps, positions, flag sets, node ids and
-quantity codes repeat across lines, so one load parses and validates each
-distinct field value once and its records share the result; each line's
-value and unit are still checked on their own.
+Loading validates every record as ``append`` does; both check node ids
+against ``domain.NODE_ID``. Files are read line by line and split at ``\n``
+only. A number (lat, lon, value) is text ``float`` reads without stripping
+whitespace, skipping an ``_`` or reading a non-ASCII digit; anything else
+is a data error. Timestamps, positions, flag sets, node ids and quantity
+codes repeat across lines, so one load parses and validates each distinct
+field value once and its records share the result; each line's value and
+unit are still checked on their own.
 
 Loading also checks the order of the records, taking each record's key
 (timestamp, node_id, quantity code) from its line. While every key is
@@ -36,9 +39,10 @@ store opened only for reading never builds it.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .domain import (
     SECONDS_PER_DAY,
@@ -49,6 +53,7 @@ from .domain import (
     Quantity,
     ReportBatch,
     UNITS,
+    ValidationError,
     format_utc,
     haversine_distance,
     parse_utc,
@@ -61,17 +66,27 @@ class StorageError(OSError):
     """Raised when the backing files cannot be read or written."""
 
 
-def write_atomic(path: str | FsPath, text: str) -> None:
-    """Replace ``path`` by ``text`` via a temporary file in the same directory
-    and ``os.replace``: a failed write leaves the old file and no temporary."""
+@contextmanager
+def atomic_writer(path: str | FsPath) -> Iterator[TextIO]:
+    """The open temporary file that replaces ``path`` once the block ends
+    without an exception. It lives in the same directory and is renamed by
+    ``os.replace``, so the block can write line by line: a failure part-way
+    leaves the old file and no temporary."""
     path = FsPath(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_atomic(path: str | FsPath, text: str) -> None:
+    """Replace ``path`` by ``text`` through :func:`atomic_writer`."""
+    with atomic_writer(path) as f:
+        f.write(text)
 
 
 # Flag set -> its record text. Sets compare by content, so there is at most
@@ -91,6 +106,30 @@ def serialize_measurement(m: Measurement) -> str:
 
 # A record's sort key: (timestamp, node_id, quantity code).
 RecordKey = tuple[int, str, str]
+
+
+def _number(field_name: str, text: str) -> float:
+    """``float(text)`` for a number of the record grammar. Text ``float``
+    rejects is a ValidationError, and so is text it reads only by going
+    beyond the grammar: skipping an ``_``, stripping whitespace (ASCII or
+    not) from the ends, or reading non-ASCII digits."""
+    if "_" in text or text.strip() != text or not text.isascii():
+        raise ValidationError(field_name, f"bad number {text!r}")
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(field_name, f"bad number {text!r}") from None
+
+
+# The frozen dataclass __init__ runs object.__setattr__ once per field. The
+# parser makes each record with __new__ and fills it through the slots' own
+# setters instead, which builds the same record in half the time;
+# validate_measurement then checks it as before.
+_new_record = Measurement.__new__
+_set_node_id, _set_timestamp, _set_position, _set_quantity, _set_value, _set_flags = (
+    getattr(Measurement, name).__set__
+    for name in ("node_id", "timestamp", "position", "quantity", "value", "flags")
+)
 
 
 class _RecordParser:
@@ -126,14 +165,20 @@ class _RecordParser:
             timestamp = self._timestamps[ts] = parse_utc(ts)
         position = self._positions.get((lat, lon))
         if position is None:
-            position = self._positions[lat, lon] = GeoPoint(float(lat), float(lon))
-        value = float(value)
+            position = self._positions[lat, lon] = GeoPoint(
+                _number("lat", lat), _number("lon", lon))
+        value = _number("value", value)
         flag_set = self._flags.get(flags)
         if flag_set is None:
             flag_set = self._flags[flags] = frozenset(Flag(f) for f in flags.split(";") if f)
-        return (timestamp, known_id, qcode), validate_measurement(
-            Measurement(known_id, timestamp, position, quantity, value, flag_set)
-        )
+        m = _new_record(Measurement)
+        _set_node_id(m, known_id)
+        _set_timestamp(m, timestamp)
+        _set_position(m, position)
+        _set_quantity(m, quantity)
+        _set_value(m, value)
+        _set_flags(m, flag_set)
+        return (timestamp, known_id, qcode), validate_measurement(m)
 
 
 def parse_measurement(line: str) -> Measurement:
@@ -203,33 +248,36 @@ class MeasurementStore:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
         # (node, timestamp, quantity) of every record, built on first append
         self._keys: set[tuple[str, int, Quantity]] | None = None
+        self._node_ids: set[str] = set()  # appended ids already checked
         self._dirty_days: set[int] = set()  # UTC day numbers
 
     def _load(self, files: list[FsPath]) -> bool:
         """Append the records of ``files`` to ``_records``, rejecting
-        duplicates; True iff they came in strictly ascending key order."""
+        duplicates; True iff they came in strictly ascending key order.
+        Each file is read line by line, so no load holds all its lines."""
         parse = _RecordParser()
         records = self._records
         last: RecordKey | None = None
         seen: set[RecordKey] | None = None  # keys so far, once out of order
         for f in files:
-            for lineno, line in enumerate(f.read_text().splitlines(), 1):
-                try:
-                    key, m = parse(line)
-                    if seen is None:
-                        if last is None or key > last:
-                            last = key
-                        elif key == last:
-                            raise _duplicate(key)
-                        else:
-                            seen = {_sort_key(r) for r in records}
-                    if seen is not None:
-                        if key in seen:
-                            raise _duplicate(key)
-                        seen.add(key)
-                except ValueError as e:
-                    raise ValueError(f"{f.name} line {lineno}: {e}") from e
-                records.append(m)
+            with f.open() as lines:
+                for lineno, line in enumerate(lines, 1):
+                    try:
+                        key, m = parse(line.rstrip("\n"))
+                        if seen is None:
+                            if last is None or key > last:
+                                last = key
+                            elif key == last:
+                                raise _duplicate(key)
+                            else:
+                                seen = {_sort_key(r) for r in records}
+                        if seen is not None:
+                            if key in seen:
+                                raise _duplicate(key)
+                            seen.add(key)
+                    except ValueError as e:
+                        raise ValueError(f"{f.name} line {lineno}: {e}") from e
+                    records.append(m)
         return seen is None
 
     def __enter__(self):
@@ -245,7 +293,9 @@ class MeasurementStore:
         """Persist new measurements; returns how many were actually written.
 
         Re-appending an already stored (node, timestamp, quantity) triple is
-        a no-op, so replays are idempotent.
+        a no-op, so replays are idempotent. Each record is validated, and
+        each distinct node id checked against ``domain.NODE_ID``, as a load
+        would, so the store never writes a line it then refuses to read.
         """
         if isinstance(batch, ReportBatch):
             items: Iterable[Measurement] = batch.measurements
@@ -258,6 +308,8 @@ class MeasurementStore:
         written = 0
         for m in items:
             validate_measurement(m)
+            if m.node_id not in self._node_ids:
+                self._node_ids.add(validate_node_id(m.node_id))
             key = (m.node_id, m.timestamp, m.quantity)
             if key in self._keys:
                 continue
@@ -281,10 +333,8 @@ class MeasurementStore:
             for day, records in by_day.items():
                 records.sort(key=_sort_key)
                 date = format_utc(day * SECONDS_PER_DAY)[:10]
-                write_atomic(
-                    self.root / f"measurements-{date}.txt",
-                    "\n".join(serialize_measurement(m) for m in records) + "\n",
-                )
+                with atomic_writer(self.root / f"measurements-{date}.txt") as out:
+                    out.writelines(f"{serialize_measurement(m)}\n" for m in records)
         except OSError as e:
             raise StorageError(f"cannot write store at {self.root}: {e}") from e
         self._dirty_days.clear()
@@ -322,6 +372,3 @@ def serialize_delivery(
         f"{link or ''},{arrival}"
     )
 
-
-def write_delivery_log(lines: Iterable[str], path: str | FsPath) -> None:
-    write_atomic(path, "\n".join(lines) + "\n")

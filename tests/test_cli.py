@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
 
 import pytest
 import yaml
 
+from citysense import netsim
 from citysense.cli import main
 
 
@@ -62,6 +64,39 @@ class TestSimulate:
         before = digest_tree(sim_dir)
         assert main(["simulate", "--scenario", str(small_scenario_file), "--out", str(sim_dir)]) == 0
         assert digest_tree(sim_dir) == before
+
+
+class TestSimulateStreaming:
+    def test_failed_run_leaves_previous_outputs_and_no_temporary(
+        self, small_scenario_file, sim_dir, monkeypatch
+    ):
+        before = digest_tree(sim_dir)
+        real_sample = netsim.sample
+        ticks = []
+
+        def failing_sample(*args):
+            ticks.append(args)
+            if len(ticks) == 10:  # of 18 sample ticks
+                # The delivery log is being streamed while the run goes on.
+                assert (sim_dir / ".delivery-log.txt.tmp").is_file()
+                raise RuntimeError("sensor bus fault")
+            return real_sample(*args)
+
+        monkeypatch.setattr(netsim, "sample", failing_sample)
+        with pytest.raises(RuntimeError, match="sensor bus fault"):
+            main(["simulate", "--scenario", str(small_scenario_file), "--out", str(sim_dir)])
+        assert len(ticks) == 10
+        assert digest_tree(sim_dir) == before  # byte-identical, and no temporary
+
+    def test_printed_counts_match_the_files(self, small_scenario_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(small_scenario_file), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        received = int(re.search(r"server received (\d+) measurements", printed)[1])
+        emitted = sum(int(n) for n in re.findall(r"emitted (\d+),", printed))
+        stored = sum(len(f.read_text().splitlines()) for f in out.glob("measurements-*.txt"))
+        assert received == stored > 0
+        assert len((out / "delivery-log.txt").read_text().splitlines()) == emitted
 
 
 def _corrupt_first_value(data_dir, node, quantity, value):
@@ -298,6 +333,45 @@ class TestIndexes:
 
     def test_empty_store_is_data_error(self, tmp_path):
         assert main(["indexes", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")]) == 2
+
+
+def _edit_field(data_dir, lineno, index, text):
+    """Put ``text`` into field ``index`` of line ``lineno`` of the first day
+    file, which is split at newlines only; return the file's name."""
+    day_file = sorted(data_dir.glob("measurements-*.txt"))[0]
+    lines = day_file.read_text().split("\n")
+    fields = lines[lineno - 1].split(",")
+    fields[index] = text
+    lines[lineno - 1] = ",".join(fields)
+    day_file.write_text("\n".join(lines))
+    return day_file.name
+
+
+class TestFieldTextOutsideTheGrammar:
+    @pytest.mark.parametrize(
+        "index,text,message",
+        [
+            (5, "4_12.0", "value: bad number"),
+            (5, " 412.0", "value: bad number"),
+            (5, "412.0\x0c", "value: bad number"),
+            (5, "41\u20282.0", "value: bad number"),
+            (2, "4_3.716", "lat: bad number"),
+            (3, "10.39\u202866", "lon: bad number"),
+            (0, "2015-04-20T00:00:00Z\u2028", "timestamp "),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", [["indexes"], ["compare", "--mode", "paths"], ["compare", "--mode", "mobile-fixed"]]
+    )
+    def test_read_steps_exit_2_naming_file_and_line(
+        self, sim_dir, tmp_path, capsys, index, text, message, command
+    ):
+        name = _edit_field(sim_dir, 3, index, text)
+        capsys.readouterr()
+        rc = main([*command, str(sim_dir), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert err.startswith(f"data error: {name} line 3: {message}")
 
 
 class TestCompare:

@@ -231,6 +231,20 @@ class TestUtcTime:
         with pytest.raises(ValueError):
             parse_utc(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2015-04- 1T00:05:00Z",  # space-padded day, which strptime accepts
+            "2015-04-20T00:05:00Z\u2028",  # strptime's message would hold it raw
+            "\u0662015-04-20T00:05:00Z",  # a non-ASCII digit
+        ],
+    )
+    def test_parse_rejects_what_format_does_not_write_in_one_line(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_utc(text)
+        assert str(info.value) == f"timestamp {text!r} is not {UTC_FORMAT}"
+        assert len(str(info.value).splitlines()) == 1
+
 
 class TestMean:
     @given(

@@ -21,6 +21,7 @@ from citysense.netsim import (
     LinkModel,
     DeliveryRecord,
     NetworkTopology,
+    RunSink,
     choose_link,
     coordinator_uplink,
     route_measurement,
@@ -227,6 +228,38 @@ class TestRun:
         assert sum(
             t.to_coordinator + t.to_server - t.dropped for t in result.tallies.values()
         ) == len(result.server_measurements)
+
+    def test_a_sink_sees_every_fate_and_the_default_server_records(self, pisa):
+        class CountingSink(RunSink):
+            def __init__(self):
+                self.fates = {outcome: 0 for outcome in DeliveryOutcome}
+                self.arrivals = []
+                self.batches = 0
+
+            def delivery(self, record):
+                self.fates[record.outcome] += 1
+
+            def arrival(self, t, m):
+                self.arrivals.append((t, m))
+
+            def batch(self, batch):
+                self.batches += 1
+
+        links = dict(pisa.links)
+        links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 0.3, 1.0)
+        links[Radio.WIDE_AREA] = LinkModel(Radio.WIDE_AREA, math.inf, 0.1, 2.0)
+        cfg = dataclasses.replace(pisa, duration_s=3600, links=links)
+        recorded = run(cfg)
+        sink = CountingSink()
+        streamed = run(cfg, sink)
+        tallies = streamed.tallies.values()
+        assert sum(sink.fates.values()) == sum(t.emitted for t in tallies) == len(recorded.deliveries)
+        assert sink.fates[DeliveryOutcome.LOST] == sum(t.lost for t in tallies) > 0
+        assert sink.arrivals == recorded.server_measurements
+        assert sink.batches == len(recorded.batches)
+        assert streamed.tallies == recorded.tallies
+        # Given a sink, the run keeps none of what it handed over.
+        assert streamed.deliveries == streamed.server_measurements == streamed.batches == []
 
     def test_late_arrivals_are_dropped_and_counted(self, pisa):
         # A short-range latency above the uplink period makes every fixed

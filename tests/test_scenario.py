@@ -1,6 +1,9 @@
+from importlib import resources
+
 import pytest
 import yaml
 
+from citysense import scenario
 from citysense.domain import NodeKind, Quantity, Radio
 from citysense.netsim import ConfigError
 from citysense.scenario import load_scenario, parse_scenario, with_seed
@@ -47,6 +50,17 @@ class TestBundledScenario:
     def test_missing_scenario(self):
         with pytest.raises(ConfigError):
             load_scenario("no-such-scenario")
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestYamlLoaders:
+    def test_libyaml_and_pure_python_loaders_agree(self, small_scenario_file):
+        bundled = resources.files("citysense").joinpath("data/pisa-default.yaml")
+        for text in (bundled.read_text(), small_scenario_file.read_text()):
+            fast = yaml.load(text, Loader=yaml.CSafeLoader)
+            assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+            assert fast["nodes"]
+        assert scenario._YAML_LOADER is yaml.CSafeLoader
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,10 +15,12 @@ from citysense.domain import (
     ReportBatch,
     ValidationError,
 )
+from citysense import store as store_module
 from citysense.store import (
     MeasurementStore,
     QueryFilter,
     _sort_key,
+    atomic_writer,
     parse_measurement,
     serialize_measurement,
     write_atomic,
@@ -72,6 +75,14 @@ class TestRecordFormat:
     def test_round_trip_is_bit_exact(self, m):
         assert parse_measurement(serialize_measurement(m)) == m
 
+    def test_parsed_record_is_an_ordinary_frozen_measurement(self):
+        m = meas(flags=frozenset({Flag.QUANTIZED}))
+        parsed = parse_measurement(serialize_measurement(m))
+        assert type(parsed) is Measurement
+        assert parsed == m and hash(parsed) == hash(m)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parsed.value = 0.0
+
     def test_rejects_malformed_line(self):
         with pytest.raises(ValueError):
             parse_measurement("not,a,record")
@@ -101,6 +112,30 @@ class TestRecordFormat:
         line = f"2015-04-20T00:00:00Z,T1,43.716,10.3966,{qcode},{value},{unit},"
         with pytest.raises(ValidationError, match="value"):
             parse_measurement(line)
+
+    @pytest.mark.parametrize(
+        "field,lat,lon,value",
+        [
+            ("value", "43.716", "10.3966", "4_12.0"),
+            ("value", "43.716", "10.3966", " 412.0"),
+            ("value", "43.716", "10.3966", "412.0\x0c"),
+            ("value", "43.716", "10.3966", "412.0\u2028"),
+            ("value", "43.716", "10.3966", "\u0664\u0661\u0662"),  # non-ASCII digits
+            ("lat", "4_3.7", "10.3966", "412.0"),
+            ("lat", "43.716\t", "10.3966", "412.0"),
+            ("lon", "43.716", "\x0b10.3966", "412.0"),
+        ],
+    )
+    def test_rejects_numeric_text_float_would_accept(self, field, lat, lon, value):
+        line = f"2015-04-20T00:00:00Z,T1,{lat},{lon},co2,{value},ppmV,"
+        assert float(lat) + float(lon) + float(value)  # float() alone takes them
+        with pytest.raises(ValidationError, match=f"^{field}: bad number"):
+            parse_measurement(line)
+
+    @pytest.mark.parametrize("value", ["412.0", "-3.25", "1e-05", "1.5e+16", "0.0"])
+    def test_accepts_every_repr_form(self, value):
+        line = f"2015-04-20T00:00:00Z,T1,43.716,10.3966,temperature,{value},degC,"
+        assert parse_measurement(line).value == float(value)
 
     def test_negative_value_allowed_where_physical(self):
         line = "2015-04-20T00:00:00Z,T1,43.716,10.3966,temperature,-2.5,degC,"
@@ -148,6 +183,26 @@ class TestStore:
     def test_empty_batch_writes_nothing(self, tmp_path):
         with MeasurementStore(tmp_path) as store:
             assert store.append(ReportBatch("C0", T0, ())) == 0
+
+    def test_append_rejects_node_id_the_loader_would_refuse(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            with pytest.raises(ValidationError, match="node_id: bad identifier 'a/b'"):
+                store.append(meas(node="a/b"))
+            assert len(store) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_append_checks_each_node_id_once(self, tmp_path, monkeypatch):
+        checked = []
+
+        def spy(node_id):
+            checked.append(node_id)
+            return node_id
+
+        monkeypatch.setattr(store_module, "validate_node_id", spy)
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(27))
+            store.append(batch_of(27, T0 + 900))
+        assert sorted(checked) == [f"N{i}" for i in range(9)]
 
     def test_idempotent_across_reopen(self, tmp_path):
         with MeasurementStore(tmp_path) as store:
@@ -263,6 +318,37 @@ def _day_file_lines(root):
     return day_file, day_file.read_text().splitlines()
 
 
+class TestLoadLines:
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_ends_a_record(self, tmp_path, sep):
+        # str.splitlines() would cut line 2 in two; the loader reads the
+        # separator as part of the value, which is no number.
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(3))
+        day_file, lines = _day_file_lines(tmp_path)
+        fields = lines[1].split(",")
+        fields[5] = fields[5][:2] + sep + fields[5][2:]
+        lines[1] = ",".join(fields)
+        day_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{day_file.name} line 2: value: bad number"):
+            MeasurementStore(tmp_path)
+
+    def test_file_without_final_newline_loads(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(3))
+        day_file, lines = _day_file_lines(tmp_path)
+        day_file.write_text("\n".join(lines))
+        assert len(MeasurementStore(tmp_path)) == 3
+
+    def test_blank_line_is_named_by_its_number(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append(batch_of(3))
+        day_file, lines = _day_file_lines(tmp_path)
+        day_file.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match=f"^{day_file.name} line 3: malformed record: ''"):
+            MeasurementStore(tmp_path)
+
+
 class TestLoadOrder:
     def test_swapped_lines_load_sorted(self, tmp_path):
         with MeasurementStore(tmp_path) as store:
@@ -335,6 +421,28 @@ class TestWriteAtomic:
         write_atomic(path, "new\n")
         assert path.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["nodes.json"]
+
+    def test_streamed_lines_replace_the_file_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "log.txt"
+        write_atomic(path, "old\n")
+        with atomic_writer(path) as f:
+            f.write("new 1\n")
+            assert path.read_text() == "old\n"
+            f.writelines(["new 2\n", "new 3\n"])
+        assert path.read_text() == "new 1\nnew 2\nnew 3\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
+
+    def test_failure_part_way_through_a_stream_keeps_old_file(self, tmp_path):
+        path = tmp_path / "log.txt"
+        write_atomic(path, "old\n")
+        with pytest.raises(RuntimeError, match="run failed"):
+            with atomic_writer(path) as f:
+                f.write("new 1\n")
+                f.flush()
+                assert (tmp_path / ".log.txt.tmp").read_text() == "new 1\n"
+                raise RuntimeError("run failed")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "nodes.json"

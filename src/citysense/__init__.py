@@ -54,6 +54,6 @@ from .netsim import (
 )
 from .nodes import NodeState, SensorSpec, default_sensor_spec, lag_filter, quantize, sample
 from .scenario import ScenarioConfig, load_scenario, with_seed
-from .store import MeasurementStore, QueryFilter, parse_measurement, serialize_measurement
+from .store import MeasurementStore, parse_measurement, serialize_measurement
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Discrete-event network simulation: sampling ticks, link-level delivery,
+"""Network simulation on the sampling grid: sampling, link-level delivery,
 coordinator batching, and server ingestion.
 
 Topology is a star: fixed-site nodes always reach the coordinator over the
@@ -13,12 +13,18 @@ reporting grid. A reading that reaches the coordinator after its window was
 uplinked can join no later batch: it is dropped and counted, so every
 emitted reading ends delivered to the server, lost on a link, or dropped.
 
-The event loop is logically single-threaded: events are processed in strict
-(time, sequence) order, so equal seeds give byte-identical results. It hands
-each result to a ``RunSink`` as it is produced: every reading's fate when it
-is routed, every server arrival and every batch the server receives. The
-default sink, the ``SimulationResult`` itself, keeps them all; a sink that
-writes them out as they come keeps a run's memory from growing with them.
+Every node samples on one shared grid, and ``ScenarioConfig.validate``
+requires the uplink period to be a multiple of the sample period, so every
+uplink lies on that grid. ``run`` walks the grid; a heap holds only what is
+in flight, one entry per node tick with surviving readings and one per
+uplink batch, in (arrival time, push order). At each grid time it delivers
+what is due strictly before it, samples every node in node order, then
+uplinks: at equal times, samples come first, then the uplink, then arrivals
+in push order. Equal seeds give byte-identical results. Each result goes to
+a ``RunSink`` as it is produced: every reading's fate when it is routed,
+every server arrival and every batch the server receives. The default sink,
+the ``SimulationResult`` itself, keeps them all; a sink that writes them out
+as they come keeps a run's memory from growing with them.
 """
 
 from __future__ import annotations
@@ -188,44 +194,6 @@ def coordinator_uplink(
     )
 
 
-# Event payloads, dequeued in (time, sequence) order; sequence numbers are
-# assigned at push time, so ties resolve by insertion order.
-
-
-@dataclass(frozen=True, slots=True)
-class SampleTick:
-    node_id: str
-
-
-@dataclass(frozen=True, slots=True)
-class UplinkTick:
-    coordinator_id: str
-
-
-@dataclass(frozen=True, slots=True)
-class Delivery:
-    destination: str  # "coordinator" | "server"
-    measurement: Measurement | None = None
-    batch: ReportBatch | None = None
-
-
-class EventQueue:
-    """Priority queue over (time, sequence); deterministic total order."""
-
-    def __init__(self):
-        self._heap: list[tuple[int, int, object]] = []
-        self._seq = itertools.count()
-
-    def push(self, t: int, event: object) -> None:
-        heapq.heappush(self._heap, (t, next(self._seq), event))
-
-    def pop(self) -> tuple[int, int, object]:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 @dataclass
 class Tally:
     emitted: int = 0
@@ -240,7 +208,7 @@ class Tally:
 
 
 class RunSink:
-    """Receives the results of ``run`` as the event loop produces them.
+    """Receives the results of ``run`` as its loop produces them.
     Each method does nothing here; a sink overrides what it needs."""
 
     def delivery(self, record: DeliveryRecord) -> None:
@@ -314,7 +282,7 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
     scenario.validate()
     states = scenario.build_node_states()
     field_model = scenario.field
-    start = scenario.start_epoch
+    start, period = scenario.start_epoch, scenario.sample_period_s
 
     coordinator = next(
         (s.descriptor.node_id for s in states if s.descriptor.kind is NodeKind.COORDINATOR),
@@ -326,68 +294,73 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
         if s.descriptor.kind is not NodeKind.MOBILE
     )
     topo = NetworkTopology(coordinator_id=coordinator, anchors=anchors, links=scenario.links)
-    loss_rngs = {
-        s.descriptor.node_id: loss_generator(scenario.seed, s.descriptor.node_id)
+    sampled = [
+        (s, loss_generator(scenario.seed, s.descriptor.node_id))
         for s in states
-    }
-    by_id = {s.descriptor.node_id: s for s in states}
+        if s.descriptor.sensor_suite
+    ]
 
     result = SimulationResult(scenario_name=scenario.name, seed=scenario.seed)
+    tallies = result.tallies
     if sink is None:
         sink = result
     on_delivery, on_arrival = sink.delivery, sink.arrival
-    queue = EventQueue()
     buffer: list[tuple[int, Measurement]] = []
+    # (arrival_t, push_seq, batch or None, readings, to_coordinator)
+    in_flight: list[tuple] = []
+    push_seq = itertools.count()
 
-    for s in states:
-        if not s.descriptor.sensor_suite:
-            continue
-        for t in range(0, scenario.duration_s, scenario.sample_period_s):
-            queue.push(start + t, SampleTick(s.descriptor.node_id))
-    if coordinator is not None:
-        period = scenario.uplink_period_s
-        for t in range(period, scenario.duration_s + 1, period):
-            queue.push(start + t, UplinkTick(coordinator))
-
-    while queue:
-        t, _, event = queue.pop()
-        if isinstance(event, SampleTick):
-            node = by_id[event.node_id]
-            readings = sample(node, field_model, t)  # only nodes with a suite tick
-            choice = choose_link(node.descriptor, readings[0].position, topo)
-            rng = loss_rngs[event.node_id]
-            for m in readings:
-                record = route_measurement(m, choice, rng)
-                on_delivery(record)
-                key = (m.node_id, m.quantity)
-                tally = result.tallies.get(key)
-                if tally is None:
-                    tally = result.tallies[key] = Tally()
-                tally.emitted += 1
-                if record.outcome is DeliveryOutcome.LOST:
-                    tally.lost += 1
-                elif record.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR:
-                    tally.to_coordinator += 1
-                    queue.push(record.arrival_t, Delivery("coordinator", measurement=m))
-                else:
-                    tally.to_server += 1
-                    queue.push(record.arrival_t, Delivery("server", measurement=m))
-        elif isinstance(event, UplinkTick):
-            batch = coordinator_uplink(
-                event.coordinator_id, t - scenario.uplink_period_s, t, buffer
-            )
-            _drop_stale(buffer, t, result.tallies)
-            wa_latency = scenario.links[Radio.WIDE_AREA].latency_s
-            queue.push(t + int(wa_latency), Delivery("server", batch=batch))
-        elif isinstance(event, Delivery):
-            if event.destination == "coordinator":
-                buffer.append((t, event.measurement))
-            elif event.measurement is not None:
-                on_arrival(t, event.measurement)
-            else:
-                batch = event.batch
+    def deliver_before(t: float) -> None:
+        while in_flight and in_flight[0][0] < t:
+            arrival_t, _, batch, readings, to_coordinator = heapq.heappop(in_flight)
+            if to_coordinator:
+                buffer.extend((arrival_t, m) for m in readings)
+                continue
+            if batch is not None:
                 sink.batch(batch)
-                for m in batch.measurements:
-                    on_arrival(t, m)
-    _drop_stale(buffer, math.inf, result.tallies)
+            for m in readings:
+                on_arrival(arrival_t, m)
+
+    n_ticks = scenario.duration_s // period
+    ticks_per_uplink = scenario.uplink_period_s // period
+    wa_latency = int(scenario.links[Radio.WIDE_AREA].latency_s)
+    for k in range(n_ticks + 1):
+        t = start + k * period
+        deliver_before(t)
+        if k < n_ticks:
+            for node, rng in sampled:
+                readings = sample(node, field_model, t)
+                choice = choose_link(node.descriptor, readings[0].position, topo)
+                to_coordinator = choice.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
+                survivors: list[Measurement] = []
+                for m in readings:
+                    record = route_measurement(m, choice, rng)
+                    on_delivery(record)
+                    key = (m.node_id, m.quantity)
+                    tally = tallies.get(key)
+                    if tally is None:
+                        tally = tallies[key] = Tally()
+                    tally.emitted += 1
+                    if record.outcome is DeliveryOutcome.LOST:
+                        tally.lost += 1
+                        continue
+                    if to_coordinator:
+                        tally.to_coordinator += 1
+                    else:
+                        tally.to_server += 1
+                    survivors.append(m)
+                    arrival_t = record.arrival_t
+                if survivors:  # one link and one arrival time for them all
+                    heapq.heappush(
+                        in_flight,
+                        (arrival_t, next(push_seq), None, survivors, to_coordinator),
+                    )
+        if coordinator is not None and k and k % ticks_per_uplink == 0:
+            batch = coordinator_uplink(coordinator, t - scenario.uplink_period_s, t, buffer)
+            _drop_stale(buffer, t, tallies)
+            heapq.heappush(
+                in_flight, (t + wa_latency, next(push_seq), batch, batch.measurements, False)
+            )
+    deliver_before(math.inf)
+    _drop_stale(buffer, math.inf, tallies)
     return result

@@ -1,4 +1,4 @@
-"""Append-only measurement persistence with range queries.
+"""Append-only, day-partitioned measurement persistence.
 
 File format (normative, one record per line, comma separated):
 
@@ -39,8 +39,7 @@ store opened only for reading never builds it.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import ExitStack, contextmanager
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, TextIO
 
@@ -55,7 +54,6 @@ from .domain import (
     UNITS,
     ValidationError,
     format_utc,
-    haversine_distance,
     parse_utc,
     validate_measurement,
     validate_node_id,
@@ -185,38 +183,6 @@ def parse_measurement(line: str) -> Measurement:
     return _RecordParser()(line.rstrip("\n"))[1]
 
 
-@dataclass(frozen=True)
-class QueryFilter:
-    """Conjunction of optional clauses over the stored records."""
-
-    t0: int
-    t1: int
-    node_ids: frozenset[str] | None = None
-    quantities: frozenset[Quantity] | None = None
-    geo_center: GeoPoint | None = None
-    geo_radius_m: float | None = None
-
-    def __post_init__(self):
-        if self.t0 >= self.t1:
-            raise ValueError("need t0 < t1")
-        if (self.geo_center is None) != (self.geo_radius_m is None):
-            raise ValueError("geo clause needs both center and radius")
-        if self.geo_radius_m is not None and self.geo_radius_m <= 0:
-            raise ValueError("geo radius must be positive")
-
-    def matches(self, m: Measurement) -> bool:
-        if not self.t0 <= m.timestamp < self.t1:
-            return False
-        if self.node_ids is not None and m.node_id not in self.node_ids:
-            return False
-        if self.quantities is not None and m.quantity not in self.quantities:
-            return False
-        if self.geo_center is not None:
-            if haversine_distance(m.position, self.geo_center) > self.geo_radius_m:
-                return False
-        return True
-
-
 def _sort_key(m: Measurement) -> RecordKey:
     return (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity])
 
@@ -232,18 +198,19 @@ class MeasurementStore:
     Single writer, many readers. ``append`` buffers in memory; ``flush``
     (also called on close / context exit) rewrites the affected day files
     with their records in timestamp order. Records are never mutated or
-    deleted, only added.
+    deleted, only added. An ``overwrite`` store starts empty without
+    reading the old day files, and its ``flush`` deletes those it did not
+    rewrite.
     """
 
     def __init__(self, root: str | FsPath, overwrite: bool = False):
         self.root = FsPath(root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            if overwrite:
-                for f in self.root.glob("measurements-*.txt"):
-                    f.unlink()
+            files = sorted(self.root.glob("measurements-*.txt"))
+            self._stale = set(files) if overwrite else set()
             self._records: list[Measurement] = []
-            self._in_order = self._load(sorted(self.root.glob("measurements-*.txt")))
+            self._in_order = self._load([] if overwrite else files)
         except OSError as e:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
         # (node, timestamp, quantity) of every record, built on first append
@@ -322,26 +289,33 @@ class MeasurementStore:
         return written
 
     def flush(self) -> None:
-        if not self._dirty_days:
+        """Rewrite every affected day file. Each day is written to its
+        temporary file and none replaces its day until all are written, so
+        a failure part-way leaves every old file; only then are the old
+        days an overwriting store did not rewrite deleted."""
+        if not self._dirty_days and not self._stale:
             return
         by_day: dict[int, list[Measurement]] = {}
         for m in self._records:
             day = m.timestamp // SECONDS_PER_DAY
             if day in self._dirty_days:
                 by_day.setdefault(day, []).append(m)
+        written: set[FsPath] = set()
         try:
-            for day, records in by_day.items():
-                records.sort(key=_sort_key)
-                date = format_utc(day * SECONDS_PER_DAY)[:10]
-                with atomic_writer(self.root / f"measurements-{date}.txt") as out:
+            with ExitStack() as replace_all:
+                for day, records in sorted(by_day.items()):
+                    records.sort(key=_sort_key)
+                    date = format_utc(day * SECONDS_PER_DAY)[:10]
+                    path = self.root / f"measurements-{date}.txt"
+                    out = replace_all.enter_context(atomic_writer(path))
                     out.writelines(f"{serialize_measurement(m)}\n" for m in records)
+                    written.add(path)
+            for f in self._stale - written:
+                f.unlink(missing_ok=True)
         except OSError as e:
             raise StorageError(f"cannot write store at {self.root}: {e}") from e
         self._dirty_days.clear()
-
-    def query(self, f: QueryFilter) -> list[Measurement]:
-        """All records matching every present clause, in time order."""
-        return sorted((m for m in self._records if f.matches(m)), key=_sort_key)
+        self._stale.clear()
 
     def all(self) -> list[Measurement]:
         """Every record, in (timestamp, node_id, quantity) order."""

@@ -5,7 +5,7 @@ import re
 import pytest
 import yaml
 
-from citysense import netsim
+from citysense import netsim, store
 from citysense.cli import main
 
 
@@ -87,6 +87,31 @@ class TestSimulateStreaming:
             main(["simulate", "--scenario", str(small_scenario_file), "--out", str(sim_dir)])
         assert len(ticks) == 10
         assert digest_tree(sim_dir) == before  # byte-identical, and no temporary
+        monkeypatch.undo()
+
+        # The disk fills part-way through the day files: a run that starts
+        # before midnight writes two of them, and the second one fails.
+        two_days = small_scenario_file.with_name("two-days.yaml")
+        two_days.write_text(small_scenario_file.read_text().replace(
+            "2015-04-20T00:00:00Z", "2015-04-19T23:45:00Z"))
+        simulate = ["simulate", "--scenario", str(two_days), "--out", str(sim_dir)]
+        assert main(simulate) == 0
+        before = digest_tree(sim_dir)
+        assert {"measurements-2015-04-19.txt", "measurements-2015-04-20.txt"} <= set(before)
+        first_day = len((sim_dir / "measurements-2015-04-19.txt").read_text().splitlines())
+        real_serialize = store.serialize_measurement
+        serialized = []
+
+        def failing_serialize(m):
+            serialized.append(m)
+            if len(serialized) == first_day + 1:
+                raise OSError(28, "No space left on device")
+            return real_serialize(m)
+
+        monkeypatch.setattr(store, "serialize_measurement", failing_serialize)
+        assert main(simulate + ["--seed", "8"]) == 2
+        assert len(serialized) == first_day + 1
+        assert digest_tree(sim_dir) == before
 
     def test_printed_counts_match_the_files(self, small_scenario_file, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,4 +1,6 @@
 import dataclasses
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -17,11 +19,12 @@ from citysense.domain import (
 from citysense.netsim import (
     DEFAULT_LINKS,
     DeliveryOutcome,
-    EventQueue,
     LinkModel,
     DeliveryRecord,
     NetworkTopology,
     RunSink,
+    SimulationResult,
+    Tally,
     choose_link,
     coordinator_uplink,
     route_measurement,
@@ -29,6 +32,7 @@ from citysense.netsim import (
 )
 from citysense.domain import haversine_distance
 from citysense.field import loss_generator
+from citysense.nodes import sample
 from citysense.scenario import load_scenario, with_seed
 from citysense.store import serialize_delivery
 
@@ -152,17 +156,6 @@ class TestCoordinatorUplink:
         batch = coordinator_uplink("C0", 900, 1800, buf)
         assert len(batch.measurements) == 1
         assert buf == []
-
-
-class TestEventQueue:
-    def test_time_then_insertion_order(self):
-        q = EventQueue()
-        q.push(200, "late")
-        q.push(100, "a")
-        q.push(100, "b")
-        q.push(50, "first")
-        popped = [q.pop()[2] for _ in range(len(q))]
-        assert popped == ["first", "a", "b", "late"]
 
 
 @pytest.fixture(scope="module")
@@ -401,3 +394,119 @@ class TestRoutingOncePerTick:
         assert result.deliveries == expected
         m2 = {d.outcome for d in result.deliveries if d.measurement.node_id == "M2"}
         assert m2 == set(DeliveryOutcome)
+
+
+def _event_queue_run(scenario):
+    """``run`` as it was before it walked the sample grid: every sample tick
+    and uplink pushed up front into one (time, sequence) heap, and one
+    delivery event pushed per surviving reading."""
+    states = scenario.build_node_states()
+    start = scenario.start_epoch
+    coordinator = next(
+        (s.descriptor.node_id for s in states if s.descriptor.kind is NodeKind.COORDINATOR),
+        None,
+    )
+    topo = NetworkTopology(
+        coordinator_id=coordinator,
+        anchors=tuple(
+            (s.descriptor.node_id, s.descriptor.home_position)
+            for s in states if s.descriptor.kind is not NodeKind.MOBILE
+        ),
+        links=scenario.links,
+    )
+    by_id = {s.descriptor.node_id: s for s in states}
+    rngs = {nid: loss_generator(scenario.seed, nid) for nid in by_id}
+    result = SimulationResult(scenario_name=scenario.name, seed=scenario.seed)
+    heap, seq, buffer = [], itertools.count(), []
+
+    def push(t, kind, payload):
+        heapq.heappush(heap, (t, next(seq), kind, payload))
+
+    for s in states:
+        if s.descriptor.sensor_suite:
+            for t in range(0, scenario.duration_s, scenario.sample_period_s):
+                push(start + t, "sample", s.descriptor.node_id)
+    if coordinator is not None:
+        period = scenario.uplink_period_s
+        for t in range(period, scenario.duration_s + 1, period):
+            push(start + t, "uplink", coordinator)
+    while heap:
+        t, _, kind, payload = heapq.heappop(heap)
+        if kind == "sample":
+            node = by_id[payload]
+            readings = sample(node, scenario.field, t)
+            choice = choose_link(node.descriptor, readings[0].position, topo)
+            for m in readings:
+                record = route_measurement(m, choice, rngs[payload])
+                result.delivery(record)
+                tally = result.tallies.setdefault((m.node_id, m.quantity), Tally())
+                tally.emitted += 1
+                if record.outcome is DeliveryOutcome.LOST:
+                    tally.lost += 1
+                elif record.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR:
+                    tally.to_coordinator += 1
+                    push(record.arrival_t, "coordinator", m)
+                else:
+                    tally.to_server += 1
+                    push(record.arrival_t, "server", m)
+        elif kind == "uplink":
+            batch = coordinator_uplink(payload, t - scenario.uplink_period_s, t, buffer)
+            netsim._drop_stale(buffer, t, result.tallies)
+            push(t + int(scenario.links[Radio.WIDE_AREA].latency_s), "batch", batch)
+        elif kind == "coordinator":
+            buffer.append((t, payload))
+        elif kind == "server":
+            result.arrival(t, payload)
+        else:
+            result.batch(payload)
+            for m in payload.measurements:
+                result.arrival(t, m)
+    netsim._drop_stale(buffer, math.inf, result.tallies)
+    return result
+
+
+def _with_links(cfg, **changes):
+    return dataclasses.replace(cfg, links={
+        kind: dataclasses.replace(link, **changes) for kind, link in cfg.links.items()
+    })
+
+
+def _zero_latency_lossy(pisa):
+    return _with_links(dataclasses.replace(pisa, duration_s=3600), latency_s=0.0, loss_prob=0.1)
+
+
+def _latency_one_sample_period(pisa):
+    # Readings arrive exactly on the next grid time, together with the
+    # next samples and, at a window's end, with the uplink.
+    cfg = dataclasses.replace(pisa, duration_s=3600)
+    return _with_links(cfg, latency_s=float(pisa.sample_period_s), loss_prob=0.1)
+
+
+def _late_short_range(pisa):
+    links = dict(pisa.links)
+    links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 0.0, 1000.0)
+    return dataclasses.replace(pisa, duration_s=7200, links=links)
+
+
+def _uplink_every_sample(pisa):
+    return dataclasses.replace(pisa, duration_s=3600, uplink_period_s=pisa.sample_period_s)
+
+
+def _no_coordinator(pisa):
+    nodes = [n for n in pisa.nodes if n.descriptor.kind is not NodeKind.COORDINATOR]
+    return dataclasses.replace(pisa, duration_s=3600, nodes=nodes)
+
+
+class TestGridWalkOrder:
+    @pytest.mark.parametrize("make", [
+        _zero_latency_lossy, _latency_one_sample_period, _late_short_range,
+        _uplink_every_sample, _no_coordinator,
+    ])
+    def test_run_equals_the_event_queue_reference(self, pisa, make):
+        cfg = make(pisa)
+        got, expected = run(cfg), _event_queue_run(cfg)
+        assert got.deliveries == expected.deliveries
+        assert got.server_measurements == expected.server_measurements
+        assert got.batches == expected.batches
+        assert got.tallies == expected.tallies
+        assert got.server_measurements

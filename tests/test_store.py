@@ -1,16 +1,12 @@
 import dataclasses
-import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from citysense.analytics import associate_mobile_to_fixed
 from citysense.domain import (
     Flag,
     GeoPoint,
     Measurement,
-    NodeDescriptor,
-    NodeKind,
     Quantity,
     ReportBatch,
     ValidationError,
@@ -18,7 +14,6 @@ from citysense.domain import (
 from citysense import store as store_module
 from citysense.store import (
     MeasurementStore,
-    QueryFilter,
     _sort_key,
     atomic_writer,
     parse_measurement,
@@ -28,11 +23,6 @@ from citysense.store import (
 
 P = GeoPoint(43.716, 10.3966)
 T0 = 1_429_488_000  # 2015-04-20T00:00:00Z
-M_PER_DEG_LAT = math.pi * 6371000.0 / 180.0
-
-
-def offset(base, north_m):
-    return GeoPoint(base.lat + north_m / M_PER_DEG_LAT, base.lon)
 
 
 def meas(node="T1", t=T0, quantity=Quantity.CO2, value=451.0, position=P, flags=frozenset()):
@@ -237,62 +227,13 @@ class TestStore:
             stamps = [line.split(",")[0] for line in p.read_text().splitlines()]
             assert stamps == sorted(stamps)
 
-    def test_query_full_range_returns_all(self, tmp_path):
-        store = MeasurementStore(tmp_path)
-        store.append(batch_of(27))
-        out = store.query(QueryFilter(t0=0, t1=2**62))
-        assert len(out) == 27
-
     def test_query_results_independent_of_append_order(self, tmp_path):
         ms = [meas(node=f"N{i}", t=T0 + 300 * i) for i in range(6)]
         a = MeasurementStore(tmp_path / "a")
         a.append(ms)
         b = MeasurementStore(tmp_path / "b")
         b.append(list(reversed(ms)))
-        f = QueryFilter(t0=0, t1=2**62)
-        assert a.query(f) == b.query(f)
-
-    def test_query_empty_time_range(self, tmp_path):
-        store = MeasurementStore(tmp_path)
-        store.append(batch_of(27))
-        assert store.query(QueryFilter(t0=T0 - 1000, t1=T0)) == []
-
-    def test_query_by_node_and_quantity(self, tmp_path):
-        store = MeasurementStore(tmp_path)
-        store.append([meas(node="A"), meas(node="B"), meas(node="A", quantity=Quantity.O3, value=50.0)])
-        out = store.query(
-            QueryFilter(t0=0, t1=2**62, node_ids=frozenset({"A"}), quantities=frozenset({Quantity.CO2}))
-        )
-        assert len(out) == 1 and out[0].node_id == "A" and out[0].quantity is Quantity.CO2
-
-    def test_geo_query_matches_association_prefilter(self, tmp_path):
-        # a 500 m circle around one station equals that station's
-        # association input set on a single-station fixture
-        store = MeasurementStore(tmp_path)
-        samples = [
-            meas(node="M1", t=T0 + i * 300, position=offset(P, 120 * i))
-            for i in range(8)
-        ]
-        store.append(samples)
-        circle = store.query(
-            QueryFilter(t0=0, t1=2**62, geo_center=P, geo_radius_m=500.0)
-        )
-        a = NodeDescriptor(
-            "A", NodeKind.FIXED, frozenset({Quantity.CO2}),
-            home_position=P,
-        )
-        assoc = associate_mobile_to_fixed(samples, [a], radius_m=500.0)
-        assert sorted(circle, key=lambda m: m.timestamp) == sorted(
-            assoc.by_station.get("A", ()), key=lambda m: m.timestamp
-        )
-
-    def test_filter_validation(self):
-        with pytest.raises(ValueError):
-            QueryFilter(t0=10, t1=10)
-        with pytest.raises(ValueError):
-            QueryFilter(t0=0, t1=1, geo_center=P)
-        with pytest.raises(ValueError):
-            QueryFilter(t0=0, t1=1, geo_center=P, geo_radius_m=0.0)
+        assert a.all() == b.all() == ms
 
     def test_loaded_records_share_repeated_field_values(self, tmp_path):
         flags = frozenset({Flag.QUANTIZED})

@@ -253,6 +253,36 @@ class TestStore:
             store.append([meas()])
         assert len(MeasurementStore(tmp_path).all()) == 1
 
+    def test_overwrite_deletes_old_days_only_when_flushed(self, tmp_path):
+        with MeasurementStore(tmp_path) as store:
+            store.append([meas(t=T0 - 300), meas(t=T0)])
+        old = sorted(p.name for p in tmp_path.iterdir())
+        assert old == ["measurements-2015-04-19.txt", "measurements-2015-04-20.txt"]
+        store = MeasurementStore(tmp_path, overwrite=True)
+        store.append([meas(t=T0 + 300, value=452.0)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == old
+        store.flush()
+        assert [p.name for p in tmp_path.iterdir()] == ["measurements-2015-04-20.txt"]
+        assert MeasurementStore(tmp_path).all() == [meas(t=T0 + 300, value=452.0)]
+
+    def test_failed_overwrite_flush_keeps_every_old_day(self, tmp_path, monkeypatch):
+        with MeasurementStore(tmp_path) as store:
+            store.append([meas(t=T0 - 300), meas(t=T0)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        store = MeasurementStore(tmp_path, overwrite=True)
+        store.append([meas(t=T0 - 600), meas(t=T0 + 600)])
+        real_serialize = store_module.serialize_measurement
+
+        def failing_serialize(m):
+            if m.timestamp >= T0:  # the second day file
+                raise OSError(28, "No space left on device")
+            return real_serialize(m)
+
+        monkeypatch.setattr(store_module, "serialize_measurement", failing_serialize)
+        with pytest.raises(store_module.StorageError, match="No space left"):
+            store.flush()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 def _day_file_lines(root):
     (day_file,) = root.glob("measurements-*.txt")

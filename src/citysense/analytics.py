@@ -25,7 +25,7 @@ from .domain import (
     haversine_distance,
     mean,
 )
-from .store import atomic_writer, write_atomic
+from .store import OutputSet
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
 DEFAULT_BIN_COUNT = 30
@@ -252,15 +252,13 @@ def _round_sig(x: float, sig: int = 3) -> float:
 
 def write_comparison_report(report: ComparisonReport, out_dir: str | FsPath) -> list[FsPath]:
     """Emit ``comparison.json`` plus one two-column PMF data file per
-    (quantity, population), ready for any plotting tool.
+    (quantity, population), ready for any plotting tool, as one
+    ``store.OutputSet``: old ``pmf_*.dat`` files it does not rewrite go.
 
     Relative errors are rounded to three significant figures, or ``null``
     where eta is undefined (zero reference mean); the full-precision means
     are stored alongside, so eta stays recomputable. The JSON is strict.
     """
-    out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[FsPath] = []
     label_a, label_b = report.labels
     doc = {
         "labels": list(report.labels),
@@ -278,16 +276,14 @@ def write_comparison_report(report: ComparisonReport, out_dir: str | FsPath) -> 
             for row in report.rows
         },
     }
-    report_path = out / "comparison.json"
-    write_atomic(report_path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    written.append(report_path)
-    for row in report.rows:
-        for label, pmf in ((label_a, row.pmf_a), (label_b, row.pmf_b)):
-            path = out / f"pmf_{row.quantity.value}_{label}.dat"
-            with atomic_writer(path) as f:
-                f.writelines(
-                    f"{center!r} {p!r}\n"
-                    for center, p in zip(pmf.bin_centers(), pmf.probabilities)
-                )
-            written.append(path)
-    return written
+    with OutputSet(out_dir, "pmf_*.dat") as files:
+        with files.open("comparison.json") as f:
+            f.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        for row in report.rows:
+            for label, pmf in ((label_a, row.pmf_a), (label_b, row.pmf_b)):
+                with files.open(f"pmf_{row.quantity.value}_{label}.dat") as f:
+                    f.writelines(
+                        f"{center!r} {p!r}\n"
+                        for center, p in zip(pmf.bin_centers(), pmf.probabilities)
+                    )
+    return files.paths

@@ -28,10 +28,10 @@ from .indexes import (
     index_record_line,
     traffic_index,
 )
-from .netsim import ConfigError, DeliveryOutcome, DeliveryRecord, RunSink, run
+from .netsim import ConfigError, DeliveryOutcome, DeliveryRecord, RunSink, Tally, run
 from .scenario import load_access, load_scenario, with_seed
 from .store import (
-    MeasurementStore, StorageError, atomic_writer, serialize_delivery, write_atomic,
+    MeasurementStore, OutputSet, StorageError, serialize_delivery, write_measurements,
 )
 
 EXIT_OK = 0
@@ -115,15 +115,6 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
 
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # The log is renamed into place only once the run and the store writes
-    # succeed; a failed run leaves every earlier output as it was.
-    with atomic_writer(out / "delivery-log.txt") as log:
-        sink = _LogSink(log)
-        result = run(cfg, sink)
-        with MeasurementStore(out, overwrite=True) as store:
-            store.append(sink.received)
     nodes_doc = {
         n.descriptor.node_id: {
             "kind": n.descriptor.kind.value,
@@ -134,13 +125,28 @@ def _cmd_simulate(args) -> int:
         }
         for n in cfg.nodes
     }
-    write_atomic(out / "nodes.json", json.dumps(nodes_doc, indent=2, sort_keys=True) + "\n")
+    # A run that fails part-way leaves every earlier output as it was.
+    with OutputSet(args.out, "measurements-*.txt") as files:
+        with files.open("delivery-log.txt") as log:
+            sink = _LogSink(log)
+            result = run(cfg, sink)
+        write_measurements(files, sink.received)
+        with files.open("nodes.json") as f:
+            f.write(json.dumps(nodes_doc, indent=2, sort_keys=True) + "\n")
 
     print(f"scenario {cfg.name!r} seed {cfg.seed}: {cfg.duration_s} s simulated")
+    per_node: dict[str, Tally] = {}
+    for (node_id, _), t in result.tallies.items():
+        tally = per_node.setdefault(node_id, Tally())
+        tally.emitted += t.emitted
+        tally.to_coordinator += t.to_coordinator
+        tally.to_server += t.to_server
+        tally.lost += t.lost
+        tally.dropped += t.dropped
     total_emitted = total_undelivered = 0
     for node in cfg.nodes:
-        tally = result.tally_for_node(node.descriptor.node_id)
-        if tally.emitted == 0:
+        tally = per_node.get(node.descriptor.node_id)
+        if tally is None:  # a node without sensors emits nothing
             continue
         total_emitted += tally.emitted
         total_undelivered += tally.lost + tally.dropped
@@ -170,18 +176,15 @@ def _cmd_indexes(args) -> int:
         print(f"data error: no measurements under {args.data_dir}", file=sys.stderr)
         return EXIT_DATA
     model = identity_thermal_model if args.thermal == "identity" else apparent_temperature_model
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for old in out.glob("indexes_*.txt"):
-        old.unlink()
     by_station: dict[str, list[IndexValue]] = {}
     latest: dict[tuple[str, str], str] = {}
     for iv in compute_indexes(records, args.uplink_period_s, model):
         by_station.setdefault(iv.station_id, []).append(iv)
         latest[(iv.station_id, iv.kind.value)] = iv.color.value
-    for station in sorted(by_station):
-        with atomic_writer(out / f"indexes_{station}.txt") as f:
-            f.writelines(f"{index_record_line(iv)}\n" for iv in by_station[station])
+    with OutputSet(args.out, "indexes_*.txt") as files:
+        for station in sorted(by_station):
+            with files.open(f"indexes_{station}.txt") as f:
+                f.writelines(f"{index_record_line(iv)}\n" for iv in by_station[station])
     for (station, kind), color in sorted(latest.items()):
         print(f"{station} {kind}: {color}")
     return EXIT_OK
@@ -255,11 +258,7 @@ def _cmd_compare(args) -> int:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for old in out.glob("pmf_*.dat"):
-        old.unlink()
-    write_comparison_report(report, out)
+    write_comparison_report(report, args.out)
     print(f"{'quantity':22s} {'mean_' + labels[0]:>14s} {'mean_' + labels[1]:>14s} {'rel_err':>8s}")
     for row in report.rows:
         print(

@@ -239,14 +239,17 @@ def validate_measurement(m: Measurement) -> Measurement:
     """Return ``m`` unchanged iff all single-record invariants hold.
 
     Raises:
-        ValidationError: NaN/infinite value or a negative reading for a
-            quantity that cannot be negative. Position range errors are
+        ValidationError: NaN/infinite value, a negative reading for a
+            quantity that cannot be negative, or a relative humidity
+            outside [0, 100]. Position range errors are
             raised by GeoPoint itself at construction time.
     """
     if not math.isfinite(m.value):
         raise ValidationError("value", f"not finite: {m.value!r}")
     if m.quantity in NON_NEGATIVE_QUANTITIES and m.value < 0.0:
         raise ValidationError("value", f"negative {m.quantity.value}: {m.value}")
+    if m.quantity is Quantity.RELATIVE_HUMIDITY and not 0.0 <= m.value <= 100.0:
+        raise ValidationError("value", f"relative_humidity {m.value} outside [0, 100]")
     if not isinstance(m.timestamp, int):
         raise ValidationError("timestamp", "must be integer seconds UTC")
     return m

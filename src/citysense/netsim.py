@@ -50,6 +50,7 @@ from .domain import (
     Radio,
     ReportBatch,
     SECONDS_PER_DAY,
+    ValidationError,
     haversine_distance,
 )
 from .field import loss_generator
@@ -235,17 +236,6 @@ class SimulationResult(RunSink):
     deliveries: list[DeliveryRecord] = field(default_factory=list)
     tallies: dict[tuple[str, Quantity], Tally] = field(default_factory=dict)
 
-    def tally_for_node(self, node_id: str) -> Tally:
-        agg = Tally()
-        for (nid, _), t in self.tallies.items():
-            if nid == node_id:
-                agg.emitted += t.emitted
-                agg.to_coordinator += t.to_coordinator
-                agg.to_server += t.to_server
-                agg.lost += t.lost
-                agg.dropped += t.dropped
-        return agg
-
     def gas_reports_per_window(self, t_i: int, start_epoch: int) -> dict[int, int]:
         """Distinct (node, tick) gas reports the server holds per uplink
         window, keyed by 1-based window number."""
@@ -329,7 +319,10 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
         deliver_before(t)
         if k < n_ticks:
             for node, rng in sampled:
-                readings = sample(node, field_model, t)
+                try:
+                    readings = sample(node, field_model, t)
+                except ValidationError as e:  # the scenario overflowed the sensor chain
+                    raise ConfigError(f"node {node.descriptor.node_id}: {e}") from e
                 choice = choose_link(node.descriptor, readings[0].position, topo)
                 to_coordinator = choice.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
                 survivors: list[Measurement] = []

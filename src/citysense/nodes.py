@@ -4,7 +4,8 @@ Each reading goes through, in order:
 
     raw  = field_value * bias_mul + bias_add + noise
     lag  = first-order tracking with 90%-rise time t90
-    clamp at the physical floor of the quantity
+    clamp to the physical range of the quantity: no negative concentration
+          or wind speed, relative humidity within [0, 100]
     LoD  : readings under the detection limit are zeroed and flagged
     quantize to the channel resolution (ties away from zero)
 
@@ -112,7 +113,8 @@ class _Channel(NamedTuple):
     bias_add: float
     noise_sigma: float
     noise: np.random.Generator | None  # None when the channel has no noise
-    non_negative: bool
+    floor: float  # the physical range of the quantity
+    ceiling: float
 
 
 # Flag bits of one reading -> its flag set; readings share these 8 sets.
@@ -168,9 +170,12 @@ class NodeState:
             for q in sorted(self.descriptor.sensor_suite, key=lambda q: q.value):
                 sigma = f.noise_sigma.get(q, 0.0)
                 noise = noise_generator(f, self.descriptor.node_id, q) if sigma > 0.0 else None
+                humidity = q is Quantity.RELATIVE_HUMIDITY
                 rows.append(_Channel(
                     q, self.sensors[q], self.bias_mul.get(q, 1.0), self.bias_add.get(q, 0.0),
-                    sigma, noise, q in NON_NEGATIVE_QUANTITIES,
+                    sigma, noise,
+                    0.0 if humidity or q in NON_NEGATIVE_QUANTITIES else -math.inf,
+                    100.0 if humidity else math.inf,
                 ))
             self._channels = tuple(rows)
         return self._channels
@@ -190,7 +195,7 @@ def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
     age = t - node.powered_since
     last_filtered = node.last_filtered
     out: list[Measurement] = []
-    for q, spec, bias_mul, bias_add, sigma, noise, non_negative in node.channel_table(f):
+    for q, spec, bias_mul, bias_add, sigma, noise, floor, ceiling in node.channel_table(f):
         raw = f.value(q, position, t) * bias_mul + bias_add
         if noise is not None:
             raw += noise.normal(0.0, sigma)
@@ -200,8 +205,10 @@ def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
         else:
             value = lag_filter(prev, raw, dt, spec.t90_s)
         last_filtered[q] = value
-        if non_negative and value < 0.0:
-            value = 0.0
+        if value < floor:
+            value = floor
+        elif value > ceiling:
+            value = ceiling
         bits = 0
         if spec.warmup_s > 0 and age < spec.warmup_s:
             bits = _WARMING_UP

@@ -1,4 +1,5 @@
-"""Append-only, day-partitioned measurement persistence.
+"""Day-partitioned measurement files: one checked reader, and one writer
+of whole output sets.
 
 File format (normative, one record per line, comma separated):
 
@@ -12,34 +13,23 @@ File format (normative, one record per line, comma separated):
     unit      = unit string of the quantity (redundant, for self-description)
     flags     = semicolon-joined flag codes, sorted; empty when clean
 
-Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and kept
-sorted by (timestamp, node_id, quantity). Duplicate (node, timestamp,
-quantity) triples are rejected idempotently on append.
+Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and
+sorted by (timestamp, node_id, quantity). ``write_measurements`` writes
+them into an ``OutputSet``, the one writer of every command's files, which
+replaces a directory's old set only once the new one is whole.
 
-Loading validates every record as ``append`` does; both check node ids
+Loading validates every record as writing does; both check node ids
 against ``domain.NODE_ID``. Files are read line by line and split at ``\n``
 only. A number (lat, lon, value) is text ``float`` reads without stripping
 whitespace, skipping an ``_`` or reading a non-ASCII digit; anything else
-is a data error. Timestamps, positions, flag sets, node ids and quantity
-codes repeat across lines, so one load parses and validates each distinct
-field value once and its records share the result; each line's value and
-unit are still checked on their own.
-
-Loading also checks the order of the records, taking each record's key
-(timestamp, node_id, quantity code) from its line. While every key is
-greater than the one before, the records are already in ``all()`` order,
-and a duplicate triple shows as an equal adjacent key. Once a key is out of
-order (a hand-edited file), the rest of the load checks duplicates against
-the set of keys loaded so far, and ``all()`` sorts. A duplicate is a data
-error naming its file and line, never a reading counted twice. The key set
-``append`` needs for its idempotence is built on the first ``append``, so a
-store opened only for reading never builds it.
+is a data error, and so is a duplicate (node, timestamp, quantity) triple:
+each names its file and line.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, TextIO
 
@@ -50,7 +40,6 @@ from .domain import (
     Measurement,
     QUANTITY_CODES,
     Quantity,
-    ReportBatch,
     UNITS,
     ValidationError,
     format_utc,
@@ -64,27 +53,54 @@ class StorageError(OSError):
     """Raised when the backing files cannot be read or written."""
 
 
-@contextmanager
-def atomic_writer(path: str | FsPath) -> Iterator[TextIO]:
-    """The open temporary file that replaces ``path`` once the block ends
-    without an exception. It lives in the same directory and is renamed by
-    ``os.replace``, so the block can write line by line: a failure part-way
-    leaves the old file and no temporary."""
-    path = FsPath(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w") as f:
+def _temporary(path: FsPath) -> FsPath:
+    return path.with_name(f".{path.name}.tmp")
+
+
+class OutputSet:
+    """The files one command writes under ``directory``, replaced as a
+    whole. ``open(name)`` streams one file to a temporary beside it and
+    closes it when its block ends. When the set's block ends cleanly, every
+    temporary is renamed into place, then the old files matching
+    ``stale_glob`` that the set did not write are deleted. An exception
+    removes every temporary and leaves the old files as they were; any
+    OSError, from creating the directory on, becomes one StorageError."""
+
+    def __init__(self, directory: str | FsPath, stale_glob: str):
+        self.directory = FsPath(directory)
+        self.stale_glob = stale_glob
+        self.paths: list[FsPath] = []  # every file opened, in order
+
+    def __enter__(self) -> OutputSet:
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise StorageError(f"cannot write {self.directory}: {e}") from e
+        return self
+
+    @contextmanager
+    def open(self, name: str) -> Iterator[TextIO]:
+        path = self.directory / name
+        self.paths.append(path)
+        with open(_temporary(path), "w") as f:
             yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
-
-def write_atomic(path: str | FsPath, text: str) -> None:
-    """Replace ``path`` by ``text`` through :func:`atomic_writer`."""
-    with atomic_writer(path) as f:
-        f.write(text)
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is None:
+            try:
+                for path in self.paths:
+                    os.replace(_temporary(path), path)
+                written = set(self.paths)
+                for old in self.directory.glob(self.stale_glob):
+                    if old not in written:
+                        old.unlink(missing_ok=True)
+                return
+            except OSError as e:
+                exc = e
+        for path in self.paths:
+            _temporary(path).unlink(missing_ok=True)
+        if isinstance(exc, OSError) and not isinstance(exc, StorageError):
+            raise StorageError(f"cannot write {self.directory}: {exc}") from exc
 
 
 # Flag set -> its record text. Sets compare by content, so there is at most
@@ -192,36 +208,50 @@ def _duplicate(key: RecordKey) -> ValueError:
     return ValueError(f"duplicate record: {node_id} {qcode} at {format_utc(timestamp)}")
 
 
+def write_measurements(files: OutputSet, records: Iterable[Measurement]) -> None:
+    """Write ``records`` into ``files`` as day files, each sorted by
+    (timestamp, node_id, quantity). Each record is validated, and each
+    distinct node id checked against ``domain.NODE_ID``, as a load would,
+    so no line is written that a load would refuse. A (node, timestamp,
+    quantity) triple given twice is a ValueError naming it."""
+    by_day: dict[int, list[Measurement]] = {}
+    node_ids: set[str] = set()
+    for m in records:
+        validate_measurement(m)
+        if m.node_id not in node_ids:
+            node_ids.add(validate_node_id(m.node_id))
+        by_day.setdefault(m.timestamp // SECONDS_PER_DAY, []).append(m)
+    for day, day_records in sorted(by_day.items()):
+        day_records.sort(key=_sort_key)
+        date = format_utc(day * SECONDS_PER_DAY)[:10]
+        with files.open(f"measurements-{date}.txt") as out:
+            last = None
+            for m in day_records:
+                key = _sort_key(m)
+                if key == last:
+                    raise _duplicate(key)
+                last = key
+                out.write(f"{serialize_measurement(m)}\n")
+
+
 class MeasurementStore:
-    """Day-partitioned measurement files under one directory.
+    """The checked records of the day files under one directory, if any."""
 
-    Single writer, many readers. ``append`` buffers in memory; ``flush``
-    (also called on close / context exit) rewrites the affected day files
-    with their records in timestamp order. Records are never mutated or
-    deleted, only added. An ``overwrite`` store starts empty without
-    reading the old day files, and its ``flush`` deletes those it did not
-    rewrite.
-    """
-
-    def __init__(self, root: str | FsPath, overwrite: bool = False):
+    def __init__(self, root: str | FsPath):
         self.root = FsPath(root)
+        self._records: list[Measurement] = []
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            files = sorted(self.root.glob("measurements-*.txt"))
-            self._stale = set(files) if overwrite else set()
-            self._records: list[Measurement] = []
-            self._in_order = self._load([] if overwrite else files)
+            self._load(sorted(self.root.glob("measurements-*.txt")))
         except OSError as e:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
-        # (node, timestamp, quantity) of every record, built on first append
-        self._keys: set[tuple[str, int, Quantity]] | None = None
-        self._node_ids: set[str] = set()  # appended ids already checked
-        self._dirty_days: set[int] = set()  # UTC day numbers
 
-    def _load(self, files: list[FsPath]) -> bool:
-        """Append the records of ``files`` to ``_records``, rejecting
-        duplicates; True iff they came in strictly ascending key order.
-        Each file is read line by line, so no load holds all its lines."""
+    def _load(self, files: list[FsPath]) -> None:
+        """Read the records of ``files`` line by line into ``_records``.
+        While every key (taken from the line) is greater than the one
+        before, the records are in ``all()`` order and a duplicate shows as
+        an equal adjacent key. Once a key is out of order (a hand-edited
+        file), the rest of the load checks duplicates against the set of
+        keys loaded so far, and the load ends with one sort."""
         parse = _RecordParser()
         records = self._records
         last: RecordKey | None = None
@@ -245,83 +275,15 @@ class MeasurementStore:
                     except ValueError as e:
                         raise ValueError(f"{f.name} line {lineno}: {e}") from e
                     records.append(m)
-        return seen is None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.flush()
+        if seen is not None:
+            records.sort(key=_sort_key)
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def append(self, batch: ReportBatch | Iterable[Measurement] | Measurement) -> int:
-        """Persist new measurements; returns how many were actually written.
-
-        Re-appending an already stored (node, timestamp, quantity) triple is
-        a no-op, so replays are idempotent. Each record is validated, and
-        each distinct node id checked against ``domain.NODE_ID``, as a load
-        would, so the store never writes a line it then refuses to read.
-        """
-        if isinstance(batch, ReportBatch):
-            items: Iterable[Measurement] = batch.measurements
-        elif isinstance(batch, Measurement):
-            items = (batch,)
-        else:
-            items = batch
-        if self._keys is None:
-            self._keys = {(m.node_id, m.timestamp, m.quantity) for m in self._records}
-        written = 0
-        for m in items:
-            validate_measurement(m)
-            if m.node_id not in self._node_ids:
-                self._node_ids.add(validate_node_id(m.node_id))
-            key = (m.node_id, m.timestamp, m.quantity)
-            if key in self._keys:
-                continue
-            self._keys.add(key)
-            self._records.append(m)
-            self._dirty_days.add(m.timestamp // SECONDS_PER_DAY)
-            written += 1
-        if written:
-            self._in_order = False
-        return written
-
-    def flush(self) -> None:
-        """Rewrite every affected day file. Each day is written to its
-        temporary file and none replaces its day until all are written, so
-        a failure part-way leaves every old file; only then are the old
-        days an overwriting store did not rewrite deleted."""
-        if not self._dirty_days and not self._stale:
-            return
-        by_day: dict[int, list[Measurement]] = {}
-        for m in self._records:
-            day = m.timestamp // SECONDS_PER_DAY
-            if day in self._dirty_days:
-                by_day.setdefault(day, []).append(m)
-        written: set[FsPath] = set()
-        try:
-            with ExitStack() as replace_all:
-                for day, records in sorted(by_day.items()):
-                    records.sort(key=_sort_key)
-                    date = format_utc(day * SECONDS_PER_DAY)[:10]
-                    path = self.root / f"measurements-{date}.txt"
-                    out = replace_all.enter_context(atomic_writer(path))
-                    out.writelines(f"{serialize_measurement(m)}\n" for m in records)
-                    written.add(path)
-            for f in self._stale - written:
-                f.unlink(missing_ok=True)
-        except OSError as e:
-            raise StorageError(f"cannot write store at {self.root}: {e}") from e
-        self._dirty_days.clear()
-        self._stale.clear()
-
     def all(self) -> list[Measurement]:
         """Every record, in (timestamp, node_id, quantity) order."""
-        if self._in_order:
-            return list(self._records)
-        return sorted(self._records, key=_sort_key)
+        return list(self._records)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from contextlib import contextmanager
 
 import pytest
 import yaml
@@ -188,6 +189,14 @@ def _set(*path_and_value):
     return edit
 
 
+def _both(*edits):
+    def edit(raw):
+        for e in edits:
+            e(raw)
+
+    return edit
+
+
 def _drop(*path):
     def edit(raw):
         node = raw
@@ -241,7 +250,42 @@ MALFORMED = {
     "no-baseline": (_drop("field", "baseline", "co2"), "field.baseline"),
     "lat-on-mobile": (_set("nodes", 3, "lat", 43.716), "node M1: unknown keys ['lat']"),
     "node-id-slash": (_set("nodes", 1, "id", "T/1"), "node T/1: node_id: bad identifier 'T/1'"),
+    # 1e308 x 10 overflows the sensor chain at T1's first reading
+    "sensor-chain-overflow": (
+        _both(_set("field", "baseline", "pressure", 1e308),
+              _set("nodes", 1, "bias", {"pressure": {"mul": 10.0}})),
+        "config error: node T1: value: not finite: inf",
+    ),
 }
+
+
+class TestRelativeHumidityRange:
+    def test_humidity_pushed_past_100_is_stored_as_100_and_indexes_run(
+        self, small_scenario_file, tmp_path, capsys
+    ):
+        assert _simulate_edited(
+            small_scenario_file, tmp_path,
+            _set("nodes", 1, "bias", {"relative_humidity": {"add": 40.0}})) == 0
+        rh = {}
+        for f in (tmp_path / "o").glob("measurements-*.txt"):
+            for line in f.read_text().splitlines():
+                fields = line.split(",")
+                if fields[4] == "relative_humidity":
+                    rh.setdefault(fields[1], []).append(float(fields[5]))
+        assert set(rh["T1"]) == {100.0}
+        assert max(rh["F2"]) < 100.0
+        assert main(["indexes", str(tmp_path / "o"), "--out", str(tmp_path / "idx")]) == 0
+
+    def test_stored_humidity_above_100_is_a_data_error(self, sim_dir, tmp_path, capsys):
+        _corrupt_first_value(sim_dir, "T1", "relative_humidity", "100.5")
+        day_file, lines = _first_day_file(sim_dir)
+        lineno = next(i for i, line in enumerate(lines, 1) if ",100.5," in line)
+        capsys.readouterr()
+        rc = main(["indexes", str(sim_dir), "--out", str(tmp_path / "idx")])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert err.startswith(f"data error: {day_file.name} line {lineno}: "
+                              f"value: relative_humidity 100.5 outside [0, 100]")
 
 
 class TestSimulateConfigErrors:
@@ -448,6 +492,91 @@ class TestCompare:
         for out in (a, b):
             assert main(["compare", str(sim_dir), "--mode", "mobile-fixed", "--out", str(out)]) == 0
         assert digest_tree(a) == digest_tree(b)
+
+
+def _failing_second(monkeypatch, prefix):
+    """Make the second file named ``prefix...`` that an OutputSet opens fail
+    with a full disk after its first line reached the temporary."""
+    real_open = store.OutputSet.open
+    opened = []
+
+    @contextmanager
+    def failing_open(self, name):
+        with real_open(self, name) as f:
+            if name.startswith(prefix):
+                opened.append(name)
+                if len(opened) == 2:
+                    f.write("partial\n")
+                    f.flush()
+                    assert (self.directory / f".{name}.tmp").is_file()
+                    raise OSError(28, "No space left on device")
+            yield f
+
+    monkeypatch.setattr(store.OutputSet, "open", failing_open)
+    return opened
+
+
+class TestWholeOutputSets:
+    def test_failed_indexes_run_keeps_the_previous_index_set(
+        self, sim_dir, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "idx"
+        assert main(["indexes", str(sim_dir), "--out", str(out)]) == 0
+        before = digest_tree(out)
+        assert len(before) >= 2
+        opened = _failing_second(monkeypatch, "indexes_")
+        capsys.readouterr()
+        rc = main(["indexes", str(sim_dir), "--out", str(out), "--thermal", "identity"])
+        _assert_one_line_data_error(rc, capsys.readouterr().err)
+        assert len(opened) == 2
+        assert digest_tree(out) == before  # byte-identical, and no temporary
+
+    def test_failed_compare_run_keeps_the_previous_comparison_set(
+        self, sim_dir, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "cmp"
+        assert main(["compare", str(sim_dir), "--mode", "paths", "--out", str(out)]) == 0
+        before = digest_tree(out)
+        opened = _failing_second(monkeypatch, "pmf_")
+        capsys.readouterr()
+        rc = main(["compare", str(sim_dir), "--mode", "mobile-fixed", "--out", str(out)])
+        _assert_one_line_data_error(rc, capsys.readouterr().err)
+        assert len(opened) == 2
+        assert digest_tree(out) == before
+        monkeypatch.undo()
+
+        # A whole run replaces the set: no PMF of the paths mode is left.
+        assert main(["compare", str(sim_dir), "--mode", "mobile-fixed", "--out", str(out)]) == 0
+        names = set(digest_tree(out))
+        assert "pmf_co2_mobile.dat" in names
+        assert not any(n.endswith("_loop.dat") for n in names)
+
+    @pytest.mark.parametrize("command", [["indexes"], ["compare", "--mode", "paths"]])
+    def test_missing_data_directory_is_data_error_and_not_created(
+        self, tmp_path, capsys, command
+    ):
+        missing = tmp_path / "missing"
+        rc = main([*command, str(missing), "--out", str(tmp_path / "o")])
+        _assert_one_line_data_error(rc, capsys.readouterr().err)
+        assert not missing.exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "indexes", "compare"])
+    def test_out_under_a_regular_file_is_data_error(
+        self, sim_dir, small_scenario_file, tmp_path, capsys, command
+    ):
+        plain = tmp_path / "plain"
+        plain.write_text("x\n")
+        out = str(plain / "out")
+        argv = {
+            "simulate": ["simulate", "--scenario", str(small_scenario_file), "--out", out],
+            "indexes": ["indexes", str(sim_dir), "--out", out],
+            "compare": ["compare", str(sim_dir), "--mode", "paths", "--out", out],
+        }[command]
+        capsys.readouterr()
+        rc = main(argv)
+        _assert_one_line_data_error(rc, capsys.readouterr().err)
+        assert plain.read_text() == "x\n"
 
 
 class TestTraffic:

@@ -58,6 +58,16 @@ class TestValidateMeasurement:
     def test_negative_temperature_is_fine(self):
         validate_measurement(meas(-5.0, Quantity.TEMPERATURE))
 
+    @pytest.mark.parametrize("value", [100.5, -0.5, math.inf])
+    def test_rejects_relative_humidity_outside_0_to_100(self, value):
+        with pytest.raises(ValidationError) as e:
+            validate_measurement(meas(value, Quantity.RELATIVE_HUMIDITY))
+        assert e.value.field_name == "value"
+
+    @pytest.mark.parametrize("value", [0.0, 55.0, 100.0])
+    def test_accepts_relative_humidity_within_0_to_100(self, value):
+        validate_measurement(meas(value, Quantity.RELATIVE_HUMIDITY))
+
 
 class TestHaversine:
     def test_zero_at_identity(self):

@@ -144,6 +144,16 @@ class TestSample:
         assert Flag.BELOW_LOD in m.flags
         assert m.value == 0.0
 
+    @pytest.mark.parametrize("bias_add, expected", [(5.0, 100.0), (-120.0, 0.0)])
+    def test_relative_humidity_is_clamped_to_0_to_100(self, bias_add, expected):
+        f = FieldModel(seed=1, baseline={Quantity.RELATIVE_HUMIDITY: 99.5})
+        node = fixed_node({Quantity.RELATIVE_HUMIDITY},
+                          bias_add={Quantity.RELATIVE_HUMIDITY: bias_add})
+        for t in (0, 300):
+            (m,) = sample(node, f, t)
+            assert m.value == expected
+        assert node.last_filtered[Quantity.RELATIVE_HUMIDITY] == 99.5 + bias_add
+
     def test_above_lod_quantized_to_1ppm(self):
         f = FieldModel(seed=1, baseline={Quantity.HC: 7.4})
         node = fixed_node({Quantity.HC})

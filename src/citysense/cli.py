@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path as FsPath
 from typing import TextIO
@@ -45,6 +46,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _radius(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="citysense", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,7 +78,7 @@ def _build_parser() -> _Parser:
     p_idx = sub.add_parser("indexes", help="recompute index records from stored data")
     p_idx.add_argument("data_dir", help="directory holding measurement files")
     p_idx.add_argument("--out", required=True, help="output directory")
-    p_idx.add_argument("--uplink-period-s", type=int, default=900)
+    p_idx.add_argument("--uplink-period-s", type=_positive_int, default=900)
     p_idx.add_argument(
         "--thermal", choices=("identity", "apparent"), default="apparent",
         help="thermal model feeding the comfort index",
@@ -68,7 +89,7 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--mode", choices=("paths", "mobile-fixed"), required=True)
     p_cmp.add_argument("--out", required=True, help="output directory")
     p_cmp.add_argument(
-        "--radius-m", type=float, default=DEFAULT_ASSOCIATION_RADIUS_M,
+        "--radius-m", type=_radius, default=DEFAULT_ASSOCIATION_RADIUS_M,
         help="association radius for mobile-fixed mode",
     )
 
@@ -194,18 +215,45 @@ def _cmd_indexes(args) -> int:
 # compare
 
 
-def _load_nodes_doc(data_dir: FsPath) -> dict:
+def _load_nodes(data_dir: FsPath) -> dict[str, tuple[NodeKind, str | None, GeoPoint | None]]:
+    """Read ``nodes.json`` as node id -> (kind, path tag, home position).
+    Raises ValueError, naming the node, on a file ``simulate`` would not
+    write."""
     nodes_path = data_dir / "nodes.json"
     if not nodes_path.is_file():
         raise StorageError(f"missing {nodes_path}; run `citysense simulate` first")
-    return json.loads(nodes_path.read_text())
+    doc = json.loads(nodes_path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{nodes_path}: expected an object of nodes, got {type(doc).__name__}")
+    nodes = {}
+    for nid, meta in doc.items():
+        where = f"{nodes_path}: node {nid!r}"
+        if not isinstance(meta, dict):
+            raise ValueError(f"{where}: expected an object, got {type(meta).__name__}")
+        try:
+            kind = NodeKind(meta.get("kind"))
+        except ValueError:
+            raise ValueError(f"{where}: unknown kind {meta.get('kind')!r}") from None
+        path, lat, lon = meta.get("path"), meta.get("lat"), meta.get("lon")
+        if path is not None and not isinstance(path, str):
+            raise ValueError(f"{where}: path must be a string or null")
+        position = None
+        if kind is NodeKind.FIXED or lat is not None or lon is not None:
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (lat, lon)):
+                raise ValueError(f"{where}: lat and lon must be numbers")
+            try:
+                position = GeoPoint(lat, lon)
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
+        nodes[nid] = (kind, path, position)
+    return nodes
 
 
 def _cmd_compare(args) -> int:
     data_dir = FsPath(args.data_dir)
     try:
         store = MeasurementStore(data_dir)
-        nodes_doc = _load_nodes_doc(data_dir)
+        nodes = _load_nodes(data_dir)
     except (StorageError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
@@ -216,9 +264,9 @@ def _cmd_compare(args) -> int:
 
     if args.mode == "paths":
         tags: dict[str, list[str]] = {}
-        for nid, meta in nodes_doc.items():
-            if meta["kind"] == NodeKind.FIXED.value and meta.get("path"):
-                tags.setdefault(meta["path"], []).append(nid)
+        for nid, (kind, path, _) in nodes.items():
+            if kind is NodeKind.FIXED and path:
+                tags.setdefault(path, []).append(nid)
         if len(tags) != 2:
             print(
                 f"data error: paths mode needs exactly two path tags, found {sorted(tags)}",
@@ -233,14 +281,14 @@ def _cmd_compare(args) -> int:
         labels = (tag_a, tag_b)
     else:
         fixed = [
-            (nid, GeoPoint(meta["lat"], meta["lon"]))
-            for nid, meta in sorted(nodes_doc.items())
-            if meta["kind"] == NodeKind.FIXED.value
+            (nid, position)
+            for nid, (kind, _, position) in sorted(nodes.items())
+            if kind is NodeKind.FIXED
         ]
         mobile = [
             m
-            for nid, meta in sorted(nodes_doc.items())
-            if meta["kind"] == NodeKind.MOBILE.value
+            for nid, (kind, _, _) in sorted(nodes.items())
+            if kind is NodeKind.MOBILE
             for m in by_node.get(nid, [])
         ]
         association = associate_mobile_to_fixed(mobile, fixed, radius_m=args.radius_m)

@@ -15,22 +15,22 @@ emitted reading ends delivered to the server, lost on a link, or dropped.
 
 Every node samples on one shared grid, and ``ScenarioConfig.validate``
 requires the uplink period to be a multiple of the sample period, so every
-uplink lies on that grid. ``run`` walks the grid; a heap holds only what is
-in flight, one entry per node tick with surviving readings and one per
-uplink batch, in (arrival time, push order). At each grid time it delivers
-what is due strictly before it, samples every node in node order, then
-uplinks: at equal times, samples come first, then the uplink, then arrivals
-in push order. Equal seeds give byte-identical results. Each result goes to
-a ``RunSink`` as it is produced: every reading's fate when it is routed,
-every server arrival and every batch the server receives. The default sink,
-the ``SimulationResult`` itself, keeps them all; a sink that writes them out
-as they come keeps a run's memory from growing with them.
+uplink lies on that grid. Every link has a fixed latency, so a reading's
+fate is known when it is routed and ``run`` walks the grid with no event
+queue: a coordinator-bound reading joins its window's list if it arrives
+before the window ends, and is dropped otherwise; direct wide-area readings
+and batches share one latency, so each is handed over when it is sent, in
+order of arrival. At each grid time every node is sampled in node order,
+then the window that just closed is uplinked. Equal seeds give
+byte-identical results. Each result goes to a ``RunSink`` as it is
+produced: every reading's fate when it is routed, every server arrival and
+every batch the server receives. The default sink, the ``SimulationResult``
+itself, keeps them all; a sink that writes them out as they come keeps a
+run's memory from growing with them.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -169,21 +169,20 @@ def coordinator_uplink(
     coordinator_id: str,
     window_start: int,
     window_end: int,
-    buffer: list[tuple[int, Measurement]],
+    buffer: list[Measurement],
 ) -> ReportBatch:
     """Assemble the reporting batch for the window [window_start, window_end).
 
-    Batched items are removed from the buffer; measurements that have not
-    arrived yet (or belong to a later window) stay. An empty batch is legal
-    and merely signalled in the log.
+    Batched readings are removed from the buffer; readings of another
+    window stay. An empty batch is legal and merely signalled in the log.
     """
     picked: list[Measurement] = []
-    remaining: list[tuple[int, Measurement]] = []
-    for arrival_t, m in buffer:
-        if arrival_t <= window_end and window_start <= m.timestamp < window_end:
+    remaining: list[Measurement] = []
+    for m in buffer:
+        if window_start <= m.timestamp < window_end:
             picked.append(m)
         else:
-            remaining.append((arrival_t, m))
+            remaining.append(m)
     buffer[:] = remaining
     picked.sort(key=lambda m: (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity]))
     if not picked:
@@ -216,11 +215,13 @@ class RunSink:
         """The fate of one emitted reading, when it is routed."""
 
     def arrival(self, t: int, m: Measurement) -> None:
-        """One reading reaching the server at ``t``."""
+        """One reading sent to the server, stamped with the time ``t`` it
+        arrives. Called when it is sent, so ``t`` never decreases."""
 
     def batch(self, batch: ReportBatch) -> None:
-        """One coordinator batch reaching the server; each of its readings
-        then arrives on its own."""
+        """One coordinator batch sent to the server, when it is sent; each
+        of its readings then arrives on its own, stamped with the batch's
+        arrival time."""
 
 
 @dataclass
@@ -256,15 +257,6 @@ class SimulationResult(RunSink):
         self.batches.append(batch)
 
 
-def _drop_stale(buffer: list[tuple[int, Measurement]], before: float, tallies: dict) -> None:
-    """Take every entry stamped before ``before`` out of the coordinator
-    buffer and count it as dropped: no later window can batch it."""
-    for _, m in buffer:
-        if m.timestamp < before:
-            tallies[(m.node_id, m.quantity)].dropped += 1
-    buffer[:] = [entry for entry in buffer if entry[1].timestamp >= before]
-
-
 def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationResult:
     """Execute the scenario, handing each result to ``sink`` as it is
     produced, and return the tallies; with no sink, the returned result
@@ -273,6 +265,7 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
     states = scenario.build_node_states()
     field_model = scenario.field
     start, period = scenario.start_epoch, scenario.sample_period_s
+    uplink_period = scenario.uplink_period_s
 
     coordinator = next(
         (s.descriptor.node_id for s in states if s.descriptor.kind is NodeKind.COORDINATOR),
@@ -295,29 +288,18 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
     if sink is None:
         sink = result
     on_delivery, on_arrival = sink.delivery, sink.arrival
-    buffer: list[tuple[int, Measurement]] = []
-    # (arrival_t, push_seq, batch or None, readings, to_coordinator)
-    in_flight: list[tuple] = []
-    push_seq = itertools.count()
-
-    def deliver_before(t: float) -> None:
-        while in_flight and in_flight[0][0] < t:
-            arrival_t, _, batch, readings, to_coordinator = heapq.heappop(in_flight)
-            if to_coordinator:
-                buffer.extend((arrival_t, m) for m in readings)
-                continue
-            if batch is not None:
-                sink.batch(batch)
-            for m in readings:
-                on_arrival(arrival_t, m)
-
+    window: list[Measurement] = []  # coordinator-bound readings of the open window
     n_ticks = scenario.duration_s // period
-    ticks_per_uplink = scenario.uplink_period_s // period
-    wa_latency = int(scenario.links[Radio.WIDE_AREA].latency_s)
+    ticks_per_uplink = uplink_period // period
+    wa_latency = scenario.links[Radio.WIDE_AREA].latency_s
+    # ``validate`` makes the duration whole uplink periods: no window stays open.
     for k in range(n_ticks + 1):
         t = start + k * period
-        deliver_before(t)
+        uplink = coordinator is not None and k > 0 and k % ticks_per_uplink == 0
+        if uplink:
+            closed, window = window, []
         if k < n_ticks:
+            window_end = start + (k // ticks_per_uplink + 1) * uplink_period
             for node, rng in sampled:
                 try:
                     readings = sample(node, field_model, t)
@@ -325,7 +307,6 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
                     raise ConfigError(f"node {node.descriptor.node_id}: {e}") from e
                 choice = choose_link(node.descriptor, readings[0].position, topo)
                 to_coordinator = choice.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
-                survivors: list[Measurement] = []
                 for m in readings:
                     record = route_measurement(m, choice, rng)
                     on_delivery(record)
@@ -336,24 +317,19 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
                     tally.emitted += 1
                     if record.outcome is DeliveryOutcome.LOST:
                         tally.lost += 1
-                        continue
-                    if to_coordinator:
-                        tally.to_coordinator += 1
-                    else:
+                    elif not to_coordinator:
                         tally.to_server += 1
-                    survivors.append(m)
-                    arrival_t = record.arrival_t
-                if survivors:  # one link and one arrival time for them all
-                    heapq.heappush(
-                        in_flight,
-                        (arrival_t, next(push_seq), None, survivors, to_coordinator),
-                    )
-        if coordinator is not None and k and k % ticks_per_uplink == 0:
-            batch = coordinator_uplink(coordinator, t - scenario.uplink_period_s, t, buffer)
-            _drop_stale(buffer, t, tallies)
-            heapq.heappush(
-                in_flight, (t + wa_latency, next(push_seq), batch, batch.measurements, False)
-            )
-    deliver_before(math.inf)
-    _drop_stale(buffer, math.inf, tallies)
+                        on_arrival(record.arrival_t, m)
+                    else:
+                        tally.to_coordinator += 1
+                        if record.arrival_t < window_end:
+                            window.append(m)
+                        else:  # arrives after its window was uplinked
+                            tally.dropped += 1
+        if uplink:
+            batch = coordinator_uplink(coordinator, t - uplink_period, t, closed)
+            sink.batch(batch)
+            arrival_t = int(t + wa_latency)
+            for m in batch.measurements:
+                on_arrival(arrival_t, m)
     return result

@@ -493,6 +493,27 @@ class TestCompare:
             assert main(["compare", str(sim_dir), "--mode", "mobile-fixed", "--out", str(out)]) == 0
         assert digest_tree(a) == digest_tree(b)
 
+    @pytest.mark.parametrize("mode", ["paths", "mobile-fixed"])
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc: [], "expected an object of nodes, got list"),
+        (lambda doc: {"T1": {"lat": 1}}, "node 'T1': unknown kind None"),
+        (lambda doc: {**doc, "T1": 5}, "node 'T1': expected an object, got int"),
+        (lambda doc: {**doc, "T1": {**doc["T1"], "lat": "43.7"}}, "lat and lon must be numbers"),
+        (lambda doc: {**doc, "T1": {**doc["T1"], "lat": 91}}, "latitude 91 out of range"),
+        (lambda doc: {**doc, "T1": {**doc["T1"], "path": 3}}, "path must be a string or null"),
+    ], ids=["list", "no-kind", "node-not-an-object", "string-lat", "lat-91", "numeric-path"])
+    def test_malformed_nodes_json_is_one_line_data_error(
+        self, sim_dir, tmp_path, capsys, mode, edit, needle
+    ):
+        nodes_path = sim_dir / "nodes.json"
+        nodes_path.write_text(json.dumps(edit(json.loads(nodes_path.read_text()))))
+        out = tmp_path / "cmp"
+        rc = main(["compare", str(sim_dir), "--mode", mode, "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert "nodes.json" in err and needle in err
+        assert not out.exists()
+
 
 def _failing_second(monkeypatch, prefix):
     """Make the second file named ``prefix...`` that an OutputSet opens fail
@@ -649,3 +670,27 @@ class TestParser:
         with pytest.raises(SystemExit) as e:
             main(["banana"])
         assert e.value.code == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["indexes", "--uplink-period-s", "0"], "--uplink-period-s"),
+        (["indexes", "--uplink-period-s", "-900"], "--uplink-period-s"),
+        (["indexes", "--uplink-period-s", "15m"], "--uplink-period-s"),
+        (["compare", "--mode", "mobile-fixed", "--radius-m", "nan"], "--radius-m"),
+        (["compare", "--mode", "mobile-fixed", "--radius-m", "-5"], "--radius-m"),
+        (["compare", "--mode", "mobile-fixed", "--radius-m", "inf"], "--radius-m"),
+    ], ids=["period-0", "period-negative", "period-text", "radius-nan", "radius-negative",
+            "radius-inf"])
+    def test_bad_numeric_flag_exits_1_and_touches_no_file(
+        self, sim_dir, tmp_path, capsys, argv, flag
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "indexes_T1.txt").write_text("previous\n")
+        before = digest_tree(sim_dir), digest_tree(out)
+        with pytest.raises(SystemExit) as e:
+            main([argv[0], str(sim_dir), "--out", str(out), *argv[1:]])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"error: argument {flag}:" in err
+        assert (digest_tree(sim_dir), digest_tree(out)) == before

@@ -124,12 +124,7 @@ class TestRouteMeasurement:
 
 class TestCoordinatorUplink:
     def _buffer(self, n_nodes=9, ticks=(0, 300, 600)):
-        buf = []
-        for i in range(n_nodes):
-            for t in ticks:
-                m = meas(node_id=f"N{i}", timestamp=t)
-                buf.append((t + 1, m))
-        return buf
+        return [meas(node_id=f"N{i}", timestamp=t) for i in range(n_nodes) for t in ticks]
 
     def test_full_window_batches_everything(self):
         buf = self._buffer()
@@ -149,7 +144,7 @@ class TestCoordinatorUplink:
         assert batch.uplink_time == 900
 
     def test_future_items_stay_buffered(self):
-        buf = [(901, meas(timestamp=900))]
+        buf = [meas(timestamp=900)]  # stamped at the window end: the next window's
         batch = coordinator_uplink("C0", 0, 900, buf)
         assert batch.measurements == ()
         assert len(buf) == 1
@@ -269,6 +264,27 @@ class TestRun:
             t.to_coordinator + t.to_server - t.dropped for t in tallies
         ) == len(result.server_measurements)
         assert all(t.dropped <= t.to_coordinator for t in tallies)
+
+    def test_arrivals_before_1970_are_ordered_and_batches_take_the_route_stamp(self, pisa):
+        # int() truncates toward zero, so before 1970 int(T + 2.5) is T + 3,
+        # not T + int(2.5): a batch arrives with the direct readings sent
+        # at T, after them.
+        links = dict(pisa.links)
+        links[Radio.WIDE_AREA] = dataclasses.replace(links[Radio.WIDE_AREA], latency_s=2.5)
+        cfg = dataclasses.replace(
+            pisa, start_time="1969-12-31T22:00:00Z", duration_s=3 * 3600, links=links,
+        )
+        result = run(cfg)
+        stamps = [t for t, _ in result.server_measurements]
+        assert stamps == sorted(stamps)
+        assert stamps[0] < 0 < stamps[-1]
+        arrival = {(m.node_id, m.timestamp, m.quantity): t for t, m in result.server_measurements}
+        for batch in result.batches:
+            for m in batch.measurements:
+                assert arrival[(m.node_id, m.timestamp, m.quantity)] == int(batch.uplink_time + 2.5)
+        assert any(int(b.uplink_time + 2.5) == b.uplink_time + 3 for b in result.batches)
+        direct = [d for d in result.deliveries if d.outcome is DeliveryOutcome.DELIVERED_TO_SERVER]
+        assert direct and all(d.arrival_t == int(d.measurement.timestamp + 2.5) for d in direct)
 
     def test_causality(self, pisa):
         cfg = dataclasses.replace(pisa, duration_s=1800)
@@ -396,10 +412,33 @@ class TestRoutingOncePerTick:
         assert m2 == set(DeliveryOutcome)
 
 
+def _old_uplink(coordinator_id, window_start, window_end, buffer):
+    """``coordinator_uplink`` as it was over an arrival-stamped buffer of
+    (arrival_t, reading) pairs: it batched what had arrived by the window end
+    and was stamped in the window, and left the rest buffered."""
+    def due(a, m):
+        return a <= window_end and window_start <= m.timestamp < window_end
+
+    picked = [m for a, m in buffer if due(a, m)]
+    buffer[:] = [(a, m) for a, m in buffer if not due(a, m)]
+    return coordinator_uplink(coordinator_id, window_start, window_end, picked)
+
+
+def _drop_stale(buffer, before, tallies):
+    """Count every buffered reading stamped before ``before`` as dropped and
+    take it out: no later window can batch it."""
+    for _, m in buffer:
+        if m.timestamp < before:
+            tallies[(m.node_id, m.quantity)].dropped += 1
+    buffer[:] = [(a, m) for a, m in buffer if m.timestamp >= before]
+
+
 def _event_queue_run(scenario):
     """``run`` as it was before it walked the sample grid: every sample tick
-    and uplink pushed up front into one (time, sequence) heap, and one
-    delivery event pushed per surviving reading."""
+    and uplink pushed up front into one (time, sequence) heap, one delivery
+    event pushed per surviving reading, and a coordinator buffer of
+    (arrival_t, reading) pairs that is swept of stale readings after each
+    uplink."""
     states = scenario.build_node_states()
     start = scenario.start_epoch
     coordinator = next(
@@ -450,8 +489,8 @@ def _event_queue_run(scenario):
                     tally.to_server += 1
                     push(record.arrival_t, "server", m)
         elif kind == "uplink":
-            batch = coordinator_uplink(payload, t - scenario.uplink_period_s, t, buffer)
-            netsim._drop_stale(buffer, t, result.tallies)
+            batch = _old_uplink(payload, t - scenario.uplink_period_s, t, buffer)
+            _drop_stale(buffer, t, result.tallies)
             push(t + int(scenario.links[Radio.WIDE_AREA].latency_s), "batch", batch)
         elif kind == "coordinator":
             buffer.append((t, payload))
@@ -461,7 +500,7 @@ def _event_queue_run(scenario):
             result.batch(payload)
             for m in payload.measurements:
                 result.arrival(t, m)
-    netsim._drop_stale(buffer, math.inf, result.tallies)
+    _drop_stale(buffer, math.inf, result.tallies)
     return result
 
 
@@ -492,6 +531,18 @@ def _uplink_every_sample(pisa):
     return dataclasses.replace(pisa, duration_s=3600, uplink_period_s=pisa.sample_period_s)
 
 
+def _fractional_latency_lossy(pisa):
+    # Short-range readings are stamped int(t + 299.5), one second before the
+    # next grid time, so the last tick of a window makes its batch by one
+    # second; direct readings and batches arrive at int(T + 2.5).
+    cfg = _with_links(dataclasses.replace(pisa, duration_s=3600), loss_prob=0.1)
+    links = dict(cfg.links)
+    for kind in (Radio.SHORT_RANGE_FIXED, Radio.SHORT_RANGE_MOBILE):
+        links[kind] = dataclasses.replace(links[kind], latency_s=299.5)
+    links[Radio.WIDE_AREA] = dataclasses.replace(links[Radio.WIDE_AREA], latency_s=2.5)
+    return dataclasses.replace(cfg, links=links)
+
+
 def _no_coordinator(pisa):
     nodes = [n for n in pisa.nodes if n.descriptor.kind is not NodeKind.COORDINATOR]
     return dataclasses.replace(pisa, duration_s=3600, nodes=nodes)
@@ -500,7 +551,7 @@ def _no_coordinator(pisa):
 class TestGridWalkOrder:
     @pytest.mark.parametrize("make", [
         _zero_latency_lossy, _latency_one_sample_period, _late_short_range,
-        _uplink_every_sample, _no_coordinator,
+        _uplink_every_sample, _fractional_latency_lossy, _no_coordinator,
     ])
     def test_run_equals_the_event_queue_reference(self, pisa, make):
         cfg = make(pisa)

@@ -1,6 +1,8 @@
 """citysense: deterministic simulation and analytics for urban air-quality
 monitoring with mixed fixed/mobile sensor networks."""
 
+import logging
+
 from .analytics import (
     Association,
     ComparisonReport,
@@ -57,3 +59,8 @@ from .scenario import ScenarioConfig, load_scenario, with_seed
 from .store import MeasurementStore, parse_measurement, serialize_measurement
 
 __version__ = "0.1.0"
+
+# The package logs (an empty uplink batch is a warning) but configures no
+# output: without a handler of its own, Python's last-resort handler would
+# print its records bare to stderr.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

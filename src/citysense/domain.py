@@ -235,6 +235,37 @@ class Measurement:
         return UNITS[self.quantity]
 
 
+# The frozen dataclass __init__ runs object.__setattr__ once per field.
+# ``unchecked_measurement`` makes the record with __new__ and fills it through
+# the slots' own setters instead, which builds the same record in half the
+# time and checks nothing: its callers guard the values themselves.
+_new_measurement = Measurement.__new__
+_set_node_id, _set_timestamp, _set_position, _set_quantity, _set_value, _set_flags = (
+    getattr(Measurement, name).__set__
+    for name in ("node_id", "timestamp", "position", "quantity", "value", "flags")
+)
+
+
+def unchecked_measurement(
+    node_id: str,
+    timestamp: int,
+    position: GeoPoint,
+    quantity: Quantity,
+    value: float,
+    flags: frozenset[Flag],
+) -> Measurement:
+    """``Measurement(node_id, timestamp, position, quantity, value, flags)``,
+    built without running its dataclass __init__."""
+    m = _new_measurement(Measurement)
+    _set_node_id(m, node_id)
+    _set_timestamp(m, timestamp)
+    _set_position(m, position)
+    _set_quantity(m, quantity)
+    _set_value(m, value)
+    _set_flags(m, flags)
+    return m
+
+
 def validate_measurement(m: Measurement) -> Measurement:
     """Return ``m`` unchanged iff all single-record invariants hold.
 

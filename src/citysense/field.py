@@ -9,9 +9,17 @@ Every quantity gets a smooth, fully deterministic field
 
 clamped to the physical range of the quantity. The sinusoid peaks at local
 noon and integrates to zero over whole days, so daily population means stay
-at the configured baselines. Sensor noise is *not* part of the field: nodes
-draw it from per-(node, quantity) streams so that runs are reproducible and
-streams are independent (see :func:`noise_generator`).
+at the configured baselines. The baseline, diurnal and rush-hour terms depend
+only on the quantity and the time of day, so ``FieldModel.value`` computes
+them once per (quantity, t mod 86400) and keeps their sum in a bounded memo;
+the plume terms are added to it in the same order as before, so a value is
+the same float whether or not its time of day was memoised.
+
+Sensor noise is *not* part of the field: nodes draw it from per-(node,
+quantity) streams so that runs are reproducible and streams are independent
+(see :func:`noise_generator`). ``BlockDraws`` hands out the draws of such a
+stream, or of a node's loss stream, one float at a time from blocks that
+numpy fills at once.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -59,12 +69,19 @@ def _rush_hour_profile(tod_s: float) -> float:
     return morning + evening
 
 
+# Entries the time-of-day memo of one FieldModel holds before it is cleared:
+# a 5-minute grid needs 288 per quantity.
+_MAX_TOD_TERMS = 16384
+
+
 @dataclass(frozen=True)
 class FieldModel:
     """Deterministic generator of ground-truth values.
 
     Identical configuration (including ``seed``) yields identical values at
-    every query; the instance is read-only and safe to query concurrently.
+    every query. The configuration is read-only; the one mutable part is a
+    memo of the time-of-day terms, which takes no part in comparison and
+    which ``dataclasses.replace`` gives the new instance empty.
     """
 
     seed: int
@@ -73,6 +90,9 @@ class FieldModel:
     traffic_coupling: dict[Quantity, float] = field(default_factory=dict)
     plumes: dict[Quantity, tuple[GaussianPlume, ...]] = field(default_factory=dict)
     noise_sigma: dict[Quantity, float] = field(default_factory=dict)
+    # (quantity, t mod 86400) -> baseline + diurnal + rush-hour terms.
+    _tod_terms: dict[tuple[Quantity, int | float], float] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for q, sigma in self.noise_sigma.items():
@@ -81,17 +101,14 @@ class FieldModel:
 
     def value(self, quantity: Quantity, position: GeoPoint, t: int | float) -> float:
         """Ground-truth value of ``quantity`` at ``position`` and epoch second ``t``."""
-        try:
-            v = self.baseline[quantity]
-        except KeyError:
-            raise UnknownQuantityError(quantity) from None
-        amp = self.diurnal_amplitude.get(quantity, 0.0)
-        if amp:
-            tod = t % SECONDS_PER_DAY
-            v += amp * math.sin(2.0 * math.pi * (tod - 6 * 3600.0) / SECONDS_PER_DAY)
-        coupling = self.traffic_coupling.get(quantity, 0.0)
-        if coupling:
-            v += coupling * _rush_hour_profile(t % SECONDS_PER_DAY)
+        tod = t % SECONDS_PER_DAY
+        key = (quantity, tod)
+        v = self._tod_terms.get(key)
+        if v is None:
+            v = self._time_of_day_terms(quantity, tod)
+            if len(self._tod_terms) >= _MAX_TOD_TERMS:
+                self._tod_terms.clear()
+            self._tod_terms[key] = v
         for plume in self.plumes.get(quantity, ()):
             d = haversine_distance(position, plume.center)
             v += plume.amplitude * math.exp(-0.5 * (d / plume.sigma_m) ** 2)
@@ -99,6 +116,20 @@ class FieldModel:
             v = 0.0
         elif quantity is Quantity.RELATIVE_HUMIDITY:
             v = min(100.0, max(0.0, v))
+        return v
+
+    def _time_of_day_terms(self, quantity: Quantity, tod: int | float) -> float:
+        """The baseline plus the diurnal and rush-hour terms at time of day ``tod``."""
+        try:
+            v = self.baseline[quantity]
+        except KeyError:
+            raise UnknownQuantityError(quantity) from None
+        amp = self.diurnal_amplitude.get(quantity, 0.0)
+        if amp:
+            v += amp * math.sin(2.0 * math.pi * (tod - 6 * 3600.0) / SECONDS_PER_DAY)
+        coupling = self.traffic_coupling.get(quantity, 0.0)
+        if coupling:
+            v += coupling * _rush_hour_profile(tod)
         return v
 
 
@@ -118,6 +149,30 @@ def loss_generator(seed: int, node_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, _stable_id_hash(node_id), 0xF0551])
 
 
+# Draws ``BlockDraws`` asks numpy for at once. A block of Python floats is held
+# per sensor channel, so a wider block costs memory in a dense network.
+DRAW_BLOCK = 32
+
+
+class BlockDraws:
+    """The draws of ``draw``, handed out one at a time as Python floats by
+    ``random()``. ``draw(n)`` returns a generator's next ``n`` draws, as
+    ``Generator.random`` or ``partial(Generator.normal, 0.0, sigma)`` do,
+    and is called for ``DRAW_BLOCK`` at a time. numpy fills a block with the
+    floats that as many scalar calls would return, in order, so the stream
+    equals scalar draws. The method is named as a Generator's scalar uniform
+    draw, so a Generator can stand in for a stream of uniform draws."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, draw: Callable[[int], np.ndarray]):
+        def floats():
+            while True:
+                yield from draw(DRAW_BLOCK).tolist()
+
+        self.random: Callable[[], float] = floats().__next__
+
+
 @dataclass(frozen=True)
 class Path:
     """A named polyline in WGS84 coordinates."""
@@ -129,13 +184,19 @@ class Path:
         if not self.vertices:
             raise EmptyPathError(f"path {self.name!r} has no vertices")
 
-    def segment_lengths(self) -> tuple[float, ...]:
-        return tuple(
+    @cached_property
+    def _lengths(self) -> tuple[tuple[float, ...], float]:
+        # Computed on first use and kept: the vertices never change.
+        lengths = tuple(
             haversine_distance(a, b) for a, b in zip(self.vertices, self.vertices[1:])
         )
+        return lengths, sum(lengths)
+
+    def segment_lengths(self) -> tuple[float, ...]:
+        return self._lengths[0]
 
     def length(self) -> float:
-        return sum(self.segment_lengths())
+        return self._lengths[1]
 
 
 def _interpolate(a: GeoPoint, b: GeoPoint, frac: float) -> GeoPoint:
@@ -154,8 +215,7 @@ def path_position(path: Path, speed_mps: float, t: float) -> GeoPoint:
         return path.vertices[0]
     if speed_mps <= 0.0:
         raise ValueError("speed must be positive")
-    lengths = path.segment_lengths()
-    total = sum(lengths)
+    lengths, total = path._lengths
     if total == 0.0:
         return path.vertices[0]
     s = (speed_mps * t) % (2.0 * total)

@@ -7,7 +7,9 @@ node uses its short-range radio when some fixed-site node is inside radio
 range and otherwise falls back to the wide-area uplink straight to the
 server. Every reading of one sample tick shares the node's position, so
 the link is chosen once per tick (``choose_link``, the only anchor scan)
-and each reading then takes only its own loss draw (``route_measurement``).
+and each reading then takes only its own loss draw (``route_measurement``),
+from the node's loss stream, which ``run`` reads in blocks
+(``field.BlockDraws``) and which is drawn only over a lossy link.
 The coordinator batches everything it heard and uplinks on a fixed
 reporting grid. A reading that reaches the coordinator after its window was
 uplinked can join no later batch: it is dropped and counted, so every
@@ -26,7 +28,8 @@ byte-identical results. Each result goes to a ``RunSink`` as it is
 produced: every reading's fate when it is routed, every server arrival and
 every batch the server receives. The default sink, the ``SimulationResult``
 itself, keeps them all; a sink that writes them out as they come keeps a
-run's memory from growing with them.
+run's memory from growing with them. Each node's tallies are looked up once,
+at its first tick, as a list in the order of its readings.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .domain import (
     ValidationError,
     haversine_distance,
 )
-from .field import loss_generator
+from .field import BlockDraws, loss_generator
 from .nodes import sample
 
 if TYPE_CHECKING:
@@ -153,8 +156,10 @@ def route_measurement(
 ) -> DeliveryRecord:
     """Send one freshly sampled measurement the way ``choice`` says.
 
-    Loss is Bernoulli per message with the chosen link's probability; a lost
-    message is an outcome, not an error, and is never retried.
+    Loss is Bernoulli per message with the chosen link's probability, drawn
+    by ``rng.random()`` (a Generator, or a ``BlockDraws`` over one) only
+    when that probability is above 0; a lost message is an outcome, not an
+    error, and is never retried.
     """
     link = choice.link
     if link is None:
@@ -277,8 +282,9 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
         if s.descriptor.kind is not NodeKind.MOBILE
     )
     topo = NetworkTopology(coordinator_id=coordinator, anchors=anchors, links=scenario.links)
-    sampled = [
-        (s, loss_generator(scenario.seed, s.descriptor.node_id))
+    # [node, loss stream, the node's tallies in the order of its readings]
+    sampled: list[list] = [
+        [s, BlockDraws(loss_generator(scenario.seed, s.descriptor.node_id).random), None]
         for s in states
         if s.descriptor.sensor_suite
     ]
@@ -300,20 +306,21 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
             closed, window = window, []
         if k < n_ticks:
             window_end = start + (k // ticks_per_uplink + 1) * uplink_period
-            for node, rng in sampled:
+            for entry in sampled:
+                node, rng, node_tallies = entry
                 try:
                     readings = sample(node, field_model, t)
                 except ValidationError as e:  # the scenario overflowed the sensor chain
                     raise ConfigError(f"node {node.descriptor.node_id}: {e}") from e
+                if node_tallies is None:
+                    node_tallies = entry[2] = [
+                        tallies.setdefault((m.node_id, m.quantity), Tally()) for m in readings
+                    ]
                 choice = choose_link(node.descriptor, readings[0].position, topo)
                 to_coordinator = choice.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
-                for m in readings:
+                for m, tally in zip(readings, node_tallies):
                     record = route_measurement(m, choice, rng)
                     on_delivery(record)
-                    key = (m.node_id, m.quantity)
-                    tally = tallies.get(key)
-                    if tally is None:
-                        tally = tallies[key] = Tally()
                     tally.emitted += 1
                     if record.outcome is DeliveryOutcome.LOST:
                         tally.lost += 1

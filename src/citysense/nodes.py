@@ -12,15 +12,21 @@ Each reading goes through, in order:
 The multi-gas channels (CO, CO2, HC) additionally need a warm-up period
 after power-on during which readings are emitted but flagged, never used
 by the index pipelines.
+
+The clamp keeps every reading non-negative where its quantity must be, and
+relative humidity within [0, 100]; only a non-finite value, or a quantization
+step past the top of that range, can break a measurement invariant. So
+``sample`` checks those per reading, and the integer timestamp once per call,
+then builds each measurement unchecked. Each channel's noise comes from a
+``BlockDraws`` stream, which equals scalar draws of its generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
-
-import numpy as np
 
 from .domain import (
     Flag,
@@ -30,10 +36,12 @@ from .domain import (
     NodeDescriptor,
     NodeKind,
     Quantity,
+    ValidationError,
     co_ppm_to_mg_m3,
+    unchecked_measurement,
     validate_measurement,
 )
-from .field import FieldModel, Path, noise_generator, path_position
+from .field import BlockDraws, FieldModel, Path, noise_generator, path_position
 
 GAS_WARMUP_S = 900.0
 GAS_T90_S = 90.0
@@ -111,8 +119,7 @@ class _Channel(NamedTuple):
     spec: SensorSpec
     bias_mul: float
     bias_add: float
-    noise_sigma: float
-    noise: np.random.Generator | None  # None when the channel has no noise
+    noise: BlockDraws | None  # None when the channel has no noise
     floor: float  # the physical range of the quantity
     ceiling: float
 
@@ -136,9 +143,9 @@ class NodeState:
     ``sensors``, ``bias_add``, ``bias_mul`` and the field's noise are read
     once, at the node's first ``sample``, into a channel table: one row per
     quantity of the suite, in order of ``Quantity.value``, holding the spec,
-    both biases, the noise sigma and generator, and whether the quantity is
-    non-negative. They are fixed from then on; a later change to them, or a
-    different field passed to ``sample``, is not seen.
+    both biases, the noise stream and the physical range of the quantity.
+    They are fixed from then on; a later change to them, or a different
+    field passed to ``sample``, is not seen.
     """
 
     descriptor: NodeDescriptor
@@ -169,11 +176,14 @@ class NodeState:
             rows = []
             for q in sorted(self.descriptor.sensor_suite, key=lambda q: q.value):
                 sigma = f.noise_sigma.get(q, 0.0)
-                noise = noise_generator(f, self.descriptor.node_id, q) if sigma > 0.0 else None
+                noise = None
+                if sigma > 0.0:
+                    generator = noise_generator(f, self.descriptor.node_id, q)
+                    noise = BlockDraws(partial(generator.normal, 0.0, sigma))
                 humidity = q is Quantity.RELATIVE_HUMIDITY
                 rows.append(_Channel(
                     q, self.sensors[q], self.bias_mul.get(q, 1.0), self.bias_add.get(q, 0.0),
-                    sigma, noise,
+                    noise,
                     0.0 if humidity or q in NON_NEGATIVE_QUANTITIES else -math.inf,
                     100.0 if humidity else math.inf,
                 ))
@@ -184,21 +194,26 @@ class NodeState:
 def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
     """Take one reading of every quantity in the node's suite at time ``t``.
 
-    ``t`` must lie on the node's sampling grid; timestamps are epoch seconds.
-    Degraded readings are emitted with flags rather than dropped, so the
-    analytics layer sees the full population.
+    ``t`` must lie on the node's sampling grid; timestamps are epoch seconds,
+    and a ``t`` that is not an int raises ValidationError before any state
+    changes. Degraded readings are emitted with flags rather than dropped, so
+    the analytics layer sees the full population. A reading that breaks a
+    measurement invariant raises ValidationError naming it.
     """
+    if not isinstance(t, int):
+        raise ValidationError("timestamp", "must be integer seconds UTC")
     dt = float(t - node._last_sample_t) if node._last_sample_t is not None else None
     node._last_sample_t = t
     node_id = node.descriptor.node_id
     position = node.position_at(t)
     age = t - node.powered_since
     last_filtered = node.last_filtered
+    isfinite = math.isfinite
     out: list[Measurement] = []
-    for q, spec, bias_mul, bias_add, sigma, noise, floor, ceiling in node.channel_table(f):
+    for q, spec, bias_mul, bias_add, noise, floor, ceiling in node.channel_table(f):
         raw = f.value(q, position, t) * bias_mul + bias_add
         if noise is not None:
-            raw += noise.normal(0.0, sigma)
+            raw += noise.random()
         prev = last_filtered.get(q)
         if prev is None or dt is None:
             value = raw  # sensor settles on its first reading
@@ -220,7 +235,8 @@ def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
             if quantized != value:
                 bits |= _QUANTIZED
             value = quantized
-        out.append(validate_measurement(
-            Measurement(node_id, t, position, q, value, _FLAG_SETS[bits])
-        ))
+        flags = _FLAG_SETS[bits]
+        if not isfinite(value) or value > ceiling:  # quantizing can pass the range's top
+            validate_measurement(Measurement(node_id, t, position, q, value, flags))  # raises
+        out.append(unchecked_measurement(node_id, t, position, q, value, flags))
     return out

@@ -44,6 +44,7 @@ from .domain import (
     ValidationError,
     format_utc,
     parse_utc,
+    unchecked_measurement,
     validate_measurement,
     validate_node_id,
 )
@@ -107,13 +108,24 @@ class OutputSet:
 # one entry per subset of ``Flag``.
 _FLAGS_TEXT: dict[frozenset[Flag], str] = {}
 
+# The position of the last record serialized, and its ``lat,lon`` text. The
+# readings of one node tick share one GeoPoint, and the writer's sort puts
+# them next to each other. Holding the point keeps its id from being reused.
+_last_position: GeoPoint | None = None
+_last_position_text = ""
+
 
 def serialize_measurement(m: Measurement) -> str:
+    global _last_position, _last_position_text
     flags = _FLAGS_TEXT.get(m.flags)
     if flags is None:
         flags = _FLAGS_TEXT[m.flags] = ";".join(sorted(f.value for f in m.flags))
+    position = m.position
+    if position is not _last_position:
+        _last_position = position
+        _last_position_text = f"{position.lat!r},{position.lon!r}"
     return (
-        f"{format_utc(m.timestamp)},{m.node_id},{m.position.lat!r},{m.position.lon!r},"
+        f"{format_utc(m.timestamp)},{m.node_id},{_last_position_text},"
         f"{QUANTITY_CODES[m.quantity]},{m.value!r},{m.unit},{flags}"
     )
 
@@ -133,17 +145,6 @@ def _number(field_name: str, text: str) -> float:
         return float(text)
     except ValueError:
         raise ValidationError(field_name, f"bad number {text!r}") from None
-
-
-# The frozen dataclass __init__ runs object.__setattr__ once per field. The
-# parser makes each record with __new__ and fills it through the slots' own
-# setters instead, which builds the same record in half the time;
-# validate_measurement then checks it as before.
-_new_record = Measurement.__new__
-_set_node_id, _set_timestamp, _set_position, _set_quantity, _set_value, _set_flags = (
-    getattr(Measurement, name).__set__
-    for name in ("node_id", "timestamp", "position", "quantity", "value", "flags")
-)
 
 
 class _RecordParser:
@@ -185,13 +186,7 @@ class _RecordParser:
         flag_set = self._flags.get(flags)
         if flag_set is None:
             flag_set = self._flags[flags] = frozenset(Flag(f) for f in flags.split(";") if f)
-        m = _new_record(Measurement)
-        _set_node_id(m, known_id)
-        _set_timestamp(m, timestamp)
-        _set_position(m, position)
-        _set_quantity(m, quantity)
-        _set_value(m, value)
-        _set_flags(m, flag_set)
+        m = unchecked_measurement(known_id, timestamp, position, quantity, value, flag_set)
         return (timestamp, known_id, qcode), validate_measurement(m)
 
 

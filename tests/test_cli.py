@@ -1,11 +1,17 @@
 import hashlib
 import json
+import logging
+import os
 import re
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 import yaml
 
+import citysense
 from citysense import netsim, store
 from citysense.cli import main
 
@@ -694,3 +700,40 @@ class TestParser:
         assert len(err.strip().splitlines()) == 1
         assert f"error: argument {flag}:" in err
         assert (digest_tree(sim_dir), digest_tree(out)) == before
+
+
+@pytest.fixture
+def all_lost_hour(tmp_path):
+    """One hour of the bundled scenario in which every link loses every
+    message, so each of the four uplink windows is empty."""
+    bundled = Path(citysense.__file__).parent / "data" / "pisa-default.yaml"
+    scenario = yaml.safe_load(bundled.read_text())
+    scenario["duration_s"] = 3600
+    for link in scenario["links"].values():
+        link["loss_prob"] = 1.0
+    path = tmp_path / "all-lost.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    return path
+
+
+class TestLogging:
+    def test_empty_batch_warnings_print_nothing_to_stderr(self, all_lost_hour, tmp_path):
+        # A fresh interpreter: under pytest a capture handler sits on the root
+        # logger, and Python's last-resort handler would never be reached.
+        env = dict(os.environ)
+        src = str(Path(citysense.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "citysense.cli", "simulate", "--scenario",
+             str(all_lost_hour), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_empty_batch_warnings_still_reach_logging(self, all_lost_hour, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="citysense"):
+            assert main(["simulate", "--scenario", str(all_lost_hour),
+                         "--out", str(tmp_path / "out")]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.name == "citysense.netsim"]
+        assert warnings == [f"empty uplink batch at t={1429488000 + k * 900}" for k in (1, 2, 3, 4)]

@@ -1,16 +1,22 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from citysense import field as field_module
 from citysense.domain import GeoPoint, NON_NEGATIVE_QUANTITIES, Quantity, haversine_distance
 from citysense.field import (
+    DRAW_BLOCK,
+    BlockDraws,
     EmptyPathError,
     FieldModel,
     GaussianPlume,
     Path,
     UnknownQuantityError,
+    loss_generator,
     noise_generator,
     path_position,
 )
@@ -133,6 +139,101 @@ class TestNoiseStreams:
         assert not np.array_equal(a1, c)
 
 
+def memo_field() -> FieldModel:
+    """A field whose every time-of-day term is set, with plumes on top."""
+    return FieldModel(
+        seed=4,
+        baseline={Quantity.CO: 1.1, Quantity.O3: 50.0, Quantity.RELATIVE_HUMIDITY: 90.0},
+        diurnal_amplitude={Quantity.O3: 15.0, Quantity.RELATIVE_HUMIDITY: 20.0},
+        traffic_coupling={Quantity.CO: 0.8, Quantity.O3: -3.0},
+        plumes={
+            Quantity.CO: (GaussianPlume(P, 300.0, 2.0), GaussianPlume(offset(P, 400), 150.0, 1.5)),
+            Quantity.O3: (GaussianPlume(offset(P, -200, 100), 250.0, -20.0),),
+        },
+    )
+
+
+class TestTimeOfDayMemo:
+    QUANTITIES = (Quantity.CO, Quantity.O3, Quantity.RELATIVE_HUMIDITY)
+    POSITIONS = (P, offset(P, 150), offset(P, -180, 90))
+
+    def test_memo_hits_equal_fresh_values_over_seven_days(self):
+        f, fresh = memo_field(), memo_field()
+        # a 5-minute grid over 7 days, and a float time off the grid each day
+        times = [t for t in range(0, 7 * 86400, 300)] + [d * 86400 + 1800.5 * (d + 1) for d in range(7)]
+        for t in times:
+            for q in self.QUANTITIES:
+                for p in self.POSITIONS:
+                    fresh._tod_terms.clear()  # computed from scratch
+                    expected = fresh.value(q, p, t)
+                    v = f.value(q, p, t)  # a memo hit after the first day
+                    assert v == expected and math.copysign(1.0, v) == math.copysign(1.0, expected)
+        # each time of day was computed once per quantity, not once per day
+        assert len(f._tod_terms) == len(self.QUANTITIES) * (288 + 7)
+
+    def test_int_and_float_time_of_the_same_second_share_an_entry(self):
+        f = memo_field()
+        a = f.value(Quantity.O3, P, 86400 + 3600)
+        b = f.value(Quantity.O3, P, 3600.0)
+        assert a == b == memo_field().value(Quantity.O3, P, 3600.0)
+        assert len(f._tod_terms) == 1
+
+    def test_memo_never_exceeds_its_cap(self, monkeypatch):
+        monkeypatch.setattr(field_module, "_MAX_TOD_TERMS", 7)
+        f = memo_field()
+        for t in range(0, 86400, 300):
+            for q in self.QUANTITIES:
+                assert f.value(q, P, t) == memo_field().value(q, P, t)
+                assert len(f._tod_terms) <= 7
+
+    def test_unknown_quantity_is_not_memoised(self):
+        f = memo_field()
+        for _ in range(2):
+            with pytest.raises(UnknownQuantityError):
+                f.value(Quantity.CO2, P, 0)
+        assert f._tod_terms == {}
+
+    def test_replace_starts_an_empty_memo_and_equality_ignores_it(self):
+        f = memo_field()
+        f.value(Quantity.O3, P, 0)
+        g = dataclasses.replace(f, seed=9)
+        assert g._tod_terms == {} and f._tod_terms != {}
+        assert dataclasses.replace(f) == f == memo_field()
+
+
+class TestBlockDraws:
+    N = 3 * DRAW_BLOCK + 5  # crosses three block boundaries
+
+    def test_normal_draws_equal_scalar_calls(self):
+        f = FieldModel(seed=5, baseline={Quantity.CO2: 400.0})
+        scalar = noise_generator(f, "T1", Quantity.CO2)
+        stream = BlockDraws(partial(noise_generator(f, "T1", Quantity.CO2).normal, 0.0, 2.5))
+        expected = [scalar.normal(0.0, 2.5) for _ in range(self.N)]
+        drawn = [stream.random() for _ in range(self.N)]
+        assert drawn == expected
+        assert all(type(x) is float for x in drawn)
+
+    def test_uniform_draws_equal_scalar_calls(self):
+        scalar = loss_generator(11, "M1")
+        stream = BlockDraws(loss_generator(11, "M1").random)
+        drawn = [stream.random() for _ in range(self.N)]
+        assert drawn == [scalar.random() for _ in range(self.N)]
+        assert all(type(x) is float for x in drawn)
+
+    def test_draws_a_block_at_a_time(self):
+        sizes = []
+
+        def draw(n):
+            sizes.append(n)
+            return np.arange(n, dtype=float)
+
+        stream = BlockDraws(draw)
+        assert sizes == []  # nothing is drawn before the first float is asked for
+        assert [stream.random() for _ in range(DRAW_BLOCK + 1)] == (
+            list(map(float, range(DRAW_BLOCK))) + [0.0])
+        assert sizes == [DRAW_BLOCK, DRAW_BLOCK]
+
+
 def straight_path(length_m: float, name: str = "p") -> Path:
     return Path(name=name, vertices=(P, offset(P, length_m)))
 
@@ -178,3 +279,31 @@ class TestPathPosition:
         a = path_position(p, speed, t)
         b = path_position(p, speed, t + dt)
         assert haversine_distance(a, b) <= speed * dt + 0.01
+
+    def test_segment_lengths_are_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return haversine_distance(a, b)
+
+        monkeypatch.setattr(field_module, "haversine_distance", counted)
+        vertices = (P, offset(P, 300), offset(P, 300, 400), offset(P, -200, 400))
+        p = Path("L", vertices)
+        positions = [path_position(p, 4.0, t) for t in range(0, 3600, 300)]
+        assert len(calls) == 3  # one per segment, at the first traversal
+        assert p.length() == sum(p.segment_lengths()) and len(calls) == 3
+        # the positions the per-call recomputation gave
+        lengths = [haversine_distance(a, b) for a, b in zip(vertices, vertices[1:])]
+        expected = []
+        for t in range(0, 3600, 300):
+            s = (4.0 * t) % (2.0 * sum(lengths))
+            if s > sum(lengths):
+                s = 2.0 * sum(lengths) - s
+            for (a, b), seg in zip(zip(vertices, vertices[1:]), lengths):
+                if s <= seg:
+                    f = s / seg
+                    expected.append(GeoPoint(a.lat + (b.lat - a.lat) * f, a.lon + (b.lon - a.lon) * f))
+                    break
+                s -= seg
+        assert positions == expected

@@ -31,7 +31,7 @@ from citysense.netsim import (
     run,
 )
 from citysense.domain import haversine_distance
-from citysense.field import loss_generator
+from citysense.field import DRAW_BLOCK, BlockDraws, loss_generator
 from citysense.nodes import sample
 from citysense.scenario import load_scenario, with_seed
 from citysense.store import serialize_delivery
@@ -120,6 +120,28 @@ class TestRouteMeasurement:
         with pytest.raises(ValueError, match="latency_s"):
             LinkModel(Radio.WIDE_AREA, math.inf, 0.0, 86401.0)
         assert LinkModel(Radio.WIDE_AREA, math.inf, 0.0, 86400.0).latency_s == 86400.0
+
+
+class TestLossStream:
+    def test_drawn_only_over_a_lossy_link(self):
+        # in range: the lossy short-range link; out of range: the lossless wide area
+        links = dict(DEFAULT_LINKS)
+        links[Radio.SHORT_RANGE_MOBILE] = LinkModel(Radio.SHORT_RANGE_MOBILE, 300.0, 0.5, 1.0)
+        topo = dataclasses.replace(TOPO, links=links)
+        stream, scalar = BlockDraws(loss_generator(3, "M1").random), loss_generator(3, "M1")
+        lossy_readings = 0
+        for k in range(3 * DRAW_BLOCK):
+            position = FAR if k % 3 == 0 else P
+            choice = choose_link(mobile_descriptor(), position, topo)
+            for q in (Quantity.CO2, Quantity.O3):
+                record = route_measurement(meas("M1", position, q, 300 * k), choice, stream)
+                lost = False
+                if choice.link.loss_prob > 0.0:
+                    lossy_readings += 1
+                    lost = scalar.random() < 0.5
+                assert (record.outcome is DeliveryOutcome.LOST) is lost
+        assert lossy_readings == 128  # four blocks, drawn on two ticks of three
+        assert stream.random() == scalar.random()  # both consumed the same draws
 
 
 class TestCoordinatorUplink:
@@ -543,6 +565,14 @@ def _fractional_latency_lossy(pisa):
     return dataclasses.replace(cfg, links=links)
 
 
+def _lossy_mobile_short_range_only(pisa):
+    # M2 draws from its loss stream only on the ticks it is in short range.
+    links = dict(pisa.links)
+    links[Radio.SHORT_RANGE_MOBILE] = dataclasses.replace(
+        links[Radio.SHORT_RANGE_MOBILE], loss_prob=0.3)
+    return dataclasses.replace(pisa, duration_s=4 * 3600, links=links)
+
+
 def _no_coordinator(pisa):
     nodes = [n for n in pisa.nodes if n.descriptor.kind is not NodeKind.COORDINATOR]
     return dataclasses.replace(pisa, duration_s=3600, nodes=nodes)
@@ -551,7 +581,8 @@ def _no_coordinator(pisa):
 class TestGridWalkOrder:
     @pytest.mark.parametrize("make", [
         _zero_latency_lossy, _latency_one_sample_period, _late_short_range,
-        _uplink_every_sample, _fractional_latency_lossy, _no_coordinator,
+        _uplink_every_sample, _fractional_latency_lossy, _lossy_mobile_short_range_only,
+        _no_coordinator,
     ])
     def test_run_equals_the_event_queue_reference(self, pisa, make):
         cfg = make(pisa)
@@ -560,4 +591,5 @@ class TestGridWalkOrder:
         assert got.server_measurements == expected.server_measurements
         assert got.batches == expected.batches
         assert got.tallies == expected.tallies
+        assert list(got.tallies) == list(expected.tallies)  # first-seen order
         assert got.server_measurements

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 from citysense.domain import (
     Flag,
     GeoPoint,
+    Measurement,
     NodeDescriptor,
     NodeKind,
     Quantity,
+    ValidationError,
     co_ppm_to_mg_m3,
 )
 from citysense.field import FieldModel, Path
@@ -233,6 +235,37 @@ class TestSample:
         node = fixed_node(suite)
         ms = sample(node, f, 0)
         assert [m.quantity for m in ms] == sorted(suite, key=lambda q: q.value)
+
+
+    def test_readings_equal_checked_measurements(self):
+        f = FieldModel(seed=3, baseline={q: 10.0 for q in Quantity},
+                       noise_sigma={Quantity.CO2: 2.0, Quantity.O3: 1.0})
+        node = fixed_node({Quantity.CO2, Quantity.O3, Quantity.RELATIVE_HUMIDITY})
+        for m in sample(node, f, 0):
+            assert type(m) is Measurement
+            assert m == Measurement(m.node_id, m.timestamp, m.position, m.quantity, m.value, m.flags)
+
+    @pytest.mark.parametrize("field_value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_chain_value_raises(self, field_value):
+        node = fixed_node({Quantity.TEMPERATURE})
+        with pytest.raises(ValidationError, match="value: not finite"):
+            sample(node, StepField(field_value, field_value, 0), 0)
+
+    def test_float_time_raises_before_the_node_changes(self):
+        f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
+        node = fixed_node({Quantity.CO2})
+        sample(node, f, 0)
+        with pytest.raises(ValidationError, match="timestamp: must be integer seconds UTC"):
+            sample(node, f, 300.0)
+        assert node._last_sample_t == 0
+
+    def test_quantizing_past_100_percent_humidity_raises(self):
+        # 99.5 % on a 6 % grid rounds to 102 %, which no clamp comes after
+        f = FieldModel(seed=1, baseline={Quantity.RELATIVE_HUMIDITY: 99.5})
+        node = fixed_node({Quantity.RELATIVE_HUMIDITY}, sensors={
+            Quantity.RELATIVE_HUMIDITY: SensorSpec(Quantity.RELATIVE_HUMIDITY, resolution=6.0)})
+        with pytest.raises(ValidationError, match=r"relative_humidity 102.0 outside \[0, 100\]"):
+            sample(node, f, 0)
 
 
 def _distance_to_segment(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:

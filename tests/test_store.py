@@ -73,6 +73,17 @@ class TestRecordFormat:
         m = meas(flags=frozenset({Flag.QUANTIZED, Flag.BELOW_LOD}))
         assert serialize_measurement(m).endswith(",below_lod;quantized")
 
+    def test_each_record_gets_its_own_position_text(self):
+        q = GeoPoint(43.7195, 10.3966)
+        records = [
+            meas(quantity=Quantity.CO2), meas(quantity=Quantity.O3),  # one GeoPoint, reused
+            meas("T2", position=q), meas(t=T0 + 300),  # back to the first point
+            meas("T3", position=GeoPoint(-0.0, 180.0)), meas("T4", position=GeoPoint(0.0, 1e-7)),
+        ]
+        for m in records:
+            fields = serialize_measurement(m).split(",")
+            assert fields[2:4] == [repr(m.position.lat), repr(m.position.lon)]
+
     @given(measurements())
     def test_round_trip_is_bit_exact(self, m):
         assert parse_measurement(serialize_measurement(m)) == m

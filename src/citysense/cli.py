@@ -158,12 +158,7 @@ def _cmd_simulate(args) -> int:
     print(f"scenario {cfg.name!r} seed {cfg.seed}: {cfg.duration_s} s simulated")
     per_node: dict[str, Tally] = {}
     for (node_id, _), t in result.tallies.items():
-        tally = per_node.setdefault(node_id, Tally())
-        tally.emitted += t.emitted
-        tally.to_coordinator += t.to_coordinator
-        tally.to_server += t.to_server
-        tally.lost += t.lost
-        tally.dropped += t.dropped
+        per_node.setdefault(node_id, Tally()).add(t)
     total_emitted = total_undelivered = 0
     for node in cfg.nodes:
         tally = per_node.get(node.descriptor.node_id)

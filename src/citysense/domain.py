@@ -1,5 +1,6 @@
-"""Core value types shared across the sensing pipeline: quantities and their
-units, WGS84 positions, measurements, node descriptors, and report batches.
+"""Core value types shared across the sensing pipeline: quantities with
+their units and physical ranges, WGS84 positions, measurements and their
+one record order, node descriptors, and report batches.
 
 Everything in this module is an immutable value; instances can be shared
 freely between concurrent contexts.
@@ -55,18 +56,26 @@ UNITS: dict[Quantity, str] = {
     Quantity.RAIN: "mm",
 }
 
-# Quantities whose readings are physically non-negative; enforced on
-# Measurement values and clamped by the synthetic field.
-NON_NEGATIVE_QUANTITIES: frozenset[Quantity] = frozenset(
-    {
-        Quantity.PM25,
-        Quantity.HC,
-        Quantity.CO2,
-        Quantity.CO,
-        Quantity.O3,
-        Quantity.WIND_SPEED,
-    }
-)
+# Single source of truth for the physical range [low, high] of each quantity:
+# the synthetic field and the sensor chain clamp to it, and
+# ``validate_measurement`` checks it. Total over Quantity (tested).
+_UNBOUNDED = (-math.inf, math.inf)
+_NON_NEGATIVE = (0.0, math.inf)
+VALUE_RANGE: dict[Quantity, tuple[float, float]] = {
+    Quantity.TEMPERATURE: _UNBOUNDED,
+    Quantity.RELATIVE_HUMIDITY: (0.0, 100.0),
+    Quantity.DEW_POINT: _UNBOUNDED,
+    Quantity.WIND_SPEED: _NON_NEGATIVE,
+    Quantity.RADIANT_TEMPERATURE: _UNBOUNDED,
+    Quantity.PM25: _NON_NEGATIVE,
+    Quantity.HC: _NON_NEGATIVE,
+    Quantity.CO2: _NON_NEGATIVE,
+    Quantity.CO: _NON_NEGATIVE,
+    Quantity.O3: _NON_NEGATIVE,
+    Quantity.PRESSURE: _UNBOUNDED,
+    Quantity.SOLAR_RADIATION: _UNBOUNDED,
+    Quantity.RAIN: _UNBOUNDED,
+}
 
 # Channels served by the NDIR multi-gas sensor: slow warm-up, detection
 # limit, and 1 ppm quantization all apply to these three.
@@ -270,20 +279,27 @@ def validate_measurement(m: Measurement) -> Measurement:
     """Return ``m`` unchanged iff all single-record invariants hold.
 
     Raises:
-        ValidationError: NaN/infinite value, a negative reading for a
-            quantity that cannot be negative, or a relative humidity
-            outside [0, 100]. Position range errors are
-            raised by GeoPoint itself at construction time.
+        ValidationError: NaN/infinite value, a value outside its quantity's
+            ``VALUE_RANGE``, or a timestamp that is not an int. Position
+            range errors are raised by GeoPoint itself at construction time.
     """
     if not math.isfinite(m.value):
         raise ValidationError("value", f"not finite: {m.value!r}")
-    if m.quantity in NON_NEGATIVE_QUANTITIES and m.value < 0.0:
-        raise ValidationError("value", f"negative {m.quantity.value}: {m.value}")
-    if m.quantity is Quantity.RELATIVE_HUMIDITY and not 0.0 <= m.value <= 100.0:
-        raise ValidationError("value", f"relative_humidity {m.value} outside [0, 100]")
+    low, high = VALUE_RANGE[m.quantity]
+    if not low <= m.value <= high:
+        raise ValidationError("value", f"{m.quantity.value} {m.value} outside [{low:g}, {high:g}]")
     if not isinstance(m.timestamp, int):
         raise ValidationError("timestamp", "must be integer seconds UTC")
     return m
+
+
+# A record's sort key: (timestamp, node_id, quantity code). It is the one
+# order of records: the store's day files and every coordinator batch.
+RecordKey = tuple[int, str, str]
+
+
+def record_key(m: Measurement) -> RecordKey:
+    return (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity])
 
 
 # Sensor suites allowed per node kind, mirroring the deployed hardware:

@@ -7,7 +7,8 @@ Every quantity gets a smooth, fully deterministic field
                    + sum of Gaussian plumes centred on hot spots
                    + traffic_coupling * rush_hour_profile(tod)
 
-clamped to the physical range of the quantity. The sinusoid peaks at local
+clamped to the physical range of the quantity (``domain.VALUE_RANGE``; a
+NaN becomes the range's low end). The sinusoid peaks at local
 noon and integrates to zero over whole days, so daily population means stay
 at the configured baselines. The baseline, diurnal and rush-hour terms depend
 only on the quantity and the time of day, so ``FieldModel.value`` computes
@@ -34,8 +35,8 @@ import numpy as np
 
 from .domain import (
     GeoPoint,
-    NON_NEGATIVE_QUANTITIES,
     SECONDS_PER_DAY,
+    VALUE_RANGE,
     Quantity,
     haversine_distance,
 )
@@ -112,11 +113,8 @@ class FieldModel:
         for plume in self.plumes.get(quantity, ()):
             d = haversine_distance(position, plume.center)
             v += plume.amplitude * math.exp(-0.5 * (d / plume.sigma_m) ** 2)
-        if quantity in NON_NEGATIVE_QUANTITIES and v < 0.0:
-            v = 0.0
-        elif quantity is Quantity.RELATIVE_HUMIDITY:
-            v = min(100.0, max(0.0, v))
-        return v
+        low, high = VALUE_RANGE[quantity]
+        return min(high, max(low, v))
 
     def _time_of_day_terms(self, quantity: Quantity, tod: int | float) -> float:
         """The baseline plus the diurnal and rush-hour terms at time of day ``tod``."""

@@ -14,7 +14,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
-from .domain import EXCLUDED_FLAGS, Measurement, Quantity, format_utc, mean
+from .domain import EXCLUDED_FLAGS, VALUE_RANGE, Measurement, Quantity, format_utc, mean
 
 HOUR_S = 3600
 O3_WINDOW_S = 8 * HOUR_S
@@ -156,14 +156,15 @@ def tci(
 ) -> IndexValue:
     """Thermal comfort index: run the configured thermal model, then band it.
 
-    Inputs must be finite and rh in [0, 100]. Model outputs outside
-    [-13, 46) map to Unknown.
+    Inputs must be finite and rh within its ``VALUE_RANGE``. Model outputs
+    outside [-13, 46) map to Unknown.
     """
     for name, v in (("air_temp", air_temp), ("radiant_temp", radiant_temp), ("wind", wind), ("rh", rh)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite")
-    if not 0.0 <= rh <= 100.0:
-        raise ValueError(f"rh {rh} outside [0, 100]")
+    low, high = VALUE_RANGE[Quantity.RELATIVE_HUMIDITY]
+    if not low <= rh <= high:
+        raise ValueError(f"rh {rh} outside [{low:g}, {high:g}]")
     value = model(air_temp, radiant_temp, wind, rh)
     return IndexValue(IndexKind.TCI, station_id, window_end, value, classify(value, TCI_BANDS))
 

@@ -20,9 +20,10 @@ requires the uplink period to be a multiple of the sample period, so every
 uplink lies on that grid. Every link has a fixed latency, so a reading's
 fate is known when it is routed and ``run`` walks the grid with no event
 queue: a coordinator-bound reading joins its window's list if it arrives
-before the window ends, and is dropped otherwise; direct wide-area readings
-and batches share one latency, so each is handed over when it is sent, in
-order of arrival. At each grid time every node is sampled in node order,
+before the window ends, and is dropped otherwise (``run`` alone decides a
+reading's window; ``coordinator_uplink`` only sorts and batches the list).
+Direct wide-area readings and batches share one latency, so each is handed
+over when it is sent, in order of arrival. At each grid time every node is sampled in node order,
 then the window that just closed is uplinked. Equal seeds give
 byte-identical results. Each result goes to a ``RunSink`` as it is
 produced: every reading's fate when it is routed, every server arrival and
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -48,13 +49,13 @@ from .domain import (
     Measurement,
     NodeDescriptor,
     NodeKind,
-    QUANTITY_CODES,
     Quantity,
     Radio,
     ReportBatch,
     SECONDS_PER_DAY,
     ValidationError,
     haversine_distance,
+    record_key,
 )
 from .field import BlockDraws, loss_generator
 from .nodes import sample
@@ -176,27 +177,15 @@ def coordinator_uplink(
     window_end: int,
     buffer: list[Measurement],
 ) -> ReportBatch:
-    """Assemble the reporting batch for the window [window_start, window_end).
-
-    Batched readings are removed from the buffer; readings of another
-    window stay. An empty batch is legal and merely signalled in the log.
+    """Assemble the reporting batch for the window [window_start, window_end)
+    from ``buffer``, the readings ``run`` decided belong to that window, in
+    record order (``domain.record_key``). The buffer is left as it is. An
+    empty batch is legal and merely signalled in the log.
     """
-    picked: list[Measurement] = []
-    remaining: list[Measurement] = []
-    for m in buffer:
-        if window_start <= m.timestamp < window_end:
-            picked.append(m)
-        else:
-            remaining.append(m)
-    buffer[:] = remaining
-    picked.sort(key=lambda m: (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity]))
+    picked = tuple(sorted(buffer, key=record_key))
     if not picked:
         logger.warning("empty uplink batch at t=%d", window_end)
-    return ReportBatch(
-        coordinator_id=coordinator_id,
-        uplink_time=window_end,
-        measurements=tuple(picked),
-    )
+    return ReportBatch(coordinator_id, window_end, picked)
 
 
 @dataclass
@@ -206,6 +195,11 @@ class Tally:
     to_server: int = 0
     lost: int = 0
     dropped: int = 0  # reached the coordinator too late for any batch
+
+    def add(self, other: Tally) -> None:
+        """Add each of ``other``'s counts to this tally's."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     @property
     def delivered(self) -> int:

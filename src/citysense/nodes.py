@@ -4,8 +4,7 @@ Each reading goes through, in order:
 
     raw  = field_value * bias_mul + bias_add + noise
     lag  = first-order tracking with 90%-rise time t90
-    clamp to the physical range of the quantity: no negative concentration
-          or wind speed, relative humidity within [0, 100]
+    clamp to the physical range of the quantity (``domain.VALUE_RANGE``)
     LoD  : readings under the detection limit are zeroed and flagged
     quantize to the channel resolution (ties away from zero)
 
@@ -13,12 +12,12 @@ The multi-gas channels (CO, CO2, HC) additionally need a warm-up period
 after power-on during which readings are emitted but flagged, never used
 by the index pipelines.
 
-The clamp keeps every reading non-negative where its quantity must be, and
-relative humidity within [0, 100]; only a non-finite value, or a quantization
-step past the top of that range, can break a measurement invariant. So
-``sample`` checks those per reading, and the integer timestamp once per call,
-then builds each measurement unchecked. Each channel's noise comes from a
-``BlockDraws`` stream, which equals scalar draws of its generator.
+The clamp keeps a finite reading within its quantity's range, and so do the
+LoD zero (every range holds 0) and quantization, which is monotone:
+``SensorSpec`` refuses a resolution that rounds the top of the range past it.
+So ``sample`` checks only finiteness per reading, and the integer timestamp
+once per call, then builds each measurement unchecked. Each channel's noise
+comes from a ``BlockDraws`` stream, which equals scalar draws of its generator.
 """
 
 from __future__ import annotations
@@ -32,14 +31,13 @@ from .domain import (
     Flag,
     GeoPoint,
     Measurement,
-    NON_NEGATIVE_QUANTITIES,
     NodeDescriptor,
     NodeKind,
     Quantity,
+    VALUE_RANGE,
     ValidationError,
     co_ppm_to_mg_m3,
     unchecked_measurement,
-    validate_measurement,
 )
 from .field import BlockDraws, FieldModel, Path, noise_generator, path_position
 
@@ -49,35 +47,35 @@ GAS_T90_S = 90.0
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """Per-channel physics parameters, all in the quantity's storage unit."""
+    """Per-channel physics parameters, all in the quantity's storage unit.
+    The defaults are the multi-gas sensor's warm-up and response time."""
 
     quantity: Quantity
-    warmup_s: float = 900.0
-    t90_s: float = 90.0
+    warmup_s: float = GAS_WARMUP_S
+    t90_s: float = GAS_T90_S
     lod: float = 0.0
     resolution: float = 0.0
 
     def __post_init__(self):
         if self.warmup_s < 0 or self.t90_s <= 0 or self.lod < 0 or self.resolution < 0:
             raise ValueError(f"bad sensor spec for {self.quantity.value}")
+        low, high = VALUE_RANGE[self.quantity]  # quantize keeps each low end, 0 or -inf
+        if quantize(high, self.resolution) > high:
+            raise ValueError(f"resolution {self.resolution:g} rounds {high:g} to "
+                             f"{quantize(high, self.resolution):g}, outside [{low:g}, {high:g}]")
 
 
 def default_sensor_spec(quantity: Quantity) -> SensorSpec:
     """Datasheet defaults. The gas channels carry LoD and 1 ppm resolution;
-    CO values are stored in mg/m3, so its ppm figures are converted."""
+    CO values are stored in mg/m3, so its ppm figures are converted. Every
+    other channel is continuous, with no warm-up."""
     if quantity is Quantity.CO:
-        return SensorSpec(
-            quantity,
-            warmup_s=GAS_WARMUP_S,
-            t90_s=GAS_T90_S,
-            lod=co_ppm_to_mg_m3(5.0),
-            resolution=co_ppm_to_mg_m3(1.0),
-        )
+        return SensorSpec(quantity, lod=co_ppm_to_mg_m3(5.0), resolution=co_ppm_to_mg_m3(1.0))
     if quantity is Quantity.CO2:
-        return SensorSpec(quantity, warmup_s=GAS_WARMUP_S, t90_s=GAS_T90_S, lod=10.0, resolution=1.0)
+        return SensorSpec(quantity, lod=10.0, resolution=1.0)
     if quantity is Quantity.HC:
-        return SensorSpec(quantity, warmup_s=GAS_WARMUP_S, t90_s=GAS_T90_S, lod=5.0, resolution=1.0)
-    return SensorSpec(quantity, warmup_s=0.0, t90_s=GAS_T90_S, lod=0.0, resolution=0.0)
+        return SensorSpec(quantity, lod=5.0, resolution=1.0)
+    return SensorSpec(quantity, warmup_s=0.0)
 
 
 def lag_filter(prev: float, target: float, dt: float, t90: float) -> float:
@@ -120,7 +118,7 @@ class _Channel(NamedTuple):
     bias_mul: float
     bias_add: float
     noise: BlockDraws | None  # None when the channel has no noise
-    floor: float  # the physical range of the quantity
+    floor: float  # the quantity's VALUE_RANGE
     ceiling: float
 
 
@@ -161,7 +159,7 @@ class NodeState:
     def __post_init__(self):
         if self.descriptor.kind is NodeKind.MOBILE and self.trajectory is None:
             raise ValueError(f"mobile node {self.descriptor.node_id} needs a trajectory")
-        for q in self.descriptor.sensor_suite:
+        for q in self.descriptor.sensor_suite:  # datasheet defaults where not overridden
             self.sensors.setdefault(q, default_sensor_spec(q))
 
     def position_at(self, t: float) -> GeoPoint:
@@ -180,12 +178,9 @@ class NodeState:
                 if sigma > 0.0:
                     generator = noise_generator(f, self.descriptor.node_id, q)
                     noise = BlockDraws(partial(generator.normal, 0.0, sigma))
-                humidity = q is Quantity.RELATIVE_HUMIDITY
                 rows.append(_Channel(
                     q, self.sensors[q], self.bias_mul.get(q, 1.0), self.bias_add.get(q, 0.0),
-                    noise,
-                    0.0 if humidity or q in NON_NEGATIVE_QUANTITIES else -math.inf,
-                    100.0 if humidity else math.inf,
+                    noise, *VALUE_RANGE[q],
                 ))
             self._channels = tuple(rows)
         return self._channels
@@ -197,8 +192,8 @@ def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
     ``t`` must lie on the node's sampling grid; timestamps are epoch seconds,
     and a ``t`` that is not an int raises ValidationError before any state
     changes. Degraded readings are emitted with flags rather than dropped, so
-    the analytics layer sees the full population. A reading that breaks a
-    measurement invariant raises ValidationError naming it.
+    the analytics layer sees the full population. A non-finite reading
+    raises ValidationError naming its value.
     """
     if not isinstance(t, int):
         raise ValidationError("timestamp", "must be integer seconds UTC")
@@ -235,8 +230,7 @@ def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
             if quantized != value:
                 bits |= _QUANTIZED
             value = quantized
-        flags = _FLAG_SETS[bits]
-        if not isfinite(value) or value > ceiling:  # quantizing can pass the range's top
-            validate_measurement(Measurement(node_id, t, position, q, value, flags))  # raises
-        out.append(unchecked_measurement(node_id, t, position, q, value, flags))
+        if not isfinite(value):
+            raise ValidationError("value", f"not finite: {value!r}")
+        out.append(unchecked_measurement(node_id, t, position, q, value, _FLAG_SETS[bits]))
     return out

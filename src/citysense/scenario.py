@@ -126,11 +126,12 @@ class ScenarioConfig:
             raise ConfigError(f"links must configure every radio, missing {missing}")
 
     def build_node_states(self) -> list[NodeState]:
+        """One state per node, given the scenario's sensor overrides for its
+        suite; ``NodeState`` fills in the datasheet defaults."""
         states = []
         for n in self.nodes:
-            sensors = {}
-            for q in n.descriptor.sensor_suite:
-                sensors[q] = self.sensor_overrides.get(q, default_sensor_spec(q))
+            suite = n.descriptor.sensor_suite
+            sensors = {q: spec for q, spec in self.sensor_overrides.items() if q in suite}
             trajectory = None
             if n.descriptor.kind is NodeKind.MOBILE:
                 trajectory = (self.paths[n.route], n.speed_mps)

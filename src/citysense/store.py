@@ -14,7 +14,8 @@ File format (normative, one record per line, comma separated):
     flags     = semicolon-joined flag codes, sorted; empty when clean
 
 Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and
-sorted by (timestamp, node_id, quantity). ``write_measurements`` writes
+sorted by ``domain.record_key``: (timestamp, node_id, quantity), the order
+of every coordinator batch too. ``write_measurements`` writes
 them into an ``OutputSet``, the one writer of every command's files, which
 replaces a directory's old set only once the new one is whole.
 
@@ -40,10 +41,12 @@ from .domain import (
     Measurement,
     QUANTITY_CODES,
     Quantity,
+    RecordKey,
     UNITS,
     ValidationError,
     format_utc,
     parse_utc,
+    record_key,
     unchecked_measurement,
     validate_measurement,
     validate_node_id,
@@ -130,10 +133,6 @@ def serialize_measurement(m: Measurement) -> str:
     )
 
 
-# A record's sort key: (timestamp, node_id, quantity code).
-RecordKey = tuple[int, str, str]
-
-
 def _number(field_name: str, text: str) -> float:
     """``float(text)`` for a number of the record grammar. Text ``float``
     rejects is a ValidationError, and so is text it reads only by going
@@ -159,8 +158,8 @@ class _RecordParser:
         self._flags: dict[str, frozenset[Flag]] = {}
 
     def __call__(self, line: str) -> tuple[RecordKey, Measurement]:
-        """The sort key and the validated record of one line, given
-        without its line end."""
+        """The record key (``domain.record_key``), read from the text, and
+        the validated record of one line, given without its line end."""
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed record: {line!r}")
@@ -194,10 +193,6 @@ def parse_measurement(line: str) -> Measurement:
     return _RecordParser()(line.rstrip("\n"))[1]
 
 
-def _sort_key(m: Measurement) -> RecordKey:
-    return (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity])
-
-
 def _duplicate(key: RecordKey) -> ValueError:
     timestamp, node_id, qcode = key
     return ValueError(f"duplicate record: {node_id} {qcode} at {format_utc(timestamp)}")
@@ -205,7 +200,7 @@ def _duplicate(key: RecordKey) -> ValueError:
 
 def write_measurements(files: OutputSet, records: Iterable[Measurement]) -> None:
     """Write ``records`` into ``files`` as day files, each sorted by
-    (timestamp, node_id, quantity). Each record is validated, and each
+    ``domain.record_key``. Each record is validated, and each
     distinct node id checked against ``domain.NODE_ID``, as a load would,
     so no line is written that a load would refuse. A (node, timestamp,
     quantity) triple given twice is a ValueError naming it."""
@@ -217,12 +212,12 @@ def write_measurements(files: OutputSet, records: Iterable[Measurement]) -> None
             node_ids.add(validate_node_id(m.node_id))
         by_day.setdefault(m.timestamp // SECONDS_PER_DAY, []).append(m)
     for day, day_records in sorted(by_day.items()):
-        day_records.sort(key=_sort_key)
+        day_records.sort(key=record_key)
         date = format_utc(day * SECONDS_PER_DAY)[:10]
         with files.open(f"measurements-{date}.txt") as out:
             last = None
             for m in day_records:
-                key = _sort_key(m)
+                key = record_key(m)
                 if key == last:
                     raise _duplicate(key)
                 last = key
@@ -262,7 +257,7 @@ class MeasurementStore:
                             elif key == last:
                                 raise _duplicate(key)
                             else:
-                                seen = {_sort_key(r) for r in records}
+                                seen = {record_key(r) for r in records}
                         if seen is not None:
                             if key in seen:
                                 raise _duplicate(key)
@@ -271,13 +266,13 @@ class MeasurementStore:
                         raise ValueError(f"{f.name} line {lineno}: {e}") from e
                     records.append(m)
         if seen is not None:
-            records.sort(key=_sort_key)
+            records.sort(key=record_key)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def all(self) -> list[Measurement]:
-        """Every record, in (timestamp, node_id, quantity) order."""
+        """Every record, in ``domain.record_key`` order."""
         return list(self._records)
 
 

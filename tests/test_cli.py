@@ -339,6 +339,21 @@ class TestSimulateConfigErrors:
         assert err.startswith("config error:") and needle in err
         assert "Traceback" not in err
 
+    def test_humidity_resolution_past_100_is_refused_at_load(self, tmp_path, capsys):
+        # 95 % humidity on a 6 % grid would reach 102 % mid-run; the scenario
+        # is refused before any output directory is made.
+        raw = yaml.safe_load((Path(citysense.__file__).parent / "data" / "pisa-default.yaml").read_text())
+        raw.setdefault("sensors", {})["relative_humidity"] = {"resolution": 6}
+        raw["field"]["baseline"]["relative_humidity"] = 95
+        path = tmp_path / "rh.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: sensors.relative_humidity: resolution 6 rounds 100 to 102, "
+            "outside [0, 100]\n")
+        assert not out.exists()
+
     def test_tiny_sensor_resolution_runs(self, small_scenario_file, tmp_path):
         # 400 / 1e-320 overflows a float: quantize must leave the value alone
         assert _simulate_edited(small_scenario_file, tmp_path, _set("sensors", "co2", "resolution", 1e-320)) == 0

@@ -16,6 +16,7 @@ from citysense.domain import (
     Quantity,
     ReportBatch,
     UNITS,
+    VALUE_RANGE,
     ValidationError,
     co_mg_m3_to_ppm,
     co_ppm_to_mg_m3,
@@ -44,7 +45,7 @@ class TestValidateMeasurement:
         with pytest.raises(ValidationError) as e:
             validate_measurement(meas(-1.0, Quantity.PM25))
         assert e.value.field_name == "value"
-        assert "negative" in e.value.reason
+        assert e.value.reason == "pm25 -1.0 outside [0, inf]"
 
     def test_rejects_out_of_range_latitude(self):
         with pytest.raises(ValidationError) as e:
@@ -104,6 +105,12 @@ class TestUnits:
     def test_unit_mapping_is_total(self):
         for q in Quantity:
             assert q in UNITS and UNITS[q]
+
+    def test_value_range_is_total_and_holds_zero(self):
+        # zero: the sensor chain's below-LoD placeholder must be in range
+        for q in Quantity:
+            low, high = VALUE_RANGE[q]
+            assert low <= 0.0 <= high and low in (0.0, -math.inf)
 
     def test_measurement_reports_its_unit(self):
         assert meas(quantity=Quantity.CO).unit == "mg/m3"

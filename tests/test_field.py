@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citysense import field as field_module
-from citysense.domain import GeoPoint, NON_NEGATIVE_QUANTITIES, Quantity, haversine_distance
+from citysense.domain import GeoPoint, VALUE_RANGE, Quantity, haversine_distance
 from citysense.field import (
     DRAW_BLOCK,
     BlockDraws,
@@ -100,7 +100,8 @@ class TestFieldValue:
 
     def test_nonnegative_at_a_million_random_samples(self):
         # aggressive negative plumes so the clamp actually engages
-        concentrations = sorted(NON_NEGATIVE_QUANTITIES, key=lambda q: q.value)
+        concentrations = sorted((q for q, r in VALUE_RANGE.items() if r == (0.0, math.inf)),
+                                key=lambda q: q.value)
         f = FieldModel(
             seed=3,
             baseline={q: 2.0 for q in concentrations},
@@ -125,6 +126,12 @@ class TestFieldValue:
             traffic_coupling={Quantity.CO: 0.8},
         )
         assert f.value(Quantity.CO, P, 8 * 3600) > f.value(Quantity.CO, P, 3 * 3600)
+
+    @pytest.mark.parametrize("baseline", [-0.0, math.nan])
+    def test_humidity_of_negative_zero_or_nan_is_positive_zero(self, baseline):
+        q = Quantity.RELATIVE_HUMIDITY
+        v = FieldModel(seed=1, baseline={q: baseline}).value(q, P, 0)
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
 class TestNoiseStreams:

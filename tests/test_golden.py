@@ -5,10 +5,14 @@ A change to any digest is an output change and needs an explicit
 re-baseline in CHANGES.md. The ``simulate`` files are pinned as first
 recorded; the ``indexes`` and ``compare`` files as re-baselined when means
 became exact sums (``domain.mean``). A lossy two-hour variant pins the
-``simulate`` files of the paths the lossless day does not take.
+``simulate`` files of the paths the lossless day does not take, and a
+late-arrival variant pins the ``simulate`` files and stdout of a run that
+drops readings arriving after their window was uplinked.
 """
 
+import contextlib
 import hashlib
+import io
 from importlib import resources
 
 import pytest
@@ -142,22 +146,32 @@ LOSSY_SIMULATE = {
 }
 
 
-@pytest.fixture(scope="module")
-def lossy_outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden-lossy")
+def _simulate_edited(root, edit, *argv):
+    """Run ``simulate`` on ``pisa-default`` for 2 hours with 5 % loss on
+    every link, after ``edit`` changed it further; return its output
+    directory and its stdout."""
     doc = yaml.safe_load(
         resources.files("citysense").joinpath("data/pisa-default.yaml").read_text()
     )
     doc["duration_s"] = 7200
     for link in doc["links"].values():
         link["loss_prob"] = 0.05
-    del doc["sensors"]
-    scenario = root / "lossy.yaml"
+    edit(doc)
+    scenario = root / "scenario.yaml"
     scenario.write_text(yaml.safe_dump(doc))
     out = root / "simulate"
-    argv = ["simulate", "--scenario", str(scenario), "--seed", SEED, "--out", str(out)]
-    assert main(argv) == 0
-    return out
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["simulate", "--scenario", str(scenario), *argv, "--out", str(out)]) == 0
+    return out, stdout.getvalue()
+
+
+@pytest.fixture(scope="module")
+def lossy_outputs(tmp_path_factory):
+    def edit(doc):
+        del doc["sensors"]
+
+    return _simulate_edited(tmp_path_factory.mktemp("golden-lossy"), edit, "--seed", SEED)[0]
 
 
 def test_lossy_simulate_digests(lossy_outputs):
@@ -170,3 +184,35 @@ def test_lossy_simulate_digests(lossy_outputs):
     day = (lossy_outputs / "measurements-2015-04-20.txt").read_text()
     assert ",lost," in log and ",short_range_mobile," in log and ",wide_area," in log
     assert ",below_lod" in day or ";below_lod" in day
+
+
+# ``pisa-default`` (its own seed) for 2 hours with 5 % loss on every link,
+# fixed-site readings 450 s and mobile ones 2.5 s on the short-range link:
+# every fixed-site node drops 75-85 readings that reach the coordinator
+# after their window was uplinked, so these files pin which window ``run``
+# gives each reading.
+LATE_SIMULATE = {
+    "delivery-log.txt": "34aebacd27a4669feff7bc7525c6d7b68549c2d2cf28a5a555aeb447f07d8508",
+    "measurements-2015-04-20.txt": "3f82fbacdd05ec1b8bd8a4dc9b9cdba3fe3a2aae10d04cae0a26e1b547e54ce6",
+    "nodes.json": "663daef0db0832366f0f744cc397319a85fef913b4e1e14d884f45fcafab4601",
+    "stdout": "5ecd2997b55538386a4edce88389c27eda2fa919c660d45539f3fe76d2581ec0",
+}
+
+
+@pytest.fixture(scope="module")
+def late_outputs(tmp_path_factory):
+    def edit(doc):
+        doc["links"]["short_range_fixed"]["latency_s"] = 450
+        doc["links"]["short_range_mobile"]["latency_s"] = 2.5
+
+    return _simulate_edited(tmp_path_factory.mktemp("golden-late"), edit)
+
+
+def test_late_arrival_simulate_digests(late_outputs):
+    out, stdout = late_outputs
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+    }
+    written["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert written == LATE_SIMULATE
+    assert "T1: emitted 240, to coordinator 230, direct 0, lost 10, dropped 76" in stdout

@@ -107,6 +107,15 @@ class TestDefaultSensorSpecs:
         with pytest.raises(ValueError):
             SensorSpec(Quantity.CO2, t90_s=0.0)
 
+    @pytest.mark.parametrize("resolution, rounded", [(6.0, "102"), (0.7, "100.1"), (200.0, "200")])
+    def test_humidity_resolution_rounding_100_past_it_is_refused(self, resolution, rounded):
+        with pytest.raises(ValueError, match=fr"rounds 100 to {rounded}, outside \[0, 100\]$"):
+            SensorSpec(Quantity.RELATIVE_HUMIDITY, resolution=resolution)
+
+    @pytest.mark.parametrize("resolution", [0.0, 0.3, 0.5, 1.0, 4.0])
+    def test_humidity_resolution_keeping_100_in_range_is_accepted(self, resolution):
+        assert SensorSpec(Quantity.RELATIVE_HUMIDITY, resolution=resolution).resolution == resolution
+
 
 class StepField:
     """Test double: constant level that steps at a given time; no noise."""
@@ -258,14 +267,6 @@ class TestSample:
         with pytest.raises(ValidationError, match="timestamp: must be integer seconds UTC"):
             sample(node, f, 300.0)
         assert node._last_sample_t == 0
-
-    def test_quantizing_past_100_percent_humidity_raises(self):
-        # 99.5 % on a 6 % grid rounds to 102 %, which no clamp comes after
-        f = FieldModel(seed=1, baseline={Quantity.RELATIVE_HUMIDITY: 99.5})
-        node = fixed_node({Quantity.RELATIVE_HUMIDITY}, sensors={
-            Quantity.RELATIVE_HUMIDITY: SensorSpec(Quantity.RELATIVE_HUMIDITY, resolution=6.0)})
-        with pytest.raises(ValidationError, match=r"relative_humidity 102.0 outside \[0, 100\]"):
-            sample(node, f, 0)
 
 
 def _distance_to_segment(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:

@@ -9,13 +9,13 @@ from citysense.domain import (
     Measurement,
     Quantity,
     ValidationError,
+    record_key,
 )
 from citysense import store as store_module
 from citysense.store import (
     MeasurementStore,
     OutputSet,
     StorageError,
-    _sort_key,
     parse_measurement,
     serialize_measurement,
     write_measurements,
@@ -224,7 +224,7 @@ class TestWriteMeasurements:
     def test_two_day_files_load_in_order(self, tmp_path):
         records = batch_of(27) + [meas(node="A0", t=T0 + 86400)]
         save(tmp_path, list(reversed(records)))
-        assert MeasurementStore(tmp_path).all() == sorted(records, key=_sort_key) == records
+        assert MeasurementStore(tmp_path).all() == sorted(records, key=record_key) == records
 
     def test_no_records_write_no_day_file(self, tmp_path):
         save(tmp_path, [])
@@ -345,7 +345,7 @@ class TestLoadOrder:
         day_file.write_text("\n".join(lines) + "\n")
         loaded = MeasurementStore(tmp_path).all()
         records = [parse_measurement(line) for line in lines]
-        assert loaded == sorted(records, key=_sort_key)
+        assert loaded == sorted(records, key=record_key)
         assert loaded != records
 
     def test_all_returns_a_copy(self, tmp_path):

@@ -14,9 +14,9 @@ from pathlib import Path
 
 from citysense import (
     Quantity,
-    associate_mobile_to_fixed,
     compare_populations,
     load_scenario,
+    mobile_fixed_populations,
     run,
     write_comparison_report,
 )
@@ -24,15 +24,10 @@ from citysense.domain import NodeKind
 
 
 def mobile_fixed_report(cfg, result):
-    measurements = [m for _, m in result.server_measurements]
-    fixed = [n.descriptor for n in cfg.nodes if n.descriptor.kind is NodeKind.FIXED]
-    mobile_ids = {
-        n.descriptor.node_id for n in cfg.nodes if n.descriptor.kind is NodeKind.MOBILE
-    }
-    mobile = [m for m in measurements if m.node_id in mobile_ids]
-    assoc = associate_mobile_to_fixed(mobile, fixed, radius_m=500.0)
-    pop_mobile = [m for group in assoc.by_station.values() for m in group]
-    pop_fixed = [m for m in measurements if m.node_id in assoc.by_station]
+    nodes = {n.descriptor.node_id: (n.descriptor.kind, n.path_tag, n.descriptor.home_position) for n in cfg.nodes}
+    pop_mobile, pop_fixed, _ = mobile_fixed_populations(
+        (m for _, m in result.server_measurements), nodes, radius_m=500.0
+    )
     return compare_populations(pop_mobile, pop_fixed, labels=("mobile", "fixed"))
 
 

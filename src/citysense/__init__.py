@@ -11,6 +11,7 @@ from .analytics import (
     associate_mobile_to_fixed,
     compare_populations,
     estimate_pmf,
+    mobile_fixed_populations,
     relative_error,
     write_comparison_report,
 )
@@ -25,7 +26,6 @@ from .domain import (
     ReportBatch,
     UNITS,
     ValidationError,
-    co_mg_m3_to_ppm,
     co_ppm_to_mg_m3,
     haversine_distance,
     validate_measurement,

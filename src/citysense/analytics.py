@@ -1,8 +1,10 @@
 """Statistical comparison of measurement populations.
 
-Empirical PMFs, population means, and the relative error between two
-population means, plus the proximity rule that associates mobile samples
-with their nearest fixed station.
+Empirical PMFs over explicit bin edges, population means, and the relative
+error between two population means, plus the one rule that forms the
+mobile and fixed populations: each mobile sample goes to its nearest fixed
+station within a radius, and the fixed population is the readings of the
+stations that received one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .domain import (
     Flag,
     GeoPoint,
     Measurement,
-    NodeDescriptor,
+    NodeKind,
     Quantity,
     haversine_distance,
     mean,
@@ -28,7 +30,7 @@ from .domain import (
 from .store import OutputSet
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
-DEFAULT_BIN_COUNT = 30
+BIN_COUNT = 30  # equal-width PMF bins per compared quantity
 
 
 class EmptySampleError(ValueError):
@@ -56,43 +58,24 @@ class Pmf:
 
 def estimate_pmf(
     samples: Sequence[float],
-    bins: Sequence[float] | tuple[int, float, float] | int = DEFAULT_BIN_COUNT,
+    edges: Sequence[float] | np.ndarray,
     quantity: Quantity | None = None,
 ) -> Pmf:
-    """Estimate the empirical PMF of ``samples``.
-
-    ``bins`` is either explicit ascending edges, a ``(count, min, max)``
-    triple, or a bare bin count spanning the sample range. Probabilities are
-    normalized over the samples that fall inside the edges, so they always
-    sum to 1.
+    """Estimate the empirical PMF of ``samples`` over the ascending bin
+    ``edges``. Probabilities are normalized over the samples that fall
+    inside the edges, so they always sum to 1.
     """
     if len(samples) == 0:
         raise EmptySampleError("no samples")
-    data = np.asarray(samples, dtype=float)
-    if isinstance(bins, int):
-        lo, hi = float(data.min()), float(data.max())
-        edges = _safe_edges(bins, lo, hi)
-    elif isinstance(bins, tuple) and len(bins) == 3 and isinstance(bins[0], int):
-        edges = _safe_edges(bins[0], float(bins[1]), float(bins[2]))
-    else:
-        edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be ascending with at least two entries")
-    counts, edges = np.histogram(data, bins=edges)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("bin edges must be ascending with at least two entries")
+    counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=edges)
     total = int(counts.sum())
     if total == 0:
         raise EmptySampleError("no samples inside the bin range")
     probs = counts / total
     return Pmf(quantity, tuple(edges.tolist()), tuple(probs.tolist()), total)
-
-
-def _safe_edges(count: int, lo: float, hi: float) -> np.ndarray:
-    if count < 1:
-        raise ValueError("bin count must be >= 1")
-    if lo == hi:
-        # Degenerate span (all samples identical): one unit-wide bin.
-        return np.array([lo - 0.5, hi + 0.5])
-    return np.linspace(lo, hi, count + 1)
 
 
 def relative_error(m_a: float, m_b: float) -> float:
@@ -112,12 +95,11 @@ class Association:
 
     by_station: Mapping[str, tuple[Measurement, ...]]
     unassociated: tuple[Measurement, ...]
-    radius_m: float
 
 
 def associate_mobile_to_fixed(
     mobile: Iterable[Measurement],
-    fixed_stations: Sequence[NodeDescriptor] | Sequence[tuple[str, GeoPoint]],
+    fixed_stations: Sequence[tuple[str, GeoPoint]],
     radius_m: float = DEFAULT_ASSOCIATION_RADIUS_M,
 ) -> Association:
     """Assign each mobile sample to the nearest fixed station within
@@ -128,13 +110,7 @@ def associate_mobile_to_fixed(
     still) share one result, so the stations are scanned once per distinct
     position, not once per sample.
     """
-    stations: list[tuple[str, GeoPoint]] = []
-    for s in fixed_stations:
-        if isinstance(s, NodeDescriptor):
-            stations.append((s.node_id, s.home_position))
-        else:
-            stations.append((s[0], s[1]))
-    stations.sort(key=lambda s: s[0])
+    stations = sorted(fixed_stations, key=lambda s: s[0])
     by_station: dict[str, list[Measurement]] = {}
     unassociated: list[Measurement] = []
     nearest: dict[GeoPoint, tuple[str | None, float]] = {}
@@ -155,8 +131,39 @@ def associate_mobile_to_fixed(
     return Association(
         by_station={k: tuple(v) for k, v in sorted(by_station.items())},
         unassociated=tuple(unassociated),
-        radius_m=radius_m,
     )
+
+
+# A node table row: kind, path tag, home position (None for a mobile node).
+NodeRow = tuple[NodeKind, str | None, GeoPoint | None]
+
+
+def mobile_fixed_populations(
+    records: Iterable[Measurement],
+    nodes: Mapping[str, NodeRow],
+    radius_m: float = DEFAULT_ASSOCIATION_RADIUS_M,
+) -> tuple[list[Measurement], list[Measurement], Association]:
+    """Split ``records`` into the mobile and fixed populations the paper
+    compares, with the association that formed them.
+
+    ``nodes`` maps node id to (kind, path tag, home position), as
+    ``citysense simulate`` writes ``nodes.json``. The mobile population is
+    every mobile sample within ``radius_m`` of a fixed station (see
+    :func:`associate_mobile_to_fixed`); the fixed population is every
+    reading of the stations that received one.
+    """
+    by_node: dict[str, list[Measurement]] = {}
+    for m in records:
+        by_node.setdefault(m.node_id, []).append(m)
+    rows = sorted(nodes.items())
+    fixed = [(nid, position) for nid, (kind, _, position) in rows if kind is NodeKind.FIXED]
+    mobile = [
+        m for nid, (kind, _, _) in rows if kind is NodeKind.MOBILE for m in by_node.get(nid, [])
+    ]
+    association = associate_mobile_to_fixed(mobile, fixed, radius_m)
+    pop_mobile = [m for ms in association.by_station.values() for m in ms]
+    pop_fixed = [m for sid in association.by_station for m in by_node.get(sid, [])]
+    return pop_mobile, pop_fixed, association
 
 
 @dataclass(frozen=True)
@@ -180,51 +187,48 @@ class ComparisonReport:
     incomparable: tuple[Quantity, ...]
 
 
-def _clean_values(ms: Iterable[Measurement]) -> dict[Quantity, list[float]]:
-    out: dict[Quantity, list[float]] = {}
-    for m in ms:
-        if not (m.flags & EXCLUDED_FLAGS):
-            out.setdefault(m.quantity, []).append(m.value)
-    return out
-
-
-def _below_lod_rates(ms: Iterable[Measurement]) -> dict[Quantity, float]:
-    """Share of each quantity's readings flagged below LoD, in one pass."""
+def _split_by_quantity(
+    ms: Iterable[Measurement],
+) -> tuple[dict[Quantity, list[float]], dict[Quantity, float]]:
+    """In one pass: each quantity's usable values, and the share of its
+    readings flagged below LoD."""
+    values: dict[Quantity, list[float]] = {}
     totals: dict[Quantity, int] = {}
     flagged: dict[Quantity, int] = {}
     for m in ms:
-        totals[m.quantity] = totals.get(m.quantity, 0) + 1
+        q = m.quantity
+        totals[q] = totals.get(q, 0) + 1
         if Flag.BELOW_LOD in m.flags:
-            flagged[m.quantity] = flagged.get(m.quantity, 0) + 1
-    return {q: flagged.get(q, 0) / n for q, n in totals.items()}
+            flagged[q] = flagged.get(q, 0) + 1
+        if not (m.flags & EXCLUDED_FLAGS):
+            values.setdefault(q, []).append(m.value)
+    return values, {q: flagged.get(q, 0) / n for q, n in totals.items()}
 
 
 def compare_populations(
     a: Sequence[Measurement],
     b: Sequence[Measurement],
-    bin_count: int = DEFAULT_BIN_COUNT,
     labels: tuple[str, str] = ("a", "b"),
 ) -> ComparisonReport:
     """Per-quantity means, relative error, and PMFs for two populations.
 
-    Both PMFs of a quantity share one set of equal-width edges spanning the
-    pooled range, so they are directly comparable. Quantities with usable
-    samples in only one population are listed as incomparable.
+    Both PMFs of a quantity share one set of ``BIN_COUNT`` equal-width edges
+    spanning the pooled range (one unit-wide bin if every sample is equal),
+    so they are directly comparable. Quantities with usable samples in only
+    one population are listed as incomparable.
     """
-    values_a = _clean_values(a)
-    values_b = _clean_values(b)
+    values_a, lod_rates_a = _split_by_quantity(a)
+    values_b, lod_rates_b = _split_by_quantity(b)
     shared = sorted(set(values_a) & set(values_b), key=lambda q: q.value)
     only = sorted(set(values_a) ^ set(values_b), key=lambda q: q.value)
     if not shared:
         raise NoOverlapError("populations share no quantity with usable samples")
-    lod_rates_a = _below_lod_rates(a)
-    lod_rates_b = _below_lod_rates(b)
     rows = []
     for q in shared:
         va, vb = values_a[q], values_b[q]
         lo = min(min(va), min(vb))
         hi = max(max(va), max(vb))
-        edges = _safe_edges(bin_count, lo, hi)
+        edges = np.linspace(lo, hi, BIN_COUNT + 1) if lo < hi else np.array([lo - 0.5, hi + 0.5])
         mean_a = mean(va)
         mean_b = mean(vb)
         rows.append(
@@ -233,8 +237,8 @@ def compare_populations(
                 mean_a=mean_a,
                 mean_b=mean_b,
                 eta=relative_error(mean_a, mean_b) if mean_b != 0.0 else math.nan,
-                pmf_a=estimate_pmf(va, tuple(edges.tolist()), q),
-                pmf_b=estimate_pmf(vb, tuple(edges.tolist()), q),
+                pmf_a=estimate_pmf(va, edges, q),
+                pmf_b=estimate_pmf(vb, edges, q),
                 n_a=len(va),
                 n_b=len(vb),
                 below_lod_rate_a=lod_rates_a[q],

@@ -15,9 +15,10 @@ from typing import TextIO
 
 from .analytics import (
     DEFAULT_ASSOCIATION_RADIUS_M,
+    NodeRow,
     NoOverlapError,
-    associate_mobile_to_fixed,
     compare_populations,
+    mobile_fixed_populations,
     write_comparison_report,
 )
 from .domain import GeoPoint, Measurement, NodeKind, Radio
@@ -210,7 +211,7 @@ def _cmd_indexes(args) -> int:
 # compare
 
 
-def _load_nodes(data_dir: FsPath) -> dict[str, tuple[NodeKind, str | None, GeoPoint | None]]:
+def _load_nodes(data_dir: FsPath) -> dict[str, NodeRow]:
     """Read ``nodes.json`` as node id -> (kind, path tag, home position).
     Raises ValueError, naming the node, on a file ``simulate`` would not
     write."""
@@ -253,11 +254,11 @@ def _cmd_compare(args) -> int:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     records = store.all()
-    by_node: dict[str, list] = {}
-    for m in records:
-        by_node.setdefault(m.node_id, []).append(m)
 
     if args.mode == "paths":
+        by_node: dict[str, list] = {}
+        for m in records:
+            by_node.setdefault(m.node_id, []).append(m)
         tags: dict[str, list[str]] = {}
         for nid, (kind, path, _) in nodes.items():
             if kind is NodeKind.FIXED and path:
@@ -275,20 +276,7 @@ def _cmd_compare(args) -> int:
         pop_b = [m for nid in tags[tag_b] for m in by_node.get(nid, [])]
         labels = (tag_a, tag_b)
     else:
-        fixed = [
-            (nid, position)
-            for nid, (kind, _, position) in sorted(nodes.items())
-            if kind is NodeKind.FIXED
-        ]
-        mobile = [
-            m
-            for nid, (kind, _, _) in sorted(nodes.items())
-            if kind is NodeKind.MOBILE
-            for m in by_node.get(nid, [])
-        ]
-        association = associate_mobile_to_fixed(mobile, fixed, radius_m=args.radius_m)
-        pop_a = [m for ms in association.by_station.values() for m in ms]
-        pop_b = [m for sid in association.by_station for m in by_node.get(sid, [])]
+        pop_a, pop_b, association = mobile_fixed_populations(records, nodes, args.radius_m)
         labels = ("mobile", "fixed")
         print(
             f"associated {len(pop_a)} mobile samples to "

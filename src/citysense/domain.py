@@ -102,11 +102,6 @@ def co_ppm_to_mg_m3(ppm: float) -> float:
     return ppm * CO_MOLAR_MASS_G_PER_MOL / _MOLAR_VOLUME_L_PER_MOL
 
 
-def co_mg_m3_to_ppm(mg_m3: float) -> float:
-    """Inverse of :func:`co_ppm_to_mg_m3`."""
-    return mg_m3 * _MOLAR_VOLUME_L_PER_MOL / CO_MOLAR_MASS_G_PER_MOL
-
-
 class Flag(str, Enum):
     """Quality flags carried by a measurement."""
 

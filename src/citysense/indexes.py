@@ -3,6 +3,11 @@ index, and a traffic index, each classified into color bands.
 
 All band tables are left-closed, right-open: a value exactly on a threshold
 belongs to the band above it.
+
+``compute_indexes`` recomputes the air-quality and thermal indexes from
+stored readings on a reporting grid. The value at a grid point ``t`` reads
+only readings stamped before ``t``, thermal inputs included, so it does not
+depend on the order the readings come in.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .domain import EXCLUDED_FLAGS, VALUE_RANGE, Measurement, Quantity, format_utc, mean
@@ -38,13 +42,6 @@ class IndexColor(str, Enum):
     DARK_BLUE = "dark_blue"
     UNKNOWN = "unknown"
 
-
-INDEX_UNITS: dict[IndexKind, str] = {
-    IndexKind.AQI_O3: "ug/m3",
-    IndexKind.AQI_PM: "ug/m3",
-    IndexKind.TCI: "degC",
-    IndexKind.TI: "EV/s",
-}
 
 # (lower, upper, color), left-closed right-open, ascending.
 O3_BANDS = (
@@ -85,10 +82,6 @@ class IndexValue:
     window_end: int
     value: float
     color: IndexColor
-
-    @property
-    def unit(self) -> str:
-        return INDEX_UNITS[self.kind]
 
 
 def _mean_index(
@@ -289,14 +282,17 @@ _TCI_INPUTS = (
 )
 _INDEX_INPUTS = frozenset({Quantity.O3, Quantity.PM25, *_TCI_INPUTS})
 _AQI = ((Quantity.O3, O3_WINDOW_S, aqi_o3), (Quantity.PM25, PM_WINDOW_S, aqi_pm))
+_NO_SERIES = ((), ())
 
 
 class IndexComputer:
     """Maintains per-station series and recomputes indexes from them.
 
-    Call :meth:`ingest` with newly stored measurements, then :meth:`update`
-    at every reporting boundary; only stations that ever produced usable
-    data for an index are emitted.
+    :meth:`ingest` takes readings in any order and in any number of calls.
+    :meth:`update` at ``t`` reads only readings stamped before ``t``, so its
+    result does not depend on what else was ingested, or when. A station's
+    index is emitted at ``t`` once the station has a usable reading stamped
+    before ``t`` for it (for the thermal index, one of each input).
 
     Each (station, quantity) series is two parallel lists, timestamps and
     values, sorted by timestamp and never trimmed. A reading goes in after
@@ -319,25 +315,26 @@ class IndexComputer:
             vs.insert(i, m.value)
 
     def update(self, t: int) -> list[IndexValue]:
-        """Recompute every index with windows ending at ``t`` (exclusive);
-        the thermal index takes each input's latest reading stamped <= ``t``."""
+        """Recompute every index from the readings stamped before ``t``: the
+        AQI windows end at ``t`` (exclusive), and the thermal index takes
+        each input's latest reading stamped before ``t``."""
         out: list[IndexValue] = []
         for station in sorted(self._series):
             series = self._series[station]
             for q, window_s, index in _AQI:
-                if q in series:
-                    ts, vs = series[q]
-                    out.append(index(vs[bisect_left(ts, t - window_s):bisect_left(ts, t)], station, t))
-            if all(q in series for q in _TCI_INPUTS):
-                latest = []
-                for q in _TCI_INPUTS:
-                    ts, vs = series[q]
-                    i = bisect_right(ts, t)
-                    if i == 0:
-                        break
-                    latest.append(vs[i - 1])
-                else:
-                    out.append(tci(*latest, station, t, model=self.thermal_model))
+                ts, vs = series.get(q, _NO_SERIES)
+                end = bisect_left(ts, t)
+                if end:
+                    out.append(index(vs[bisect_left(ts, t - window_s, 0, end):end], station, t))
+            latest = []
+            for q in _TCI_INPUTS:
+                ts, vs = series.get(q, _NO_SERIES)
+                i = bisect_left(ts, t)
+                if i == 0:
+                    break
+                latest.append(vs[i - 1])
+            else:
+                out.append(tci(*latest, station, t, model=self.thermal_model))
         return out
 
 
@@ -350,22 +347,18 @@ def compute_indexes(
 
     The grid holds each multiple of ``period_s`` after the first reading,
     through the first multiple after the last one. At each grid point ``t``
-    the readings stamped before ``t`` are ingested, then every index is
-    recomputed with windows ending at ``t``. Records may come in any order.
+    every index is recomputed from the readings stamped before ``t``.
+    Records may come in any order.
     """
-    ordered = sorted(records, key=attrgetter("timestamp"))
-    if not ordered:
+    records = list(records)
+    if not records:
         return []
     computer = IndexComputer(thermal_model=thermal_model)
-    first, last = ordered[0].timestamp // period_s, ordered[-1].timestamp // period_s
-    out: list[IndexValue] = []
-    i = 0
-    for t in range((first + 1) * period_s, (last + 2) * period_s, period_s):
-        j = bisect_left(ordered, t, lo=i, key=attrgetter("timestamp"))
-        computer.ingest(ordered[i:j])
-        out.extend(computer.update(t))
-        i = j
-    return out
+    computer.ingest(records)
+    first = min(m.timestamp for m in records) // period_s
+    last = max(m.timestamp for m in records) // period_s
+    grid = range((first + 1) * period_s, (last + 2) * period_s, period_s)
+    return [iv for t in grid for iv in computer.update(t)]
 
 
 def index_record_line(iv: IndexValue) -> str:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from citysense.analytics import associate_mobile_to_fixed, compare_populations, relative_error
+from citysense.analytics import compare_populations, mobile_fixed_populations, relative_error
 from citysense.cli import main
 from citysense.domain import Flag, NodeKind, Quantity, Radio, co_ppm_to_mg_m3
 from citysense.field import FieldModel
@@ -292,13 +292,10 @@ def _population_means(result):
 
 
 def _mobile_fixed_report(cfg, result):
-    ms = [m for _, m in result.server_measurements]
-    fixed_nodes = [n.descriptor for n in cfg.nodes if n.descriptor.kind is NodeKind.FIXED]
-    mobile_ids = {n.descriptor.node_id for n in cfg.nodes if n.descriptor.kind is NodeKind.MOBILE}
-    mobile = [m for m in ms if m.node_id in mobile_ids]
-    assoc = associate_mobile_to_fixed(mobile, fixed_nodes, radius_m=500.0)
-    pop_mobile = [m for v in assoc.by_station.values() for m in v]
-    pop_fixed = [m for m in ms if m.node_id in assoc.by_station]
+    nodes = {n.descriptor.node_id: (n.descriptor.kind, n.path_tag, n.descriptor.home_position) for n in cfg.nodes}
+    pop_mobile, pop_fixed, _ = mobile_fixed_populations(
+        (m for _, m in result.server_measurements), nodes, radius_m=500.0
+    )
     return compare_populations(pop_mobile, pop_fixed, labels=("mobile", "fixed"))
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citysense.analytics import (
-    Association,
     EmptySampleError,
     NoOverlapError,
     associate_mobile_to_fixed,
@@ -15,15 +14,7 @@ from citysense.analytics import (
     relative_error,
     write_comparison_report,
 )
-from citysense.domain import (
-    Flag,
-    GeoPoint,
-    Measurement,
-    NodeDescriptor,
-    NodeKind,
-    Quantity,
-    haversine_distance,
-)
+from citysense.domain import Flag, GeoPoint, Measurement, Quantity, haversine_distance
 
 P = GeoPoint(43.716, 10.3966)
 M_PER_DEG_LAT = math.pi * 6371000.0 / 180.0
@@ -38,22 +29,20 @@ def meas(value, quantity=Quantity.CO2, node="M1", t=0, position=P, flags=frozens
 
 
 def station(node_id, position):
-    return NodeDescriptor(
-        node_id, NodeKind.FIXED, frozenset({Quantity.CO2}),
-        home_position=position,
-    )
+    return (node_id, position)
 
 
 class TestEstimatePmf:
-    def test_identical_samples_single_bin(self):
-        pmf = estimate_pmf([5.0] * 100)
-        assert pmf.probabilities == (1.0,)
-        assert pmf.n_samples == 100
+    def test_identical_samples_single_unit_wide_bin(self):
+        (row,) = compare_populations([meas(5.0)] * 100, [meas(5.0)]).rows
+        assert row.pmf_a.bin_edges == (4.5, 5.5)
+        assert row.pmf_a.probabilities == (1.0,)
+        assert row.pmf_a.n_samples == 100
 
     def test_uniform_law_of_large_numbers(self):
         rng = np.random.default_rng(7)
         samples = rng.uniform(0.0, 1.0, 10_000)
-        pmf = estimate_pmf(samples.tolist(), (10, 0.0, 1.0))
+        pmf = estimate_pmf(samples.tolist(), np.linspace(0.0, 1.0, 11))
         for p in pmf.probabilities:
             assert p == pytest.approx(0.1, abs=0.02)
 
@@ -61,9 +50,16 @@ class TestEstimatePmf:
         pmf = estimate_pmf([0.5, 1.5, 2.5], [0.0, 1.0, 2.0, 3.0])
         assert pmf.probabilities == (pytest.approx(1 / 3),) * 3
 
+    @pytest.mark.parametrize("edges", [(0, 1, 2), (3, 5, 10)])
+    def test_three_integer_edges_are_edges(self, edges):
+        pmf = estimate_pmf([0.5, 1.5, 4.0, 7.0], edges)
+        assert pmf.bin_edges == tuple(map(float, edges))
+        assert pmf.probabilities == (0.5, 0.5)
+        assert pmf.n_samples == 2
+
     def test_empty_sample(self):
         with pytest.raises(EmptySampleError):
-            estimate_pmf([])
+            estimate_pmf([], [0.0, 1.0])
 
     def test_samples_outside_explicit_edges_are_renormalized(self):
         pmf = estimate_pmf([0.5, 0.6, 99.0], [0.0, 1.0])
@@ -76,7 +72,7 @@ class TestEstimatePmf:
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
     def test_total_mass_is_one(self, samples):
-        pmf = estimate_pmf(samples)
+        pmf = estimate_pmf(samples, np.linspace(min(samples) - 1.0, max(samples) + 1.0, 31))
         assert sum(pmf.probabilities) == pytest.approx(1.0, abs=1e-9)
         assert all(p >= 0 for p in pmf.probabilities)
         assert len(pmf.bin_edges) == len(pmf.probabilities) + 1
@@ -145,7 +141,7 @@ def brute_force_association(mobile, stations, radius_m):
     sends a tie to the lower id."""
     by_station, unassociated = {}, []
     for m in mobile:
-        d, sid = min((haversine_distance(m.position, s.home_position), s.node_id) for s in stations)
+        d, sid = min((haversine_distance(m.position, pos), sid) for sid, pos in stations)
         if d <= radius_m:
             by_station.setdefault(sid, []).append(m)
         else:
@@ -165,8 +161,8 @@ class TestAssociationDifferential:
         # A sample exactly at the radius from its only nearby station.
         lone = station("L0", GeoPoint(43.9, 10.3966))
         stations.append(lone)
-        edge = offset(lone.home_position, 420)
-        radius = haversine_distance(edge, lone.home_position)
+        edge = offset(lone[1], 420)
+        radius = haversine_distance(edge, lone[1])
         places = [offset(P, float(d)) for d in rng.uniform(-3500, 3500, 40)] + [tie, edge]
         samples = [
             meas(float(i), quantity=q, t=300 * i, position=places[int(rng.integers(len(places)))])
@@ -177,7 +173,7 @@ class TestAssociationDifferential:
         by_station, unassociated = brute_force_association(samples, stations, radius)
         assert dict(assoc.by_station) == by_station
         assert assoc.unassociated == unassociated
-        assert haversine_distance(tie, e0.home_position) == haversine_distance(tie, e1.home_position)
+        assert haversine_distance(tie, e0[1]) == haversine_distance(tie, e1[1])
         assert assoc.by_station["E0"][-1].value == 1.0  # the tie goes to the lower id
         assert assoc.by_station["L0"][-1].value == 2.0  # d == radius_m is inside
         assert unassociated, "some sample should fall outside every radius"

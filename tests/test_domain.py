@@ -18,7 +18,6 @@ from citysense.domain import (
     UNITS,
     VALUE_RANGE,
     ValidationError,
-    co_mg_m3_to_ppm,
     co_ppm_to_mg_m3,
     format_utc,
     haversine_distance,
@@ -120,9 +119,9 @@ class TestCoConversion:
     def test_one_ppm(self):
         assert co_ppm_to_mg_m3(1.0) == pytest.approx(1.1445995094587829, rel=1e-12)
 
-    @given(st.floats(0, 1e4))
-    def test_round_trip(self, ppm):
-        assert co_mg_m3_to_ppm(co_ppm_to_mg_m3(ppm)) == pytest.approx(ppm, rel=1e-12, abs=1e-12)
+    def test_one_ppm_is_molar_mass_over_molar_volume(self):
+        # 28.010 g/mol over 24.4715 L/mol, the molar volume at 25 degC and 1013 hPa
+        assert co_ppm_to_mg_m3(1.0) == pytest.approx(28.010 / 24.4715, rel=1e-5)
 
 
 class TestNodeDescriptor:

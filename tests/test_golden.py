@@ -18,6 +18,7 @@ from importlib import resources
 import pytest
 import yaml
 
+from citysense.analytics import compare_populations, mobile_fixed_populations, write_comparison_report
 from citysense.cli import main
 from citysense.indexes import apparent_temperature_model, compute_indexes, index_record_line
 from citysense.netsim import run
@@ -132,6 +133,19 @@ def test_compute_indexes_over_run_equals_indexes_step(outputs):
     }
     assert len(values) == sum(map(len, written.values())) == 1824
     assert in_memory == written
+
+
+def test_mobile_fixed_rule_over_run_equals_compare_step(tmp_path):
+    """The mobile-fixed rule and ``compare_populations`` over the records
+    ``run()`` hands the server write exactly the files of
+    ``citysense compare --mode mobile-fixed``, so the in-memory path (the
+    demo, the acceptance test) and the CLI path form the same populations."""
+    cfg = with_seed(load_scenario("pisa-default"), int(SEED))
+    nodes = {n.descriptor.node_id: (n.descriptor.kind, n.path_tag, n.descriptor.home_position) for n in cfg.nodes}
+    mobile, fixed, _ = mobile_fixed_populations((m for _, m in run(cfg).server_measurements), nodes)
+    write_comparison_report(compare_populations(mobile, fixed, labels=("mobile", "fixed")), tmp_path)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert written == GOLDEN["compare-mobile-fixed"]
 
 
 # ``pisa-default`` for 2 hours with 5 % loss on every link and the datasheet

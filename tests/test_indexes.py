@@ -375,6 +375,21 @@ class TestIndexComputer:
         computer.ingest([Measurement("M1", 300, P, Quantity.TEMPERATURE, 20.0)])
         assert [iv.kind for iv in computer.update(900)] == []
 
+    def test_a_later_reading_ingested_first_adds_no_row(self):
+        computer = IndexComputer()
+        computer.ingest([o3_measurement(42.0, 300, node="T1"), o3_measurement(60.0, 5000, node="T2")])
+        computer.ingest(tci_readings(5000, 20.0, node="T1"))
+        assert [(iv.station_id, iv.kind) for iv in computer.update(900)] == [("T1", IndexKind.AQI_O3)]
+
+    def test_thermal_reading_stamped_at_t_is_not_used_at_t(self):
+        computer = IndexComputer()
+        computer.ingest([*tci_readings(300, 10.0), *tci_readings(900, 30.0)])
+        assert [iv.value for iv in computer.update(900)] == [10.0]
+        assert [iv.value for iv in computer.update(901)] == [30.0]
+        only_at_t = IndexComputer()
+        only_at_t.ingest(tci_readings(900, 30.0))
+        assert only_at_t.update(900) == []
+
 
 class TestComputeIndexes:
     def _o3(self, records):
@@ -396,7 +411,7 @@ class TestComputeIndexes:
         assert values == [(900, 40.0), (1800, 70.0)]
         # a first reading on a grid point starts the grid one period later
         assert self._o3([o3_measurement(100.0, 900)]) == [(1800, 100.0)]
-        # so do thermal inputs, though update(t) reads those stamped <= t
+        # so do thermal inputs
         tci_values = [
             (iv.window_end, iv.value)
             for iv in compute_indexes([*tci_readings(300, 10.0), *tci_readings(900, 20.0)], 900)
@@ -435,7 +450,7 @@ class RescanReference:
     """Brute-force index windows: every update rescans each station's whole
     history, as ``IndexComputer`` once did. A window is a list comprehension
     over the readings in arrival order; a thermal input is the last reading
-    appended among those stamped <= t."""
+    appended among those stamped before t."""
 
     def __init__(self, thermal_model):
         self.thermal_model = thermal_model
@@ -457,7 +472,7 @@ class RescanReference:
             if all(q in series for q in TCI_INPUTS):
                 latest = {}
                 for q in TCI_INPUTS:
-                    usable = [(ts, v) for ts, v in series[q] if ts <= t]
+                    usable = [(ts, v) for ts, v in series[q] if ts < t]
                     if usable:
                         latest[q] = usable[-1][1]
                 if len(latest) == len(TCI_INPUTS):
@@ -530,7 +545,7 @@ class TestIngestOrder:
         computer.ingest(tci_readings(1200, 30.0))  # later reading arrives first
         computer.ingest(tci_readings(600, 20.0))
         computer.ingest(tci_readings(300, 10.0))
-        values = [iv.value for t in (300, 900, 1200) for iv in computer.update(t)]
+        values = [iv.value for t in (301, 901, 1201) for iv in computer.update(t)]
         assert values == [10.0, 20.0, 30.0]
 
 

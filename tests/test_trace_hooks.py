@@ -3,9 +3,10 @@
 The tracer wraps functions and methods by name and lists each name it does
 not find instead of failing, so a rename or removal in the package would
 silently zero a traced metric. This runs one simulated hour of the bundled
-scenario under the tracer, in a fresh interpreter because installing it
-rebinds module globals, and pins both the absent names and the counters of
-the network layer.
+scenario under the tracer, then ``indexes`` and ``compare --mode
+mobile-fixed`` on its output, in a fresh interpreter because installing it
+rebinds module globals. It pins the absent names and the counters of the
+network, index and analytics layers.
 """
 
 import json
@@ -28,8 +29,14 @@ from spans import Tracer
 
 tracer = Tracer()
 tracer.install()
+sim, idx, cmp = (sys.argv[2] + d for d in ("/sim", "/idx", "/cmp"))
+rc = {}
 with tracer.step_span("simulate"):
-    rc = cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+    rc["simulate"] = cli.main(["simulate", "--scenario", sys.argv[1], "--out", sim])
+with tracer.step_span("indexes"):
+    rc["indexes"] = cli.main(["indexes", sim, "--out", idx])
+with tracer.step_span("compare_mobile"):
+    rc["compare_mobile"] = cli.main(["compare", sim, "--mode", "mobile-fixed", "--out", cmp])
 print(json.dumps({"rc": rc, "missing": tracer.missing, "layers": tracer.metrics()}))
 """
 
@@ -56,12 +63,18 @@ def test_tracer_finds_every_name_but_the_known_absent_ones(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["rc"] == 0
+    assert doc["rc"] == {"simulate": 0, "indexes": 0, "compare_mobile": 0}
     assert doc["missing"] == ABSENT
     layers = doc["layers"]
     assert layers["netsim.uplink_calls"] == 4  # one per 900 s window of the hour
     for name in (
         "netsim.uplink_scanned", "netsim.uplink_batched", "nodes.sample_calls",
         "nodes.readings", "netsim.route_calls", "netsim.delivered",
+    ):
+        assert layers[name] > 0, name
+    assert layers["indexes.ingest_calls"] == 1  # compute_indexes ingests every record once
+    for name in (
+        "indexes.recompute_values", "analytics.associate_pairs", "analytics.associated",
+        "analytics.compare_s",
     ):
         assert layers[name] > 0, name

@@ -30,11 +30,11 @@ from .indexes import (
     index_record_line,
     traffic_index,
 )
-from .netsim import ConfigError, DeliveryOutcome, DeliveryRecord, RunSink, Tally, run
-from .scenario import load_access, load_scenario, with_seed
-from .store import (
-    MeasurementStore, OutputSet, StorageError, serialize_delivery, write_measurements,
+from .netsim import (
+    ConfigError, DeliveryOutcome, DeliveryRecord, RunSink, SimulationResult, Tally, run,
 )
+from .scenario import ScenarioConfig, load_access, load_scenario, with_seed
+from .store import DayFiles, MeasurementStore, OutputSet, StorageError, serialize_delivery
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,11 +110,12 @@ _RADIO_CODES = {r: r.value for r in Radio}
 
 class _LogSink(RunSink):
     """Writes each reading's delivery-log line as the run routes it, and
-    keeps only the readings the server receives, for the store."""
+    streams the readings the server receives into the day files, one
+    watermark at a time."""
 
-    def __init__(self, log: TextIO):
+    def __init__(self, log: TextIO, days: DayFiles):
         self._write = log.write
-        self.received: list[Measurement] = []
+        self._days = days
 
     def delivery(self, d: DeliveryRecord) -> None:
         m = d.measurement
@@ -129,14 +130,17 @@ class _LogSink(RunSink):
         self._write(f"{line}\n")
 
     def arrival(self, t: int, m: Measurement) -> None:
-        self.received.append(m)
+        self._days.add(m)
+
+    def watermark(self, t: int) -> None:
+        self._days.write_before(t)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_scenario(args.scenario)
-    if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
-
+def simulate(cfg: ScenarioConfig, out: str | FsPath) -> tuple[SimulationResult, int]:
+    """Run ``cfg`` and replace the output set under ``out`` with its
+    delivery log, day files and ``nodes.json``. Returns the run's tallies
+    and the number of readings the server received. A run that fails
+    part-way leaves every earlier output as it was."""
     nodes_doc = {
         n.descriptor.node_id: {
             "kind": n.descriptor.kind.value,
@@ -147,14 +151,19 @@ def _cmd_simulate(args) -> int:
         }
         for n in cfg.nodes
     }
-    # A run that fails part-way leaves every earlier output as it was.
-    with OutputSet(args.out, "measurements-*.txt") as files:
-        with files.open("delivery-log.txt") as log:
-            sink = _LogSink(log)
-            result = run(cfg, sink)
-        write_measurements(files, sink.received)
+    with OutputSet(out, "measurements-*.txt") as files:
+        with files.open("delivery-log.txt") as log, DayFiles(files) as days:
+            result = run(cfg, _LogSink(log, days))
         with files.open("nodes.json") as f:
             f.write(json.dumps(nodes_doc, indent=2, sort_keys=True) + "\n")
+    return result, days.written
+
+
+def _cmd_simulate(args) -> int:
+    cfg = load_scenario(args.scenario)
+    if args.seed is not None:
+        cfg = with_seed(cfg, args.seed)
+    result, received = simulate(cfg, args.out)
 
     print(f"scenario {cfg.name!r} seed {cfg.seed}: {cfg.duration_s} s simulated")
     per_node: dict[str, Tally] = {}
@@ -173,7 +182,7 @@ def _cmd_simulate(args) -> int:
             f"lost {tally.lost}, dropped {tally.dropped}"
         )
     rate = total_undelivered / total_emitted if total_emitted else 0.0
-    print(f"  server received {len(sink.received)} measurements, "
+    print(f"  server received {received} measurements, "
           f"loss rate {rate:.4f}")
     return EXIT_OK
 

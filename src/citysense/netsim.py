@@ -27,10 +27,14 @@ over when it is sent, in order of arrival. At each grid time every node is sampl
 then the window that just closed is uplinked. Equal seeds give
 byte-identical results. Each result goes to a ``RunSink`` as it is
 produced: every reading's fate when it is routed, every server arrival and
-every batch the server receives. The default sink, the ``SimulationResult``
-itself, keeps them all; a sink that writes them out as they come keeps a
-run's memory from growing with them. Each node's tallies are looked up once,
-at its first tick, as a list in the order of its readings.
+every batch the server receives. At each uplink grid time, with or without
+a coordinator, the sink also gets a low watermark: every server reading
+stamped before it has been handed over, so a sink can write out and forget
+what precedes it (the last one is the run's end). The default sink, the
+``SimulationResult`` itself, keeps everything; a sink that writes results
+out as they come keeps a run's memory from growing with them. Each node's
+tallies are looked up once, at its first tick, as a list in the order of
+its readings.
 """
 
 from __future__ import annotations
@@ -222,6 +226,12 @@ class RunSink:
         of its readings then arrives on its own, stamped with the batch's
         arrival time."""
 
+    def watermark(self, t: int) -> None:
+        """Every reading the server receives that is stamped before ``t``
+        has been handed to ``arrival``. Called at each uplink grid time
+        after the start, after that time's batch, so the last call is at
+        the run's end."""
+
 
 @dataclass
 class SimulationResult(RunSink):
@@ -295,7 +305,8 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
     # ``validate`` makes the duration whole uplink periods: no window stays open.
     for k in range(n_ticks + 1):
         t = start + k * period
-        uplink = coordinator is not None and k > 0 and k % ticks_per_uplink == 0
+        window_closes = k > 0 and k % ticks_per_uplink == 0
+        uplink = window_closes and coordinator is not None
         if uplink:
             closed, window = window, []
         if k < n_ticks:
@@ -333,4 +344,6 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
             arrival_t = int(t + wa_latency)
             for m in batch.measurements:
                 on_arrival(arrival_t, m)
+        if window_closes:
+            sink.watermark(t)
     return result

@@ -15,9 +15,11 @@ File format (normative, one record per line, comma separated):
 
 Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and
 sorted by ``domain.record_key``: (timestamp, node_id, quantity), the order
-of every coordinator batch too. ``write_measurements`` writes
-them into an ``OutputSet``, the one writer of every command's files, which
-replaces a directory's old set only once the new one is whole.
+of every coordinator batch too. ``DayFiles`` streams records into them
+window by window, holding only the records of windows still open, with at
+most one day file open at a time; ``write_measurements`` is its one-shot
+form. Both write into an ``OutputSet``, the one writer of every command's
+files, which replaces a directory's old set only once the new one is whole.
 
 Loading validates every record as writing does; both check node ids
 against ``domain.NODE_ID``. Files are read line by line and split at ``\n``
@@ -29,8 +31,11 @@ each names its file and line.
 
 from __future__ import annotations
 
+import math
 import os
-from contextlib import contextmanager
+from bisect import bisect_left
+from contextlib import ExitStack, contextmanager
+from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, TextIO
 
@@ -64,7 +69,9 @@ def _temporary(path: FsPath) -> FsPath:
 class OutputSet:
     """The files one command writes under ``directory``, replaced as a
     whole. ``open(name)`` streams one file to a temporary beside it and
-    closes it when its block ends. When the set's block ends cleanly, every
+    closes it when its block ends; blocks may overlap, as ``simulate``'s
+    delivery log stays open while its day files stream. A name opens once
+    per set. When the set's block ends cleanly, every
     temporary is renamed into place, then the old files matching
     ``stale_glob`` that the set did not write are deleted. An exception
     removes every temporary and leaves the old files as they were; any
@@ -85,6 +92,8 @@ class OutputSet:
     @contextmanager
     def open(self, name: str) -> Iterator[TextIO]:
         path = self.directory / name
+        if path in self.paths:  # its temporary holds what the set wrote
+            raise ValueError(f"{name} is already part of this output set")
         self.paths.append(path)
         with open(_temporary(path), "w") as f:
             yield f
@@ -193,35 +202,77 @@ def parse_measurement(line: str) -> Measurement:
     return _RecordParser()(line.rstrip("\n"))[1]
 
 
-def _duplicate(key: RecordKey) -> ValueError:
+_first = itemgetter(0)
+
+
+def _key_error(reason: str, key: RecordKey) -> ValueError:
     timestamp, node_id, qcode = key
-    return ValueError(f"duplicate record: {node_id} {qcode} at {format_utc(timestamp)}")
+    return ValueError(f"{reason}: {node_id} {qcode} at {format_utc(timestamp)}")
+
+
+class DayFiles:
+    """Streams records into the day files of ``files``. ``add`` validates a
+    record, as a load would, and holds it; ``write_before(t)`` writes every
+    held record stamped before ``t``, in ``domain.record_key`` order, into
+    the open day file, which it closes at UTC midnight to open the next. A
+    day without records gets no file. A key equal to the last one written
+    is a duplicate, and a lower one is out of order: either is a ValueError
+    naming the (node, timestamp, quantity) triple, and nothing more is
+    written. Leaving the block cleanly writes what is still held."""
+
+    def __init__(self, files: OutputSet):
+        self._files = files
+        self._held: list[tuple[RecordKey, Measurement]] = []
+        self._node_ids: set[str] = set()
+        self._last: RecordKey | tuple[()] = ()  # () sorts before every key
+        self._day_end = -math.inf  # end of the open file's UTC day
+        self._open = ExitStack()  # holds the open day file, ``_out``
+        self._out: TextIO | None = None
+        self.written = 0
+
+    def __enter__(self) -> DayFiles:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._open:
+            if exc is None:
+                self.write_before(math.inf)
+
+    def add(self, m: Measurement) -> None:
+        validate_measurement(m)
+        if m.node_id not in self._node_ids:
+            self._node_ids.add(validate_node_id(m.node_id))
+        self._held.append((record_key(m), m))
+
+    def write_before(self, t: float) -> None:
+        held = self._held
+        held.sort(key=_first)
+        cut = bisect_left(held, (t,), key=_first)
+        # A module global, looked up per call: tests and tracers rebind it.
+        serialize = serialize_measurement
+        last, day_end, out = self._last, self._day_end, self._out
+        for key, m in held[:cut]:
+            if key <= last:
+                raise _key_error("duplicate record" if key == last else "record out of order", key)
+            if key[0] >= day_end:
+                day_start = key[0] // SECONDS_PER_DAY * SECONDS_PER_DAY
+                day_end = day_start + SECONDS_PER_DAY
+                self._open.close()
+                name = f"measurements-{format_utc(day_start)[:10]}.txt"
+                out = self._open.enter_context(self._files.open(name))
+            out.write(f"{serialize(m)}\n")
+            last = key
+        del held[:cut]
+        self._last, self._day_end, self._out = last, day_end, out
+        self.written += cut
 
 
 def write_measurements(files: OutputSet, records: Iterable[Measurement]) -> None:
-    """Write ``records`` into ``files`` as day files, each sorted by
-    ``domain.record_key``. Each record is validated, and each
-    distinct node id checked against ``domain.NODE_ID``, as a load would,
-    so no line is written that a load would refuse. A (node, timestamp,
-    quantity) triple given twice is a ValueError naming it."""
-    by_day: dict[int, list[Measurement]] = {}
-    node_ids: set[str] = set()
-    for m in records:
-        validate_measurement(m)
-        if m.node_id not in node_ids:
-            node_ids.add(validate_node_id(m.node_id))
-        by_day.setdefault(m.timestamp // SECONDS_PER_DAY, []).append(m)
-    for day, day_records in sorted(by_day.items()):
-        day_records.sort(key=record_key)
-        date = format_utc(day * SECONDS_PER_DAY)[:10]
-        with files.open(f"measurements-{date}.txt") as out:
-            last = None
-            for m in day_records:
-                key = record_key(m)
-                if key == last:
-                    raise _duplicate(key)
-                last = key
-                out.write(f"{serialize_measurement(m)}\n")
+    """Write ``records`` into ``files`` as day files: the one-shot form of
+    ``DayFiles``, which holds them all, sorts them, then streams them."""
+    with DayFiles(files) as days:
+        for m in records:
+            days.add(m)
 
 
 class MeasurementStore:
@@ -255,12 +306,12 @@ class MeasurementStore:
                             if last is None or key > last:
                                 last = key
                             elif key == last:
-                                raise _duplicate(key)
+                                raise _key_error("duplicate record", key)
                             else:
                                 seen = {record_key(r) for r in records}
                         if seen is not None:
                             if key in seen:
-                                raise _duplicate(key)
+                                raise _key_error("duplicate record", key)
                             seen.add(key)
                     except ValueError as e:
                         raise ValueError(f"{f.name} line {lineno}: {e}") from e

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 import citysense
-from citysense import netsim, store
+from citysense import domain, netsim, store
 from citysense.cli import main
 
 
@@ -752,3 +753,36 @@ class TestLogging:
                          "--out", str(tmp_path / "out")]) == 0
         warnings = [r.getMessage() for r in caplog.records if r.name == "citysense.netsim"]
         assert warnings == [f"empty uplink batch at t={1429488000 + k * 900}" for k in (1, 2, 3, 4)]
+
+
+class TestSimulateMemory:
+    def test_peak_memory_does_not_grow_with_simulated_days(self, tmp_path, monkeypatch):
+        # The day files stream window by window, so no list of every server
+        # reading is built: 4 days may peak at most 1.2x what 1 day does.
+        # Two caches grow with the days up to their own bounds, the field's
+        # time-of-day memo (one day) and the format_utc stamps (16,384): an
+        # untraced warm-up over the longest run fills both, from empty, with
+        # all the measured runs use, so only what a run holds itself is
+        # traced. Four of the bundled nodes, one of each kind, keep it short.
+        scenario = yaml.safe_load(
+            (Path(citysense.__file__).parent / "data" / "pisa-default.yaml").read_text())
+        scenario["nodes"] = [n for n in scenario["nodes"] if n["id"] in ("C0", "T1", "M1", "W0")]
+
+        def simulate(hours):
+            scenario["duration_s"] = hours * 3600
+            path = tmp_path / f"{hours}h.yaml"
+            path.write_text(yaml.safe_dump(scenario))
+            return main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+
+        def peak(hours):
+            tracemalloc.start()
+            try:
+                return simulate(hours), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(domain, "_STAMPS", {})
+        assert simulate(96) == 0
+        (rc_1, peak_1), (rc_4, peak_4) = peak(24), peak(96)
+        assert rc_1 == rc_4 == 0
+        assert peak_4 <= 1.2 * peak_1, (peak_1, peak_4)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from citysense import netsim
+from citysense import cli, netsim
 from citysense.domain import (
     GAS_QUANTITIES,
     GeoPoint,
@@ -34,7 +34,7 @@ from citysense.domain import haversine_distance
 from citysense.field import DRAW_BLOCK, BlockDraws, loss_generator
 from citysense.nodes import sample
 from citysense.scenario import load_scenario, with_seed
-from citysense.store import serialize_delivery
+from citysense.store import OutputSet, serialize_delivery, write_measurements
 
 P = GeoPoint(43.716, 10.3966)
 FAR = GeoPoint(43.76, 10.3966)  # ~4.9 km north of everything
@@ -584,3 +584,63 @@ class TestGridWalkOrder:
         assert got.tallies == expected.tallies
         assert list(got.tallies) == list(expected.tallies)  # first-seen order
         assert got.server_measurements
+
+
+def _start_before_1970(pisa):
+    return dataclasses.replace(pisa, start_time="1969-12-31T23:00:00Z", duration_s=7200)
+
+
+def _window_across_midnight(pisa):
+    # The uplink window from 23:55 to 00:10 holds readings of two days.
+    return dataclasses.replace(pisa, start_time="2015-04-19T23:55:00Z", duration_s=3600)
+
+
+_STREAMED = [
+    _zero_latency_lossy, _latency_one_sample_period, _late_short_range,
+    _uplink_every_sample, _fractional_latency_lossy, _lossy_mobile_short_range_only,
+    _no_coordinator, _start_before_1970, _window_across_midnight,
+]
+
+
+class _WatermarkSink(RunSink):
+    def __init__(self):
+        self.watermarks: list[int] = []
+        self.late: list[Measurement] = []  # stamped before a watermark already given
+        self.arrivals = 0
+
+    def arrival(self, t, m):
+        self.arrivals += 1
+        if self.watermarks and m.timestamp < self.watermarks[-1]:
+            self.late.append(m)
+
+    def watermark(self, t):
+        self.watermarks.append(t)
+
+
+class TestStreamedDayFiles:
+    @pytest.mark.parametrize("make", _STREAMED)
+    def test_a_watermark_at_each_uplink_time_follows_every_reading_before_it(self, pisa, make):
+        cfg = make(pisa)
+        sink = _WatermarkSink()
+        run(cfg, sink)
+        start, period = cfg.start_epoch, cfg.uplink_period_s
+        assert sink.watermarks == list(range(start + period, start + cfg.duration_s + 1, period))
+        assert sink.late == [] and sink.arrivals > 0
+
+    @pytest.mark.parametrize("make", _STREAMED)
+    def test_simulate_streams_the_files_the_one_shot_writer_writes(self, pisa, make, tmp_path):
+        # Both sides run DayFiles, the one-shot side as a single window, so
+        # this checks that the watermarks cut the stream with nothing lost,
+        # reordered or put in the wrong day. The golden digests in
+        # test_golden.py pin the file format itself.
+        cfg = make(pisa)
+        _, received = cli.simulate(cfg, tmp_path / "streamed")
+        server_measurements = run(cfg).server_measurements
+        with OutputSet(tmp_path / "one-shot", "measurements-*.txt") as files:
+            write_measurements(files, [m for _, m in server_measurements])
+        one_shot = sorted((tmp_path / "one-shot").iterdir())
+        streamed = sorted((tmp_path / "streamed").glob("measurements-*.txt"))
+        assert [p.name for p in streamed] == [p.name for p in one_shot]
+        assert len(streamed) == (2 if make in (_start_before_1970, _window_across_midnight) else 1)
+        assert [p.read_bytes() for p in streamed] == [p.read_bytes() for p in one_shot]
+        assert received == len(server_measurements) > 0

@@ -13,6 +13,7 @@ from citysense.domain import (
 )
 from citysense import store as store_module
 from citysense.store import (
+    DayFiles,
     MeasurementStore,
     OutputSet,
     StorageError,
@@ -299,6 +300,77 @@ class TestWriteMeasurements:
         assert snapshot(tmp_path) == before
 
 
+class TestDayFiles:
+    def test_streams_each_watermark_into_its_day_file(self, tmp_path, monkeypatch):
+        written = []
+        real_serialize = store_module.serialize_measurement
+
+        def spy(m):
+            written.append(m)
+            return real_serialize(m)
+
+        monkeypatch.setattr(store_module, "serialize_measurement", spy)
+        late, early, next_day = meas(node="B", t=T0 - 300), meas(node="A", t=T0 - 300), meas(t=T0)
+        with OutputSet(tmp_path, "measurements-*.txt") as files:
+            with DayFiles(files) as days:
+                for m in (next_day, late, early):
+                    days.add(m)
+                days.write_before(T0 - 300)
+                assert written == []
+                days.write_before(T0)  # one window's records, in record order
+                assert written == [early, late]
+                assert days.written == 2
+            assert written == [early, late, next_day]  # the block's end writes the rest
+            assert files.paths == [tmp_path / "measurements-2015-04-19.txt",
+                                   tmp_path / "measurements-2015-04-20.txt"]
+        assert MeasurementStore(tmp_path).all() == [early, late, next_day]
+
+    def test_one_window_across_midnight_splits_at_midnight(self, tmp_path):
+        records = [meas(t=T0 + dt) for dt in (-300, 0, 300)]
+        with OutputSet(tmp_path, "measurements-*.txt") as files:
+            with DayFiles(files) as days:
+                for m in reversed(records):
+                    days.add(m)
+                days.write_before(T0 + 600)
+        assert snapshot(tmp_path) == {
+            "measurements-2015-04-19.txt": f"{serialize_measurement(records[0])}\n".encode(),
+            "measurements-2015-04-20.txt": "".join(
+                f"{serialize_measurement(m)}\n" for m in records[1:]).encode(),
+        }
+
+    def test_a_record_before_the_last_written_one_writes_nothing_more(
+        self, tmp_path, monkeypatch
+    ):
+        save(tmp_path, [meas(t=T0 - 300)])
+        before = snapshot(tmp_path)
+        written = []
+        real_serialize = store_module.serialize_measurement
+
+        def spy(m):
+            written.append(m)
+            return real_serialize(m)
+
+        monkeypatch.setattr(store_module, "serialize_measurement", spy)
+        with pytest.raises(ValueError, match="^record out of order: T1 co2 at 2015-04-20T00:05:00Z$"):
+            with OutputSet(tmp_path, "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add(meas(t=T0 + 600))
+                    days.write_before(T0 + 900)
+                    days.add(meas(t=T0 + 300))  # stamped before the last watermark
+                    days.add(meas(t=T0 + 1200))
+        assert [m.timestamp for m in written] == [T0 + 600]
+        assert snapshot(tmp_path) == before  # byte-identical, and no temporary
+
+    def test_a_key_written_before_the_last_watermark_is_a_duplicate(self, tmp_path):
+        with pytest.raises(ValueError, match="^duplicate record: T1 co2 at 2015-04-20T00:00:00Z$"):
+            with OutputSet(tmp_path, "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add(meas())
+                    days.write_before(T0 + 300)
+                    days.add(meas(value=452.0))
+        assert list(tmp_path.iterdir()) == []
+
+
 def _day_file_lines(root):
     (day_file,) = root.glob("measurements-*.txt")
     return day_file, day_file.read_text().splitlines()
@@ -452,6 +524,20 @@ class TestOutputSet:
         with pytest.raises(StorageError, match="cannot write"):
             write_set(tmp_path / "plain" / "out", {"nodes.json": "new\n"})
         assert snapshot(tmp_path) == {"plain": b"x\n"}
+
+    def test_a_name_opens_once_per_set(self, tmp_path):
+        write_set(tmp_path, {"m-1.txt": "old\n"})
+        before = snapshot(tmp_path)
+        with pytest.raises(ValueError, match="m-1.txt is already part of this output set"):
+            with OutputSet(tmp_path, "*.dat") as files:
+                with files.open("m-1.txt") as f:
+                    f.write("new 1\n")
+                try:
+                    with files.open("m-1.txt") as f:
+                        f.write("new 2\n")
+                finally:  # refused before touching the first part's temporary
+                    assert (tmp_path / ".m-1.txt.tmp").read_text() == "new 1\n"
+        assert snapshot(tmp_path) == before  # the old set, and no temporary
 
     def test_creates_the_directory(self, tmp_path):
         write_set(tmp_path / "a" / "b", {"nodes.json": "new\n"})

@@ -13,6 +13,7 @@ import collections
 
 from citysense import apparent_temperature_model, compute_indexes, load_scenario, run
 from citysense.netsim import DeliveryOutcome
+from citysense.store import channels_from
 
 cfg = load_scenario("pisa-default")
 print(f"scenario {cfg.name!r}: {len(cfg.nodes)} nodes, {cfg.duration_s // 3600} h, seed {cfg.seed}")
@@ -33,7 +34,8 @@ print(f"\ngas node-reports per 15-minute window: {counts} "
 
 print("\nlast index refresh of the day:")
 index_values = compute_indexes(
-    (m for _, m in result.server_measurements), cfg.uplink_period_s, apparent_temperature_model
+    channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s,
+    apparent_temperature_model,
 )
 final_t = max(iv.window_end for iv in index_values)
 for iv in index_values:

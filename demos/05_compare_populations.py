@@ -21,12 +21,13 @@ from citysense import (
     write_comparison_report,
 )
 from citysense.domain import NodeKind
+from citysense.store import channels_from
 
 
 def mobile_fixed_report(cfg, result):
     nodes = {n.descriptor.node_id: (n.descriptor.kind, n.path_tag, n.descriptor.home_position) for n in cfg.nodes}
-    pop_mobile, pop_fixed, _ = mobile_fixed_populations(
-        (m for _, m in result.server_measurements), nodes, radius_m=500.0
+    pop_mobile, pop_fixed, _, _ = mobile_fixed_populations(
+        channels_from(m for _, m in result.server_measurements), nodes, radius_m=500.0
     )
     return compare_populations(pop_mobile, pop_fixed, labels=("mobile", "fixed"))
 

@@ -1,33 +1,28 @@
 """Statistical comparison of measurement populations.
 
 Empirical PMFs over explicit bin edges, population means, and the relative
-error between two population means, plus the one rule that forms the
-mobile and fixed populations: each mobile sample goes to its nearest fixed
-station within a radius, and the fixed population is the readings of the
-stations that received one.
+error between two population means, plus the two rules that form
+populations from a store's channels (``store.Channels``); a population is
+channels too. The paths rule takes the fixed nodes of each of two path
+tags. The mobile-fixed rule sends each distinct mobile position to its
+nearest fixed station within a radius; the fixed population is every
+reading of the stations that received one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path as FsPath
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .domain import (
-    EXCLUDED_FLAGS,
-    Flag,
-    GeoPoint,
-    Measurement,
-    NodeKind,
-    Quantity,
-    haversine_distance,
-    mean,
-)
-from .store import OutputSet
+from .domain import Flag, GeoPoint, NodeKind, Quantity, haversine_distance, mean, usable_mask
+from .store import Channel, Channels, OutputSet
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
 BIN_COUNT = 30  # equal-width PMF bins per compared quantity
@@ -52,7 +47,8 @@ class Pmf:
 
     def bin_centers(self) -> tuple[float, ...]:
         return tuple(
-            (a + b) / 2.0 for a, b in zip(self.bin_edges, self.bin_edges[1:])
+            (a + b) / 2.0 if abs(a + b) < math.inf else a / 2.0 + b / 2.0
+            for a, b in zip(self.bin_edges, self.bin_edges[1:])
         )
 
 
@@ -91,43 +87,35 @@ def relative_error(m_a: float, m_b: float) -> float:
 
 @dataclass(frozen=True)
 class Association:
-    """Partition of mobile samples by nearest fixed station within a radius."""
+    """Partition of mobile positions by nearest fixed station within a radius."""
 
-    by_station: Mapping[str, tuple[Measurement, ...]]
-    unassociated: tuple[Measurement, ...]
+    by_station: Mapping[str, tuple[GeoPoint, ...]]
+    unassociated: tuple[GeoPoint, ...]
 
 
 def associate_mobile_to_fixed(
-    mobile: Iterable[Measurement],
+    positions: Sequence[GeoPoint],
     fixed_stations: Sequence[tuple[str, GeoPoint]],
     radius_m: float = DEFAULT_ASSOCIATION_RADIUS_M,
 ) -> Association:
-    """Assign each mobile sample to the nearest fixed station within
-    ``radius_m`` meters; equidistant candidates go to the lower station id.
-
-    Deterministic and idempotent: every sample lands in exactly one cell.
-    Samples at one position (every quantity of a tick, a node standing
-    still) share one result, so the stations are scanned once per distinct
-    position, not once per sample.
+    """Assign each of the distinct mobile sample ``positions`` to the nearest
+    fixed station within ``radius_m`` meters; equidistant candidates go to
+    the lower station id. Deterministic and idempotent: every position
+    lands in exactly one cell, measured against every station once.
     """
     stations = sorted(fixed_stations, key=lambda s: s[0])
-    by_station: dict[str, list[Measurement]] = {}
-    unassociated: list[Measurement] = []
-    nearest: dict[GeoPoint, tuple[str | None, float]] = {}
-    for m in mobile:
-        best = nearest.get(m.position)
-        if best is None:
-            best_id, best_d = None, math.inf
-            for sid, pos in stations:
-                d = haversine_distance(m.position, pos)
-                if d < best_d:  # ties keep the earlier (lower) id
-                    best_id, best_d = sid, d
-            best = nearest[m.position] = (best_id, best_d)
-        best_id, best_d = best
+    by_station: dict[str, list[GeoPoint]] = {}
+    unassociated: list[GeoPoint] = []
+    for p in positions:
+        best_id, best_d = None, math.inf
+        for sid, pos in stations:
+            d = haversine_distance(p, pos)
+            if d < best_d:  # ties keep the earlier (lower) id
+                best_id, best_d = sid, d
         if best_id is not None and best_d <= radius_m:
-            by_station.setdefault(best_id, []).append(m)
+            by_station.setdefault(best_id, []).append(p)
         else:
-            unassociated.append(m)
+            unassociated.append(p)
     return Association(
         by_station={k: tuple(v) for k, v in sorted(by_station.items())},
         unassociated=tuple(unassociated),
@@ -138,13 +126,34 @@ def associate_mobile_to_fixed(
 NodeRow = tuple[NodeKind, str | None, GeoPoint | None]
 
 
+def _of_nodes(channels: Channels, node_ids: Collection[str]) -> Channels:
+    return {key: channel for key, channel in channels.items() if key[0] in node_ids}
+
+
+def path_populations(
+    channels: Channels, nodes: Mapping[str, NodeRow],
+) -> tuple[Channels, Channels, tuple[str, str]]:
+    """The readings of the fixed nodes of each of exactly two path tags (else
+    a ValueError), with the tags as labels: the alphabetically first is
+    population a, the second the reference population b."""
+    tags: dict[str, set[str]] = {}
+    for nid, (kind, path, _) in nodes.items():
+        if kind is NodeKind.FIXED and path:
+            tags.setdefault(path, set()).add(nid)
+    if len(tags) != 2:
+        raise ValueError(f"paths mode needs exactly two path tags, found {sorted(tags)}")
+    tag_a, tag_b = sorted(tags)
+    return _of_nodes(channels, tags[tag_a]), _of_nodes(channels, tags[tag_b]), (tag_a, tag_b)
+
+
 def mobile_fixed_populations(
-    records: Iterable[Measurement],
+    channels: Channels,
     nodes: Mapping[str, NodeRow],
     radius_m: float = DEFAULT_ASSOCIATION_RADIUS_M,
-) -> tuple[list[Measurement], list[Measurement], Association]:
-    """Split ``records`` into the mobile and fixed populations the paper
-    compares, with the association that formed them.
+) -> tuple[Channels, Channels, Association, Channels]:
+    """The mobile and fixed populations the paper compares, the association
+    of the distinct mobile positions that formed them, and the mobile
+    samples left out.
 
     ``nodes`` maps node id to (kind, path tag, home position), as
     ``citysense simulate`` writes ``nodes.json``. The mobile population is
@@ -152,18 +161,18 @@ def mobile_fixed_populations(
     :func:`associate_mobile_to_fixed`); the fixed population is every
     reading of the stations that received one.
     """
-    by_node: dict[str, list[Measurement]] = {}
-    for m in records:
-        by_node.setdefault(m.node_id, []).append(m)
-    rows = sorted(nodes.items())
-    fixed = [(nid, position) for nid, (kind, _, position) in rows if kind is NodeKind.FIXED]
-    mobile = [
-        m for nid, (kind, _, _) in rows if kind is NodeKind.MOBILE for m in by_node.get(nid, [])
-    ]
-    association = associate_mobile_to_fixed(mobile, fixed, radius_m)
-    pop_mobile = [m for ms in association.by_station.values() for m in ms]
-    pop_fixed = [m for sid in association.by_station for m in by_node.get(sid, [])]
-    return pop_mobile, pop_fixed, association
+    fixed = [(nid, home) for nid, (kind, _, home) in nodes.items() if kind is NodeKind.FIXED]
+    mobile = _of_nodes(channels, {nid for nid, row in nodes.items() if row[0] is NodeKind.MOBILE})
+    positions = dict.fromkeys(p for channel in mobile.values() for p in channel.positions)
+    association = associate_mobile_to_fixed(list(positions), fixed, radius_m)
+    inside = {p for ps in association.by_station.values() for p in ps}
+    pop_mobile, unassociated = {}, {}
+    for key, channel in mobile.items():
+        near = [p in inside for p in channel.positions]
+        for population, keep in ((pop_mobile, near), (unassociated, [not x for x in near])):
+            if any(keep):
+                population[key] = Channel(*(list(compress(column, keep)) for column in channel))
+    return pop_mobile, _of_nodes(channels, association.by_station), association, unassociated
 
 
 @dataclass(frozen=True)
@@ -188,33 +197,35 @@ class ComparisonReport:
 
 
 def _split_by_quantity(
-    ms: Iterable[Measurement],
+    population: Channels,
 ) -> tuple[dict[Quantity, list[float]], dict[Quantity, float]]:
-    """In one pass: each quantity's usable values, and the share of its
-    readings flagged below LoD."""
+    """Each quantity's usable values, and the share of its readings flagged
+    below LoD."""
     values: dict[Quantity, list[float]] = {}
-    totals: dict[Quantity, int] = {}
-    flagged: dict[Quantity, int] = {}
-    for m in ms:
-        q = m.quantity
-        totals[q] = totals.get(q, 0) + 1
-        if Flag.BELOW_LOD in m.flags:
-            flagged[q] = flagged.get(q, 0) + 1
-        if not (m.flags & EXCLUDED_FLAGS):
-            values.setdefault(q, []).append(m.value)
-    return values, {q: flagged.get(q, 0) / n for q, n in totals.items()}
+    totals: Counter[Quantity] = Counter()
+    flagged: Counter[Quantity] = Counter()
+    for (_, q), channel in population.items():
+        totals[q] += len(channel.flags)
+        flag_counts = Counter(channel.flags)
+        flagged[q] += sum(n for flags, n in flag_counts.items() if Flag.BELOW_LOD in flags)
+        usable = list(compress(channel.values, usable_mask(channel.flags)))
+        if usable:
+            values.setdefault(q, []).extend(usable)
+    return values, {q: flagged[q] / n for q, n in totals.items()}
 
 
 def compare_populations(
-    a: Sequence[Measurement],
-    b: Sequence[Measurement],
+    a: Channels,
+    b: Channels,
     labels: tuple[str, str] = ("a", "b"),
 ) -> ComparisonReport:
-    """Per-quantity means, relative error, and PMFs for two populations.
+    """Per-quantity means, relative error, and PMFs for two populations,
+    each given as channels (``store.Channels``).
 
     Both PMFs of a quantity share one set of ``BIN_COUNT`` equal-width edges
     spanning the pooled range (one unit-wide bin if every sample is equal),
-    so they are directly comparable. Quantities with usable samples in only
+    so they are directly comparable; a range wider than the largest float
+    is split at half scale. Quantities with usable samples in only
     one population are listed as incomparable.
     """
     values_a, lod_rates_a = _split_by_quantity(a)
@@ -228,7 +239,9 @@ def compare_populations(
         va, vb = values_a[q], values_b[q]
         lo = min(min(va), min(vb))
         hi = max(max(va), max(vb))
-        edges = np.linspace(lo, hi, BIN_COUNT + 1) if lo < hi else np.array([lo - 0.5, hi + 0.5])
+        scale = 1.0 if hi - lo < math.inf else 2.0  # halving such wide bounds is exact
+        edges = (np.linspace(lo / scale, hi / scale, BIN_COUNT + 1) * scale if lo < hi
+                 else np.array([lo - 0.5, hi + 0.5]))
         mean_a = mean(va)
         mean_b = mean(vb)
         rows.append(

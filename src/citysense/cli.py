@@ -16,9 +16,9 @@ from typing import TextIO
 from .analytics import (
     DEFAULT_ASSOCIATION_RADIUS_M,
     NodeRow,
-    NoOverlapError,
     compare_populations,
     mobile_fixed_populations,
+    path_populations,
     write_comparison_report,
 )
 from .domain import GeoPoint, Measurement, NodeKind, Radio
@@ -34,7 +34,9 @@ from .netsim import (
     ConfigError, DeliveryOutcome, DeliveryRecord, RunSink, SimulationResult, Tally, run,
 )
 from .scenario import ScenarioConfig, load_access, load_scenario, with_seed
-from .store import DayFiles, MeasurementStore, OutputSet, StorageError, serialize_delivery
+from .store import (
+    DayFiles, MeasurementStore, OutputSet, StorageError, count_readings, serialize_delivery,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -194,17 +196,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_indexes(args) -> int:
     try:
         store = MeasurementStore(args.data_dir)
+        if not store.channels:
+            raise ValueError(f"no measurements under {args.data_dir}")
     except (StorageError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    records = store.all()
-    if not records:
-        print(f"data error: no measurements under {args.data_dir}", file=sys.stderr)
         return EXIT_DATA
     model = identity_thermal_model if args.thermal == "identity" else apparent_temperature_model
     by_station: dict[str, list[IndexValue]] = {}
     latest: dict[tuple[str, str], str] = {}
-    for iv in compute_indexes(records, args.uplink_period_s, model):
+    for iv in compute_indexes(store.channels, args.uplink_period_s, model):
         by_station.setdefault(iv.station_id, []).append(iv)
         latest[(iv.station_id, iv.kind.value)] = iv.color.value
     with OutputSet(args.out, "indexes_*.txt") as files:
@@ -259,42 +259,17 @@ def _cmd_compare(args) -> int:
     try:
         store = MeasurementStore(data_dir)
         nodes = _load_nodes(data_dir)
-    except (StorageError, ValueError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    records = store.all()
-
-    if args.mode == "paths":
-        by_node: dict[str, list] = {}
-        for m in records:
-            by_node.setdefault(m.node_id, []).append(m)
-        tags: dict[str, list[str]] = {}
-        for nid, (kind, path, _) in nodes.items():
-            if kind is NodeKind.FIXED and path:
-                tags.setdefault(path, []).append(nid)
-        if len(tags) != 2:
-            print(
-                f"data error: paths mode needs exactly two path tags, found {sorted(tags)}",
-                file=sys.stderr,
-            )
-            return EXIT_DATA
-        # Deterministic orientation: alphabetically first tag is population a,
-        # second is the reference population b.
-        tag_a, tag_b = sorted(tags)
-        pop_a = [m for nid in tags[tag_a] for m in by_node.get(nid, [])]
-        pop_b = [m for nid in tags[tag_b] for m in by_node.get(nid, [])]
-        labels = (tag_a, tag_b)
-    else:
-        pop_a, pop_b, association = mobile_fixed_populations(records, nodes, args.radius_m)
-        labels = ("mobile", "fixed")
-        print(
-            f"associated {len(pop_a)} mobile samples to "
-            f"{len(association.by_station)} stations within {args.radius_m:.0f} m "
-            f"({len(association.unassociated)} unassociated)"
-        )
-    try:
+        if args.mode == "paths":
+            pop_a, pop_b, labels = path_populations(store.channels, nodes)
+        else:
+            pop_a, pop_b, association, unassociated = mobile_fixed_populations(
+                store.channels, nodes, args.radius_m)
+            labels = ("mobile", "fixed")
+            print(f"associated {count_readings(pop_a)} mobile samples to "
+                  f"{len(association.by_station)} stations within {args.radius_m:.0f} m "
+                  f"({count_readings(unassociated)} unassociated)")
         report = compare_populations(pop_a, pop_b, labels=labels)
-    except (NoOverlapError, ValueError) as e:
+    except (StorageError, ValueError) as e:  # NoOverlapError is a ValueError
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -115,6 +115,12 @@ class Flag(str, Enum):
 EXCLUDED_FLAGS = frozenset({Flag.BELOW_LOD, Flag.WARMING_UP})
 
 
+def usable_mask(flags: Sequence[frozenset[Flag]]) -> list[bool]:
+    """Per reading of a flags column, whether it is free of ``EXCLUDED_FLAGS``."""
+    usable = {f: EXCLUDED_FLAGS.isdisjoint(f) for f in set(flags)}
+    return list(map(usable.__getitem__, flags))
+
+
 class NodeKind(str, Enum):
     FIXED = "fixed"
     MOBILE = "mobile"
@@ -208,15 +214,18 @@ def parse_utc(text: str) -> int:
 
 
 def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean of a non-empty sequence of finite values.
+    """Arithmetic mean of a non-empty sequence of finite values; finite too.
 
     The deviations from the smallest value are summed exactly with
     ``math.fsum``, so the result does not depend on the order of ``values``,
     and a sequence holding one repeated value has exactly that value as its
-    mean (``fsum(values) / len(values)`` can miss it by an ulp).
+    mean (``fsum(values) / len(values)`` can miss it by an ulp). Where the
+    deviations could overflow, each value is divided by the count first.
     """
-    lo = min(values)
-    return lo + math.fsum(v - lo for v in values) / len(values)
+    lo, n = min(values), len(values)
+    if (max(values) - lo) * n < math.inf:
+        return lo + math.fsum(v - lo for v in values) / n
+    return math.fsum(v / n for v in values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,19 +279,21 @@ def unchecked_measurement(
     return m
 
 
-def validate_measurement(m: Measurement) -> Measurement:
-    """Return ``m`` unchanged iff all single-record invariants hold.
+def validate_value(quantity: Quantity, value: float) -> float:
+    """Return ``value`` unchanged iff it is finite and in ``VALUE_RANGE[quantity]``."""
+    if not math.isfinite(value):
+        raise ValidationError("value", f"not finite: {value!r}")
+    low, high = VALUE_RANGE[quantity]
+    if not low <= value <= high:
+        raise ValidationError("value", f"{quantity.value} {value} outside [{low:g}, {high:g}]")
+    return value
 
-    Raises:
-        ValidationError: NaN/infinite value, a value outside its quantity's
-            ``VALUE_RANGE``, or a timestamp that is not an int. Position
-            range errors are raised by GeoPoint itself at construction time.
-    """
-    if not math.isfinite(m.value):
-        raise ValidationError("value", f"not finite: {m.value!r}")
-    low, high = VALUE_RANGE[m.quantity]
-    if not low <= m.value <= high:
-        raise ValidationError("value", f"{m.quantity.value} {m.value} outside [{low:g}, {high:g}]")
+
+def validate_measurement(m: Measurement) -> Measurement:
+    """Return ``m`` unchanged iff all single-record invariants hold: its
+    value passes ``validate_value`` and its timestamp is an int (GeoPoint
+    checks the position when it is built). Raises ValidationError."""
+    validate_value(m.quantity, m.value)
     if not isinstance(m.timestamp, int):
         raise ValidationError("timestamp", "must be integer seconds UTC")
     return m

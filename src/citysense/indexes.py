@@ -4,21 +4,23 @@ index, and a traffic index, each classified into color bands.
 All band tables are left-closed, right-open: a value exactly on a threshold
 belongs to the band above it.
 
-``compute_indexes`` recomputes the air-quality and thermal indexes from
-stored readings on a reporting grid. The value at a grid point ``t`` reads
-only readings stamped before ``t``, thermal inputs included, so it does not
-depend on the order the readings come in.
+``compute_indexes`` recomputes the air-quality and thermal indexes on a
+reporting grid from a store's channels (``store.Channel``: the columns of
+one node and quantity, in timestamp order), each usable series taken whole.
+The value at a grid point ``t`` reads only readings stamped before ``t``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from itertools import compress
+from typing import Callable, Sequence
 
-from .domain import EXCLUDED_FLAGS, VALUE_RANGE, Measurement, Quantity, format_utc, mean
+from .domain import VALUE_RANGE, Quantity, format_utc, mean, usable_mask
+from .store import Channels
 
 HOUR_S = 3600
 O3_WINDOW_S = 8 * HOUR_S
@@ -286,18 +288,17 @@ _NO_SERIES = ((), ())
 
 
 class IndexComputer:
-    """Maintains per-station series and recomputes indexes from them.
+    """Holds per-station series and recomputes indexes from them.
 
-    :meth:`ingest` takes readings in any order and in any number of calls.
-    :meth:`update` at ``t`` reads only readings stamped before ``t``, so its
-    result does not depend on what else was ingested, or when. A station's
-    index is emitted at ``t`` once the station has a usable reading stamped
-    before ``t`` for it (for the thermal index, one of each input).
+    :meth:`ingest` takes a store's channels. :meth:`update` at ``t`` reads
+    only readings stamped before ``t``, so its result does not depend on
+    what else was ingested. A station's index is emitted at ``t`` once the
+    station has a usable reading stamped before ``t`` for it (for the
+    thermal index, one of each input).
 
-    Each (station, quantity) series is two parallel lists, timestamps and
-    values, sorted by timestamp and never trimmed. A reading goes in after
-    those with an equal timestamp (``bisect_right``; an append when readings
-    come in order), so each window is a slice between two binary searches.
+    Each (station, quantity) series is the usable part of its channel: two
+    parallel lists, timestamps and values, in timestamp order and never
+    trimmed, so each window is a slice between two binary searches.
     """
 
     def __init__(self, thermal_model: ThermalModel = identity_thermal_model):
@@ -305,14 +306,16 @@ class IndexComputer:
         # station -> quantity -> (timestamps, values), sorted by timestamp
         self._series: dict[str, dict[Quantity, tuple[list[int], list[float]]]] = {}
 
-    def ingest(self, measurements: Iterable[Measurement]) -> None:
-        for m in measurements:
-            if m.flags & EXCLUDED_FLAGS or m.quantity not in _INDEX_INPUTS:
+    def ingest(self, channels: Channels) -> None:
+        """Take the usable part of each index input's channel as its series."""
+        for (station, q), channel in channels.items():
+            if q not in _INDEX_INPUTS:
                 continue
-            ts, vs = self._series.setdefault(m.node_id, {}).setdefault(m.quantity, ([], []))
-            i = bisect_right(ts, m.timestamp) if ts and m.timestamp < ts[-1] else len(ts)
-            ts.insert(i, m.timestamp)
-            vs.insert(i, m.value)
+            usable = usable_mask(channel.flags)
+            timestamps = list(compress(channel.timestamps, usable))
+            if timestamps:
+                values = list(compress(channel.values, usable))
+                self._series.setdefault(station, {})[q] = (timestamps, values)
 
     def update(self, t: int) -> list[IndexValue]:
         """Recompute every index from the readings stamped before ``t``: the
@@ -339,24 +342,23 @@ class IndexComputer:
 
 
 def compute_indexes(
-    records: Iterable[Measurement],
+    channels: Channels,
     period_s: int,
     thermal_model: ThermalModel = identity_thermal_model,
 ) -> list[IndexValue]:
-    """Every index on a reporting grid of ``period_s``, from stored readings.
+    """Every index on a reporting grid of ``period_s``, from the channels of
+    stored readings (``store.channels_from`` makes them from records).
 
     The grid holds each multiple of ``period_s`` after the first reading,
     through the first multiple after the last one. At each grid point ``t``
     every index is recomputed from the readings stamped before ``t``.
-    Records may come in any order.
     """
-    records = list(records)
-    if not records:
+    if not channels:
         return []
     computer = IndexComputer(thermal_model=thermal_model)
-    computer.ingest(records)
-    first = min(m.timestamp for m in records) // period_s
-    last = max(m.timestamp for m in records) // period_s
+    computer.ingest(channels)
+    first = min(channel.timestamps[0] for channel in channels.values()) // period_s
+    last = max(channel.timestamps[-1] for channel in channels.values()) // period_s
     grid = range((first + 1) * period_s, (last + 2) * period_s, period_s)
     return [iv for t in grid for iv in computer.update(t)]
 

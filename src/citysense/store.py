@@ -26,7 +26,10 @@ against ``domain.NODE_ID``. Files are read line by line and split at ``\n``
 only. A number (lat, lon, value) is text ``float`` reads without stripping
 whitespace, skipping an ``_`` or reading a non-ASCII digit; anything else
 is a data error, and so is a duplicate (node, timestamp, quantity) triple:
-each names its file and line.
+each names its file and line. Each checked line goes straight into the
+columns of its ``Channel``, one per (node, quantity): timestamps, values,
+flag sets and positions, in timestamp order. ``channels_from`` builds the
+same channels from records; ``MeasurementStore.all`` is the row view.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ import math
 import os
 from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path as FsPath
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .domain import (
     SECONDS_PER_DAY,
@@ -55,6 +58,7 @@ from .domain import (
     unchecked_measurement,
     validate_measurement,
     validate_node_id,
+    validate_value,
 )
 
 
@@ -95,7 +99,7 @@ class OutputSet:
         if path in self.paths:  # its temporary holds what the set wrote
             raise ValueError(f"{name} is already part of this output set")
         self.paths.append(path)
-        with open(_temporary(path), "w") as f:
+        with open(_temporary(path), "w", newline="\n") as f:
             yield f
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -166,9 +170,9 @@ class _RecordParser:
         self._positions: dict[tuple[str, str], GeoPoint] = {}
         self._flags: dict[str, frozenset[Flag]] = {}
 
-    def __call__(self, line: str) -> tuple[RecordKey, Measurement]:
-        """The record key (``domain.record_key``), read from the text, and
-        the validated record of one line, given without its line end."""
+    def __call__(self, line: str) -> tuple[RecordKey, Quantity, GeoPoint, float, frozenset[Flag]]:
+        """The checked fields of one line, given without its line end: its
+        key (``domain.record_key``), quantity, position, value and flags."""
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed record: {line!r}")
@@ -194,12 +198,13 @@ class _RecordParser:
         flag_set = self._flags.get(flags)
         if flag_set is None:
             flag_set = self._flags[flags] = frozenset(Flag(f) for f in flags.split(";") if f)
-        m = unchecked_measurement(known_id, timestamp, position, quantity, value, flag_set)
-        return (timestamp, known_id, qcode), validate_measurement(m)
+        validate_value(quantity, value)
+        return (timestamp, known_id, qcode), quantity, position, value, flag_set
 
 
 def parse_measurement(line: str) -> Measurement:
-    return _RecordParser()(line.rstrip("\n"))[1]
+    (timestamp, node_id, _), quantity, position, value, flags = _RecordParser()(line.rstrip("\n"))
+    return unchecked_measurement(node_id, timestamp, position, quantity, value, flags)
 
 
 _first = itemgetter(0)
@@ -275,56 +280,96 @@ def write_measurements(files: OutputSet, records: Iterable[Measurement]) -> None
             days.add(m)
 
 
+class Channel(NamedTuple):
+    """The readings of one (node, quantity) in timestamp order, as columns."""
+
+    timestamps: list[int]
+    values: list[float]
+    flags: list[frozenset[Flag]]
+    positions: list[GeoPoint]
+
+
+# (node id, quantity) -> its channel; only a pair with readings has one.
+Channels = dict[tuple[str, Quantity], Channel]
+
+
+def _append(channels: Channels, key: tuple[str, Quantity], timestamp: int, value: float,
+            flags: frozenset[Flag], position: GeoPoint) -> None:
+    channel = channels.get(key)
+    if channel is None:
+        channel = channels[key] = Channel([], [], [], [])
+    channel.timestamps.append(timestamp)
+    channel.values.append(value)
+    channel.flags.append(flags)
+    channel.positions.append(position)
+
+
+def channels_from(records: Iterable[Measurement]) -> Channels:
+    """The channels of ``records``, given in any order, as a load of their
+    day files would make them (without its checks)."""
+    channels: Channels = {}
+    for m in sorted(records, key=attrgetter("timestamp")):  # equal stamps keep their order
+        _append(channels, (m.node_id, m.quantity), m.timestamp, m.value, m.flags, m.position)
+    return channels
+
+
+def count_readings(channels: Channels) -> int:
+    return sum(len(channel.timestamps) for channel in channels.values())
+
+
 class MeasurementStore:
     """The checked records of the day files under one directory, if any."""
 
     def __init__(self, root: str | FsPath):
         self.root = FsPath(root)
-        self._records: list[Measurement] = []
+        self.channels: Channels = {}
         try:
             self._load(sorted(self.root.glob("measurements-*.txt")))
         except OSError as e:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
 
     def _load(self, files: list[FsPath]) -> None:
-        """Read the records of ``files`` line by line into ``_records``.
-        While every key (taken from the line) is greater than the one
-        before, the records are in ``all()`` order and a duplicate shows as
-        an equal adjacent key. Once a key is out of order (a hand-edited
-        file), the rest of the load checks duplicates against the set of
-        keys loaded so far, and the load ends with one sort."""
+        """Append each checked line of ``files`` to its channel. While every
+        key (taken from the line) is greater than the one before, each
+        channel grows in timestamp order and a duplicate shows as an equal
+        adjacent key. Once a key is out of order (a hand-edited file), the
+        rest of the load checks duplicates against the set of keys loaded so
+        far, and the load ends by building the channels again, sorted."""
         parse = _RecordParser()
-        records = self._records
+        channels = self.channels
         last: RecordKey | None = None
         seen: set[RecordKey] | None = None  # keys so far, once out of order
         for f in files:
-            with f.open() as lines:
+            with f.open(newline="\n") as lines:
                 for lineno, line in enumerate(lines, 1):
                     try:
-                        key, m = parse(line.rstrip("\n"))
+                        key, quantity, position, value, flags = parse(line.rstrip("\n"))
                         if seen is None:
                             if last is None or key > last:
                                 last = key
                             elif key == last:
                                 raise _key_error("duplicate record", key)
                             else:
-                                seen = {record_key(r) for r in records}
+                                seen = set(map(record_key, self.all()))
                         if seen is not None:
                             if key in seen:
                                 raise _key_error("duplicate record", key)
                             seen.add(key)
                     except ValueError as e:
                         raise ValueError(f"{f.name} line {lineno}: {e}") from e
-                    records.append(m)
+                    _append(channels, (key[1], quantity), key[0], value, flags, position)
         if seen is not None:
-            records.sort(key=record_key)
+            self.channels = channels_from(self.all())
 
     def __len__(self) -> int:
-        return len(self._records)
+        return count_readings(self.channels)
 
     def all(self) -> list[Measurement]:
-        """Every record, in ``domain.record_key`` order."""
-        return list(self._records)
+        """Every record, in ``domain.record_key`` order: a row view of the
+        channels."""
+        return sorted((unchecked_measurement(nid, t, position, q, value, flags)
+                       for (nid, q), channel in self.channels.items()
+                       for t, value, flags, position in zip(*channel)), key=record_key)
 
 
 # --------------------------------------------------------------------------

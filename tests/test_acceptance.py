@@ -26,6 +26,7 @@ from citysense.indexes import (
 from citysense.netsim import LinkModel, run
 from citysense.nodes import lag_filter, quantize, sample
 from citysense.scenario import load_scenario
+from citysense.store import channels_from
 from tests.test_nodes import StepField, fixed_node
 
 
@@ -113,12 +114,12 @@ def test_criterion_1_relative_error_fixtures():
 def test_criterion_1_through_population_comparison():
     # same fixtures pushed through the full comparison pipeline using
     # constant synthetic populations with the reference means
-    from tests.test_analytics import meas
+    from tests.test_analytics import compare, meas
 
     for quantity, m_fix, m_mob, reported in MOBILE_FIXED_REFERENCE:
         a = [meas(m_mob, Quantity(quantity)) for _ in range(10)]
         b = [meas(m_fix, Quantity(quantity)) for _ in range(10)]
-        (row,) = compare_populations(a, b, labels=("mobile", "fixed")).rows
+        (row,) = compare(a, b, labels=("mobile", "fixed")).rows
         assert row.eta == pytest.approx(reported, abs=0.01), quantity
     ok(1, "comparison pipeline reproduces the mobile-vs-fixed ratios")
 
@@ -293,8 +294,8 @@ def _population_means(result):
 
 def _mobile_fixed_report(cfg, result):
     nodes = {n.descriptor.node_id: (n.descriptor.kind, n.path_tag, n.descriptor.home_position) for n in cfg.nodes}
-    pop_mobile, pop_fixed, _ = mobile_fixed_populations(
-        (m for _, m in result.server_measurements), nodes, radius_m=500.0
+    pop_mobile, pop_fixed, _, _ = mobile_fixed_populations(
+        channels_from(m for _, m in result.server_measurements), nodes, radius_m=500.0
     )
     return compare_populations(pop_mobile, pop_fixed, labels=("mobile", "fixed"))
 

@@ -15,6 +15,7 @@ from citysense.analytics import (
     write_comparison_report,
 )
 from citysense.domain import Flag, GeoPoint, Measurement, Quantity, haversine_distance
+from citysense.store import channels_from
 
 P = GeoPoint(43.716, 10.3966)
 M_PER_DEG_LAT = math.pi * 6371000.0 / 180.0
@@ -32,9 +33,14 @@ def station(node_id, position):
     return (node_id, position)
 
 
+def compare(a, b, labels=("a", "b")):
+    """``compare_populations`` over the channels of two record lists."""
+    return compare_populations(channels_from(a), channels_from(b), labels=labels)
+
+
 class TestEstimatePmf:
     def test_identical_samples_single_unit_wide_bin(self):
-        (row,) = compare_populations([meas(5.0)] * 100, [meas(5.0)]).rows
+        (row,) = compare([meas(5.0)] * 100, [meas(5.0)]).rows
         assert row.pmf_a.bin_edges == (4.5, 5.5)
         assert row.pmf_a.probabilities == (1.0,)
         assert row.pmf_a.n_samples == 100
@@ -105,47 +111,47 @@ class TestAssociation:
     def test_unique_nearest(self):
         a = station("A", offset(P, 100))
         b = station("B", offset(P, -800))
-        assoc = associate_mobile_to_fixed([meas(1.0)], [a, b])
-        assert set(assoc.by_station) == {"A"}
+        assoc = associate_mobile_to_fixed([P], [a, b])
+        assert assoc.by_station == {"A": (P,)}
         assert assoc.unassociated == ()
 
     def test_out_of_radius_unassociated(self):
         a = station("A", offset(P, 600))
-        assoc = associate_mobile_to_fixed([meas(1.0)], [a])
+        assoc = associate_mobile_to_fixed([P], [a])
         assert assoc.by_station == {}
         assert len(assoc.unassociated) == 1
 
     def test_equidistant_tie_goes_to_lower_id(self):
         a = station("B", offset(P, 300))
         b = station("A", offset(P, -300))
-        assoc = associate_mobile_to_fixed([meas(1.0)], [a, b])
+        assoc = associate_mobile_to_fixed([P], [a, b])
         assert set(assoc.by_station) == {"A"}
 
     def test_radius_is_configurable(self):
         a = station("A", offset(P, 600))
-        assoc = associate_mobile_to_fixed([meas(1.0)], [a], radius_m=700.0)
+        assoc = associate_mobile_to_fixed([P], [a], radius_m=700.0)
         assert set(assoc.by_station) == {"A"}
 
     def test_partition_is_total_and_deterministic(self):
         stations = [station(f"S{i}", offset(P, 400 * i)) for i in range(4)]
-        samples = [meas(float(i), position=offset(P, 130 * i)) for i in range(30)]
-        first = associate_mobile_to_fixed(samples, stations)
-        second = associate_mobile_to_fixed(samples, stations)
+        positions = [offset(P, 130 * i) for i in range(30)]
+        first = associate_mobile_to_fixed(positions, stations)
+        second = associate_mobile_to_fixed(positions, stations)
         assert first == second
         counted = sum(len(v) for v in first.by_station.values()) + len(first.unassociated)
-        assert counted == len(samples)
+        assert counted == len(positions)
 
 
-def brute_force_association(mobile, stations, radius_m):
-    """Reference: every sample scans every station; (distance, id) order
+def brute_force_association(positions, stations, radius_m):
+    """Reference: every position scans every station; (distance, id) order
     sends a tie to the lower id."""
     by_station, unassociated = {}, []
-    for m in mobile:
-        d, sid = min((haversine_distance(m.position, pos), sid) for sid, pos in stations)
+    for p in positions:
+        d, sid = min((haversine_distance(p, pos), sid) for sid, pos in stations)
         if d <= radius_m:
-            by_station.setdefault(sid, []).append(m)
+            by_station.setdefault(sid, []).append(p)
         else:
-            unassociated.append(m)
+            unassociated.append(p)
     return {k: tuple(v) for k, v in sorted(by_station.items())}, tuple(unassociated)
 
 
@@ -169,20 +175,21 @@ class TestAssociationDifferential:
             for i in range(600) for q in (Quantity.CO2, Quantity.O3)
         ]
         samples += [meas(1.0, position=tie), meas(2.0, position=GeoPoint(edge.lat, edge.lon))]
-        assoc = associate_mobile_to_fixed(samples, stations, radius_m=radius)
-        by_station, unassociated = brute_force_association(samples, stations, radius)
+        positions = list(dict.fromkeys(m.position for m in samples))
+        assoc = associate_mobile_to_fixed(positions, stations, radius_m=radius)
+        by_station, unassociated = brute_force_association(positions, stations, radius)
         assert dict(assoc.by_station) == by_station
         assert assoc.unassociated == unassociated
         assert haversine_distance(tie, e0[1]) == haversine_distance(tie, e1[1])
-        assert assoc.by_station["E0"][-1].value == 1.0  # the tie goes to the lower id
-        assert assoc.by_station["L0"][-1].value == 2.0  # d == radius_m is inside
-        assert unassociated, "some sample should fall outside every radius"
+        assert tie in assoc.by_station["E0"]  # the tie goes to the lower id
+        assert edge in assoc.by_station["L0"]  # d == radius_m is inside
+        assert unassociated, "some position should fall outside every radius"
 
 
 class TestComparePopulations:
     def test_equal_populations_have_zero_eta(self):
         pop = [meas(v) for v in (400.0, 420.0, 440.0)]
-        report = compare_populations(pop, list(pop))
+        report = compare(pop, list(pop))
         (row,) = report.rows
         assert row.eta == 0.0
         assert row.mean_a == row.mean_b
@@ -190,19 +197,19 @@ class TestComparePopulations:
     def test_single_shared_quantity_single_row(self):
         a = [meas(1.0, Quantity.CO2), meas(9.0, Quantity.O3)]
         b = [meas(2.0, Quantity.CO2)]
-        report = compare_populations(a, b)
+        report = compare(a, b)
         assert [r.quantity for r in report.rows] == [Quantity.CO2]
         assert report.incomparable == (Quantity.O3,)
 
     def test_no_overlap(self):
         with pytest.raises(NoOverlapError):
-            compare_populations([meas(1.0, Quantity.CO2)], [meas(1.0, Quantity.O3)])
+            compare([meas(1.0, Quantity.CO2)], [meas(1.0, Quantity.O3)])
 
     def test_matches_brute_force_recomputation(self):
         rng = np.random.default_rng(11)
         a = [meas(float(v)) for v in rng.normal(420, 5, 800)]
         b = [meas(float(v)) for v in rng.normal(450, 5, 900)]
-        report = compare_populations(a, b)
+        report = compare(a, b)
         (row,) = report.rows
         mean_a = math.fsum(m.value for m in a) / len(a)
         mean_b = math.fsum(m.value for m in b) / len(b)
@@ -213,7 +220,7 @@ class TestComparePopulations:
     def test_pmfs_share_edges_and_are_normalized(self):
         a = [meas(v) for v in (1.0, 2.0, 3.0)]
         b = [meas(v) for v in (2.0, 4.0)]
-        report = compare_populations(a, b)
+        report = compare(a, b)
         (row,) = report.rows
         assert row.pmf_a.bin_edges == row.pmf_b.bin_edges
         assert sum(row.pmf_a.probabilities) == pytest.approx(1.0, abs=1e-9)
@@ -227,7 +234,7 @@ class TestComparePopulations:
             meas(20.0),
         ]
         b = [meas(15.0)]
-        report = compare_populations(a, b)
+        report = compare(a, b)
         (row,) = report.rows
         assert row.mean_a == 15.0
         assert row.n_a == 2
@@ -241,7 +248,7 @@ class TestComparePopulations:
         b = [meas(5.0, Quantity.HC), meas(455.0)]
         rates = {
             row.quantity: (row.below_lod_rate_a, row.below_lod_rate_b)
-            for row in compare_populations(a, b).rows
+            for row in compare(a, b).rows
         }
         assert rates == {Quantity.CO2: (0.2, 0.0), Quantity.HC: (2 / 3, 0.0)}
 
@@ -249,7 +256,7 @@ class TestComparePopulations:
     def test_one_repeated_value_has_exactly_zero_eta(self, value, n_a, n_b):
         a = [meas(value, Quantity.CO, node="A") for _ in range(n_a)]
         b = [meas(value, Quantity.CO, node="B") for _ in range(n_b)]
-        (row,) = compare_populations(a, b).rows
+        (row,) = compare(a, b).rows
         assert row.mean_a == row.mean_b == value
         assert row.eta == 0.0
 
@@ -257,14 +264,14 @@ class TestComparePopulations:
         rng = np.random.default_rng(5)
         a = [meas(float(v)) for v in rng.normal(420, 5, 500)]
         b = [meas(float(v)) for v in rng.normal(450, 5, 300)]
-        (row,) = compare_populations(a, b).rows
-        (reversed_row,) = compare_populations(a[::-1], b[::-1]).rows
+        (row,) = compare(a, b).rows
+        (reversed_row,) = compare(a[::-1], b[::-1]).rows
         assert (reversed_row.mean_a, reversed_row.mean_b) == (row.mean_a, row.mean_b)
 
     def test_eta_recomputable_from_stored_means(self):
         a = [meas(v) for v in (400.0, 410.0)]
         b = [meas(v) for v in (450.0, 452.0)]
-        (row,) = compare_populations(a, b).rows
+        (row,) = compare(a, b).rows
         assert row.eta == pytest.approx(abs(1 - row.mean_a / row.mean_b), rel=1e-12)
 
 
@@ -272,7 +279,7 @@ class TestReportWriter:
     def test_emits_json_and_pmf_files(self, tmp_path):
         a = [meas(v) for v in (400.0, 420.0)]
         b = [meas(v, Quantity.CO2) for v in (430.0, 450.0)] + [meas(1.0, Quantity.O3)]
-        report = compare_populations(a, b, labels=("mobile", "fixed"))
+        report = compare(a, b, labels=("mobile", "fixed"))
         written = write_comparison_report(report, tmp_path)
         names = {p.name for p in written}
         assert names == {"comparison.json", "pmf_co2_mobile.dat", "pmf_co2_fixed.dat"}
@@ -292,7 +299,7 @@ class TestReportWriter:
         def reject(constant):
             raise ValueError(f"non-strict JSON constant {constant}")
 
-        report = compare_populations([meas(1.0, Quantity.RAIN)], [meas(0.0, Quantity.RAIN)])
+        report = compare([meas(1.0, Quantity.RAIN)], [meas(0.0, Quantity.RAIN)])
         assert math.isnan(report.rows[0].eta)
         write_comparison_report(report, tmp_path)
         doc = json.loads((tmp_path / "comparison.json").read_text(), parse_constant=reject)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -425,6 +426,24 @@ class TestIndexes:
     def test_empty_store_is_data_error(self, tmp_path):
         assert main(["indexes", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")]) == 2
 
+    def test_o3_values_whose_sum_overflows_give_finite_indexes(self, sim_dir, tmp_path):
+        day_file, lines = _first_day_file(sim_dir)
+        o3 = [i for i, line in enumerate(lines) if line.split(",")[1:5:3] == ["T1", "o3"]]
+        for i in o3[::2]:
+            fields = lines[i].split(",")
+            fields[5] = "1.7e+308"
+            lines[i] = ",".join(fields)
+        day_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "idx"
+        assert main(["indexes", str(sim_dir), "--out", str(out)]) == 0
+        aqi_o3 = [
+            float(line.split(",")[3])
+            for line in (out / "indexes_T1.txt").read_text().splitlines()
+            if line.startswith("aqi_o3,")
+        ]
+        assert len(o3) >= 2 and aqi_o3
+        assert all(math.isfinite(v) for v in aqi_o3) and max(aqi_o3) > 1e307
+
 
 def _edit_field(data_dir, lineno, index, text):
     """Put ``text`` into field ``index`` of line ``lineno`` of the first day
@@ -503,6 +522,20 @@ class TestCompare:
         _assert_one_line_data_error(rc, capsys.readouterr().err)
         assert not (tmp_path / "cmp" / "comparison.json").exists()
 
+    def test_pressures_whose_span_overflows_compare_finite(self, sim_dir, tmp_path):
+        _corrupt_first_value(sim_dir, "T1", "pressure", "1e+308")
+        _corrupt_first_value(sim_dir, "F2", "pressure", "-1e+308")
+        out = tmp_path / "cmp"
+        assert main(["compare", str(sim_dir), "--mode", "paths", "--out", str(out)]) == 0
+        row = json.loads((out / "comparison.json").read_text())["rows"]["pressure"]
+        assert all(math.isfinite(row[f"mean_{label}"]) for label in ("loop", "other"))
+        for label in ("loop", "other"):
+            pmf_lines = (out / f"pmf_pressure_{label}.dat").read_text().splitlines()
+            columns = [line.split() for line in pmf_lines]
+            assert len(columns) == 30
+            assert all(math.isfinite(float(x)) for column in columns for x in column)
+            assert float(columns[0][0]) < float(columns[-1][0])
+
     def test_missing_nodes_json_is_data_error(self, sim_dir, tmp_path, capsys):
         (sim_dir / "nodes.json").unlink()
         rc = main(["compare", str(sim_dir), "--mode", "paths", "--out", str(tmp_path / "x")])
@@ -535,6 +568,26 @@ class TestCompare:
         _assert_one_line_data_error(rc, err)
         assert "nodes.json" in err and needle in err
         assert not out.exists()
+
+
+class TestReadStepsBuildNoRows:
+    def test_no_measurement_is_built_per_stored_line(self, tmp_path, monkeypatch):
+        """The read steps take the store's channels, never its row view."""
+        scenario = yaml.safe_load(
+            (Path(citysense.__file__).parent / "data" / "pisa-default.yaml").read_text())
+        scenario["duration_s"] = 3600
+        scenario_path = tmp_path / "one-hour.yaml"
+        scenario_path.write_text(yaml.safe_dump(scenario))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scenario_path), "--out", str(sim)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a read step built a Measurement")
+
+        monkeypatch.setattr(store, "unchecked_measurement", refuse)
+        monkeypatch.setattr(domain.Measurement, "__init__", refuse)
+        for argv in (["indexes"], ["compare", "--mode", "paths"], ["compare", "--mode", "mobile-fixed"]):
+            assert main([*argv, str(sim), "--out", str(tmp_path / argv[-1])]) == 0, argv
 
 
 def _failing_second(monkeypatch, prefix):

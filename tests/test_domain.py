@@ -263,10 +263,7 @@ class TestUtcTime:
 
 
 class TestMean:
-    @given(
-        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
-        st.integers(1, 400),
-    )
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 400))
     @example(0.1, 96)
     @example(14.7, 288)
     def test_one_repeated_value_is_its_own_mean(self, value, n):
@@ -277,6 +274,20 @@ class TestMean:
         shuffled = list(values)
         rnd.shuffle(shuffled)
         assert mean(shuffled) == mean(values)
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+        st.randoms(),
+    )
+    @example([1e308, -1e308], random.Random(0))  # a deviation overflows
+    @example([0.0, 1.7e308, 0.0, 1.7e308], random.Random(0))  # their sum overflows
+    def test_finite_between_the_extremes_and_order_free_over_every_float(self, values, rnd):
+        result = mean(values)
+        assert math.isfinite(result)
+        assert min(values) <= result <= max(values)
+        shuffled = list(values)
+        rnd.shuffle(shuffled)
+        assert mean(shuffled) == result
 
     def test_close_to_exact_mean(self):
         rng = random.Random(3)

@@ -23,6 +23,7 @@ from citysense.cli import main
 from citysense.indexes import apparent_temperature_model, compute_indexes, index_record_line
 from citysense.netsim import run
 from citysense.scenario import load_scenario, with_seed
+from citysense.store import channels_from
 
 SEED = "7"
 
@@ -115,13 +116,14 @@ def test_output_digests(outputs, step):
 
 
 def test_compute_indexes_over_run_equals_indexes_step(outputs):
-    """``compute_indexes`` over the records ``run()`` hands the server gives
-    exactly the lines ``citysense indexes`` writes from the stored day files,
+    """``compute_indexes`` over the channels of the records ``run()`` hands
+    the server (``store.channels_from``) gives exactly the lines
+    ``citysense indexes`` writes from the channels of the stored day files,
     so in-memory records and the store round trip give the same indexes."""
     cfg = with_seed(load_scenario("pisa-default"), int(SEED))
     result = run(cfg)
     values = compute_indexes(
-        (m for _, m in result.server_measurements), cfg.uplink_period_s,
+        channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s,
         apparent_temperature_model,
     )
     in_memory: dict[str, list[str]] = {}
@@ -136,13 +138,14 @@ def test_compute_indexes_over_run_equals_indexes_step(outputs):
 
 
 def test_mobile_fixed_rule_over_run_equals_compare_step(tmp_path):
-    """The mobile-fixed rule and ``compare_populations`` over the records
-    ``run()`` hands the server write exactly the files of
+    """The mobile-fixed rule and ``compare_populations`` over the channels of
+    the records ``run()`` hands the server write exactly the files of
     ``citysense compare --mode mobile-fixed``, so the in-memory path (the
     demo, the acceptance test) and the CLI path form the same populations."""
     cfg = with_seed(load_scenario("pisa-default"), int(SEED))
     nodes = {n.descriptor.node_id: (n.descriptor.kind, n.path_tag, n.descriptor.home_position) for n in cfg.nodes}
-    mobile, fixed, _ = mobile_fixed_populations((m for _, m in run(cfg).server_measurements), nodes)
+    records = channels_from(m for _, m in run(cfg).server_measurements)
+    mobile, fixed, _, _ = mobile_fixed_populations(records, nodes)
     write_comparison_report(compare_populations(mobile, fixed, labels=("mobile", "fixed")), tmp_path)
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert written == GOLDEN["compare-mobile-fixed"]

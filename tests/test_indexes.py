@@ -26,6 +26,7 @@ from citysense.indexes import (
 )
 from citysense.netsim import run
 from citysense.scenario import load_scenario, with_seed
+from citysense.store import channels_from
 
 EPS = 1e-9
 TCI_INPUTS = (
@@ -310,47 +311,45 @@ def tci_readings(t, temp, node="T1"):
 class TestIndexComputer:
     def test_constant_stream_is_yellow_every_tick(self):
         computer = IndexComputer()
-        out_colors = []
-        for window in range(8):
-            t0 = window * 900
-            ms = [o3_measurement(150.0, t0 + k * 300) for k in range(3)]
-            computer.ingest(ms)
-            updates = computer.update(t0 + 900)
-            out_colors.extend(
-                iv.color for iv in updates if iv.kind is IndexKind.AQI_O3
-            )
-        assert out_colors and set(out_colors) == {IndexColor.YELLOW}
+        computer.ingest(channels_from(o3_measurement(150.0, t) for t in range(0, 8 * 900, 300)))
+        out_colors = [
+            iv.color
+            for window_end in range(900, 9 * 900, 900)
+            for iv in computer.update(window_end)
+            if iv.kind is IndexKind.AQI_O3
+        ]
+        assert len(out_colors) == 8 and set(out_colors) == {IndexColor.YELLOW}
 
     def test_window_straddling_a_step_averages_to_yellow(self):
         computer = IndexComputer()
         ms = [o3_measurement(50.0, t) for t in range(0, 4 * 3600, 300)]
         ms += [o3_measurement(250.0, t) for t in range(4 * 3600, 8 * 3600, 300)]
-        computer.ingest(ms)
+        computer.ingest(channels_from(ms))
         (iv,) = computer.update(8 * 3600)
         assert iv.value == pytest.approx(150.0, rel=1e-12)
         assert iv.color is IndexColor.YELLOW
 
     def test_no_data_in_window_is_unknown(self):
         computer = IndexComputer()
-        computer.ingest([o3_measurement(150.0, 0)])
+        computer.ingest(channels_from([o3_measurement(150.0, 0)]))
         (iv,) = computer.update(9 * 3600)  # reading has aged out of the 8 h window
         assert iv.color is IndexColor.UNKNOWN
 
     def test_flagged_measurements_are_excluded(self):
         computer = IndexComputer()
-        computer.ingest(
+        computer.ingest(channels_from(
             [
                 o3_measurement(150.0, 300),
                 o3_measurement(999.0, 600, flags=frozenset({Flag.WARMING_UP})),
                 o3_measurement(0.0, 900, flags=frozenset({Flag.BELOW_LOD})),
             ]
-        )
+        ))
         (iv,) = computer.update(3600)
         assert iv.value == 150.0
 
     def test_emits_only_stations_with_data(self):
         computer = IndexComputer()
-        computer.ingest([o3_measurement(42.0, 300, node="T1")])
+        computer.ingest(channels_from([o3_measurement(42.0, 300, node="T1")]))
         out = computer.update(900)
         assert [iv.station_id for iv in out] == ["T1"]
 
@@ -364,7 +363,7 @@ class TestIndexComputer:
                 Measurement("T1", t, P, Quantity.WIND_SPEED, 0.5),
                 Measurement("T1", t, P, Quantity.RELATIVE_HUMIDITY, 60.0),
             ]
-        computer.ingest(ms)
+        computer.ingest(channels_from(ms))
         tci_values = [iv for iv in computer.update(900) if iv.kind is IndexKind.TCI]
         assert len(tci_values) == 1
         assert tci_values[0].value == 21.5  # identity model, latest reading
@@ -372,22 +371,24 @@ class TestIndexComputer:
 
     def test_tci_needs_all_four_inputs(self):
         computer = IndexComputer()
-        computer.ingest([Measurement("M1", 300, P, Quantity.TEMPERATURE, 20.0)])
+        computer.ingest(channels_from([Measurement("M1", 300, P, Quantity.TEMPERATURE, 20.0)]))
         assert [iv.kind for iv in computer.update(900)] == []
 
     def test_a_later_reading_ingested_first_adds_no_row(self):
         computer = IndexComputer()
-        computer.ingest([o3_measurement(42.0, 300, node="T1"), o3_measurement(60.0, 5000, node="T2")])
-        computer.ingest(tci_readings(5000, 20.0, node="T1"))
+        computer.ingest(channels_from([
+            o3_measurement(42.0, 300, node="T1"), o3_measurement(60.0, 5000, node="T2"),
+            *tci_readings(5000, 20.0, node="T1"),
+        ]))
         assert [(iv.station_id, iv.kind) for iv in computer.update(900)] == [("T1", IndexKind.AQI_O3)]
 
     def test_thermal_reading_stamped_at_t_is_not_used_at_t(self):
         computer = IndexComputer()
-        computer.ingest([*tci_readings(300, 10.0), *tci_readings(900, 30.0)])
+        computer.ingest(channels_from([*tci_readings(300, 10.0), *tci_readings(900, 30.0)]))
         assert [iv.value for iv in computer.update(900)] == [10.0]
         assert [iv.value for iv in computer.update(901)] == [30.0]
         only_at_t = IndexComputer()
-        only_at_t.ingest(tci_readings(900, 30.0))
+        only_at_t.ingest(channels_from(tci_readings(900, 30.0)))
         assert only_at_t.update(900) == []
 
 
@@ -395,12 +396,12 @@ class TestComputeIndexes:
     def _o3(self, records):
         return [
             (iv.window_end, iv.value)
-            for iv in compute_indexes(records, 900)
+            for iv in compute_indexes(channels_from(records), 900)
             if iv.kind is IndexKind.AQI_O3
         ]
 
     def test_no_records_no_values(self):
-        assert compute_indexes([], 900) == []
+        assert compute_indexes({}, 900) == []
 
     def test_grid_runs_from_after_first_to_after_last_reading(self):
         values = self._o3([o3_measurement(40.0, 300), o3_measurement(100.0, 1000)])
@@ -414,7 +415,8 @@ class TestComputeIndexes:
         # so do thermal inputs
         tci_values = [
             (iv.window_end, iv.value)
-            for iv in compute_indexes([*tci_readings(300, 10.0), *tci_readings(900, 20.0)], 900)
+            for iv in compute_indexes(
+                channels_from([*tci_readings(300, 10.0), *tci_readings(900, 20.0)]), 900)
         ]
         assert tci_values == [(900, 10.0), (1800, 20.0)]
 
@@ -423,7 +425,7 @@ class TestComputeIndexes:
         records += [o3_measurement(60.0, t, node="T2") for t in range(2000, 3600, 300)]
         records += tci_readings(2000, 20.0, node="T3")
         stations = {}
-        for iv in compute_indexes(records, 900):
+        for iv in compute_indexes(channels_from(records), 900):
             stations.setdefault(iv.station_id, []).append(iv.window_end)
         assert stations == {"T1": [900, 1800, 2700, 3600], "T2": [2700, 3600], "T3": [2700, 3600]}
 
@@ -439,11 +441,11 @@ class TestComputeIndexes:
                 (Quantity.RELATIVE_HUMIDITY, 60.0),
             ):
                 ms.append(Measurement("T1", t, P, q, v))
-        expected = compute_indexes(ms, 900, apparent_temperature_model)
+        expected = compute_indexes(channels_from(ms), 900, apparent_temperature_model)
         assert {iv.kind for iv in expected} == {IndexKind.AQI_O3, IndexKind.AQI_PM, IndexKind.TCI}
         shuffled = list(ms)
         random.Random(5).shuffle(shuffled)
-        assert compute_indexes(shuffled, 900, apparent_temperature_model) == expected
+        assert compute_indexes(channels_from(shuffled), 900, apparent_temperature_model) == expected
 
 
 class RescanReference:
@@ -507,7 +509,10 @@ class TestWindowsAgainstRescan:
     @pytest.mark.parametrize("model", [identity_thermal_model, apparent_temperature_model])
     def test_three_day_campaign_equals_rescan(self, three_day_records, model):
         period_s, records = three_day_records
-        got = [index_record_line(iv) for iv in compute_indexes(records, period_s, model)]
+        got = [
+            index_record_line(iv)
+            for iv in compute_indexes(channels_from(records), period_s, model)
+        ]
         want = [index_record_line(iv) for iv in reference_indexes(records, period_s, model)]
         assert {line.split(",")[0] for line in got} == {"aqi_o3", "aqi_pm", "tci"}
         assert len(got) > 5000
@@ -515,6 +520,9 @@ class TestWindowsAgainstRescan:
 
 
 class TestIngestOrder:
+    """Records may come in any order: ``store.channels_from`` puts each
+    channel in timestamp order, and ``ingest`` takes each series whole."""
+
     def _readings(self):
         ms = []
         for t in range(0, 30 * 3600, 300):
@@ -523,15 +531,15 @@ class TestIngestOrder:
             ms += tci_readings(t + 11, 10.0 + (t % 3600) / 300)
         return ms
 
-    def test_shuffled_ingest_in_several_calls_equals_sorted_ingest(self):
+    def test_shuffled_records_give_the_channels_and_updates_of_sorted_ones(self):
         ms = self._readings()  # in timestamp order
         expected = IndexComputer(apparent_temperature_model)
-        expected.ingest(ms)
+        expected.ingest(channels_from(ms))
         shuffled = list(ms)
         random.Random(11).shuffle(shuffled)
+        assert channels_from(shuffled) == channels_from(ms)
         computer = IndexComputer(apparent_temperature_model)
-        for k in range(0, len(shuffled), 97):
-            computer.ingest(shuffled[k:k + 97])
+        computer.ingest(channels_from(shuffled))
         # every reading is held before the first update, so each update
         # must pick its windows and latest thermal inputs by timestamp
         for t in range(900, 31 * 3600, 900):
@@ -540,13 +548,18 @@ class TestIngestOrder:
         (got,) = [iv for iv in computer.update(1000) if iv.kind is IndexKind.TCI]
         assert got == tci(*latest, "T1", 1000, model=apparent_temperature_model)
 
-    def test_tci_takes_latest_timestamp_not_last_ingested(self):
+    def test_tci_takes_latest_timestamp_not_last_given(self):
         computer = IndexComputer()
-        computer.ingest(tci_readings(1200, 30.0))  # later reading arrives first
-        computer.ingest(tci_readings(600, 20.0))
-        computer.ingest(tci_readings(300, 10.0))
+        later_first = [*tci_readings(1200, 30.0), *tci_readings(600, 20.0), *tci_readings(300, 10.0)]
+        computer.ingest(channels_from(later_first))
         values = [iv.value for t in (301, 901, 1201) for iv in computer.update(t)]
         assert values == [10.0, 20.0, 30.0]
+
+    def test_equal_timestamps_keep_the_order_given(self):
+        # the last reading given among those stamped before t is the latest
+        computer = IndexComputer()
+        computer.ingest(channels_from([*tci_readings(300, 10.0), *tci_readings(300, 20.0)]))
+        assert [iv.value for iv in computer.update(900)] == [20.0]
 
 
 class TestRecordLine:

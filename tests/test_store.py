@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -377,17 +378,27 @@ def _day_file_lines(root):
 
 
 class TestLoadLines:
-    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
     def test_only_newline_ends_a_record(self, tmp_path, sep):
-        # str.splitlines() would cut line 2 in two; the loader reads the
-        # separator as part of the value, which is no number.
+        # str.splitlines() or universal newlines would cut line 2 in two;
+        # the loader reads the separator as part of the value, which is no
+        # number.
         save(tmp_path, batch_of(3))
         day_file, lines = _day_file_lines(tmp_path)
         fields = lines[1].split(",")
         fields[5] = fields[5][:2] + sep + fields[5][2:]
         lines[1] = ",".join(fields)
-        day_file.write_text("\n".join(lines) + "\n")
+        day_file.write_bytes(("\n".join(lines) + "\n").encode())
         with pytest.raises(ValueError, match=f"^{day_file.name} line 2: value: bad number"):
+            MeasurementStore(tmp_path)
+
+    def test_a_crlf_line_end_is_not_a_record_end(self, tmp_path):
+        # the "\r" stays in the last field, the flags, where it is no flag
+        save(tmp_path, batch_of(3))
+        day_file, lines = _day_file_lines(tmp_path)
+        day_file.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        message = f"{day_file.name} line 1: " + "'\\r' is not a valid Flag"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MeasurementStore(tmp_path)
 
     def test_file_without_final_newline_loads(self, tmp_path):

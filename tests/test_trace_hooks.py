@@ -3,10 +3,10 @@
 The tracer wraps functions and methods by name and lists each name it does
 not find instead of failing, so a rename or removal in the package would
 silently zero a traced metric. This runs one simulated hour of the bundled
-scenario under the tracer, then ``indexes`` and ``compare --mode
-mobile-fixed`` on its output, in a fresh interpreter because installing it
-rebinds module globals. It pins the absent names and the counters of the
-network, index and analytics layers.
+scenario under the tracer, then ``indexes`` and both ``compare`` modes on
+its output, in a fresh interpreter because installing it rebinds module
+globals. It pins the absent names and the counters of the network, index
+and analytics layers.
 """
 
 import json
@@ -29,12 +29,14 @@ from spans import Tracer
 
 tracer = Tracer()
 tracer.install()
-sim, idx, cmp = (sys.argv[2] + d for d in ("/sim", "/idx", "/cmp"))
+sim, idx, paths, cmp = (sys.argv[2] + d for d in ("/sim", "/idx", "/paths", "/cmp"))
 rc = {}
 with tracer.step_span("simulate"):
     rc["simulate"] = cli.main(["simulate", "--scenario", sys.argv[1], "--out", sim])
 with tracer.step_span("indexes"):
     rc["indexes"] = cli.main(["indexes", sim, "--out", idx])
+with tracer.step_span("compare_paths"):
+    rc["compare_paths"] = cli.main(["compare", sim, "--mode", "paths", "--out", paths])
 with tracer.step_span("compare_mobile"):
     rc["compare_mobile"] = cli.main(["compare", sim, "--mode", "mobile-fixed", "--out", cmp])
 print(json.dumps({"rc": rc, "missing": tracer.missing, "layers": tracer.metrics()}))
@@ -63,7 +65,7 @@ def test_tracer_finds_every_name_but_the_known_absent_ones(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["rc"] == {"simulate": 0, "indexes": 0, "compare_mobile": 0}
+    assert doc["rc"] == {"simulate": 0, "indexes": 0, "compare_paths": 0, "compare_mobile": 0}
     assert doc["missing"] == ABSENT
     layers = doc["layers"]
     assert layers["netsim.uplink_calls"] == 4  # one per 900 s window of the hour
@@ -73,8 +75,17 @@ def test_tracer_finds_every_name_but_the_known_absent_ones(tmp_path):
     ):
         assert layers[name] > 0, name
     assert layers["indexes.ingest_calls"] == 1  # compute_indexes ingests every record once
-    for name in (
-        "indexes.recompute_values", "analytics.associate_pairs", "analytics.associated",
-        "analytics.compare_s",
-    ):
+    for name in ("indexes.recompute_values", "analytics.associated", "analytics.compare_s"):
         assert layers[name] > 0, name
+    # The association measures each distinct mobile position against each
+    # fixed station once, so the pairs counted are the distances computed.
+    sim = tmp_path / "out" / "sim"
+    kinds = {nid: node["kind"] for nid, node in json.loads((sim / "nodes.json").read_text()).items()}
+    mobile_positions = {
+        (float(fields[2]), float(fields[3]))
+        for day_file in sim.glob("measurements-*.txt")
+        for fields in (line.split(",") for line in day_file.read_text().splitlines())
+        if kinds[fields[1]] == "mobile"
+    }
+    fixed_stations = [nid for nid, kind in kinds.items() if kind == "fixed"]
+    assert layers["analytics.associate_pairs"] == len(mobile_positions) * len(fixed_stations) > 0

@@ -214,6 +214,16 @@ def _split_by_quantity(
     return values, {q: flagged[q] / n for q, n in totals.items()}
 
 
+def _widen(v: float, by: float) -> float:
+    """``v + by``; where that does not move ``v`` (its magnitude is 2**53 or
+    more), the next float past ``v`` that way, or ``v`` itself at the end of
+    the finite floats."""
+    w = v + by
+    if w == v:
+        w = math.nextafter(v, math.copysign(math.inf, by))
+    return w if math.isfinite(w) else v
+
+
 def compare_populations(
     a: Channels,
     b: Channels,
@@ -223,7 +233,8 @@ def compare_populations(
     each given as channels (``store.Channels``).
 
     Both PMFs of a quantity share one set of ``BIN_COUNT`` equal-width edges
-    spanning the pooled range (one unit-wide bin if every sample is equal),
+    spanning the pooled range (one unit-wide bin if every sample is equal,
+    narrowed to the neighbouring floats where a value is too large for that),
     so they are directly comparable; a range wider than the largest float
     is split at half scale. Quantities with usable samples in only
     one population are listed as incomparable.
@@ -241,7 +252,7 @@ def compare_populations(
         hi = max(max(va), max(vb))
         scale = 1.0 if hi - lo < math.inf else 2.0  # halving such wide bounds is exact
         edges = (np.linspace(lo / scale, hi / scale, BIN_COUNT + 1) * scale if lo < hi
-                 else np.array([lo - 0.5, hi + 0.5]))
+                 else np.array([_widen(lo, -0.5), _widen(hi, 0.5)]))
         mean_a = mean(va)
         mean_b = mean(vb)
         rows.append(

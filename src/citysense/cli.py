@@ -21,7 +21,7 @@ from .analytics import (
     path_populations,
     write_comparison_report,
 )
-from .domain import GeoPoint, Measurement, NodeKind, Radio
+from .domain import QUANTITY_CODES, GeoPoint, NodeKind, format_utc
 from .indexes import (
     IndexValue,
     apparent_temperature_model,
@@ -30,13 +30,9 @@ from .indexes import (
     index_record_line,
     traffic_index,
 )
-from .netsim import (
-    ConfigError, DeliveryOutcome, DeliveryRecord, RunSink, SimulationResult, Tally, run,
-)
+from .netsim import ConfigError, DeliveryOutcome, RunSink, SimulationResult, Tally, run
 from .scenario import ScenarioConfig, load_access, load_scenario, with_seed
-from .store import (
-    DayFiles, MeasurementStore, OutputSet, StorageError, count_readings, serialize_delivery,
-)
+from .store import DayFiles, MeasurementStore, OutputSet, StorageError, count_readings
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,35 +100,36 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # simulate
 
-# Member -> its delivery-log code; a dict lookup per line is cheaper than
-# the ``.value`` descriptor call.
-_OUTCOME_CODES = {o: o.value for o in DeliveryOutcome}
-_RADIO_CODES = {r: r.value for r in Radio}
-
 
 class _LogSink(RunSink):
-    """Writes each reading's delivery-log line as the run routes it, and
-    streams the readings the server receives into the day files, one
-    watermark at a time."""
+    """Writes the delivery log as the run routes each node tick, and streams
+    the readings the server receives into the day files, one watermark at a
+    time. The log has one line per emitted reading,
+
+        emitted-ts,node_id,quantity,outcome,link,arrival-ts
+
+    with link empty for the coordinator's own readings and arrival-ts empty
+    for a lost one."""
 
     def __init__(self, log: TextIO, days: DayFiles):
         self._write = log.write
         self._days = days
 
-    def delivery(self, d: DeliveryRecord) -> None:
-        m = d.measurement
-        line = serialize_delivery(
-            m.timestamp,
-            m.node_id,
-            m.quantity,
-            _OUTCOME_CODES[d.outcome],
-            _RADIO_CODES[d.link] if d.link else None,
-            d.arrival_t,
-        )
-        self._write(f"{line}\n")
+    def tick(self, readings, fates, arrival_t) -> None:
+        # The readings share their stamp, node and link, so the line start
+        # and each outcome's line end are formatted once, and written in one go.
+        head = f"{format_utc(readings[0].timestamp)},{readings[0].node_id},"
+        ends: dict[DeliveryOutcome, str] = {}
+        for fate in fates:
+            if fate.outcome not in ends:
+                link = fate.link.kind.value if fate.link else ""
+                arrival = "" if fate.outcome is DeliveryOutcome.LOST else format_utc(arrival_t)
+                ends[fate.outcome] = f",{fate.outcome.value},{link},{arrival}\n"
+        self._write("".join([f"{head}{QUANTITY_CODES[m.quantity]}{ends[fate.outcome]}"
+                             for m, fate in zip(readings, fates)]))
 
-    def arrival(self, t: int, m: Measurement) -> None:
-        self._days.add(m)
+    def arrivals(self, t, readings, keys) -> None:
+        self._days.add(readings, keys)
 
     def watermark(self, t: int) -> None:
         self._days.write_before(t)

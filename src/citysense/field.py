@@ -70,9 +70,10 @@ def _rush_hour_profile(tod_s: float) -> float:
     return morning + evening
 
 
-# Entries the time-of-day memo of one FieldModel holds before it is cleared:
-# a 5-minute grid needs 288 per quantity.
+# Entries the time-of-day memo of one FieldModel holds per quantity before
+# that quantity's entries are cleared: a 5-minute grid needs 288.
 _MAX_TOD_TERMS = 16384
+_NO_TERMS: dict[int | float, float] = {}  # a quantity not yet memoised; never written
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ class FieldModel:
     traffic_coupling: dict[Quantity, float] = field(default_factory=dict)
     plumes: dict[Quantity, tuple[GaussianPlume, ...]] = field(default_factory=dict)
     noise_sigma: dict[Quantity, float] = field(default_factory=dict)
-    # (quantity, t mod 86400) -> baseline + diurnal + rush-hour terms.
-    _tod_terms: dict[tuple[Quantity, int | float], float] = field(
+    # quantity -> t mod 86400 -> baseline + diurnal + rush-hour terms.
+    _tod_terms: dict[Quantity, dict[int | float, float]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -103,13 +104,13 @@ class FieldModel:
     def value(self, quantity: Quantity, position: GeoPoint, t: int | float) -> float:
         """Ground-truth value of ``quantity`` at ``position`` and epoch second ``t``."""
         tod = t % SECONDS_PER_DAY
-        key = (quantity, tod)
-        v = self._tod_terms.get(key)
+        v = self._tod_terms.get(quantity, _NO_TERMS).get(tod)
         if v is None:
             v = self._time_of_day_terms(quantity, tod)
-            if len(self._tod_terms) >= _MAX_TOD_TERMS:
-                self._tod_terms.clear()
-            self._tod_terms[key] = v
+            terms = self._tod_terms.setdefault(quantity, {})
+            if len(terms) >= _MAX_TOD_TERMS:
+                terms.clear()
+            terms[tod] = v
         for plume in self.plumes.get(quantity, ()):
             d = haversine_distance(position, plume.center)
             v += plume.amplitude * math.exp(-0.5 * (d / plume.sigma_m) ** 2)

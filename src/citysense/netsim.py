@@ -23,18 +23,19 @@ queue: a coordinator-bound reading joins its window's list if it arrives
 before the window ends, and is dropped otherwise (``run`` alone decides a
 reading's window; ``coordinator_uplink`` only sorts and batches the list).
 Direct wide-area readings and batches share one latency, so each is handed
-over when it is sent, in order of arrival. At each grid time every node is sampled in node order,
-then the window that just closed is uplinked. Equal seeds give
-byte-identical results. Each result goes to a ``RunSink`` as it is
-produced: every reading's fate when it is routed, every server arrival and
-every batch the server receives. At each uplink grid time, with or without
-a coordinator, the sink also gets a low watermark: every server reading
-stamped before it has been handed over, so a sink can write out and forget
-what precedes it (the last one is the run's end). The default sink, the
+over when it is sent, in order of arrival. At each grid time every node is
+sampled in node order, then the window that just closed is uplinked. Equal
+seeds give byte-identical results. Results go to a ``RunSink`` one node
+tick at a time: a reading's fate is the ``LinkChoice`` it took (the tick's
+own, or a ``LOST`` one on the same link), so routing builds no record per
+reading. The sink gets one ``tick`` call per (node, tick), one ``arrivals``
+call per group the server receives (a tick's direct readings, or a batch
+with its record keys), every batch, and at each uplink grid time a low
+watermark: every server reading stamped before it has been handed over, so
+a sink can write out and forget what precedes it. The default sink, the
 ``SimulationResult`` itself, keeps everything; a sink that writes results
 out as they come keeps a run's memory from growing with them. Each node's
-tallies are looked up once, at its first tick, as a list in the order of
-its readings.
+tallies are looked up once, at its first tick, in the order of its readings.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ import logging
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .domain import (
     NodeKind,
     Quantity,
     Radio,
+    RecordKey,
     ReportBatch,
     SECONDS_PER_DAY,
     ValidationError,
@@ -107,6 +110,8 @@ class DeliveryOutcome(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class DeliveryRecord:
+    """One reading's fate as ``SimulationResult.deliveries`` lists it."""
+
     measurement: Measurement
     outcome: DeliveryOutcome
     link: Radio | None
@@ -127,10 +132,17 @@ class NetworkTopology:
 class LinkChoice:
     """How every reading of one sample tick travels: over ``link`` (None for
     the coordinator's own readings, which take no radio hop), to ``outcome``
-    unless the link loses it."""
+    unless the link loses it. It is also a reading's fate: the tick's choice
+    if the reading gets through, a ``LOST`` choice on the same link if not."""
 
     link: LinkModel | None
     outcome: DeliveryOutcome
+
+    def arrival(self, t: int) -> int | None:
+        """When a reading sent at ``t`` this way arrives; None if lost."""
+        if self.outcome is DeliveryOutcome.LOST:
+            return None
+        return t if self.link is None else int(t + self.link.latency_s)
 
 
 def choose_link(node: NodeDescriptor, position: GeoPoint, topo: NetworkTopology) -> LinkChoice:
@@ -158,21 +170,20 @@ def choose_link(node: NodeDescriptor, position: GeoPoint, topo: NetworkTopology)
 
 def route_measurement(
     m: Measurement, choice: LinkChoice, rng: np.random.Generator
-) -> DeliveryRecord:
-    """Send one freshly sampled measurement the way ``choice`` says.
+) -> LinkChoice:
+    """Send one freshly sampled measurement the way ``choice`` says, and
+    return its fate: ``choice`` itself, or a ``LOST`` choice on its link.
 
     Loss is Bernoulli per message with the chosen link's probability, drawn
     by ``rng.random()`` (a Generator, or a ``BlockDraws`` over one) only
     when that probability is above 0; a lost message is an outcome, not an
-    error, and is never retried.
+    error, and is never retried. Local readings enter the coordinator buffer
+    without a radio hop and are never lost.
     """
     link = choice.link
-    if link is None:
-        # Local readings enter the coordinator buffer without a radio hop.
-        return DeliveryRecord(m, choice.outcome, None, m.timestamp)
-    if link.loss_prob > 0.0 and rng.random() < link.loss_prob:
-        return DeliveryRecord(m, DeliveryOutcome.LOST, link.kind, None)
-    return DeliveryRecord(m, choice.outcome, link.kind, int(m.timestamp + link.latency_s))
+    if link is not None and link.loss_prob > 0.0 and rng.random() < link.loss_prob:
+        return LinkChoice(link, DeliveryOutcome.LOST)
+    return choice
 
 
 def coordinator_uplink(
@@ -183,13 +194,14 @@ def coordinator_uplink(
 ) -> ReportBatch:
     """Assemble the reporting batch for the window [window_start, window_end)
     from ``buffer``, the readings ``run`` decided belong to that window, in
-    record order (``domain.record_key``). The buffer is left as it is. An
-    empty batch is legal and merely signalled in the log.
+    record order (``domain.record_key``), keeping each one's key. The buffer
+    is left as it is. An empty batch is legal and merely signalled in the log.
     """
-    picked = tuple(sorted(buffer, key=record_key))
-    if not picked:
+    keyed = sorted(zip(map(record_key, buffer), buffer), key=itemgetter(0))
+    if not keyed:
         logger.warning("empty uplink batch at t=%d", window_end)
-    return ReportBatch(coordinator_id, window_end, picked)
+    keys, picked = zip(*keyed) if keyed else ((), ())
+    return ReportBatch(coordinator_id, window_end, picked, keys)
 
 
 @dataclass
@@ -214,21 +226,23 @@ class RunSink:
     """Receives the results of ``run`` as its loop produces them.
     Each method does nothing here; a sink overrides what it needs."""
 
-    def delivery(self, record: DeliveryRecord) -> None:
-        """The fate of one emitted reading, when it is routed."""
+    def tick(self, readings: list[Measurement], fates: list[LinkChoice], arrival_t: int) -> None:
+        """One node tick's readings, when routed, with each one's fate and
+        the time those not lost arrive where their link leads."""
 
-    def arrival(self, t: int, m: Measurement) -> None:
-        """One reading sent to the server, stamped with the time ``t`` it
-        arrives. Called when it is sent, so ``t`` never decreases."""
+    def arrivals(self, t: int, readings: Sequence[Measurement],
+                 keys: Sequence[RecordKey] | None) -> None:
+        """Readings the server receives at ``t``, when sent (so ``t`` never
+        decreases): one node tick's direct readings (``keys`` None), or one
+        batch with its ``record_key``s."""
 
     def batch(self, batch: ReportBatch) -> None:
-        """One coordinator batch sent to the server, when it is sent; each
-        of its readings then arrives on its own, stamped with the batch's
-        arrival time."""
+        """One coordinator batch sent to the server, when it is sent, just
+        before its readings go to ``arrivals``."""
 
     def watermark(self, t: int) -> None:
         """Every reading the server receives that is stamped before ``t``
-        has been handed to ``arrival``. Called at each uplink grid time
+        has been handed to ``arrivals``. Called at each uplink grid time
         after the start, after that time's batch, so the last call is at
         the run's end."""
 
@@ -256,11 +270,15 @@ class SimulationResult(RunSink):
                 seen.setdefault(window, set()).add((m.node_id, m.timestamp))
         return {w: len(s) for w, s in sorted(seen.items())}
 
-    def delivery(self, record: DeliveryRecord) -> None:
-        self.deliveries.append(record)
+    def tick(self, readings, fates, arrival_t) -> None:
+        self.deliveries.extend(
+            DeliveryRecord(m, fate.outcome, fate.link.kind if fate.link else None,
+                           None if fate.outcome is DeliveryOutcome.LOST else arrival_t)
+            for m, fate in zip(readings, fates)
+        )
 
-    def arrival(self, t: int, m: Measurement) -> None:
-        self.server_measurements.append((t, m))
+    def arrivals(self, t, readings, keys) -> None:
+        self.server_measurements.extend((t, m) for m in readings)
 
     def batch(self, batch: ReportBatch) -> None:
         self.batches.append(batch)
@@ -297,7 +315,6 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
     tallies = result.tallies
     if sink is None:
         sink = result
-    on_delivery, on_arrival = sink.delivery, sink.arrival
     window: list[Measurement] = []  # coordinator-bound readings of the open window
     n_ticks = scenario.duration_s // period
     ticks_per_uplink = uplink_period // period
@@ -322,28 +339,32 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
                         tallies.setdefault((m.node_id, m.quantity), Tally()) for m in readings
                     ]
                 choice = choose_link(node.descriptor, readings[0].position, topo)
-                to_coordinator = choice.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
-                for m, tally in zip(readings, node_tallies):
-                    record = route_measurement(m, choice, rng)
-                    on_delivery(record)
+                arrival_t = choice.arrival(t)
+                fates = [route_measurement(m, choice, rng) for m in readings]
+                sink.tick(readings, fates, arrival_t)
+                direct = choice.outcome is DeliveryOutcome.DELIVERED_TO_SERVER
+                late = not direct and arrival_t >= window_end  # after its window was uplinked
+                kept = []
+                for m, fate, tally in zip(readings, fates, node_tallies):
                     tally.emitted += 1
-                    if record.outcome is DeliveryOutcome.LOST:
+                    if fate.outcome is DeliveryOutcome.LOST:
                         tally.lost += 1
-                    elif not to_coordinator:
+                        continue
+                    kept.append(m)
+                    if direct:
                         tally.to_server += 1
-                        on_arrival(record.arrival_t, m)
                     else:
                         tally.to_coordinator += 1
-                        if record.arrival_t < window_end:
-                            window.append(m)
-                        else:  # arrives after its window was uplinked
+                        if late:
                             tally.dropped += 1
+                if direct:
+                    sink.arrivals(arrival_t, kept, None)
+                elif not late:
+                    window += kept
         if uplink:
             batch = coordinator_uplink(coordinator, t - uplink_period, t, closed)
             sink.batch(batch)
-            arrival_t = int(t + wa_latency)
-            for m in batch.measurements:
-                on_arrival(arrival_t, m)
+            sink.arrivals(int(t + wa_latency), batch.measurements, batch.keys)
         if window_closes:
             sink.watermark(t)
     return result

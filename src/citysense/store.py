@@ -40,7 +40,7 @@ from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
 from operator import attrgetter, itemgetter
 from pathlib import Path as FsPath
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .domain import (
     SECONDS_PER_DAY,
@@ -217,13 +217,13 @@ def _key_error(reason: str, key: RecordKey) -> ValueError:
 
 class DayFiles:
     """Streams records into the day files of ``files``. ``add`` validates a
-    record, as a load would, and holds it; ``write_before(t)`` writes every
-    held record stamped before ``t``, in ``domain.record_key`` order, into
-    the open day file, which it closes at UTC midnight to open the next. A
-    day without records gets no file. A key equal to the last one written
-    is a duplicate, and a lower one is out of order: either is a ValueError
-    naming the (node, timestamp, quantity) triple, and nothing more is
-    written. Leaving the block cleanly writes what is still held."""
+    group of records, as a load would, and holds them; ``write_before(t)``
+    writes every held record stamped before ``t``, in ``domain.record_key``
+    order, into the open day file, which it closes at UTC midnight to open
+    the next. A day without records gets no file. A key equal to the last
+    one written is a duplicate, and a lower one is out of order: either is
+    a ValueError naming the (node, timestamp, quantity) triple, and nothing
+    more is written. Leaving the block cleanly writes what is still held."""
 
     def __init__(self, files: OutputSet):
         self._files = files
@@ -243,11 +243,17 @@ class DayFiles:
             if exc is None:
                 self.write_before(math.inf)
 
-    def add(self, m: Measurement) -> None:
-        validate_measurement(m)
-        if m.node_id not in self._node_ids:
-            self._node_ids.add(validate_node_id(m.node_id))
-        self._held.append((record_key(m), m))
+    def add(self, records: Sequence[Measurement], keys: Iterable[RecordKey] | None = None) -> None:
+        """Validate ``records`` and hold them until written. ``keys`` are
+        their ``domain.record_key``s, one per record, when the caller has
+        them already."""
+        node_ids = self._node_ids
+        for m in records:
+            validate_measurement(m)
+            if m.node_id not in node_ids:
+                node_ids.add(validate_node_id(m.node_id))
+        self._held.extend(zip(map(record_key, records) if keys is None else keys, records,
+                              strict=True))
 
     def write_before(self, t: float) -> None:
         held = self._held
@@ -272,12 +278,11 @@ class DayFiles:
         self.written += cut
 
 
-def write_measurements(files: OutputSet, records: Iterable[Measurement]) -> None:
+def write_measurements(files: OutputSet, records: Sequence[Measurement]) -> None:
     """Write ``records`` into ``files`` as day files: the one-shot form of
     ``DayFiles``, which holds them all, sorts them, then streams them."""
     with DayFiles(files) as days:
-        for m in records:
-            days.add(m)
+        days.add(records)
 
 
 class Channel(NamedTuple):
@@ -370,27 +375,3 @@ class MeasurementStore:
         return sorted((unchecked_measurement(nid, t, position, q, value, flags)
                        for (nid, q), channel in self.channels.items()
                        for t, value, flags, position in zip(*channel)), key=record_key)
-
-
-# --------------------------------------------------------------------------
-# Delivery log (one line per emitted measurement)
-#
-#   emitted-ts,node_id,quantity,outcome,link,arrival-ts
-#
-# arrival-ts and link are empty for lost messages.
-
-
-def serialize_delivery(
-    emitted_t: int,
-    node_id: str,
-    quantity: Quantity,
-    outcome: str,
-    link: str | None,
-    arrival_t: int | None,
-) -> str:
-    arrival = format_utc(arrival_t) if arrival_t is not None else ""
-    return (
-        f"{format_utc(emitted_t)},{node_id},{QUANTITY_CODES[quantity]},{outcome},"
-        f"{link or ''},{arrival}"
-    )
-

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,23 @@ class TestEstimatePmf:
         assert row.pmf_a.bin_edges == (4.5, 5.5)
         assert row.pmf_a.probabilities == (1.0,)
         assert row.pmf_a.n_samples == 100
+
+    @pytest.mark.parametrize("value,edges", [
+        (2.0**53, (2.0**53 - 1, 2.0**53 + 2)),  # +-0.5 rounds back to 2**53
+        (1e17, (math.nextafter(1e17, 0.0), math.nextafter(1e17, math.inf))),
+        (-1e17, (math.nextafter(-1e17, -math.inf), math.nextafter(-1e17, 0.0))),
+        (1e15, (1e15 - 0.5, 1e15 + 0.5)),  # still unit-wide
+        (2.0**53 - 1, (2.0**53 - 2, 2.0**53)),  # +-0.5 rounds, but moves the value
+        (sys.float_info.max, (math.nextafter(sys.float_info.max, 0.0), sys.float_info.max)),
+    ])
+    def test_one_value_too_large_for_a_unit_bin_gets_the_neighbouring_floats(self, value, edges):
+        report = compare([meas(value, Quantity.PRESSURE, node="A")],
+                         [meas(value, Quantity.PRESSURE, node="B")])
+        (row,) = report.rows
+        assert row.pmf_a.bin_edges == row.pmf_b.bin_edges == edges
+        assert row.pmf_a.probabilities == row.pmf_b.probabilities == (1.0,)
+        assert row.mean_a == row.mean_b == value
+        assert all(math.isfinite(c) for c in row.pmf_a.bin_centers())
 
     def test_uniform_law_of_large_numbers(self):
         rng = np.random.default_rng(7)

@@ -176,14 +176,15 @@ class TestTimeOfDayMemo:
                     v = f.value(q, p, t)  # a memo hit after the first day
                     assert v == expected and math.copysign(1.0, v) == math.copysign(1.0, expected)
         # each time of day was computed once per quantity, not once per day
-        assert len(f._tod_terms) == len(self.QUANTITIES) * (288 + 7)
+        assert {q: len(terms) for q, terms in f._tod_terms.items()} == {
+            q: 288 + 7 for q in self.QUANTITIES}
 
     def test_int_and_float_time_of_the_same_second_share_an_entry(self):
         f = memo_field()
         a = f.value(Quantity.O3, P, 86400 + 3600)
         b = f.value(Quantity.O3, P, 3600.0)
         assert a == b == memo_field().value(Quantity.O3, P, 3600.0)
-        assert len(f._tod_terms) == 1
+        assert list(f._tod_terms) == [Quantity.O3] and list(f._tod_terms[Quantity.O3]) == [3600]
 
     def test_memo_never_exceeds_its_cap(self, monkeypatch):
         monkeypatch.setattr(field_module, "_MAX_TOD_TERMS", 7)
@@ -191,7 +192,7 @@ class TestTimeOfDayMemo:
         for t in range(0, 86400, 300):
             for q in self.QUANTITIES:
                 assert f.value(q, P, t) == memo_field().value(q, P, t)
-                assert len(f._tod_terms) <= 7
+                assert len(f._tod_terms[q]) <= 7
 
     def test_unknown_quantity_is_not_memoised(self):
         f = memo_field()

@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from citysense.domain import (
     NodeKind,
     Quantity,
     Radio,
+    record_key,
 )
 from citysense.netsim import (
     DEFAULT_LINKS,
@@ -34,7 +36,7 @@ from citysense.domain import haversine_distance
 from citysense.field import DRAW_BLOCK, BlockDraws, loss_generator
 from citysense.nodes import sample
 from citysense.scenario import load_scenario, with_seed
-from citysense.store import OutputSet, serialize_delivery, write_measurements
+from citysense.store import OutputSet, write_measurements
 
 P = GeoPoint(43.716, 10.3966)
 FAR = GeoPoint(43.76, 10.3966)  # ~4.9 km north of everything
@@ -64,51 +66,85 @@ def mobile_descriptor(node_id="M1"):
 
 
 def route(m, node, topo, rng):
-    """Route ``m`` as ``run()`` does: the link chosen at its position."""
-    return route_measurement(m, choose_link(node, m.position, topo), rng)
+    """Route ``m`` as ``run()`` does: the link chosen at its position. Returns
+    its fate, the link's radio (None without a radio hop) and its arrival."""
+    fate = route_measurement(m, choose_link(node, m.position, topo), rng)
+    return fate, fate.link.kind if fate.link else None, fate.arrival(m.timestamp)
+
+
+def _stamp(t):
+    return datetime.fromtimestamp(t, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _log_line(d):
+    """One delivery-log line rendered from one ``DeliveryRecord``, as the log
+    was written one reading at a time."""
+    m = d.measurement
+    arrival = _stamp(d.arrival_t) if d.arrival_t is not None else ""
+    link = d.link.value if d.link else ""
+    return (f"{_stamp(m.timestamp)},{m.node_id},{m.quantity.value},"
+            f"{d.outcome.value},{link},{arrival}")
 
 
 class TestRouteMeasurement:
     def test_fixed_lossless_reaches_coordinator(self):
-        r = route(meas(), fixed_descriptor(), TOPO, np.random.default_rng(0))
+        r, link, arrival_t = route(meas(), fixed_descriptor(), TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
-        assert r.link is Radio.SHORT_RANGE_FIXED
-        assert r.arrival_t == 300 + 1
+        assert link is Radio.SHORT_RANGE_FIXED
+        assert arrival_t == 300 + 1
 
     def test_mobile_out_of_range_falls_back_to_wide_area(self):
         # 4.9 km from every anchor, short-range radio reaches 300 m
-        r = route(meas("M1", position=FAR), mobile_descriptor(), TOPO, np.random.default_rng(0))
+        r, link, arrival_t = route(
+            meas("M1", position=FAR), mobile_descriptor(), TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_SERVER
-        assert r.link is Radio.WIDE_AREA
+        assert link is Radio.WIDE_AREA and arrival_t == 300 + 2
 
     def test_mobile_in_range_uses_short_range(self):
-        r = route(meas("M1", position=P), mobile_descriptor(), TOPO, np.random.default_rng(0))
+        r, link, arrival_t = route(
+            meas("M1", position=P), mobile_descriptor(), TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
-        assert r.link is Radio.SHORT_RANGE_MOBILE
+        assert link is Radio.SHORT_RANGE_MOBILE and arrival_t == 300 + 1
 
     def test_no_coordinator_sends_everything_over_the_wide_area(self):
         topo = dataclasses.replace(TOPO, coordinator_id=None)
         for m, node in ((meas(), fixed_descriptor()), (meas("M1"), mobile_descriptor())):
-            r = route(m, node, topo, np.random.default_rng(0))
+            r, link, arrival_t = route(m, node, topo, np.random.default_rng(0))
             assert r.outcome is DeliveryOutcome.DELIVERED_TO_SERVER
-            assert r.link is Radio.WIDE_AREA and r.arrival_t == 300 + 2
+            assert link is Radio.WIDE_AREA and arrival_t == 300 + 2
 
     def test_certain_loss_is_lost(self):
         links = dict(DEFAULT_LINKS)
         links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 1.0, 1.0)
         topo = dataclasses.replace(TOPO, links=links)
-        r = route(meas(), fixed_descriptor(), topo, np.random.default_rng(0))
+        r, link, arrival_t = route(meas(), fixed_descriptor(), topo, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.LOST
-        assert r.arrival_t is None
+        assert link is Radio.SHORT_RANGE_FIXED  # lost on the link the tick chose
+        assert arrival_t is None
 
     def test_coordinator_reading_enters_buffer_directly(self):
         d = NodeDescriptor(
             "C0", NodeKind.COORDINATOR, frozenset({Quantity.CO2}),
             home_position=P,
         )
-        r = route(meas("C0"), d, TOPO, np.random.default_rng(0))
+        r, link, arrival_t = route(meas("C0"), d, TOPO, np.random.default_rng(0))
         assert r.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR
-        assert r.link is None and r.arrival_t == 300
+        assert link is None and arrival_t == 300
+
+    def test_a_delivered_reading_shares_the_ticks_choice_and_a_lost_one_its_link(self):
+        links = dict(DEFAULT_LINKS)
+        links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 0.5, 1.0)
+        choice = choose_link(fixed_descriptor(), P, dataclasses.replace(TOPO, links=links))
+        stream, scalar = loss_generator(4, "T1"), loss_generator(4, "T1")
+        fates = [route_measurement(meas(quantity=q), choice, stream) for q in Quantity]
+        for fate in fates:
+            if scalar.random() < 0.5:
+                assert fate is not choice and fate.link is choice.link
+                assert fate.outcome is DeliveryOutcome.LOST and fate.arrival(300) is None
+            else:
+                assert fate is choice and fate.arrival(300) == 301
+        assert {fate.outcome for fate in fates} == {
+            DeliveryOutcome.LOST, DeliveryOutcome.DELIVERED_TO_COORDINATOR}
 
     def test_loss_model_validation(self):
         with pytest.raises(ValueError):
@@ -134,12 +170,12 @@ class TestLossStream:
             position = FAR if k % 3 == 0 else P
             choice = choose_link(mobile_descriptor(), position, topo)
             for q in (Quantity.CO2, Quantity.O3):
-                record = route_measurement(meas("M1", position, q, 300 * k), choice, stream)
+                fate = route_measurement(meas("M1", position, q, 300 * k), choice, stream)
                 lost = False
                 if choice.link.loss_prob > 0.0:
                     lossy_readings += 1
                     lost = scalar.random() < 0.5
-                assert (record.outcome is DeliveryOutcome.LOST) is lost
+                assert (fate.outcome is DeliveryOutcome.LOST) is lost
         assert lossy_readings == 128  # four blocks, drawn on two ticks of three
         assert stream.random() == scalar.random()  # both consumed the same draws
 
@@ -193,16 +229,7 @@ class TestRun:
         logs = []
         for _ in range(2):
             result = run(cfg)
-            logs.append(
-                [
-                    serialize_delivery(
-                        d.measurement.timestamp, d.measurement.node_id,
-                        d.measurement.quantity, d.outcome.value,
-                        d.link.value if d.link else None, d.arrival_t,
-                    )
-                    for d in result.deliveries
-                ]
-            )
+            logs.append([_log_line(d) for d in result.deliveries])
         assert logs[0] == logs[1]
 
     def test_different_seed_changes_the_stream(self, pisa):
@@ -234,14 +261,20 @@ class TestRun:
         class CountingSink(RunSink):
             def __init__(self):
                 self.fates = {outcome: 0 for outcome in DeliveryOutcome}
-                self.arrivals = []
+                self.ticks = []  # (node, stamp) of each tick call
+                self.received = []
                 self.batches = 0
 
-            def delivery(self, record):
-                self.fates[record.outcome] += 1
+            def tick(self, readings, fates, arrival_t):
+                assert len(readings) == len(fates) > 0
+                self.ticks.append((readings[0].node_id, readings[0].timestamp))
+                assert {(m.node_id, m.timestamp) for m in readings} == {self.ticks[-1]}
+                for fate in fates:
+                    self.fates[fate.outcome] += 1
 
-            def arrival(self, t, m):
-                self.arrivals.append((t, m))
+            def arrivals(self, t, readings, keys):
+                assert keys is None or list(keys) == [record_key(m) for m in readings]
+                self.received.extend((t, m) for m in readings)
 
             def batch(self, batch):
                 self.batches += 1
@@ -256,7 +289,10 @@ class TestRun:
         tallies = streamed.tallies.values()
         assert sum(sink.fates.values()) == sum(t.emitted for t in tallies) == len(recorded.deliveries)
         assert sink.fates[DeliveryOutcome.LOST] == sum(t.lost for t in tallies) > 0
-        assert sink.arrivals == recorded.server_measurements
+        # one call per (node, tick): every node with sensors, every sample tick
+        sensing = sum(1 for n in cfg.nodes if n.descriptor.sensor_suite)
+        assert len(sink.ticks) == len(set(sink.ticks)) == sensing * 3600 // cfg.sample_period_s
+        assert sink.received == recorded.server_measurements
         assert sink.batches == len(recorded.batches)
         assert streamed.tallies == recorded.tallies
         # Given a sink, the run keeps none of what it handed over.
@@ -489,18 +525,23 @@ def _event_queue_run(scenario):
             readings = sample(node, scenario.field, t)
             choice = choose_link(node.descriptor, readings[0].position, topo)
             for m in readings:
-                record = route_measurement(m, choice, rngs[payload])
-                result.delivery(record)
+                fate = route_measurement(m, choice, rngs[payload])
+                link = fate.link
+                arrival_t = None
+                if fate.outcome is not DeliveryOutcome.LOST:
+                    arrival_t = m.timestamp if link is None else int(m.timestamp + link.latency_s)
+                result.deliveries.append(
+                    DeliveryRecord(m, fate.outcome, link.kind if link else None, arrival_t))
                 tally = result.tallies.setdefault((m.node_id, m.quantity), Tally())
                 tally.emitted += 1
-                if record.outcome is DeliveryOutcome.LOST:
+                if fate.outcome is DeliveryOutcome.LOST:
                     tally.lost += 1
-                elif record.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR:
+                elif fate.outcome is DeliveryOutcome.DELIVERED_TO_COORDINATOR:
                     tally.to_coordinator += 1
-                    push(record.arrival_t, "coordinator", m)
+                    push(arrival_t, "coordinator", m)
                 else:
                     tally.to_server += 1
-                    push(record.arrival_t, "server", m)
+                    push(arrival_t, "server", m)
         elif kind == "uplink":
             batch = _old_uplink(payload, t - scenario.uplink_period_s, t, buffer)
             _drop_stale(buffer, t, result.tallies)
@@ -508,11 +549,11 @@ def _event_queue_run(scenario):
         elif kind == "coordinator":
             buffer.append((t, payload))
         elif kind == "server":
-            result.arrival(t, payload)
+            result.server_measurements.append((t, payload))
         else:
             result.batch(payload)
             for m in payload.measurements:
-                result.arrival(t, m)
+                result.server_measurements.append((t, m))
     _drop_stale(buffer, math.inf, result.tallies)
     return result
 
@@ -585,6 +626,19 @@ class TestGridWalkOrder:
         assert list(got.tallies) == list(expected.tallies)  # first-seen order
         assert got.server_measurements
 
+    @pytest.mark.parametrize("make", [
+        _zero_latency_lossy, _latency_one_sample_period, _late_short_range,
+        _uplink_every_sample, _fractional_latency_lossy, _lossy_mobile_short_range_only,
+        _no_coordinator,
+    ])
+    def test_simulate_logs_each_reading_as_the_per_reading_rendering(self, pisa, make, tmp_path):
+        # simulate writes the log one (node, tick) at a time; the reference
+        # renders each DeliveryRecord of run() alone.
+        cfg = make(pisa)
+        cli.simulate(cfg, tmp_path)
+        expected = [_log_line(d) for d in run(cfg).deliveries]
+        assert (tmp_path / "delivery-log.txt").read_text().splitlines() == expected
+
 
 def _start_before_1970(pisa):
     return dataclasses.replace(pisa, start_time="1969-12-31T23:00:00Z", duration_s=7200)
@@ -606,12 +660,12 @@ class _WatermarkSink(RunSink):
     def __init__(self):
         self.watermarks: list[int] = []
         self.late: list[Measurement] = []  # stamped before a watermark already given
-        self.arrivals = 0
+        self.received = 0
 
-    def arrival(self, t, m):
-        self.arrivals += 1
-        if self.watermarks and m.timestamp < self.watermarks[-1]:
-            self.late.append(m)
+    def arrivals(self, t, readings, keys):
+        self.received += len(readings)
+        self.late += [m for m in readings
+                      if self.watermarks and m.timestamp < self.watermarks[-1]]
 
     def watermark(self, t):
         self.watermarks.append(t)
@@ -625,7 +679,7 @@ class TestStreamedDayFiles:
         run(cfg, sink)
         start, period = cfg.start_epoch, cfg.uplink_period_s
         assert sink.watermarks == list(range(start + period, start + cfg.duration_s + 1, period))
-        assert sink.late == [] and sink.arrivals > 0
+        assert sink.late == [] and sink.received > 0
 
     @pytest.mark.parametrize("make", _STREAMED)
     def test_simulate_streams_the_files_the_one_shot_writer_writes(self, pisa, make, tmp_path):

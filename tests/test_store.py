@@ -13,6 +13,7 @@ from citysense.domain import (
     record_key,
 )
 from citysense import store as store_module
+from citysense.netsim import coordinator_uplink
 from citysense.store import (
     DayFiles,
     MeasurementStore,
@@ -314,8 +315,8 @@ class TestDayFiles:
         late, early, next_day = meas(node="B", t=T0 - 300), meas(node="A", t=T0 - 300), meas(t=T0)
         with OutputSet(tmp_path, "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                for m in (next_day, late, early):
-                    days.add(m)
+                days.add([next_day, late])
+                days.add([early])
                 days.write_before(T0 - 300)
                 assert written == []
                 days.write_before(T0)  # one window's records, in record order
@@ -330,8 +331,7 @@ class TestDayFiles:
         records = [meas(t=T0 + dt) for dt in (-300, 0, 300)]
         with OutputSet(tmp_path, "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                for m in reversed(records):
-                    days.add(m)
+                days.add(records[::-1])
                 days.write_before(T0 + 600)
         assert snapshot(tmp_path) == {
             "measurements-2015-04-19.txt": f"{serialize_measurement(records[0])}\n".encode(),
@@ -355,10 +355,10 @@ class TestDayFiles:
         with pytest.raises(ValueError, match="^record out of order: T1 co2 at 2015-04-20T00:05:00Z$"):
             with OutputSet(tmp_path, "measurements-*.txt") as files:
                 with DayFiles(files) as days:
-                    days.add(meas(t=T0 + 600))
+                    days.add([meas(t=T0 + 600)])
                     days.write_before(T0 + 900)
-                    days.add(meas(t=T0 + 300))  # stamped before the last watermark
-                    days.add(meas(t=T0 + 1200))
+                    days.add([meas(t=T0 + 300)])  # stamped before the last watermark
+                    days.add([meas(t=T0 + 1200)])
         assert [m.timestamp for m in written] == [T0 + 600]
         assert snapshot(tmp_path) == before  # byte-identical, and no temporary
 
@@ -366,9 +366,43 @@ class TestDayFiles:
         with pytest.raises(ValueError, match="^duplicate record: T1 co2 at 2015-04-20T00:00:00Z$"):
             with OutputSet(tmp_path, "measurements-*.txt") as files:
                 with DayFiles(files) as days:
-                    days.add(meas())
+                    days.add([meas()])
                     days.write_before(T0 + 300)
-                    days.add(meas(value=452.0))
+                    days.add([meas(value=452.0)])
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_a_batch_keeps_its_keys_and_every_record_check(self, tmp_path, monkeypatch):
+        readings = [meas(node=n, t=T0 + dt, quantity=q) for dt in (600, 0, 300)
+                    for n in ("T2", "T1") for q in (Quantity.O3, Quantity.CO)]
+        batch = coordinator_uplink("C0", T0, T0 + 900, readings)
+        save(tmp_path / "unkeyed", readings)
+        calls = []
+        monkeypatch.setattr(store_module, "record_key", lambda m: calls.append(m) or record_key(m))
+        with OutputSet(tmp_path / "keyed", "measurements-*.txt") as files:
+            with DayFiles(files) as days:
+                days.add(batch.measurements, batch.keys)
+        assert calls == []  # each reading was keyed once, by the uplink's sort
+        assert snapshot(tmp_path / "keyed") == snapshot(tmp_path / "unkeyed")
+        bad = dataclasses.replace(batch.measurements[0], node_id="T 1")
+        with pytest.raises(ValidationError, match="node_id"):
+            with OutputSet(tmp_path / "bad", "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add((bad,) + batch.measurements[1:], batch.keys)
+
+    def test_keys_must_match_the_records_one_for_one(self, tmp_path):
+        records = [meas(), meas(node="T2")]
+        with pytest.raises(ValueError, match="zip"):
+            with OutputSet(tmp_path, "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add(records, [record_key(records[0])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_duplicate_inside_one_group_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="^duplicate record: T1 co2 at 2015-04-20T00:00:00Z$"):
+            with OutputSet(tmp_path, "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add([meas(), meas(node="T2"), meas(value=452.0)])
         assert list(tmp_path.iterdir()) == []
 
 

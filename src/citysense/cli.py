@@ -128,8 +128,8 @@ class _LogSink(RunSink):
         self._write("".join([f"{head}{QUANTITY_CODES[m.quantity]}{ends[fate.outcome]}"
                              for m, fate in zip(readings, fates)]))
 
-    def arrivals(self, t, readings, keys) -> None:
-        self._days.add(readings, keys)
+    def arrivals(self, t, readings) -> None:
+        self._days.add(readings)
 
     def watermark(self, t: int) -> None:
         self._days.write_before(t)

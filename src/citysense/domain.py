@@ -390,10 +390,6 @@ class ReportBatch:
     coordinator_id: str
     uplink_time: int
     measurements: tuple[Measurement, ...]
-    # Each measurement's ``record_key``, kept by the sort that put the batch
-    # in record order (``netsim.coordinator_uplink``) so no later step keys
-    # the readings again.
-    keys: tuple[RecordKey, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for m in self.measurements:

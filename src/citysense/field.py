@@ -70,8 +70,8 @@ def _rush_hour_profile(tod_s: float) -> float:
     return morning + evening
 
 
-# Entries the time-of-day memo of one FieldModel holds per quantity before
-# that quantity's entries are cleared: a 5-minute grid needs 288.
+# Entries the time-of-day memo of one FieldModel holds, over all quantities,
+# before it is cleared: a 5-minute grid needs 288 per quantity.
 _MAX_TOD_TERMS = 16384
 _NO_TERMS: dict[int | float, float] = {}  # a quantity not yet memoised; never written
 
@@ -107,10 +107,10 @@ class FieldModel:
         v = self._tod_terms.get(quantity, _NO_TERMS).get(tod)
         if v is None:
             v = self._time_of_day_terms(quantity, tod)
-            terms = self._tod_terms.setdefault(quantity, {})
-            if len(terms) >= _MAX_TOD_TERMS:
-                terms.clear()
-            terms[tod] = v
+            memo = self._tod_terms
+            if sum(map(len, memo.values())) >= _MAX_TOD_TERMS:
+                memo.clear()
+            memo.setdefault(quantity, {})[tod] = v
         for plume in self.plumes.get(quantity, ()):
             d = haversine_distance(position, plume.center)
             v += plume.amplitude * math.exp(-0.5 * (d / plume.sigma_m) ** 2)

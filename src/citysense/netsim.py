@@ -29,13 +29,13 @@ seeds give byte-identical results. Results go to a ``RunSink`` one node
 tick at a time: a reading's fate is the ``LinkChoice`` it took (the tick's
 own, or a ``LOST`` one on the same link), so routing builds no record per
 reading. The sink gets one ``tick`` call per (node, tick), one ``arrivals``
-call per group the server receives (a tick's direct readings, or a batch
-with its record keys), every batch, and at each uplink grid time a low
-watermark: every server reading stamped before it has been handed over, so
-a sink can write out and forget what precedes it. The default sink, the
-``SimulationResult`` itself, keeps everything; a sink that writes results
-out as they come keeps a run's memory from growing with them. Each node's
-tallies are looked up once, at its first tick, in the order of its readings.
+call per group the server receives (a tick's direct readings, or a batch),
+every batch, and at each uplink grid time a low watermark: every server
+reading stamped before it has been handed over, so a sink can write out and
+forget what precedes it. The default sink, the ``SimulationResult``
+itself, keeps everything; a sink that writes results out as they come keeps
+a run's memory from growing with them. Each node's tallies are looked up
+once, at its first tick, in the order of its readings.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import logging
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -57,7 +56,6 @@ from .domain import (
     NodeKind,
     Quantity,
     Radio,
-    RecordKey,
     ReportBatch,
     SECONDS_PER_DAY,
     ValidationError,
@@ -194,14 +192,13 @@ def coordinator_uplink(
 ) -> ReportBatch:
     """Assemble the reporting batch for the window [window_start, window_end)
     from ``buffer``, the readings ``run`` decided belong to that window, in
-    record order (``domain.record_key``), keeping each one's key. The buffer
-    is left as it is. An empty batch is legal and merely signalled in the log.
+    record order (``domain.record_key``). The buffer is left as it is. An
+    empty batch is legal and merely signalled in the log.
     """
-    keyed = sorted(zip(map(record_key, buffer), buffer), key=itemgetter(0))
-    if not keyed:
+    picked = tuple(sorted(buffer, key=record_key))
+    if not picked:
         logger.warning("empty uplink batch at t=%d", window_end)
-    keys, picked = zip(*keyed) if keyed else ((), ())
-    return ReportBatch(coordinator_id, window_end, picked, keys)
+    return ReportBatch(coordinator_id, window_end, picked)
 
 
 @dataclass
@@ -230,11 +227,9 @@ class RunSink:
         """One node tick's readings, when routed, with each one's fate and
         the time those not lost arrive where their link leads."""
 
-    def arrivals(self, t: int, readings: Sequence[Measurement],
-                 keys: Sequence[RecordKey] | None) -> None:
+    def arrivals(self, t: int, readings: Sequence[Measurement]) -> None:
         """Readings the server receives at ``t``, when sent (so ``t`` never
-        decreases): one node tick's direct readings (``keys`` None), or one
-        batch with its ``record_key``s."""
+        decreases): one node tick's direct readings, or one batch."""
 
     def batch(self, batch: ReportBatch) -> None:
         """One coordinator batch sent to the server, when it is sent, just
@@ -277,7 +272,7 @@ class SimulationResult(RunSink):
             for m, fate in zip(readings, fates)
         )
 
-    def arrivals(self, t, readings, keys) -> None:
+    def arrivals(self, t, readings) -> None:
         self.server_measurements.extend((t, m) for m in readings)
 
     def batch(self, batch: ReportBatch) -> None:
@@ -358,13 +353,13 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
                         if late:
                             tally.dropped += 1
                 if direct:
-                    sink.arrivals(arrival_t, kept, None)
+                    sink.arrivals(arrival_t, kept)
                 elif not late:
                     window += kept
         if uplink:
             batch = coordinator_uplink(coordinator, t - uplink_period, t, closed)
             sink.batch(batch)
-            sink.arrivals(int(t + wa_latency), batch.measurements, batch.keys)
+            sink.arrivals(int(t + wa_latency), batch.measurements)
         if window_closes:
             sink.watermark(t)
     return result

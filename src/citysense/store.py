@@ -243,17 +243,14 @@ class DayFiles:
             if exc is None:
                 self.write_before(math.inf)
 
-    def add(self, records: Sequence[Measurement], keys: Iterable[RecordKey] | None = None) -> None:
-        """Validate ``records`` and hold them until written. ``keys`` are
-        their ``domain.record_key``s, one per record, when the caller has
-        them already."""
+    def add(self, records: Sequence[Measurement]) -> None:
+        """Validate ``records`` and hold them until written."""
         node_ids = self._node_ids
         for m in records:
             validate_measurement(m)
             if m.node_id not in node_ids:
                 node_ids.add(validate_node_id(m.node_id))
-        self._held.extend(zip(map(record_key, records) if keys is None else keys, records,
-                              strict=True))
+        self._held.extend(zip(map(record_key, records), records))
 
     def write_before(self, t: float) -> None:
         held = self._held

@@ -16,7 +16,6 @@ from citysense.domain import (
     NodeKind,
     Quantity,
     Radio,
-    record_key,
 )
 from citysense.netsim import (
     DEFAULT_LINKS,
@@ -272,8 +271,7 @@ class TestRun:
                 for fate in fates:
                     self.fates[fate.outcome] += 1
 
-            def arrivals(self, t, readings, keys):
-                assert keys is None or list(keys) == [record_key(m) for m in readings]
+            def arrivals(self, t, readings):
                 self.received.extend((t, m) for m in readings)
 
             def batch(self, batch):
@@ -662,7 +660,7 @@ class _WatermarkSink(RunSink):
         self.late: list[Measurement] = []  # stamped before a watermark already given
         self.received = 0
 
-    def arrivals(self, t, readings, keys):
+    def arrivals(self, t, readings):
         self.received += len(readings)
         self.late += [m for m in readings
                       if self.watermarks and m.timestamp < self.watermarks[-1]]

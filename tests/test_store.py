@@ -372,31 +372,20 @@ class TestDayFiles:
         assert list(tmp_path.iterdir()) == []
 
 
-    def test_a_batch_keeps_its_keys_and_every_record_check(self, tmp_path, monkeypatch):
+    def test_a_batch_is_written_as_its_readings_and_each_one_is_checked(self, tmp_path):
         readings = [meas(node=n, t=T0 + dt, quantity=q) for dt in (600, 0, 300)
                     for n in ("T2", "T1") for q in (Quantity.O3, Quantity.CO)]
         batch = coordinator_uplink("C0", T0, T0 + 900, readings)
-        save(tmp_path / "unkeyed", readings)
-        calls = []
-        monkeypatch.setattr(store_module, "record_key", lambda m: calls.append(m) or record_key(m))
-        with OutputSet(tmp_path / "keyed", "measurements-*.txt") as files:
+        save(tmp_path / "unsorted", readings)
+        with OutputSet(tmp_path / "batch", "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                days.add(batch.measurements, batch.keys)
-        assert calls == []  # each reading was keyed once, by the uplink's sort
-        assert snapshot(tmp_path / "keyed") == snapshot(tmp_path / "unkeyed")
-        bad = dataclasses.replace(batch.measurements[0], node_id="T 1")
+                days.add(batch.measurements)
+        assert snapshot(tmp_path / "batch") == snapshot(tmp_path / "unsorted")
+        bad = dataclasses.replace(batch.measurements[-1], node_id="T 1")
         with pytest.raises(ValidationError, match="node_id"):
             with OutputSet(tmp_path / "bad", "measurements-*.txt") as files:
                 with DayFiles(files) as days:
-                    days.add((bad,) + batch.measurements[1:], batch.keys)
-
-    def test_keys_must_match_the_records_one_for_one(self, tmp_path):
-        records = [meas(), meas(node="T2")]
-        with pytest.raises(ValueError, match="zip"):
-            with OutputSet(tmp_path, "measurements-*.txt") as files:
-                with DayFiles(files) as days:
-                    days.add(records, [record_key(records[0])])
-        assert list(tmp_path.iterdir()) == []
+                    days.add(batch.measurements[:-1] + (bad,))
 
     def test_a_duplicate_inside_one_group_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="^duplicate record: T1 co2 at 2015-04-20T00:00:00Z$"):

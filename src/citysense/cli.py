@@ -21,7 +21,7 @@ from .analytics import (
     path_populations,
     write_comparison_report,
 )
-from .domain import QUANTITY_CODES, GeoPoint, NodeKind, format_utc
+from .domain import NODE_ID, QUANTITY_CODES, GeoPoint, NodeKind, format_utc
 from .indexes import (
     IndexValue,
     apparent_temperature_model,
@@ -239,6 +239,8 @@ def _load_nodes(data_dir: FsPath) -> dict[str, NodeRow]:
         path, lat, lon = meta.get("path"), meta.get("lat"), meta.get("lon")
         if path is not None and not isinstance(path, str):
             raise ValueError(f"{where}: path must be a string or null")
+        if path is not None and not NODE_ID.fullmatch(path):  # it names output files
+            raise ValueError(f"{where}: path {path!r} does not match {NODE_ID.pattern}")
         position = None
         if kind is NodeKind.FIXED or lat is not None or lon is not None:
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (lat, lon)):
@@ -256,6 +258,9 @@ def _cmd_compare(args) -> int:
     try:
         store = MeasurementStore(data_dir)
         nodes = _load_nodes(data_dir)
+        unknown = sorted({nid for nid, _ in store.channels} - nodes.keys())
+        if unknown:
+            raise ValueError(f"{data_dir / 'nodes.json'} has no entry for {', '.join(unknown)}")
         if args.mode == "paths":
             pop_a, pop_b, labels = path_populations(store.channels, nodes)
         else:

@@ -48,7 +48,7 @@ from pathlib import Path as FsPath
 
 import yaml
 
-from .domain import GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, parse_utc
+from .domain import NODE_ID, GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, parse_utc
 from .field import FieldModel, GaussianPlume, Path
 from .indexes import TrafficAccessConfig
 from .netsim import ConfigError, DEFAULT_LINKS, LinkModel
@@ -338,6 +338,8 @@ def parse_scenario(raw) -> ScenarioConfig:
     paths = {}
     for name, vertices in _get(raw, "paths", "", _mapping, {}).items():
         where = f"paths.{name}"
+        if not NODE_ID.fullmatch(str(name)):  # compare names output files after it
+            raise ConfigError(f"{where}: name does not match {NODE_ID.pattern}")
         points = tuple(_vertex(v, f"{where}[{i}]") for i, v in enumerate(_list(vertices, where)))
         with _config_errors(where):
             paths[str(name)] = Path(str(name), points)

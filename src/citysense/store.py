@@ -17,19 +17,21 @@ Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and
 sorted by ``domain.record_key``: (timestamp, node_id, quantity), the order
 of every coordinator batch too. ``DayFiles`` streams records into them
 window by window, holding only the records of windows still open, with at
-most one day file open at a time; ``write_measurements`` is its one-shot
-form. Both write into an ``OutputSet``, the one writer of every command's
-files, which replaces a directory's old set only once the new one is whole.
+most one day file open at a time. It writes into an ``OutputSet``, the one
+writer of every command's files, which replaces a directory's old set only
+once the new one is whole.
 
 Loading validates every record as writing does; both check node ids
-against ``domain.NODE_ID``. Files are read line by line and split at ``\n``
-only. A number (lat, lon, value) is text ``float`` reads without stripping
-whitespace, skipping an ``_`` or reading a non-ASCII digit; anything else
-is a data error, and so is a duplicate (node, timestamp, quantity) triple:
-each names its file and line. Each checked line goes straight into the
-columns of its ``Channel``, one per (node, quantity): timestamps, values,
-flag sets and positions, in timestamp order. ``channels_from`` builds the
-same channels from records; ``MeasurementStore.all`` is the row view.
+against ``domain.NODE_ID``, and both refuse a key that is not above the one
+before it: a duplicate (node, timestamp, quantity) triple if equal, a
+record out of order if lower. Files are read in name order, line by line,
+and split at ``\n`` only. A number (lat, lon, value) is text ``float`` reads
+without stripping whitespace, skipping an ``_`` or reading a non-ASCII
+digit; anything else is a data error, and each names its file and line.
+Each checked line goes straight into the columns of its ``Channel``, one per
+(node, quantity): timestamps, values, flag sets and positions, in timestamp
+order. ``channels_from`` builds the same channels from records;
+``MeasurementStore.all`` is the row view.
 """
 
 from __future__ import annotations
@@ -210,8 +212,10 @@ def parse_measurement(line: str) -> Measurement:
 _first = itemgetter(0)
 
 
-def _key_error(reason: str, key: RecordKey) -> ValueError:
+def _order_error(last: RecordKey | tuple[()], key: RecordKey) -> ValueError:
+    """The error for ``key``, which follows ``last`` but is not above it."""
     timestamp, node_id, qcode = key
+    reason = "duplicate record" if key == last else "record out of order"
     return ValueError(f"{reason}: {node_id} {qcode} at {format_utc(timestamp)}")
 
 
@@ -261,7 +265,7 @@ class DayFiles:
         last, day_end, out = self._last, self._day_end, self._out
         for key, m in held[:cut]:
             if key <= last:
-                raise _key_error("duplicate record" if key == last else "record out of order", key)
+                raise _order_error(last, key)
             if key[0] >= day_end:
                 day_start = key[0] // SECONDS_PER_DAY * SECONDS_PER_DAY
                 day_end = day_start + SECONDS_PER_DAY
@@ -273,13 +277,6 @@ class DayFiles:
         del held[:cut]
         self._last, self._day_end, self._out = last, day_end, out
         self.written += cut
-
-
-def write_measurements(files: OutputSet, records: Sequence[Measurement]) -> None:
-    """Write ``records`` into ``files`` as day files: the one-shot form of
-    ``DayFiles``, which holds them all, sorts them, then streams them."""
-    with DayFiles(files) as days:
-        days.add(records)
 
 
 class Channel(NamedTuple):
@@ -331,37 +328,23 @@ class MeasurementStore:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
 
     def _load(self, files: list[FsPath]) -> None:
-        """Append each checked line of ``files`` to its channel. While every
-        key (taken from the line) is greater than the one before, each
-        channel grows in timestamp order and a duplicate shows as an equal
-        adjacent key. Once a key is out of order (a hand-edited file), the
-        rest of the load checks duplicates against the set of keys loaded so
-        far, and the load ends by building the channels again, sorted."""
+        """Append each checked line of ``files`` to its channel. Every key
+        (taken from the line) must be above the one before it, in its file
+        or the file before, so each channel grows in timestamp order."""
         parse = _RecordParser()
         channels = self.channels
-        last: RecordKey | None = None
-        seen: set[RecordKey] | None = None  # keys so far, once out of order
+        last: RecordKey | tuple[()] = ()  # () sorts before every key
         for f in files:
             with f.open(newline="\n") as lines:
                 for lineno, line in enumerate(lines, 1):
                     try:
                         key, quantity, position, value, flags = parse(line.rstrip("\n"))
-                        if seen is None:
-                            if last is None or key > last:
-                                last = key
-                            elif key == last:
-                                raise _key_error("duplicate record", key)
-                            else:
-                                seen = set(map(record_key, self.all()))
-                        if seen is not None:
-                            if key in seen:
-                                raise _key_error("duplicate record", key)
-                            seen.add(key)
+                        if key <= last:
+                            raise _order_error(last, key)
                     except ValueError as e:
                         raise ValueError(f"{f.name} line {lineno}: {e}") from e
+                    last = key
                     _append(channels, (key[1], quantity), key[0], value, flags, position)
-        if seen is not None:
-            self.channels = channels_from(self.all())
 
     def __len__(self) -> int:
         return count_readings(self.channels)

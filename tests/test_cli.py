@@ -245,6 +245,8 @@ MALFORMED = {
     "vertex-scalar": (_set("paths", "loop", 0, 43.716), "paths.loop[0]"),
     "path-null": (_set("paths", "loop", None), "paths.loop"),
     "path-empty": (_set("paths", "loop", []), "paths.loop"),
+    "path-name-slash": (_set("paths", "heavy/traffic", [[43.716, 10.393], [43.716, 10.4]]),
+                        "paths.heavy/traffic: name does not match"),
     "nodes-scalar": (_set("nodes", 5), "nodes"),
     "node-null": (_set("nodes", 2, None), "nodes[2]"),
     "link-null": (_set("links", "wide_area", None), "links.wide_area"),
@@ -556,7 +558,10 @@ class TestCompare:
         (lambda doc: {**doc, "T1": {**doc["T1"], "lat": "43.7"}}, "lat and lon must be numbers"),
         (lambda doc: {**doc, "T1": {**doc["T1"], "lat": 91}}, "latitude 91 out of range"),
         (lambda doc: {**doc, "T1": {**doc["T1"], "path": 3}}, "path must be a string or null"),
-    ], ids=["list", "no-kind", "node-not-an-object", "string-lat", "lat-91", "numeric-path"])
+        (lambda doc: {**doc, "T1": {**doc["T1"], "path": "heavy/traffic"}},
+         "path 'heavy/traffic' does not match"),
+    ], ids=["list", "no-kind", "node-not-an-object", "string-lat", "lat-91", "numeric-path",
+            "path-name-slash"])
     def test_malformed_nodes_json_is_one_line_data_error(
         self, sim_dir, tmp_path, capsys, mode, edit, needle
     ):
@@ -567,6 +572,21 @@ class TestCompare:
         err = capsys.readouterr().err
         _assert_one_line_data_error(rc, err)
         assert "nodes.json" in err and needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["paths", "mobile-fixed"])
+    def test_readings_of_a_node_missing_from_nodes_json_are_a_data_error(
+        self, sim_dir, tmp_path, capsys, mode
+    ):
+        nodes_path = sim_dir / "nodes.json"
+        doc = json.loads(nodes_path.read_text())
+        del doc["T1"]
+        nodes_path.write_text(json.dumps(doc))
+        out = tmp_path / "cmp"
+        rc = main(["compare", str(sim_dir), "--mode", mode, "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert err == f"data error: {nodes_path} has no entry for T1\n"
         assert not out.exists()
 
 
@@ -646,6 +666,26 @@ class TestWholeOutputSets:
         names = set(digest_tree(out))
         assert "pmf_co2_mobile.dat" in names
         assert not any(n.endswith("_loop.dat") for n in names)
+
+    @pytest.mark.parametrize(
+        "command", [["indexes"], ["compare", "--mode", "paths"], ["compare", "--mode", "mobile-fixed"]],
+        ids=["indexes", "compare-paths", "compare-mobile-fixed"],
+    )
+    def test_reordered_store_is_data_error_and_keeps_the_previous_set(
+        self, sim_dir, tmp_path, capsys, command
+    ):
+        out = tmp_path / "o"
+        assert main([*command, str(sim_dir), "--out", str(out)]) == 0
+        before = digest_tree(out)
+        day_file, lines = _first_day_file(sim_dir)
+        lines[0], lines[1] = lines[1], lines[0]
+        day_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main([*command, str(sim_dir), "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert err.startswith(f"data error: {day_file.name} line 2: record out of order: ")
+        assert digest_tree(out) == before
 
     @pytest.mark.parametrize("command", [["indexes"], ["compare", "--mode", "paths"]])
     def test_missing_data_directory_is_data_error_and_not_created(

@@ -35,7 +35,7 @@ from citysense.domain import haversine_distance
 from citysense.field import DRAW_BLOCK, BlockDraws, loss_generator
 from citysense.nodes import sample
 from citysense.scenario import load_scenario, with_seed
-from citysense.store import OutputSet, write_measurements
+from citysense.store import DayFiles, OutputSet
 
 P = GeoPoint(43.716, 10.3966)
 FAR = GeoPoint(43.76, 10.3966)  # ~4.9 km north of everything
@@ -689,7 +689,8 @@ class TestStreamedDayFiles:
         _, received = cli.simulate(cfg, tmp_path / "streamed")
         server_measurements = run(cfg).server_measurements
         with OutputSet(tmp_path / "one-shot", "measurements-*.txt") as files:
-            write_measurements(files, [m for _, m in server_measurements])
+            with DayFiles(files) as days:
+                days.add([m for _, m in server_measurements])
         one_shot = sorted((tmp_path / "one-shot").iterdir())
         streamed = sorted((tmp_path / "streamed").glob("measurements-*.txt"))
         assert [p.name for p in streamed] == [p.name for p in one_shot]

@@ -2,15 +2,18 @@
 ``domain``, and every layer agrees with it: the physical range of a
 quantity (``VALUE_RANGE``), which the field, the sensor chain and the
 record check read, and the record order (``record_key``), which coordinator
-batches and day files both follow."""
+batches, day files and their loader all follow."""
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citysense.domain import (
     ALLOWED_QUANTITIES,
+    Flag,
     GeoPoint,
     Measurement,
     NodeDescriptor,
@@ -18,13 +21,14 @@ from citysense.domain import (
     Quantity,
     VALUE_RANGE,
     ValidationError,
+    format_utc,
     record_key,
     validate_measurement,
 )
 from citysense.field import FieldModel
 from citysense.netsim import coordinator_uplink
 from citysense.nodes import NodeState, sample
-from citysense.store import OutputSet, parse_measurement, write_measurements
+from citysense.store import DayFiles, MeasurementStore, OutputSet, channels_from, parse_measurement
 
 P = GeoPoint(43.716, 10.3966)
 T0 = 1_429_488_000  # 2015-04-20T00:00:00Z
@@ -86,7 +90,50 @@ def test_batches_and_day_files_share_the_record_order(tmp_path):
     random.Random(7).shuffle(readings)
     batch = coordinator_uplink("C0", T0, T0 + 900, readings)
     with OutputSet(tmp_path, "measurements-*.txt") as files:
-        write_measurements(files, readings)
+        with DayFiles(files) as days:
+            days.add(readings)
     lines = (tmp_path / "measurements-2015-04-20.txt").read_text().splitlines()
     assert [parse_measurement(line) for line in lines] == list(batch.measurements)
     assert list(batch.measurements) == sorted(readings, key=record_key) != readings
+
+
+# Readings of a few nodes and quantities, stamped on either side of UTC
+# midnight so that they fill two day files; each key at most once.
+_distinct_readings = st.lists(
+    st.builds(
+        Measurement,
+        node_id=st.sampled_from(["F5", "M1", "T1", "T10", "T2"]),
+        timestamp=st.sampled_from([T0 + t for t in (-600, -300, 0, 300, 600)]),
+        position=st.sampled_from([P, GeoPoint(43.7195, 10.3966)]),
+        quantity=st.sampled_from(QUANTITIES),
+        value=st.sampled_from([0.0, 0.1, 51.33, 100.0]),  # in every quantity's range
+        flags=st.frozensets(st.sampled_from(list(Flag))),
+    ),
+    min_size=2,
+    max_size=40,
+    unique_by=record_key,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(readings=_distinct_readings, data=st.data())
+def test_the_loader_follows_the_record_order(tmp_path_factory, readings, data):
+    root = tmp_path_factory.mktemp("days")
+    with OutputSet(root, "measurements-*.txt") as files:
+        with DayFiles(files) as days:
+            days.add(readings)
+    assert MeasurementStore(root).channels == channels_from(readings)
+
+    # Swap two adjacent lines of one day file: the later one is refused.
+    day_file = data.draw(st.sampled_from(sorted(root.glob("measurements-*.txt"))))
+    lines = day_file.read_text().splitlines()
+    if len(lines) < 2:
+        return
+    i = data.draw(st.integers(0, len(lines) - 2))
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    day_file.write_text("\n".join(lines) + "\n")
+    m = parse_measurement(lines[i + 1])
+    message = (f"{day_file.name} line {i + 2}: record out of order: "
+               f"{m.node_id} {m.quantity.value} at {format_utc(m.timestamp)}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MeasurementStore(root)

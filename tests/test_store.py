@@ -21,7 +21,6 @@ from citysense.store import (
     StorageError,
     parse_measurement,
     serialize_measurement,
-    write_measurements,
 )
 
 P = GeoPoint(43.716, 10.3966)
@@ -35,7 +34,8 @@ def meas(node="T1", t=T0, quantity=Quantity.CO2, value=451.0, position=P, flags=
 def save(root, records):
     """Write ``records`` as the day files of ``root``, as ``simulate`` does."""
     with OutputSet(root, "measurements-*.txt") as files:
-        write_measurements(files, records)
+        with DayFiles(files) as days:
+            days.add(records)
 
 
 def snapshot(root):
@@ -281,7 +281,8 @@ class TestWriteMeasurements:
         old = sorted(p.name for p in tmp_path.iterdir())
         assert old == ["measurements-2015-04-19.txt", "measurements-2015-04-20.txt"]
         with OutputSet(tmp_path, "measurements-*.txt") as files:
-            write_measurements(files, [meas(t=T0 + 300, value=452.0)])
+            with DayFiles(files) as days:
+                days.add([meas(t=T0 + 300, value=452.0)])
             assert sorted(p.name for p in tmp_path.iterdir() if p.name in old) == old
         assert [p.name for p in tmp_path.iterdir()] == ["measurements-2015-04-20.txt"]
         assert MeasurementStore(tmp_path).all() == [meas(t=T0 + 300, value=452.0)]
@@ -444,15 +445,14 @@ class TestLoadLines:
 
 
 class TestLoadOrder:
-    def test_swapped_lines_load_sorted(self, tmp_path):
+    def test_swapped_lines_are_refused_at_the_later_line(self, tmp_path):
         save(tmp_path, batch_of(27))
         day_file, lines = _day_file_lines(tmp_path)
         lines[3], lines[20] = lines[20], lines[3]
         day_file.write_text("\n".join(lines) + "\n")
-        loaded = MeasurementStore(tmp_path).all()
-        records = [parse_measurement(line) for line in lines]
-        assert loaded == sorted(records, key=record_key)
-        assert loaded != records
+        message = f"{day_file.name} line 5: record out of order: N4 co2 at 2015-04-20T00:00:00Z"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementStore(tmp_path)
 
     def test_all_returns_a_copy(self, tmp_path):
         save(tmp_path, batch_of(9))
@@ -460,23 +460,20 @@ class TestLoadOrder:
         store.all().clear()
         assert len(store.all()) == 9
 
-    @pytest.mark.parametrize("swap", [False, True], ids=["in-order", "out-of-order"])
-    def test_duplicate_line_is_rejected_with_its_line(self, tmp_path, swap):
+    def test_duplicate_line_is_rejected_with_its_line(self, tmp_path):
         save(tmp_path, batch_of(27))
         day_file, lines = _day_file_lines(tmp_path)
-        if swap:  # line 2 now sorts before line 1
-            lines[0], lines[1] = lines[1], lines[0]
         lines.insert(6, lines[5])  # an adjacent copy of line 6, as line 7
         day_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="measurements-2015-04-20.txt line 7: duplicate record"):
             MeasurementStore(tmp_path)
 
-    def test_duplicate_far_apart_in_an_unsorted_file_is_rejected(self, tmp_path):
+    def test_a_copy_far_below_the_line_before_is_out_of_order(self, tmp_path):
         save(tmp_path, batch_of(27))
         day_file, lines = _day_file_lines(tmp_path)
         lines.append(lines[0])
         day_file.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 28: duplicate record: N0 co2 at 2015-04-20T00:00:00Z"):
+        with pytest.raises(ValueError, match="line 28: record out of order: N0 co2 at 2015-04-20T00:00:00Z"):
             MeasurementStore(tmp_path)
 
     def test_duplicate_across_day_files_is_rejected(self, tmp_path):

@@ -33,7 +33,7 @@ node = NodeState(
     powered_since=0,
 )
 for t in range(0, 1500, 300):
-    (m,) = sample(node, field, t)
+    (m,) = sample(node, field, t).rows()
     flags = ",".join(sorted(f.value for f in m.flags)) or "-"
     print(f"  t={t:4d}s  value={m.value:6.1f} ppmV  flags: {flags}")
 
@@ -45,5 +45,5 @@ node = NodeState(
         home_position=P,
     ),
 )
-(m,) = sample(node, field, 0)
+(m,) = sample(node, field, 0).rows()
 print(f"  value={m.value} mg/m3, flagged below_lod={Flag.BELOW_LOD in m.flags}")

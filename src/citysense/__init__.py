@@ -28,7 +28,6 @@ from .domain import (
     ValidationError,
     co_ppm_to_mg_m3,
     haversine_distance,
-    validate_measurement,
 )
 from .field import FieldModel, GaussianPlume, Path, path_position
 from .indexes import (

@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
 
 class _LogSink(RunSink):
     """Writes the delivery log as the run routes each node tick, and streams
-    the readings the server receives into the day files, one watermark at a
+    the ticks the server receives into the day files, one watermark at a
     time. The log has one line per emitted reading,
 
         emitted-ts,node_id,quantity,outcome,link,arrival-ts
@@ -115,21 +115,21 @@ class _LogSink(RunSink):
         self._write = log.write
         self._days = days
 
-    def tick(self, readings, fates, arrival_t) -> None:
+    def tick(self, tick, fates, arrival_t) -> None:
         # The readings share their stamp, node and link, so the line start
         # and each outcome's line end are formatted once, and written in one go.
-        head = f"{format_utc(readings[0].timestamp)},{readings[0].node_id},"
+        head = f"{format_utc(tick.timestamp)},{tick.node_id},"
         ends: dict[DeliveryOutcome, str] = {}
         for fate in fates:
             if fate.outcome not in ends:
                 link = fate.link.kind.value if fate.link else ""
                 arrival = "" if fate.outcome is DeliveryOutcome.LOST else format_utc(arrival_t)
                 ends[fate.outcome] = f",{fate.outcome.value},{link},{arrival}\n"
-        self._write("".join([f"{head}{QUANTITY_CODES[m.quantity]}{ends[fate.outcome]}"
-                             for m, fate in zip(readings, fates)]))
+        self._write("".join([f"{head}{QUANTITY_CODES[q]}{ends[fate.outcome]}"
+                             for q, fate in zip(tick.quantities, fates)]))
 
-    def arrivals(self, t, readings) -> None:
-        self._days.add(readings)
+    def arrivals(self, t, ticks) -> None:
+        self._days.add(ticks)
 
     def watermark(self, t: int) -> None:
         self._days.write_before(t)

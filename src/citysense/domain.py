@@ -1,9 +1,9 @@
 """Core value types shared across the sensing pipeline: quantities with
 their units and physical ranges, WGS84 positions, measurements and their
-one record order, node descriptors, and report batches.
+one record order, node ticks, node descriptors, and report batches.
 
-Everything in this module is an immutable value; instances can be shared
-freely between concurrent contexts.
+Everything in this module is a value that is not changed once built;
+instances can be shared freely between concurrent contexts.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence
 
 
@@ -58,7 +59,7 @@ UNITS: dict[Quantity, str] = {
 
 # Single source of truth for the physical range [low, high] of each quantity:
 # the synthetic field and the sensor chain clamp to it, and
-# ``validate_measurement`` checks it. Total over Quantity (tested).
+# ``validate_value`` checks it. Total over Quantity (tested).
 _UNBOUNDED = (-math.inf, math.inf)
 _NON_NEGATIVE = (0.0, math.inf)
 VALUE_RANGE: dict[Quantity, tuple[float, float]] = {
@@ -243,41 +244,6 @@ class Measurement:
     value: float
     flags: frozenset[Flag] = field(default_factory=frozenset)
 
-    @property
-    def unit(self) -> str:
-        return UNITS[self.quantity]
-
-
-# The frozen dataclass __init__ runs object.__setattr__ once per field.
-# ``unchecked_measurement`` makes the record with __new__ and fills it through
-# the slots' own setters instead, which builds the same record in half the
-# time and checks nothing: its callers guard the values themselves.
-_new_measurement = Measurement.__new__
-_set_node_id, _set_timestamp, _set_position, _set_quantity, _set_value, _set_flags = (
-    getattr(Measurement, name).__set__
-    for name in ("node_id", "timestamp", "position", "quantity", "value", "flags")
-)
-
-
-def unchecked_measurement(
-    node_id: str,
-    timestamp: int,
-    position: GeoPoint,
-    quantity: Quantity,
-    value: float,
-    flags: frozenset[Flag],
-) -> Measurement:
-    """``Measurement(node_id, timestamp, position, quantity, value, flags)``,
-    built without running its dataclass __init__."""
-    m = _new_measurement(Measurement)
-    _set_node_id(m, node_id)
-    _set_timestamp(m, timestamp)
-    _set_position(m, position)
-    _set_quantity(m, quantity)
-    _set_value(m, value)
-    _set_flags(m, flags)
-    return m
-
 
 def validate_value(quantity: Quantity, value: float) -> float:
     """Return ``value`` unchanged iff it is finite and in ``VALUE_RANGE[quantity]``."""
@@ -289,16 +255,6 @@ def validate_value(quantity: Quantity, value: float) -> float:
     return value
 
 
-def validate_measurement(m: Measurement) -> Measurement:
-    """Return ``m`` unchanged iff all single-record invariants hold: its
-    value passes ``validate_value`` and its timestamp is an int (GeoPoint
-    checks the position when it is built). Raises ValidationError."""
-    validate_value(m.quantity, m.value)
-    if not isinstance(m.timestamp, int):
-        raise ValidationError("timestamp", "must be integer seconds UTC")
-    return m
-
-
 # A record's sort key: (timestamp, node_id, quantity code). It is the one
 # order of records: the store's day files and every coordinator batch.
 RecordKey = tuple[int, str, str]
@@ -306,6 +262,32 @@ RecordKey = tuple[int, str, str]
 
 def record_key(m: Measurement) -> RecordKey:
     return (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity])
+
+
+@dataclass(slots=True)
+class NodeTick:
+    """One node's readings at one stamp and position, as parallel columns;
+    ``len`` counts them. ``quantities`` rises in code order, and one tuple
+    is shared by every tick of a node."""
+
+    node_id: str
+    timestamp: int
+    position: GeoPoint
+    quantities: tuple[Quantity, ...]
+    values: list[float]
+    flags: list[frozenset[Flag]]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def rows(self) -> list[Measurement]:
+        """The tick's readings as ``Measurement`` rows, in column order."""
+        return [Measurement(self.node_id, self.timestamp, self.position, q, value, flags)
+                for q, value, flags in zip(self.quantities, self.values, self.flags)]
+
+
+# A tick's sort key: ticks in this order give their records in record_key order.
+tick_key = attrgetter("timestamp", "node_id")
 
 
 # Sensor suites allowed per node kind, mirroring the deployed hardware:
@@ -385,16 +367,19 @@ class NodeDescriptor:
 
 @dataclass(frozen=True)
 class ReportBatch:
-    """The set of measurements a coordinator uplinks in one reporting slot."""
+    """The node ticks a coordinator uplinks in one reporting slot."""
 
     coordinator_id: str
     uplink_time: int
-    measurements: tuple[Measurement, ...]
+    ticks: tuple[NodeTick, ...]
 
     def __post_init__(self):
-        for m in self.measurements:
-            if m.timestamp > self.uplink_time:
-                raise ValidationError(
-                    "measurements",
-                    f"timestamp {m.timestamp} after uplink time {self.uplink_time}",
-                )
+        for tick in self.ticks:
+            if tick.timestamp > self.uplink_time:
+                raise ValidationError("measurements", f"timestamp {tick.timestamp} "
+                                      f"after uplink time {self.uplink_time}")
+
+    @property
+    def measurements(self) -> tuple[Measurement, ...]:
+        """The batch's readings as rows, in order, built on each access."""
+        return tuple(m for tick in self.ticks for m in tick.rows())

@@ -191,9 +191,6 @@ class Path:
         )
         return lengths, sum(lengths)
 
-    def segment_lengths(self) -> tuple[float, ...]:
-        return self._lengths[0]
-
     def length(self) -> float:
         return self._lengths[1]
 

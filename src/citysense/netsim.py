@@ -1,41 +1,35 @@
 """Network simulation on the sampling grid: sampling, link-level delivery,
-coordinator batching, and server ingestion.
+coordinator batching, and server ingestion, one node tick at a time.
 
-Topology is a star: fixed-site nodes always reach the coordinator over the
-sub-GHz short-range link (subject to Bernoulli per-message loss); a mobile
-node uses its short-range radio when some fixed-site node is inside radio
-range and otherwise falls back to the wide-area uplink straight to the
-server. Every reading of one sample tick shares the node's position, so
-the link is chosen once per tick (``choose_link``, the only anchor scan)
-and each reading then takes only its own loss draw (``route_measurement``),
-from the node's loss stream, which ``run`` reads in blocks
-(``field.BlockDraws``) and which is drawn only over a lossy link.
-The coordinator batches everything it heard and uplinks on a fixed
-reporting grid. A reading that reaches the coordinator after its window was
-uplinked can join no later batch: it is dropped and counted, so every
+Topology is a star: fixed-site nodes reach the coordinator over the
+short-range link; a mobile node does so while a fixed-site node is in its
+radio range, and otherwise uplinks to the server over the wide area. The
+unit ``run`` hands on, from ``nodes.sample`` to its sink, is the node tick
+(``domain.NodeTick``): one node's readings of one grid time, which share a
+position, so the link is chosen once per tick (``choose_link``, the only
+anchor scan). Each reading then takes its own Bernoulli loss draw
+(``route_measurement``) from the node's loss stream, read in blocks
+(``field.BlockDraws``) and drawn only over a lossy link. A reading's fate is
+the ``LinkChoice`` it took (the tick's own, or a ``LOST`` one on its link);
+a tick that lost readings goes on as a new tick of the rest.
+
+``ScenarioConfig.validate`` puts every uplink on the shared sample grid,
+and links have fixed latencies, so a fate is known when routed and ``run``
+walks the grid with no event queue. At each grid time every node is sampled
+in node order, then the window that just closed is uplinked. A
+coordinator-bound tick joins its window's list if it arrives before the
+window ends; otherwise its readings are dropped and counted, so every
 emitted reading ends delivered to the server, lost on a link, or dropped.
+``coordinator_uplink`` only sorts and batches that list. Direct ticks and
+batches share one latency, so each is handed over when sent, in order of
+arrival. Equal seeds give byte-identical results.
 
-Every node samples on one shared grid, and ``ScenarioConfig.validate``
-requires the uplink period to be a multiple of the sample period, so every
-uplink lies on that grid. Every link has a fixed latency, so a reading's
-fate is known when it is routed and ``run`` walks the grid with no event
-queue: a coordinator-bound reading joins its window's list if it arrives
-before the window ends, and is dropped otherwise (``run`` alone decides a
-reading's window; ``coordinator_uplink`` only sorts and batches the list).
-Direct wide-area readings and batches share one latency, so each is handed
-over when it is sent, in order of arrival. At each grid time every node is
-sampled in node order, then the window that just closed is uplinked. Equal
-seeds give byte-identical results. Results go to a ``RunSink`` one node
-tick at a time: a reading's fate is the ``LinkChoice`` it took (the tick's
-own, or a ``LOST`` one on the same link), so routing builds no record per
-reading. The sink gets one ``tick`` call per (node, tick), one ``arrivals``
-call per group the server receives (a tick's direct readings, or a batch),
+A ``RunSink`` gets one ``tick`` call per (node, tick), one ``arrivals``
+call per group the server receives (a direct tick, or a batch's ticks),
 every batch, and at each uplink grid time a low watermark: every server
 reading stamped before it has been handed over, so a sink can write out and
-forget what precedes it. The default sink, the ``SimulationResult``
-itself, keeps everything; a sink that writes results out as they come keeps
-a run's memory from growing with them. Each node's tallies are looked up
-once, at its first tick, in the order of its readings.
+forget what precedes it. Only the default sink, ``SimulationResult``,
+makes ``Measurement`` rows, and it keeps everything.
 """
 
 from __future__ import annotations
@@ -44,23 +38,14 @@ import logging
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .domain import (
-    GAS_QUANTITIES,
-    GeoPoint,
-    Measurement,
-    NodeDescriptor,
-    NodeKind,
-    Quantity,
-    Radio,
-    ReportBatch,
-    SECONDS_PER_DAY,
-    ValidationError,
-    haversine_distance,
-    record_key,
+    GAS_QUANTITIES, SECONDS_PER_DAY, GeoPoint, Measurement, NodeDescriptor, NodeKind,
+    NodeTick, Quantity, Radio, ReportBatch, ValidationError, haversine_distance, tick_key,
 )
 from .field import BlockDraws, loss_generator
 from .nodes import sample
@@ -166,36 +151,26 @@ def choose_link(node: NodeDescriptor, position: GeoPoint, topo: NetworkTopology)
     return LinkChoice(topo.links[Radio.WIDE_AREA], DeliveryOutcome.DELIVERED_TO_SERVER)
 
 
-def route_measurement(
-    m: Measurement, choice: LinkChoice, rng: np.random.Generator
-) -> LinkChoice:
-    """Send one freshly sampled measurement the way ``choice`` says, and
-    return its fate: ``choice`` itself, or a ``LOST`` choice on its link.
-
-    Loss is Bernoulli per message with the chosen link's probability, drawn
-    by ``rng.random()`` (a Generator, or a ``BlockDraws`` over one) only
-    when that probability is above 0; a lost message is an outcome, not an
-    error, and is never retried. Local readings enter the coordinator buffer
-    without a radio hop and are never lost.
-    """
+def route_measurement(choice: LinkChoice, rng: np.random.Generator) -> LinkChoice:
+    """Send one freshly sampled reading the way ``choice`` says, and return
+    its fate: ``choice`` itself, or a ``LOST`` choice on its link. Loss is
+    Bernoulli per message with the link's probability, drawn by
+    ``rng.random()`` (a Generator, or a ``BlockDraws`` over one) only when
+    that probability is above 0, and never retried. Local readings take no
+    radio hop and are never lost."""
     link = choice.link
     if link is not None and link.loss_prob > 0.0 and rng.random() < link.loss_prob:
         return LinkChoice(link, DeliveryOutcome.LOST)
     return choice
 
 
-def coordinator_uplink(
-    coordinator_id: str,
-    window_start: int,
-    window_end: int,
-    buffer: list[Measurement],
-) -> ReportBatch:
+def coordinator_uplink(coordinator_id: str, window_start: int, window_end: int,
+                       buffer: list[NodeTick]) -> ReportBatch:
     """Assemble the reporting batch for the window [window_start, window_end)
-    from ``buffer``, the readings ``run`` decided belong to that window, in
-    record order (``domain.record_key``). The buffer is left as it is. An
-    empty batch is legal and merely signalled in the log.
-    """
-    picked = tuple(sorted(buffer, key=record_key))
+    from ``buffer``, the ticks ``run`` decided belong to that window, in
+    ``domain.tick_key`` order, which puts its readings in record order. The
+    buffer is left as it is; an empty batch is legal and only logged."""
+    picked = tuple(sorted(buffer, key=tick_key))
     if not picked:
         logger.warning("empty uplink batch at t=%d", window_end)
     return ReportBatch(coordinator_id, window_end, picked)
@@ -214,26 +189,23 @@ class Tally:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    @property
-    def delivered(self) -> int:
-        return self.to_coordinator + self.to_server
-
 
 class RunSink:
     """Receives the results of ``run`` as its loop produces them.
     Each method does nothing here; a sink overrides what it needs."""
 
-    def tick(self, readings: list[Measurement], fates: list[LinkChoice], arrival_t: int) -> None:
-        """One node tick's readings, when routed, with each one's fate and
-        the time those not lost arrive where their link leads."""
+    def tick(self, tick: NodeTick, fates: list[LinkChoice], arrival_t: int) -> None:
+        """One node tick, when routed, with each reading's fate and the time
+        those not lost arrive where their link leads."""
 
-    def arrivals(self, t: int, readings: Sequence[Measurement]) -> None:
-        """Readings the server receives at ``t``, when sent (so ``t`` never
-        decreases): one node tick's direct readings, or one batch."""
+    def arrivals(self, t: int, ticks: Sequence[NodeTick]) -> None:
+        """Ticks the server receives at ``t``, when sent (so ``t`` never
+        decreases): one direct tick, or one batch's ticks, each of at least
+        one reading, and of only those that got through."""
 
     def batch(self, batch: ReportBatch) -> None:
         """One coordinator batch sent to the server, when it is sent, just
-        before its readings go to ``arrivals``."""
+        before its ticks go to ``arrivals``."""
 
     def watermark(self, t: int) -> None:
         """Every reading the server receives that is stamped before ``t``
@@ -244,9 +216,9 @@ class RunSink:
 
 @dataclass
 class SimulationResult(RunSink):
-    """Everything a run produced, in deterministic order. It is the sink
-    ``run`` records into when it is given none; with another sink, only the
-    tallies are filled."""
+    """Everything a run produced, in deterministic order, with each reading
+    as a ``Measurement`` row. It is the sink ``run`` records into when it is
+    given none; with another sink, only the tallies are filled."""
 
     scenario_name: str
     seed: int
@@ -265,15 +237,15 @@ class SimulationResult(RunSink):
                 seen.setdefault(window, set()).add((m.node_id, m.timestamp))
         return {w: len(s) for w, s in sorted(seen.items())}
 
-    def tick(self, readings, fates, arrival_t) -> None:
+    def tick(self, tick, fates, arrival_t) -> None:
         self.deliveries.extend(
             DeliveryRecord(m, fate.outcome, fate.link.kind if fate.link else None,
                            None if fate.outcome is DeliveryOutcome.LOST else arrival_t)
-            for m, fate in zip(readings, fates)
+            for m, fate in zip(tick.rows(), fates)
         )
 
-    def arrivals(self, t, readings) -> None:
-        self.server_measurements.extend((t, m) for m in readings)
+    def arrivals(self, t, ticks) -> None:
+        self.server_measurements.extend((t, m) for tick in ticks for m in tick.rows())
 
     def batch(self, batch: ReportBatch) -> None:
         self.batches.append(batch)
@@ -310,7 +282,7 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
     tallies = result.tallies
     if sink is None:
         sink = result
-    window: list[Measurement] = []  # coordinator-bound readings of the open window
+    window: list[NodeTick] = []  # coordinator-bound ticks of the open window
     n_ticks = scenario.duration_s // period
     ticks_per_uplink = uplink_period // period
     wa_latency = scenario.links[Radio.WIDE_AREA].latency_s
@@ -326,40 +298,44 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
             for entry in sampled:
                 node, rng, node_tallies = entry
                 try:
-                    readings = sample(node, field_model, t)
+                    tick = sample(node, field_model, t)
                 except ValidationError as e:  # the scenario overflowed the sensor chain
                     raise ConfigError(f"node {node.descriptor.node_id}: {e}") from e
                 if node_tallies is None:
                     node_tallies = entry[2] = [
-                        tallies.setdefault((m.node_id, m.quantity), Tally()) for m in readings
+                        tallies.setdefault((tick.node_id, q), Tally()) for q in tick.quantities
                     ]
-                choice = choose_link(node.descriptor, readings[0].position, topo)
+                choice = choose_link(node.descriptor, tick.position, topo)
                 arrival_t = choice.arrival(t)
-                fates = [route_measurement(m, choice, rng) for m in readings]
-                sink.tick(readings, fates, arrival_t)
+                fates = [route_measurement(choice, rng) for _ in tick.values]
+                sink.tick(tick, fates, arrival_t)
                 direct = choice.outcome is DeliveryOutcome.DELIVERED_TO_SERVER
                 late = not direct and arrival_t >= window_end  # after its window was uplinked
-                kept = []
-                for m, fate, tally in zip(readings, fates, node_tallies):
+                lost = False
+                for fate, tally in zip(fates, node_tallies):
                     tally.emitted += 1
                     if fate.outcome is DeliveryOutcome.LOST:
                         tally.lost += 1
-                        continue
-                    kept.append(m)
-                    if direct:
+                        lost = True
+                    elif direct:
                         tally.to_server += 1
                     else:
                         tally.to_coordinator += 1
                         if late:
                             tally.dropped += 1
-                if direct:
-                    sink.arrivals(arrival_t, kept)
-                elif not late:
-                    window += kept
+                if lost:  # the readings that got through go on as a tick of their own
+                    kept = [fate.outcome is not DeliveryOutcome.LOST for fate in fates]
+                    tick = NodeTick(tick.node_id, t, tick.position,
+                                    tuple(compress(tick.quantities, kept)),
+                                    list(compress(tick.values, kept)), list(compress(tick.flags, kept)))
+                if tick and direct:
+                    sink.arrivals(arrival_t, [tick])
+                elif tick and not late:
+                    window.append(tick)
         if uplink:
             batch = coordinator_uplink(coordinator, t - uplink_period, t, closed)
             sink.batch(batch)
-            sink.arrivals(int(t + wa_latency), batch.measurements)
+            sink.arrivals(int(t + wa_latency), batch.ticks)
         if window_closes:
             sink.watermark(t)
     return result

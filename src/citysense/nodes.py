@@ -16,8 +16,9 @@ The clamp keeps a finite reading within its quantity's range, and so do the
 LoD zero (every range holds 0) and quantization, which is monotone:
 ``SensorSpec`` refuses a resolution that rounds the top of the range past it.
 So ``sample`` checks only finiteness per reading, and the integer timestamp
-once per call, then builds each measurement unchecked. Each channel's noise
-comes from a ``BlockDraws`` stream, which equals scalar draws of its generator.
+once per call, and returns one ``NodeTick``, not a record per reading. Each
+channel's noise comes from a ``BlockDraws`` stream, which equals scalar
+draws of its generator.
 """
 
 from __future__ import annotations
@@ -28,16 +29,8 @@ from functools import partial
 from typing import NamedTuple
 
 from .domain import (
-    Flag,
-    GeoPoint,
-    Measurement,
-    NodeDescriptor,
-    NodeKind,
-    Quantity,
-    VALUE_RANGE,
-    ValidationError,
-    co_ppm_to_mg_m3,
-    unchecked_measurement,
+    VALUE_RANGE, Flag, GeoPoint, NodeDescriptor, NodeKind, NodeTick, Quantity,
+    ValidationError, co_ppm_to_mg_m3,
 )
 from .field import BlockDraws, FieldModel, Path, noise_generator, path_position
 
@@ -141,9 +134,10 @@ class NodeState:
     ``sensors``, ``bias_add``, ``bias_mul`` and the field's noise are read
     once, at the node's first ``sample``, into a channel table: one row per
     quantity of the suite, in order of ``Quantity.value``, holding the spec,
-    both biases, the noise stream and the physical range of the quantity.
-    They are fixed from then on; a later change to them, or a different
-    field passed to ``sample``, is not seen.
+    both biases, the noise stream and the physical range of the quantity;
+    its ticks share one tuple of those quantities. They are fixed from then
+    on; a later change to them, or a different field passed to ``sample``,
+    is not seen.
     """
 
     descriptor: NodeDescriptor
@@ -154,6 +148,7 @@ class NodeState:
     bias_mul: dict[Quantity, float] = field(default_factory=dict)
     last_filtered: dict[Quantity, float] = field(default_factory=dict)
     _channels: tuple[_Channel, ...] | None = field(default=None, init=False, repr=False)
+    _quantities: tuple[Quantity, ...] = field(default=(), init=False, repr=False)
     _last_sample_t: int | None = None
 
     def __post_init__(self):
@@ -183,11 +178,12 @@ class NodeState:
                     noise, *VALUE_RANGE[q],
                 ))
             self._channels = tuple(rows)
+            self._quantities = tuple(row.quantity for row in rows)
         return self._channels
 
 
-def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
-    """Take one reading of every quantity in the node's suite at time ``t``.
+def sample(node: NodeState, f: FieldModel, t: int) -> NodeTick:
+    """One reading of every quantity in the node's suite at time ``t``, as a tick.
 
     ``t`` must lie on the node's sampling grid; timestamps are epoch seconds,
     and a ``t`` that is not an int raises ValidationError before any state
@@ -204,7 +200,8 @@ def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
     age = t - node.powered_since
     last_filtered = node.last_filtered
     isfinite = math.isfinite
-    out: list[Measurement] = []
+    values: list[float] = []
+    flags: list[frozenset[Flag]] = []
     for q, spec, bias_mul, bias_add, noise, floor, ceiling in node.channel_table(f):
         raw = f.value(q, position, t) * bias_mul + bias_add
         if noise is not None:
@@ -232,5 +229,6 @@ def sample(node: NodeState, f: FieldModel, t: int) -> list[Measurement]:
             value = quantized
         if not isfinite(value):
             raise ValidationError("value", f"not finite: {value!r}")
-        out.append(unchecked_measurement(node_id, t, position, q, value, _FLAG_SETS[bits]))
-    return out
+        values.append(value)
+        flags.append(_FLAG_SETS[bits])
+    return NodeTick(node_id, t, position, node._quantities, values, flags)

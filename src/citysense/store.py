@@ -15,23 +15,22 @@ File format (normative, one record per line, comma separated):
 
 Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and
 sorted by ``domain.record_key``: (timestamp, node_id, quantity), the order
-of every coordinator batch too. ``DayFiles`` streams records into them
-window by window, holding only the records of windows still open, with at
-most one day file open at a time. It writes into an ``OutputSet``, the one
-writer of every command's files, which replaces a directory's old set only
-once the new one is whole.
+of every coordinator batch too. ``format_tick`` owns the record line.
+``DayFiles`` streams node ticks (``domain.NodeTick``) into them window by
+window, with at most one day file open at a time, into an ``OutputSet``: the
+one writer of every command's files, which replaces a directory's old set
+only once the new one is whole.
 
-Loading validates every record as writing does; both check node ids
-against ``domain.NODE_ID``, and both refuse a key that is not above the one
-before it: a duplicate (node, timestamp, quantity) triple if equal, a
-record out of order if lower. Files are read in name order, line by line,
-and split at ``\n`` only. A number (lat, lon, value) is text ``float`` reads
-without stripping whitespace, skipping an ``_`` or reading a non-ASCII
-digit; anything else is a data error, and each names its file and line.
-Each checked line goes straight into the columns of its ``Channel``, one per
-(node, quantity): timestamps, values, flag sets and positions, in timestamp
-order. ``channels_from`` builds the same channels from records;
-``MeasurementStore.all`` is the row view.
+Loading validates every record as writing does, and each file must be named
+for the UTC day of every stamp it holds. Both refuse a key that is not
+above the one before it: a duplicate triple if equal, a record out of order
+if lower. Files are read in name order and split at ``\n`` only. A number
+(lat, lon, value) is text ``float`` reads without stripping whitespace,
+skipping an ``_`` or reading a non-ASCII digit; anything else is a data
+error, and each names its file and line. Each checked line goes straight
+into the columns of its ``Channel``, one per (node, quantity): timestamps,
+values, flag sets and positions. ``channels_from`` builds the same channels
+from records.
 """
 
 from __future__ import annotations
@@ -40,27 +39,15 @@ import math
 import os
 from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
-from operator import attrgetter, itemgetter
+from itertools import combinations
+from operator import attrgetter, eq
 from pathlib import Path as FsPath
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .domain import (
-    SECONDS_PER_DAY,
-    Flag,
-    GeoPoint,
-    Measurement,
-    QUANTITY_CODES,
-    Quantity,
-    RecordKey,
-    UNITS,
-    ValidationError,
-    format_utc,
-    parse_utc,
-    record_key,
-    unchecked_measurement,
-    validate_measurement,
-    validate_node_id,
-    validate_value,
+    SECONDS_PER_DAY, UNITS, QUANTITY_CODES, Flag, GeoPoint, Measurement,
+    NodeTick, Quantity, RecordKey, ValidationError, format_utc, parse_utc, record_key,
+    tick_key, validate_node_id, validate_value,
 )
 
 
@@ -122,30 +109,35 @@ class OutputSet:
             raise StorageError(f"cannot write {self.directory}: {exc}") from exc
 
 
-# Flag set -> its record text. Sets compare by content, so there is at most
-# one entry per subset of ``Flag``.
-_FLAGS_TEXT: dict[frozenset[Flag], str] = {}
+# Flag set -> its record text, for every subset of ``Flag``.
+_FLAGS_TEXT: dict[frozenset[Flag], str] = {
+    frozenset(flags): ";".join(sorted(f.value for f in flags))
+    for n in range(len(Flag) + 1)
+    for flags in combinations(Flag, n)
+}
 
-# The position of the last record serialized, and its ``lat,lon`` text. The
-# readings of one node tick share one GeoPoint, and the writer's sort puts
-# them next to each other. Holding the point keeps its id from being reused.
-_last_position: GeoPoint | None = None
-_last_position_text = ""
+
+# Quantity -> the record text on either side of a value: "code," and ",unit,".
+_VALUE_TEXT = {q: (f"{code},", f",{UNITS[q]},") for q, code in QUANTITY_CODES.items()}
+
+
+def format_tick(tick: NodeTick) -> str:
+    """The record lines of ``tick``, each ended by ``\n``: the one owner of
+    the record format. The ``ts,node,lat,lon,`` prefix is formatted once."""
+    position = tick.position
+    prefix = f"{format_utc(tick.timestamp)},{tick.node_id},{position.lat!r},{position.lon!r},"
+    return "".join([f"{prefix}{code}{value!r}{unit}{_FLAGS_TEXT[flags]}\n"
+                    for (code, unit), value, flags
+                    in zip(map(_VALUE_TEXT.__getitem__, tick.quantities), tick.values, tick.flags)])
+
+
+def _one_reading(m: Measurement) -> NodeTick:
+    return NodeTick(m.node_id, m.timestamp, m.position, (m.quantity,), [m.value], [m.flags])
 
 
 def serialize_measurement(m: Measurement) -> str:
-    global _last_position, _last_position_text
-    flags = _FLAGS_TEXT.get(m.flags)
-    if flags is None:
-        flags = _FLAGS_TEXT[m.flags] = ";".join(sorted(f.value for f in m.flags))
-    position = m.position
-    if position is not _last_position:
-        _last_position = position
-        _last_position_text = f"{position.lat!r},{position.lon!r}"
-    return (
-        f"{format_utc(m.timestamp)},{m.node_id},{_last_position_text},"
-        f"{QUANTITY_CODES[m.quantity]},{m.value!r},{m.unit},{flags}"
-    )
+    """The record line of ``m``, without its line end."""
+    return format_tick(_one_reading(m))[:-1]
 
 
 def _number(field_name: str, text: str) -> float:
@@ -206,10 +198,10 @@ class _RecordParser:
 
 def parse_measurement(line: str) -> Measurement:
     (timestamp, node_id, _), quantity, position, value, flags = _RecordParser()(line.rstrip("\n"))
-    return unchecked_measurement(node_id, timestamp, position, quantity, value, flags)
+    return Measurement(node_id, timestamp, position, quantity, value, flags)
 
 
-_first = itemgetter(0)
+_stamp = attrgetter("timestamp")
 
 
 def _order_error(last: RecordKey | tuple[()], key: RecordKey) -> ValueError:
@@ -220,19 +212,21 @@ def _order_error(last: RecordKey | tuple[()], key: RecordKey) -> ValueError:
 
 
 class DayFiles:
-    """Streams records into the day files of ``files``. ``add`` validates a
-    group of records, as a load would, and holds them; ``write_before(t)``
-    writes every held record stamped before ``t``, in ``domain.record_key``
-    order, into the open day file, which it closes at UTC midnight to open
-    the next. A day without records gets no file. A key equal to the last
-    one written is a duplicate, and a lower one is out of order: either is
-    a ValueError naming the (node, timestamp, quantity) triple, and nothing
-    more is written. Leaving the block cleanly writes what is still held."""
+    """Streams node ticks into the day files of ``files``. ``add`` checks
+    ticks as a load would check their records, and holds them;
+    ``write_before(t)`` writes every held tick stamped before ``t``, in
+    (timestamp, node) order, a tick's lines in one write, into the open day
+    file, which it closes at UTC midnight to open the next. A tick's first
+    record must be above the last one written: equal is a duplicate, lower
+    is out of order, and either is a ValueError naming the triple, after
+    which nothing more is written. Ticks that share a (timestamp, node) are
+    merged in record order. Leaving the block cleanly writes the rest."""
 
     def __init__(self, files: OutputSet):
         self._files = files
-        self._held: list[tuple[RecordKey, Measurement]] = []
+        self._held: list[NodeTick] = []
         self._node_ids: set[str] = set()
+        self._in_code_order: set[tuple[Quantity, ...]] = set()  # checked quantities
         self._last: RecordKey | tuple[()] = ()  # () sorts before every key
         self._day_end = -math.inf  # end of the open file's UTC day
         self._open = ExitStack()  # holds the open day file, ``_out``
@@ -247,36 +241,54 @@ class DayFiles:
             if exc is None:
                 self.write_before(math.inf)
 
-    def add(self, records: Sequence[Measurement]) -> None:
-        """Validate ``records`` and hold them until written."""
-        node_ids = self._node_ids
-        for m in records:
-            validate_measurement(m)
-            if m.node_id not in node_ids:
-                node_ids.add(validate_node_id(m.node_id))
-        self._held.extend(zip(map(record_key, records), records))
+    def add(self, ticks: Iterable[NodeTick]) -> None:
+        """Check ``ticks``, holding those with readings until written: each
+        stamp, new node id, new ``quantities`` and value."""
+        node_ids, in_code_order, held = self._node_ids, self._in_code_order, self._held
+        for tick in ticks:
+            if not tick:
+                continue
+            if not isinstance(tick.timestamp, int):
+                raise ValidationError("timestamp", "must be integer seconds UTC")
+            if tick.node_id not in node_ids:
+                node_ids.add(validate_node_id(tick.node_id))
+            if tick.quantities not in in_code_order:
+                codes = [QUANTITY_CODES[q] for q in tick.quantities]
+                for before, code in zip(codes, codes[1:]):
+                    if code <= before:
+                        raise _order_error((tick.timestamp, tick.node_id, before),
+                                           (tick.timestamp, tick.node_id, code))
+                in_code_order.add(tick.quantities)
+            for q, value in zip(tick.quantities, tick.values):
+                validate_value(q, value)
+            held.append(tick)
 
     def write_before(self, t: float) -> None:
         held = self._held
-        held.sort(key=_first)
-        cut = bisect_left(held, (t,), key=_first)
-        # A module global, looked up per call: tests and tracers rebind it.
-        serialize = serialize_measurement
+        held.sort(key=tick_key)
+        cut = bisect_left(held, t, key=_stamp)
+        ticks = held[:cut]
+        del held[:cut]
+        keys = list(map(tick_key, ticks))
+        if any(map(eq, keys, keys[1:])):  # only a direct caller gives two ticks one key
+            rows = sorted((m for tick in ticks for m in tick.rows()), key=record_key)
+            ticks = list(map(_one_reading, rows))
         last, day_end, out = self._last, self._day_end, self._out
-        for key, m in held[:cut]:
-            if key <= last:
-                raise _order_error(last, key)
-            if key[0] >= day_end:
-                day_start = key[0] // SECONDS_PER_DAY * SECONDS_PER_DAY
+        for tick in ticks:
+            timestamp, node_id, quantities = tick.timestamp, tick.node_id, tick.quantities
+            first = (timestamp, node_id, QUANTITY_CODES[quantities[0]])
+            if first <= last:
+                raise _order_error(last, first)
+            if timestamp >= day_end:
+                day_start = timestamp // SECONDS_PER_DAY * SECONDS_PER_DAY
                 day_end = day_start + SECONDS_PER_DAY
                 self._open.close()
                 name = f"measurements-{format_utc(day_start)[:10]}.txt"
                 out = self._open.enter_context(self._files.open(name))
-            out.write(f"{serialize(m)}\n")
-            last = key
-        del held[:cut]
+            out.write(format_tick(tick))
+            last = (timestamp, node_id, QUANTITY_CODES[quantities[-1]])
+            self.written += len(tick)
         self._last, self._day_end, self._out = last, day_end, out
-        self.written += cut
 
 
 class Channel(NamedTuple):
@@ -316,6 +328,14 @@ def count_readings(channels: Channels) -> int:
     return sum(len(channel.timestamps) for channel in channels.values())
 
 
+def _day_start(name: str) -> int:
+    """The first second of the UTC day ``measurements-YYYY-MM-DD.txt`` names."""
+    try:  # parse_utc takes only what format_utc writes
+        return parse_utc(f"{name.removeprefix('measurements-').removesuffix('.txt')}T00:00:00Z")
+    except ValueError:
+        raise ValueError(f"{name}: not a day file name, measurements-YYYY-MM-DD.txt") from None
+
+
 class MeasurementStore:
     """The checked records of the day files under one directory, if any."""
 
@@ -330,17 +350,23 @@ class MeasurementStore:
     def _load(self, files: list[FsPath]) -> None:
         """Append each checked line of ``files`` to its channel. Every key
         (taken from the line) must be above the one before it, in its file
-        or the file before, so each channel grows in timestamp order."""
+        or the file before, so each channel grows in timestamp order, and
+        its stamp must fall on the UTC day its file is named for."""
         parse = _RecordParser()
         channels = self.channels
         last: RecordKey | tuple[()] = ()  # () sorts before every key
         for f in files:
+            day_start = _day_start(f.name)
+            day_end = day_start + SECONDS_PER_DAY
             with f.open(newline="\n") as lines:
                 for lineno, line in enumerate(lines, 1):
                     try:
                         key, quantity, position, value, flags = parse(line.rstrip("\n"))
                         if key <= last:
                             raise _order_error(last, key)
+                        if not day_start <= key[0] < day_end:
+                            raise ValueError(f"timestamp {format_utc(key[0])} is not on "
+                                             f"{format_utc(day_start)[:10]}")
                     except ValueError as e:
                         raise ValueError(f"{f.name} line {lineno}: {e}") from e
                     last = key
@@ -348,10 +374,3 @@ class MeasurementStore:
 
     def __len__(self) -> int:
         return count_readings(self.channels)
-
-    def all(self) -> list[Measurement]:
-        """Every record, in ``domain.record_key`` order: a row view of the
-        channels."""
-        return sorted((unchecked_measurement(nid, t, position, q, value, flags)
-                       for (nid, q), channel in self.channels.items()
-                       for t, value, flags, position in zip(*channel)), key=record_key)

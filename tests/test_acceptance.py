@@ -227,12 +227,12 @@ def test_criterion_4_conservation_under_loss(pisa, loss):
     result = run(cfg)
     assert result.tallies
     for tally in result.tallies.values():
-        assert tally.emitted == tally.delivered + tally.lost
+        assert tally.emitted == tally.to_coordinator + tally.to_server + tally.lost
     assert sum(
         t.to_coordinator + t.to_server - t.dropped for t in result.tallies.values()
     ) == len(result.server_measurements)
     if loss == 1.0:
-        assert all(t.delivered == 0 for t in result.tallies.values())
+        assert all(t.to_coordinator == t.to_server == 0 for t in result.tallies.values())
     ok(4, f"delivered + lost = emitted for every channel at loss_prob {loss}")
 
 
@@ -248,13 +248,13 @@ def test_criterion_5_sensor_physics():
     node = fixed_node({Quantity.TEMPERATURE})
     values = {}
     for t in range(0, 271, 90):
-        (m,) = sample(node, field, t)
+        (m,) = sample(node, field, t).rows()
         values[t] = m.value
     assert values[90] == pytest.approx(90.0, rel=1e-9)  # within one sample of t90
 
     # detection limit: a 3 ppm CO level against the 5 ppm limit clamps to 0
     f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(3.0)})
-    (m,) = sample(fixed_node({Quantity.CO}), f, 0)
+    (m,) = sample(fixed_node({Quantity.CO}), f, 0).rows()
     assert m.value == 0.0 and Flag.BELOW_LOD in m.flags
 
     # 1 ppm quantization against closed forms, ties away from zero
@@ -262,17 +262,17 @@ def test_criterion_5_sensor_physics():
     assert quantize(7.5, 1.0) == 8.0
     assert quantize(-7.5, 1.0) == -8.0
     f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(7.4)})
-    (m,) = sample(fixed_node({Quantity.CO}), f, 0)
+    (m,) = sample(fixed_node({Quantity.CO}), f, 0).rows()
     assert m.value == pytest.approx(co_ppm_to_mg_m3(7.0), rel=1e-12)
 
     # warm-up: gas readings flagged for the first 15 minutes, clean afterwards
     f = FieldModel(seed=1, baseline={Quantity.CO2: 451.1, Quantity.TEMPERATURE: 15.0})
     node = fixed_node({Quantity.CO2, Quantity.TEMPERATURE}, powered_since=0)
     for t in range(0, 900, 300):
-        by_q = {m.quantity: m for m in sample(node, f, t)}
+        by_q = {m.quantity: m for m in sample(node, f, t).rows()}
         assert Flag.WARMING_UP in by_q[Quantity.CO2].flags
         assert Flag.WARMING_UP not in by_q[Quantity.TEMPERATURE].flags
-    by_q = {m.quantity: m for m in sample(node, f, 900)}
+    by_q = {m.quantity: m for m in sample(node, f, 900).rows()}
     assert Flag.WARMING_UP not in by_q[Quantity.CO2].flags
     ok(5, "t90 step response, LoD clamp, 1 ppm quantization, 15 min warm-up verified")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -14,8 +15,9 @@ import pytest
 import yaml
 
 import citysense
-from citysense import domain, netsim, store
+from citysense import cli, domain, netsim, store
 from citysense.cli import main
+from citysense.scenario import load_scenario
 
 
 def digest_tree(root):
@@ -108,18 +110,18 @@ class TestSimulateStreaming:
         before = digest_tree(sim_dir)
         assert {"measurements-2015-04-19.txt", "measurements-2015-04-20.txt"} <= set(before)
         first_day = len((sim_dir / "measurements-2015-04-19.txt").read_text().splitlines())
-        real_serialize = store.serialize_measurement
-        serialized = []
+        real_format = store.format_tick
+        formatted = []  # the number of readings of each tick formatted
 
-        def failing_serialize(m):
-            serialized.append(m)
-            if len(serialized) == first_day + 1:
+        def failing_format(tick):
+            formatted.append(len(tick))
+            if sum(formatted) > first_day:  # the first tick of the second day file
                 raise OSError(28, "No space left on device")
-            return real_serialize(m)
+            return real_format(tick)
 
-        monkeypatch.setattr(store, "serialize_measurement", failing_serialize)
+        monkeypatch.setattr(store, "format_tick", failing_format)
         assert main(simulate + ["--seed", "8"]) == 2
-        assert len(serialized) == first_day + 1
+        assert sum(formatted[:-1]) == first_day
         assert digest_tree(sim_dir) == before
 
     def test_printed_counts_match_the_files(self, small_scenario_file, tmp_path, capsys):
@@ -604,10 +606,32 @@ class TestReadStepsBuildNoRows:
         def refuse(*args, **kwargs):
             raise AssertionError("a read step built a Measurement")
 
-        monkeypatch.setattr(store, "unchecked_measurement", refuse)
         monkeypatch.setattr(domain.Measurement, "__init__", refuse)
         for argv in (["indexes"], ["compare", "--mode", "paths"], ["compare", "--mode", "mobile-fixed"]):
             assert main([*argv, str(sim), "--out", str(tmp_path / argv[-1])]) == 0, argv
+
+
+class TestSimulateBuildsNoRows:
+    def test_no_measurement_is_built_from_sensor_chain_to_day_files(self, monkeypatch, tmp_path):
+        """``simulate`` hands node ticks from the sensor chain to the day
+        files; only the in-memory ``SimulationResult`` makes rows of them."""
+        cfg = load_scenario("pisa-default")
+        links = {kind: dataclasses.replace(link, loss_prob=0.2) for kind, link in cfg.links.items()}
+        cfg = dataclasses.replace(cfg, duration_s=7200, links=links)
+        built = []
+        real_init = domain.Measurement.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(type(self))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(domain.Measurement, "__init__", counted_init)
+        result, received = cli.simulate(cfg, tmp_path / "sim")
+        assert built == []
+        assert 0 < received < sum(t.emitted for t in result.tallies.values())
+        # the counters see the rows the in-memory run builds
+        assert len(netsim.run(cfg).server_measurements) == received
+        assert len(built) >= received
 
 
 def _failing_second(monkeypatch, prefix):
@@ -686,6 +710,26 @@ class TestWholeOutputSets:
         _assert_one_line_data_error(rc, err)
         assert err.startswith(f"data error: {day_file.name} line 2: record out of order: ")
         assert digest_tree(out) == before
+
+    @pytest.mark.parametrize(
+        "command", [["indexes"], ["compare", "--mode", "paths"], ["compare", "--mode", "mobile-fixed"]],
+        ids=["indexes", "compare-paths", "compare-mobile-fixed"],
+    )
+    @pytest.mark.parametrize("name", ["measurements-2015-04-21.txt", "measurements-notadate.txt"])
+    def test_a_day_file_under_another_name_is_data_error(
+        self, sim_dir, tmp_path, capsys, command, name
+    ):
+        day_file, _ = _first_day_file(sim_dir)
+        day_file.rename(sim_dir / name)
+        rc = main([*command, str(sim_dir), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        if name == "measurements-notadate.txt":
+            assert err == f"data error: {name}: not a day file name, measurements-YYYY-MM-DD.txt\n"
+        else:
+            assert err == (f"data error: {name} line 1: "
+                           "timestamp 2015-04-20T00:00:00Z is not on 2015-04-21\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["indexes"], ["compare", "--mode", "paths"]])
     def test_missing_data_directory_is_data_error_and_not_created(

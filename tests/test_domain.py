@@ -13,6 +13,7 @@ from citysense.domain import (
     Measurement,
     NodeDescriptor,
     NodeKind,
+    NodeTick,
     Quantity,
     ReportBatch,
     UNITS,
@@ -23,7 +24,7 @@ from citysense.domain import (
     haversine_distance,
     mean,
     parse_utc,
-    validate_measurement,
+    validate_value,
 )
 
 P = GeoPoint(43.716, 10.3966)
@@ -35,14 +36,13 @@ def meas(value=423.26, quantity=Quantity.CO2, **kw):
     return Measurement(**defaults)
 
 
-class TestValidateMeasurement:
+class TestValidateValue:
     def test_accepts_valid_co2_reading(self):
-        m = meas(423.26)
-        assert validate_measurement(m) is m
+        assert validate_value(Quantity.CO2, 423.26) == 423.26
 
     def test_rejects_negative_concentration(self):
         with pytest.raises(ValidationError) as e:
-            validate_measurement(meas(-1.0, Quantity.PM25))
+            validate_value(Quantity.PM25, -1.0)
         assert e.value.field_name == "value"
         assert e.value.reason == "pm25 -1.0 outside [0, inf]"
 
@@ -53,20 +53,20 @@ class TestValidateMeasurement:
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
-            validate_measurement(meas(math.nan))
+            validate_value(Quantity.CO2, math.nan)
 
     def test_negative_temperature_is_fine(self):
-        validate_measurement(meas(-5.0, Quantity.TEMPERATURE))
+        validate_value(Quantity.TEMPERATURE, -5.0)
 
     @pytest.mark.parametrize("value", [100.5, -0.5, math.inf])
     def test_rejects_relative_humidity_outside_0_to_100(self, value):
         with pytest.raises(ValidationError) as e:
-            validate_measurement(meas(value, Quantity.RELATIVE_HUMIDITY))
+            validate_value(Quantity.RELATIVE_HUMIDITY, value)
         assert e.value.field_name == "value"
 
     @pytest.mark.parametrize("value", [0.0, 55.0, 100.0])
     def test_accepts_relative_humidity_within_0_to_100(self, value):
-        validate_measurement(meas(value, Quantity.RELATIVE_HUMIDITY))
+        validate_value(Quantity.RELATIVE_HUMIDITY, value)
 
 
 class TestHaversine:
@@ -111,8 +111,8 @@ class TestUnits:
             low, high = VALUE_RANGE[q]
             assert low <= 0.0 <= high and low in (0.0, -math.inf)
 
-    def test_measurement_reports_its_unit(self):
-        assert meas(quantity=Quantity.CO).unit == "mg/m3"
+    def test_co_is_stored_in_mg_per_m3(self):
+        assert UNITS[Quantity.CO] == "mg/m3"
 
 
 class TestCoConversion:
@@ -182,16 +182,36 @@ class TestFrozenValues:
         assert a != meas(value=1.0) and GeoPoint(43.716, 10.0) != P
 
 
+def tick(timestamp, node_id="T1"):
+    """A two-reading tick of ``node_id`` at ``timestamp``."""
+    return NodeTick(node_id, timestamp, P, (Quantity.CO2, Quantity.O3), [423.26, 51.3],
+                    [frozenset(), frozenset({domain.Flag.QUANTIZED})])
+
+
+class TestNodeTick:
+    def test_rows_are_its_readings_in_column_order(self):
+        t = tick(1000)
+        assert len(t) == 2
+        assert t.rows() == [
+            meas(timestamp=1000),
+            meas(51.3, Quantity.O3, timestamp=1000, flags=frozenset({domain.Flag.QUANTIZED})),
+        ]
+        assert all(type(m) is Measurement and m.position is P for m in t.rows())
+
+    def test_an_empty_tick_is_false(self):
+        assert not NodeTick("T1", 0, P, (), [], [])
+
+
 class TestReportBatch:
     def test_rejects_future_timestamps(self):
-        m = meas(timestamp=1000)
         with pytest.raises(ValidationError):
-            ReportBatch("C0", 999, (m,))
+            ReportBatch("C0", 999, (tick(1000, "T0"), tick(1000)))
 
     def test_accepts_boundary(self):
-        m = meas(timestamp=1000)
-        batch = ReportBatch("C0", 1000, (m,))
-        assert batch.measurements == (m,)
+        ticks = (tick(700), tick(1000))
+        batch = ReportBatch("C0", 1000, ticks)
+        assert batch.ticks == ticks
+        assert batch.measurements == tuple(ticks[0].rows() + ticks[1].rows())
 
 
 def _epoch(text):

@@ -300,9 +300,9 @@ class TestPathPosition:
         p = Path("L", vertices)
         positions = [path_position(p, 4.0, t) for t in range(0, 3600, 300)]
         assert len(calls) == 3  # one per segment, at the first traversal
-        assert p.length() == sum(p.segment_lengths()) and len(calls) == 3
         # the positions the per-call recomputation gave
         lengths = [haversine_distance(a, b) for a, b in zip(vertices, vertices[1:])]
+        assert p.length() == sum(lengths) and len(calls) == 3  # the kept lengths
         expected = []
         for t in range(0, 3600, 300):
             s = (4.0 * t) % (2.0 * sum(lengths))

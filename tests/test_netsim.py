@@ -3,9 +3,11 @@ import heapq
 import itertools
 import math
 from datetime import datetime, timezone
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from citysense import cli, netsim
 from citysense.domain import (
@@ -16,6 +18,7 @@ from citysense.domain import (
     NodeKind,
     Quantity,
     Radio,
+    record_key,
 )
 from citysense.netsim import (
     DEFAULT_LINKS,
@@ -35,7 +38,8 @@ from citysense.domain import haversine_distance
 from citysense.field import DRAW_BLOCK, BlockDraws, loss_generator
 from citysense.nodes import sample
 from citysense.scenario import load_scenario, with_seed
-from citysense.store import DayFiles, OutputSet
+from citysense.store import DayFiles, OutputSet, serialize_measurement
+from tests.rows import one_reading_ticks
 
 P = GeoPoint(43.716, 10.3966)
 FAR = GeoPoint(43.76, 10.3966)  # ~4.9 km north of everything
@@ -67,7 +71,7 @@ def mobile_descriptor(node_id="M1"):
 def route(m, node, topo, rng):
     """Route ``m`` as ``run()`` does: the link chosen at its position. Returns
     its fate, the link's radio (None without a radio hop) and its arrival."""
-    fate = route_measurement(m, choose_link(node, m.position, topo), rng)
+    fate = route_measurement(choose_link(node, m.position, topo), rng)
     return fate, fate.link.kind if fate.link else None, fate.arrival(m.timestamp)
 
 
@@ -135,7 +139,7 @@ class TestRouteMeasurement:
         links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 0.5, 1.0)
         choice = choose_link(fixed_descriptor(), P, dataclasses.replace(TOPO, links=links))
         stream, scalar = loss_generator(4, "T1"), loss_generator(4, "T1")
-        fates = [route_measurement(meas(quantity=q), choice, stream) for q in Quantity]
+        fates = [route_measurement(choice, stream) for _ in Quantity]
         for fate in fates:
             if scalar.random() < 0.5:
                 assert fate is not choice and fate.link is choice.link
@@ -169,7 +173,7 @@ class TestLossStream:
             position = FAR if k % 3 == 0 else P
             choice = choose_link(mobile_descriptor(), position, topo)
             for q in (Quantity.CO2, Quantity.O3):
-                fate = route_measurement(meas("M1", position, q, 300 * k), choice, stream)
+                fate = route_measurement(choice, stream)
                 lost = False
                 if choice.link.loss_prob > 0.0:
                     lossy_readings += 1
@@ -181,7 +185,8 @@ class TestLossStream:
 
 class TestCoordinatorUplink:
     def _buffer(self, n_nodes=9, ticks=(0, 300, 600)):
-        return [meas(node_id=f"N{i}", timestamp=t) for i in range(n_nodes) for t in ticks]
+        return one_reading_ticks(
+            meas(node_id=f"N{i}", timestamp=t) for i in range(n_nodes) for t in ticks)
 
     def test_full_window_batches_everything(self):
         buf = self._buffer()
@@ -197,7 +202,7 @@ class TestCoordinatorUplink:
 
     def test_empty_batch_signalled_not_fatal(self):
         batch = coordinator_uplink("C0", 0, 900, [])
-        assert batch.measurements == ()
+        assert batch.measurements == batch.ticks == ()
         assert batch.uplink_time == 900
 
 
@@ -212,7 +217,7 @@ class TestRun:
         result = run(cfg)
         for q in GAS_QUANTITIES:
             delivered = sum(
-                t.delivered for (nid, tq), t in result.tallies.items() if tq is q
+                t.to_coordinator + t.to_server for (nid, tq), t in result.tallies.items() if tq is q
             )
             assert delivered == 108  # 9 nodes x 12 sampling slots
 
@@ -249,7 +254,7 @@ class TestRun:
         assert result.tallies, "expected traffic"
         lost_total = 0
         for tally in result.tallies.values():
-            assert tally.emitted == tally.delivered + tally.lost
+            assert tally.emitted == tally.to_coordinator + tally.to_server + tally.lost
             lost_total += tally.lost
         assert lost_total > 0
         assert sum(
@@ -264,15 +269,15 @@ class TestRun:
                 self.received = []
                 self.batches = 0
 
-            def tick(self, readings, fates, arrival_t):
-                assert len(readings) == len(fates) > 0
-                self.ticks.append((readings[0].node_id, readings[0].timestamp))
-                assert {(m.node_id, m.timestamp) for m in readings} == {self.ticks[-1]}
+            def tick(self, tick, fates, arrival_t):
+                assert len(tick) == len(fates) > 0
+                self.ticks.append((tick.node_id, tick.timestamp))
                 for fate in fates:
                     self.fates[fate.outcome] += 1
 
-            def arrivals(self, t, readings):
-                self.received.extend((t, m) for m in readings)
+            def arrivals(self, t, ticks):
+                assert all(ticks)  # a tick that lost every reading is not handed over
+                self.received.extend((t, m) for tick in ticks for m in tick.rows())
 
             def batch(self, batch):
                 self.batches += 1
@@ -468,7 +473,7 @@ def _old_uplink(coordinator_id, window_start, window_end, buffer):
 
     picked = [m for a, m in buffer if due(a, m)]
     buffer[:] = [(a, m) for a, m in buffer if not due(a, m)]
-    return coordinator_uplink(coordinator_id, window_start, window_end, picked)
+    return coordinator_uplink(coordinator_id, window_start, window_end, one_reading_ticks(picked))
 
 
 def _drop_stale(buffer, before, tallies):
@@ -520,10 +525,10 @@ def _event_queue_run(scenario):
         t, _, kind, payload = heapq.heappop(heap)
         if kind == "sample":
             node = by_id[payload]
-            readings = sample(node, scenario.field, t)
+            readings = sample(node, scenario.field, t).rows()
             choice = choose_link(node.descriptor, readings[0].position, topo)
             for m in readings:
-                fate = route_measurement(m, choice, rngs[payload])
+                fate = route_measurement(choice, rngs[payload])
                 link = fate.link
                 arrival_t = None
                 if fate.outcome is not DeliveryOutcome.LOST:
@@ -554,6 +559,11 @@ def _event_queue_run(scenario):
                 result.server_measurements.append((t, m))
     _drop_stale(buffer, math.inf, result.tallies)
     return result
+
+
+def _batch_rows(batches):
+    """Each batch's coordinator, uplink time and readings as rows."""
+    return [(b.coordinator_id, b.uplink_time, b.measurements) for b in batches]
 
 
 def _with_links(cfg, **changes):
@@ -619,7 +629,7 @@ class TestGridWalkOrder:
         got, expected = run(cfg), _event_queue_run(cfg)
         assert got.deliveries == expected.deliveries
         assert got.server_measurements == expected.server_measurements
-        assert got.batches == expected.batches
+        assert _batch_rows(got.batches) == _batch_rows(expected.batches)
         assert got.tallies == expected.tallies
         assert list(got.tallies) == list(expected.tallies)  # first-seen order
         assert got.server_measurements
@@ -660,9 +670,9 @@ class _WatermarkSink(RunSink):
         self.late: list[Measurement] = []  # stamped before a watermark already given
         self.received = 0
 
-    def arrivals(self, t, readings):
-        self.received += len(readings)
-        self.late += [m for m in readings
+    def arrivals(self, t, ticks):
+        self.received += sum(map(len, ticks))
+        self.late += [m for tick in ticks for m in tick.rows()
                       if self.watermarks and m.timestamp < self.watermarks[-1]]
 
     def watermark(self, t):
@@ -690,10 +700,57 @@ class TestStreamedDayFiles:
         server_measurements = run(cfg).server_measurements
         with OutputSet(tmp_path / "one-shot", "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                days.add([m for _, m in server_measurements])
+                days.add(one_reading_ticks(m for _, m in server_measurements))
         one_shot = sorted((tmp_path / "one-shot").iterdir())
         streamed = sorted((tmp_path / "streamed").glob("measurements-*.txt"))
         assert [p.name for p in streamed] == [p.name for p in one_shot]
         assert len(streamed) == (2 if make in (_start_before_1970, _window_across_midnight) else 1)
         assert [p.read_bytes() for p in streamed] == [p.read_bytes() for p in one_shot]
         assert received == len(server_measurements) > 0
+
+
+def _two_lossy_districts():
+    """``pisa-default`` tiled into two districts 2.4 km apart, one
+    coordinator, 10 % loss on every link, for two hours: mobile nodes of
+    both districts fall back to the wide area, and ticks lose readings."""
+    from citysense.scenario import parse_scenario
+
+    doc = yaml.safe_load(
+        resources.files("citysense").joinpath("data/pisa-default.yaml").read_text())
+    doc["duration_s"] = 7200
+    for link in doc["links"].values():
+        link["loss_prob"] = 0.1
+    nodes = [n for n in doc["nodes"] if n["kind"] == "coordinator"]
+    paths = {}
+    for k, dlon in enumerate((0.0, 0.03)):
+        for name, vertices in doc["paths"].items():
+            paths[f"{name}-d{k}"] = [[lat, lon + dlon] for lat, lon in vertices]
+        for n in doc["nodes"]:
+            if n["kind"] == "coordinator":
+                continue
+            n = dict(n, id=f"{n['id']}-d{k}")
+            if n["kind"] == "mobile":
+                n["route"] = f"{n['route']}-d{k}"
+            else:
+                n["lon"] += dlon
+            nodes.append(n)
+    doc["paths"].update(paths)
+    doc["nodes"] = nodes
+    return parse_scenario(doc)
+
+
+def test_day_files_are_the_serialized_server_records_in_record_order(tmp_path):
+    # The CLI writes node ticks; the reference serializes each record that
+    # the in-memory run hands the server, one line per record.
+    cfg = _two_lossy_districts()
+    _, received = cli.simulate(cfg, tmp_path)
+    records = sorted((m for _, m in run(cfg).server_measurements), key=record_key)
+    by_day = {}
+    for m in records:
+        by_day.setdefault(f"measurements-{_stamp(m.timestamp)[:10]}.txt", []).append(
+            f"{serialize_measurement(m)}\n")
+    written = {p.name: p.read_text() for p in sorted(tmp_path.glob("measurements-*.txt"))}
+    assert written == {name: "".join(lines) for name, lines in by_day.items()}
+    assert received == len(records)
+    log = (tmp_path / "delivery-log.txt").read_text()
+    assert ",lost," in log and ",wide_area," in log and "-d1," in log

@@ -134,7 +134,7 @@ class TestSample:
     def test_warmup_flags_gas_only(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0, Quantity.TEMPERATURE: 15.0})
         node = fixed_node({Quantity.CO2, Quantity.TEMPERATURE}, powered_since=0)
-        by_q = {m.quantity: m for m in sample(node, f, 300)}
+        by_q = {m.quantity: m for m in sample(node, f, 300).rows()}
         assert Flag.WARMING_UP in by_q[Quantity.CO2].flags
         assert Flag.WARMING_UP not in by_q[Quantity.TEMPERATURE].flags
 
@@ -142,16 +142,16 @@ class TestSample:
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
         node = fixed_node({Quantity.CO2}, powered_since=0)
         for t in (0, 300, 600):
-            (m,) = sample(node, f, t)
+            (m,) = sample(node, f, t).rows()
             assert Flag.WARMING_UP in m.flags
-        (m,) = sample(node, f, 900)
+        (m,) = sample(node, f, 900).rows()
         assert Flag.WARMING_UP not in m.flags
 
     def test_below_lod_clamps_to_zero(self):
         # true CO 3 ppm against a 5 ppm detection limit (stored in mg/m3)
         f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(3.0)})
         node = fixed_node({Quantity.CO})
-        (m,) = sample(node, f, 0)
+        (m,) = sample(node, f, 0).rows()
         assert Flag.BELOW_LOD in m.flags
         assert m.value == 0.0
 
@@ -161,14 +161,14 @@ class TestSample:
         node = fixed_node({Quantity.RELATIVE_HUMIDITY},
                           bias_add={Quantity.RELATIVE_HUMIDITY: bias_add})
         for t in (0, 300):
-            (m,) = sample(node, f, t)
+            (m,) = sample(node, f, t).rows()
             assert m.value == expected
         assert node.last_filtered[Quantity.RELATIVE_HUMIDITY] == 99.5 + bias_add
 
     def test_above_lod_quantized_to_1ppm(self):
         f = FieldModel(seed=1, baseline={Quantity.HC: 7.4})
         node = fixed_node({Quantity.HC})
-        (m,) = sample(node, f, 0)
+        (m,) = sample(node, f, 0).rows()
         assert m.value == 7.0
         assert Flag.QUANTIZED in m.flags
         assert Flag.BELOW_LOD not in m.flags
@@ -178,7 +178,7 @@ class TestSample:
         node = fixed_node({Quantity.TEMPERATURE})
         trace = {}
         for t in range(0, 1200, 90):  # sample every t90 seconds
-            (m,) = sample(node, field, t)
+            (m,) = sample(node, field, t).rows()
             trace[t] = m.value
         assert trace[0] == 0.0
         # first grid point >= 5*t90 after the step: residual ~1e-5, well within 1%
@@ -189,7 +189,7 @@ class TestSample:
         node = fixed_node({Quantity.TEMPERATURE})
         values = {}
         for t in range(0, 361, 90):
-            (m,) = sample(node, field, t)
+            (m,) = sample(node, field, t).rows()
             values[t] = m.value
         assert values[90] == pytest.approx(90.0, rel=1e-9)   # t90 after the step
         assert values[180] == pytest.approx(99.0, rel=1e-9)  # 2*t90 after
@@ -200,7 +200,7 @@ class TestSample:
         node = NodeState(descriptor=d, trajectory=(route, 4.0))
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
         for t in range(0, 3600, 300):
-            (m,) = sample(node, f, t)
+            (m,) = sample(node, f, t).rows()
             assert _distance_to_segment(m.position, route.vertices[0], route.vertices[1]) < 1.0
 
     def test_mobile_requires_trajectory(self):
@@ -213,26 +213,26 @@ class TestSample:
         runs = []
         for _ in range(2):
             node = fixed_node({Quantity.CO2}, sensors={Quantity.CO2: SensorSpec(Quantity.CO2, lod=0.0)})
-            runs.append([sample(node, f, t)[0].value for t in range(0, 3000, 300)])
+            runs.append([sample(node, f, t).values[0] for t in range(0, 3000, 300)])
         assert runs[0] == runs[1]
 
     def test_channel_table_is_built_once_at_first_sample(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0, Quantity.O3: 50.0})
         node = fixed_node({Quantity.O3, Quantity.CO2}, bias_add={Quantity.CO2: 5.0})
-        (co2, _) = sample(node, f, 0)
+        (co2, _) = sample(node, f, 0).rows()
         table = node.channel_table(f)
         assert [row.quantity for row in table] == [Quantity.CO2, Quantity.O3]
         assert table[0].bias_add == 5.0 and table[0].noise is None
         # biases are fixed after the first sample: a later edit is not seen
         node.bias_add[Quantity.CO2] = 100.0
-        (later, _) = sample(node, f, 300)
+        (later, _) = sample(node, f, 300).rows()
         assert node.channel_table(f) is table
         assert later.value == co2.value == 425.0
 
     def test_readings_share_interned_flag_sets(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 5.4, Quantity.HC: 2.0})
         node = fixed_node({Quantity.CO2, Quantity.HC})
-        readings = [m for t in range(0, 900, 300) for m in sample(node, f, t)]  # warm-up 900 s
+        readings = [m for t in range(0, 900, 300) for m in sample(node, f, t).rows()]  # warm-up 900 s
         assert {m.flags for m in readings} == {
             frozenset({Flag.WARMING_UP, Flag.BELOW_LOD})
         }
@@ -242,15 +242,29 @@ class TestSample:
         f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})
         suite = {Quantity.TEMPERATURE, Quantity.RELATIVE_HUMIDITY, Quantity.O3}
         node = fixed_node(suite)
-        ms = sample(node, f, 0)
+        ms = sample(node, f, 0).rows()
         assert [m.quantity for m in ms] == sorted(suite, key=lambda q: q.value)
+
+    def test_a_tick_holds_the_suite_as_columns_in_its_nodes_shared_order(self):
+        f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})
+        suite = {Quantity.TEMPERATURE, Quantity.RELATIVE_HUMIDITY, Quantity.O3}
+        node = fixed_node(suite)
+        first, second = sample(node, f, 0), sample(node, f, 300)
+        assert first.quantities == tuple(sorted(suite, key=lambda q: q.value))
+        assert second.quantities is first.quantities  # one tuple per node
+        assert len(first) == len(first.values) == len(first.flags) == 3
+        assert (first.node_id, first.timestamp, first.position) == ("T1", 0, P)
+        assert first.rows() == [
+            Measurement("T1", 0, P, q, v, fl)
+            for q, v, fl in zip(first.quantities, first.values, first.flags)
+        ]
 
 
     def test_readings_equal_checked_measurements(self):
         f = FieldModel(seed=3, baseline={q: 10.0 for q in Quantity},
                        noise_sigma={Quantity.CO2: 2.0, Quantity.O3: 1.0})
         node = fixed_node({Quantity.CO2, Quantity.O3, Quantity.RELATIVE_HUMIDITY})
-        for m in sample(node, f, 0):
+        for m in sample(node, f, 0).rows():
             assert type(m) is Measurement
             assert m == Measurement(m.node_id, m.timestamp, m.position, m.quantity, m.value, m.flags)
 

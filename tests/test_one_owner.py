@@ -18,17 +18,19 @@ from citysense.domain import (
     Measurement,
     NodeDescriptor,
     NodeKind,
+    NodeTick,
     Quantity,
     VALUE_RANGE,
     ValidationError,
     format_utc,
     record_key,
-    validate_measurement,
+    validate_value,
 )
 from citysense.field import FieldModel
 from citysense.netsim import coordinator_uplink
 from citysense.nodes import NodeState, sample
 from citysense.store import DayFiles, MeasurementStore, OutputSet, channels_from, parse_measurement
+from tests.rows import one_reading_ticks
 
 P = GeoPoint(43.716, 10.3966)
 T0 = 1_429_488_000  # 2015-04-20T00:00:00Z
@@ -62,8 +64,8 @@ class TestEveryLayerUsesValueRange:
         low, high = VALUE_RANGE[q]
         f = FieldModel(seed=1, baseline={q: 0.0})
         for far, bound in ((-FAR, low), (FAR, high)):
-            (m,) = sample(_static_node(q, bias_add={q: far}), f, T0)
-            assert validate_measurement(m) is m
+            (m,) = sample(_static_node(q, bias_add={q: far}), f, T0).rows()
+            assert validate_value(q, m.value) == m.value
             assert m.value == pytest.approx(_expected(bound, far), rel=1e-5)
             if math.isfinite(bound):
                 assert m.value == bound
@@ -72,26 +74,27 @@ class TestEveryLayerUsesValueRange:
         for bound, outward in zip(VALUE_RANGE[q], (-math.inf, math.inf)):
             if not math.isfinite(bound):
                 continue
-            validate_measurement(Measurement("N1", T0, P, q, bound))
+            validate_value(q, bound)
             past = math.nextafter(bound, outward)
             with pytest.raises(ValidationError) as e:
-                validate_measurement(Measurement("N1", T0, P, q, past))
+                validate_value(q, past)
             low, high = VALUE_RANGE[q]
             assert e.value.reason == f"{q.value} {past} outside [{low:g}, {high:g}]"
 
 
 def test_batches_and_day_files_share_the_record_order(tmp_path):
-    readings = [
-        Measurement(node, T0 + t, P, q, 1.0)
+    quantities = (Quantity.CO, Quantity.CO2, Quantity.O3, Quantity.TEMPERATURE)  # code order
+    ticks = [
+        NodeTick(node, T0 + t, P, quantities, [1.0] * 4, [frozenset()] * 4)
         for node in ("F5", "M1", "T1", "T10", "T2")
         for t in (0, 300, 600)
-        for q in (Quantity.O3, Quantity.CO, Quantity.CO2, Quantity.TEMPERATURE)
     ]
-    random.Random(7).shuffle(readings)
-    batch = coordinator_uplink("C0", T0, T0 + 900, readings)
+    random.Random(7).shuffle(ticks)
+    batch = coordinator_uplink("C0", T0, T0 + 900, ticks)
+    readings = [m for tick in ticks for m in tick.rows()]
     with OutputSet(tmp_path, "measurements-*.txt") as files:
         with DayFiles(files) as days:
-            days.add(readings)
+            days.add(ticks)
     lines = (tmp_path / "measurements-2015-04-20.txt").read_text().splitlines()
     assert [parse_measurement(line) for line in lines] == list(batch.measurements)
     assert list(batch.measurements) == sorted(readings, key=record_key) != readings
@@ -121,7 +124,7 @@ def test_the_loader_follows_the_record_order(tmp_path_factory, readings, data):
     root = tmp_path_factory.mktemp("days")
     with OutputSet(root, "measurements-*.txt") as files:
         with DayFiles(files) as days:
-            days.add(readings)
+            days.add(one_reading_ticks(readings))
     assert MeasurementStore(root).channels == channels_from(readings)
 
     # Swap two adjacent lines of one day file: the later one is refused.

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from citysense.domain import (
     Flag,
     GeoPoint,
     Measurement,
+    NodeTick,
     Quantity,
     ValidationError,
     record_key,
@@ -19,9 +22,11 @@ from citysense.store import (
     MeasurementStore,
     OutputSet,
     StorageError,
+    format_tick,
     parse_measurement,
     serialize_measurement,
 )
+from tests.rows import one_reading_ticks, store_rows
 
 P = GeoPoint(43.716, 10.3966)
 T0 = 1_429_488_000  # 2015-04-20T00:00:00Z
@@ -32,10 +37,11 @@ def meas(node="T1", t=T0, quantity=Quantity.CO2, value=451.0, position=P, flags=
 
 
 def save(root, records):
-    """Write ``records`` as the day files of ``root``, as ``simulate`` does."""
+    """Write ``records`` as the day files of ``root``, as ``simulate`` does,
+    each as a tick of its own."""
     with OutputSet(root, "measurements-*.txt") as files:
         with DayFiles(files) as days:
-            days.add(records)
+            days.add(one_reading_ticks(records))
 
 
 def snapshot(root):
@@ -71,6 +77,13 @@ class TestRecordFormat:
         m = meas(flags=frozenset({Flag.QUANTIZED}))
         line = serialize_measurement(m)
         assert line == "2015-04-20T00:00:00Z,T1,43.716,10.3966,co2,451.0,ppmV,quantized"
+
+    def test_a_tick_gives_one_line_per_reading_with_one_prefix(self):
+        t = NodeTick("T1", T0, P, (Quantity.CO, Quantity.CO2), [2.5, 451.0],
+                     [frozenset(), frozenset({Flag.QUANTIZED})])
+        assert format_tick(t) == (
+            "2015-04-20T00:00:00Z,T1,43.716,10.3966,co,2.5,mg/m3,\n"
+            "2015-04-20T00:00:00Z,T1,43.716,10.3966,co2,451.0,ppmV,quantized\n")
 
     def test_flags_are_sorted_and_semicolon_joined(self):
         m = meas(flags=frozenset({Flag.QUANTIZED, Flag.BELOW_LOD}))
@@ -189,6 +202,12 @@ class TestRecordFormat:
             MeasurementStore(tmp_path)
 
 
+def tick(node, t, quantities, values=None, position=P):
+    """A tick of ``node`` at ``t`` holding ``quantities``, with clean flags."""
+    values = values or [451.0] * len(quantities)
+    return NodeTick(node, t, position, quantities, values, [frozenset()] * len(quantities))
+
+
 def batch_of(n, t0=T0):
     return [meas(node=f"N{i % 9}", t=t0 + 300 * (i // 9)) for i in range(n)]
 
@@ -200,7 +219,7 @@ class TestWriteMeasurements:
             key=lambda m: (m.timestamp, m.node_id, m.quantity.value),
         )
         save(tmp_path, original)
-        assert MeasurementStore(tmp_path).all() == original
+        assert store_rows(MeasurementStore(tmp_path)) == original
 
     def test_day_partitioning_and_in_file_order(self, tmp_path):
         day = 86400
@@ -222,12 +241,12 @@ class TestWriteMeasurements:
         save(tmp_path / "a", ms)
         save(tmp_path / "b", list(reversed(ms)))
         assert snapshot(tmp_path / "a") == snapshot(tmp_path / "b")
-        assert MeasurementStore(tmp_path / "a").all() == MeasurementStore(tmp_path / "b").all() == ms
+        assert store_rows(MeasurementStore(tmp_path / "a")) == store_rows(MeasurementStore(tmp_path / "b")) == ms
 
     def test_two_day_files_load_in_order(self, tmp_path):
         records = batch_of(27) + [meas(node="A0", t=T0 + 86400)]
         save(tmp_path, list(reversed(records)))
-        assert MeasurementStore(tmp_path).all() == sorted(records, key=record_key) == records
+        assert store_rows(MeasurementStore(tmp_path)) == sorted(records, key=record_key) == records
 
     def test_no_records_write_no_day_file(self, tmp_path):
         save(tmp_path, [])
@@ -236,7 +255,7 @@ class TestWriteMeasurements:
     def test_loaded_records_share_repeated_field_values(self, tmp_path):
         flags = frozenset({Flag.QUANTIZED})
         save(tmp_path, [meas(node=f"N{i}", t=T0 + 300 * (i % 2), flags=flags) for i in range(6)])
-        loaded = MeasurementStore(tmp_path).all()
+        loaded = store_rows(MeasurementStore(tmp_path))
         assert len(loaded) == 6
         assert len({id(m.position) for m in loaded}) == 1
         assert len({id(m.flags) for m in loaded}) == 1
@@ -274,7 +293,7 @@ class TestWriteMeasurements:
     def test_a_new_set_replaces_the_old_days(self, tmp_path):
         save(tmp_path, batch_of(27))
         save(tmp_path, [meas()])
-        assert MeasurementStore(tmp_path).all() == [meas()]
+        assert store_rows(MeasurementStore(tmp_path)) == [meas()]
 
     def test_old_days_are_deleted_only_when_the_set_ends(self, tmp_path):
         save(tmp_path, [meas(t=T0 - 300), meas(t=T0)])
@@ -282,22 +301,22 @@ class TestWriteMeasurements:
         assert old == ["measurements-2015-04-19.txt", "measurements-2015-04-20.txt"]
         with OutputSet(tmp_path, "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                days.add([meas(t=T0 + 300, value=452.0)])
+                days.add(one_reading_ticks([meas(t=T0 + 300, value=452.0)]))
             assert sorted(p.name for p in tmp_path.iterdir() if p.name in old) == old
         assert [p.name for p in tmp_path.iterdir()] == ["measurements-2015-04-20.txt"]
-        assert MeasurementStore(tmp_path).all() == [meas(t=T0 + 300, value=452.0)]
+        assert store_rows(MeasurementStore(tmp_path)) == [meas(t=T0 + 300, value=452.0)]
 
     def test_failure_in_a_later_day_keeps_every_old_day(self, tmp_path, monkeypatch):
         save(tmp_path, [meas(t=T0 - 300), meas(t=T0)])
         before = snapshot(tmp_path)
-        real_serialize = store_module.serialize_measurement
+        real_format = store_module.format_tick
 
-        def failing_serialize(m):
-            if m.timestamp >= T0:  # the second day file
+        def failing_format(tick):
+            if tick.timestamp >= T0:  # the second day file
                 raise OSError(28, "No space left on device")
-            return real_serialize(m)
+            return real_format(tick)
 
-        monkeypatch.setattr(store_module, "serialize_measurement", failing_serialize)
+        monkeypatch.setattr(store_module, "format_tick", failing_format)
         with pytest.raises(StorageError, match="No space left"):
             save(tmp_path, [meas(t=T0 - 600), meas(t=T0 + 600)])
         assert snapshot(tmp_path) == before
@@ -306,18 +325,18 @@ class TestWriteMeasurements:
 class TestDayFiles:
     def test_streams_each_watermark_into_its_day_file(self, tmp_path, monkeypatch):
         written = []
-        real_serialize = store_module.serialize_measurement
+        real_format = store_module.format_tick
 
-        def spy(m):
-            written.append(m)
-            return real_serialize(m)
+        def spy(tick):
+            written.extend(tick.rows())
+            return real_format(tick)
 
-        monkeypatch.setattr(store_module, "serialize_measurement", spy)
+        monkeypatch.setattr(store_module, "format_tick", spy)
         late, early, next_day = meas(node="B", t=T0 - 300), meas(node="A", t=T0 - 300), meas(t=T0)
         with OutputSet(tmp_path, "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                days.add([next_day, late])
-                days.add([early])
+                days.add(one_reading_ticks([next_day, late]))
+                days.add(one_reading_ticks([early]))
                 days.write_before(T0 - 300)
                 assert written == []
                 days.write_before(T0)  # one window's records, in record order
@@ -326,13 +345,13 @@ class TestDayFiles:
             assert written == [early, late, next_day]  # the block's end writes the rest
             assert files.paths == [tmp_path / "measurements-2015-04-19.txt",
                                    tmp_path / "measurements-2015-04-20.txt"]
-        assert MeasurementStore(tmp_path).all() == [early, late, next_day]
+        assert store_rows(MeasurementStore(tmp_path)) == [early, late, next_day]
 
     def test_one_window_across_midnight_splits_at_midnight(self, tmp_path):
         records = [meas(t=T0 + dt) for dt in (-300, 0, 300)]
         with OutputSet(tmp_path, "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                days.add(records[::-1])
+                days.add(one_reading_ticks(records[::-1]))
                 days.write_before(T0 + 600)
         assert snapshot(tmp_path) == {
             "measurements-2015-04-19.txt": f"{serialize_measurement(records[0])}\n".encode(),
@@ -346,20 +365,21 @@ class TestDayFiles:
         save(tmp_path, [meas(t=T0 - 300)])
         before = snapshot(tmp_path)
         written = []
-        real_serialize = store_module.serialize_measurement
+        real_format = store_module.format_tick
 
-        def spy(m):
-            written.append(m)
-            return real_serialize(m)
+        def spy(tick):
+            written.extend(tick.rows())
+            return real_format(tick)
 
-        monkeypatch.setattr(store_module, "serialize_measurement", spy)
+        monkeypatch.setattr(store_module, "format_tick", spy)
         with pytest.raises(ValueError, match="^record out of order: T1 co2 at 2015-04-20T00:05:00Z$"):
             with OutputSet(tmp_path, "measurements-*.txt") as files:
                 with DayFiles(files) as days:
-                    days.add([meas(t=T0 + 600)])
+                    days.add(one_reading_ticks([meas(t=T0 + 600)]))
                     days.write_before(T0 + 900)
-                    days.add([meas(t=T0 + 300)])  # stamped before the last watermark
-                    days.add([meas(t=T0 + 1200)])
+                    # stamped before the last watermark
+                    days.add(one_reading_ticks([meas(t=T0 + 300)]))
+                    days.add(one_reading_ticks([meas(t=T0 + 1200)]))
         assert [m.timestamp for m in written] == [T0 + 600]
         assert snapshot(tmp_path) == before  # byte-identical, and no temporary
 
@@ -367,33 +387,91 @@ class TestDayFiles:
         with pytest.raises(ValueError, match="^duplicate record: T1 co2 at 2015-04-20T00:00:00Z$"):
             with OutputSet(tmp_path, "measurements-*.txt") as files:
                 with DayFiles(files) as days:
-                    days.add([meas()])
+                    days.add(one_reading_ticks([meas()]))
                     days.write_before(T0 + 300)
-                    days.add([meas(value=452.0)])
+                    days.add(one_reading_ticks([meas(value=452.0)]))
         assert list(tmp_path.iterdir()) == []
 
 
     def test_a_batch_is_written_as_its_readings_and_each_one_is_checked(self, tmp_path):
-        readings = [meas(node=n, t=T0 + dt, quantity=q) for dt in (600, 0, 300)
-                    for n in ("T2", "T1") for q in (Quantity.O3, Quantity.CO)]
-        batch = coordinator_uplink("C0", T0, T0 + 900, readings)
-        save(tmp_path / "unsorted", readings)
+        ticks = [tick(n, T0 + dt, (Quantity.CO, Quantity.O3)) for dt in (600, 0, 300)
+                 for n in ("T2", "T1")]
+        batch = coordinator_uplink("C0", T0, T0 + 900, ticks)
+        save(tmp_path / "unsorted", [m for t in ticks for m in t.rows()][::-1])
         with OutputSet(tmp_path / "batch", "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                days.add(batch.measurements)
+                days.add(batch.ticks)
+                assert days.written == 0
+            assert days.written == 12  # readings, not ticks
         assert snapshot(tmp_path / "batch") == snapshot(tmp_path / "unsorted")
-        bad = dataclasses.replace(batch.measurements[-1], node_id="T 1")
+        bad = dataclasses.replace(batch.ticks[-1], node_id="T 1")
         with pytest.raises(ValidationError, match="node_id"):
             with OutputSet(tmp_path / "bad", "measurements-*.txt") as files:
                 with DayFiles(files) as days:
-                    days.add(batch.measurements[:-1] + (bad,))
+                    days.add(batch.ticks[:-1] + (bad,))
 
     def test_a_duplicate_inside_one_group_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="^duplicate record: T1 co2 at 2015-04-20T00:00:00Z$"):
             with OutputSet(tmp_path, "measurements-*.txt") as files:
                 with DayFiles(files) as days:
-                    days.add([meas(), meas(node="T2"), meas(value=452.0)])
+                    days.add(one_reading_ticks([meas(), meas(node="T2"), meas(value=452.0)]))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("quantities, message", [
+        ((Quantity.CO, Quantity.CO2, Quantity.CO2), "duplicate record: T1 co2"),
+        ((Quantity.CO2, Quantity.O3, Quantity.CO), "record out of order: T1 co"),
+    ])
+    def test_a_tick_out_of_code_order_is_refused_naming_the_triple(
+        self, tmp_path, quantities, message
+    ):
+        with pytest.raises(ValueError, match=f"^{message} at 2015-04-20T00:00:00Z$"):
+            with OutputSet(tmp_path, "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add([tick("T0", T0, (Quantity.CO2,)), tick("T1", T0, quantities)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_two_ticks_of_one_node_and_stamp_are_written_merged(self, tmp_path):
+        # their codes interleave: co, co2, o3, temperature
+        first = tick("T1", T0, (Quantity.CO, Quantity.O3), values=[1.0, 3.0])
+        second = tick("T1", T0, (Quantity.CO2, Quantity.TEMPERATURE), values=[2.0, 4.0])
+        with OutputSet(tmp_path, "measurements-*.txt") as files:
+            with DayFiles(files) as days:
+                days.add([tick("T2", T0, (Quantity.CO,)), second, tick("T0", T0 + 300, (Quantity.CO,))])
+                days.add([first])
+        lines = (tmp_path / "measurements-2015-04-20.txt").read_text().splitlines()
+        rows = [parse_measurement(line) for line in lines]
+        assert [(m.node_id, m.quantity.value, m.value) for m in rows[:4]] == [
+            ("T1", "co", 1.0), ("T1", "co2", 2.0), ("T1", "o3", 3.0), ("T1", "temperature", 4.0)]
+        assert [m.node_id for m in rows[4:]] == ["T2", "T0"]
+        assert rows == sorted(rows, key=record_key)
+
+    @pytest.mark.parametrize("q, value, reason", [
+        (Quantity.TEMPERATURE, math.inf, "not finite: inf"),
+        (Quantity.TEMPERATURE, -math.inf, "not finite: -inf"),
+        (Quantity.O3, math.nan, "not finite: nan"),
+        (Quantity.O3, -0.5, "o3 -0.5 outside [0, inf]"),
+    ])
+    def test_each_value_of_a_tick_is_checked_as_validate_value_does(
+        self, tmp_path, q, value, reason
+    ):
+        values = {Quantity.CO2: 451.0, Quantity.O3: 51.0, Quantity.TEMPERATURE: 15.0}
+        values[q] = value
+        quantities = tuple(values)  # in code order
+        with pytest.raises(ValidationError, match=f"^value: {re.escape(reason)}$"):
+            with OutputSet(tmp_path, "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add([tick("T1", T0, quantities, values=list(values.values()))])
+        # the largest finite values pass
+        top = sys.float_info.max
+        save(tmp_path, [meas(quantity=Quantity.TEMPERATURE, value=-top),
+                        meas(t=T0 + 300, quantity=Quantity.TEMPERATURE, value=top)])
+        assert len(MeasurementStore(tmp_path)) == 2
+
+    def test_a_tick_stamp_must_be_integer_seconds(self, tmp_path):
+        with pytest.raises(ValidationError, match="^timestamp: must be integer seconds UTC$"):
+            with OutputSet(tmp_path, "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add([tick("T1", T0 + 0.5, (Quantity.CO2,))])
 
 
 def _day_file_lines(root):
@@ -440,7 +518,7 @@ class TestLoadLines:
 
     def test_missing_directory_holds_no_records_and_is_not_created(self, tmp_path):
         store = MeasurementStore(tmp_path / "missing")
-        assert len(store) == 0 and store.all() == []
+        assert len(store) == 0 and store.channels == {}
         assert not (tmp_path / "missing").exists()
 
 
@@ -453,12 +531,6 @@ class TestLoadOrder:
         message = f"{day_file.name} line 5: record out of order: N4 co2 at 2015-04-20T00:00:00Z"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MeasurementStore(tmp_path)
-
-    def test_all_returns_a_copy(self, tmp_path):
-        save(tmp_path, batch_of(9))
-        store = MeasurementStore(tmp_path)
-        store.all().clear()
-        assert len(store.all()) == 9
 
     def test_duplicate_line_is_rejected_with_its_line(self, tmp_path):
         save(tmp_path, batch_of(27))
@@ -482,6 +554,47 @@ class TestLoadOrder:
         (tmp_path / "measurements-2015-04-21.txt").write_text(lines[-1] + "\n")
         with pytest.raises(ValueError, match="measurements-2015-04-21.txt line 1: duplicate"):
             MeasurementStore(tmp_path)
+
+
+class TestEachFileHoldsItsOwnDay:
+    def test_a_file_renamed_to_another_day_is_refused_at_its_first_line(self, tmp_path):
+        save(tmp_path, [meas(t=T0 + 86400), meas(node="T2", t=T0 + 86400)])
+        (tmp_path / "measurements-2015-04-21.txt").rename(tmp_path / "measurements-2015-04-20.txt")
+        message = ("measurements-2015-04-20.txt line 1: "
+                   "timestamp 2015-04-21T00:00:00Z is not on 2015-04-20")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementStore(tmp_path)
+
+    @pytest.mark.parametrize("name", [
+        "measurements-notadate.txt", "measurements-2015-02-30.txt", "measurements-2015-4-20.txt",
+        "measurements-2015-04-20.txt.txt", "measurements-\u0662015-04-20.txt",
+    ])
+    def test_a_file_not_named_for_a_day_is_refused(self, tmp_path, name):
+        save(tmp_path, batch_of(3))
+        (tmp_path / "measurements-2015-04-20.txt").rename(tmp_path / name)
+        message = f"{name}: not a day file name, measurements-YYYY-MM-DD.txt"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementStore(tmp_path)
+
+    def test_the_last_stamp_of_a_day_copied_into_the_next_days_file_is_refused(self, tmp_path):
+        # The copy heads the next file under a higher node id, so the order
+        # check passes it, and the parser has already read its stamp text.
+        last = T0 + 86400 - 300
+        save(tmp_path, [meas(node="A", t=last), meas(node="B", t=T0 + 86400)])
+        day, next_day = (tmp_path / f"measurements-2015-04-2{d}.txt" for d in (0, 1))
+        copy = day.read_text().replace(",A,", ",Z,")
+        next_day.write_text(copy + next_day.read_text())
+        message = ("measurements-2015-04-21.txt line 1: "
+                   "timestamp 2015-04-20T23:55:00Z is not on 2015-04-21")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementStore(tmp_path)
+
+    def test_files_before_1970_load(self, tmp_path):
+        records = [meas(t=-300), meas(t=0)]
+        save(tmp_path, records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "measurements-1969-12-31.txt", "measurements-1970-01-01.txt"]
+        assert store_rows(MeasurementStore(tmp_path)) == records
 
 
 def write_set(root, files, stale_glob="*.dat"):

@@ -30,10 +30,11 @@ node = NodeState(
         "demo", NodeKind.FIXED, frozenset({Quantity.CO2}),
         home_position=P,
     ),
+    field=field,
     powered_since=0,
 )
 for t in range(0, 1500, 300):
-    (m,) = sample(node, field, t).rows()
+    (m,) = sample(node, t).rows()
     flags = ",".join(sorted(f.value for f in m.flags)) or "-"
     print(f"  t={t:4d}s  value={m.value:6.1f} ppmV  flags: {flags}")
 
@@ -44,6 +45,7 @@ node = NodeState(
         "demo2", NodeKind.FIXED, frozenset({Quantity.CO}),
         home_position=P,
     ),
+    field=field,
 )
-(m,) = sample(node, field, 0).rows()
+(m,) = sample(node, 0).rows()
 print(f"  value={m.value} mg/m3, flagged below_lod={Flag.BELOW_LOD in m.flags}")

@@ -150,10 +150,10 @@ def mobile_fixed_populations(
     channels: Channels,
     nodes: Mapping[str, NodeRow],
     radius_m: float = DEFAULT_ASSOCIATION_RADIUS_M,
-) -> tuple[Channels, Channels, Association, Channels]:
+) -> tuple[Channels, Channels, Association, int]:
     """The mobile and fixed populations the paper compares, the association
-    of the distinct mobile positions that formed them, and the mobile
-    samples left out.
+    of the distinct mobile positions that formed them, and the number of
+    mobile samples left out.
 
     ``nodes`` maps node id to (kind, path tag, home position), as
     ``citysense simulate`` writes ``nodes.json``. The mobile population is
@@ -166,12 +166,12 @@ def mobile_fixed_populations(
     positions = dict.fromkeys(p for channel in mobile.values() for p in channel.positions)
     association = associate_mobile_to_fixed(list(positions), fixed, radius_m)
     inside = {p for ps in association.by_station.values() for p in ps}
-    pop_mobile, unassociated = {}, {}
+    pop_mobile, unassociated = {}, 0
     for key, channel in mobile.items():
         near = [p in inside for p in channel.positions]
-        for population, keep in ((pop_mobile, near), (unassociated, [not x for x in near])):
-            if any(keep):
-                population[key] = Channel(*(list(compress(column, keep)) for column in channel))
+        unassociated += near.count(False)
+        if any(near):
+            pop_mobile[key] = Channel(*(list(compress(column, near)) for column in channel))
     return pop_mobile, _of_nodes(channels, association.by_station), association, unassociated
 
 

@@ -21,7 +21,7 @@ from .analytics import (
     path_populations,
     write_comparison_report,
 )
-from .domain import NODE_ID, QUANTITY_CODES, GeoPoint, NodeKind, format_utc
+from .domain import LAST_STAMP, NODE_ID, QUANTITY_CODES, GeoPoint, NodeKind, format_utc
 from .indexes import (
     IndexValue,
     apparent_temperature_model,
@@ -171,7 +171,7 @@ def _cmd_simulate(args) -> int:
     total_emitted = total_undelivered = 0
     for node in cfg.nodes:
         tally = per_node.get(node.descriptor.node_id)
-        if tally is None:  # a node without sensors emits nothing
+        if tally is None or not tally.emitted:  # no sensors, or no sample ticks
             continue
         total_emitted += tally.emitted
         total_undelivered += tally.lost + tally.dropped
@@ -191,17 +191,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_indexes(args) -> int:
+    model = identity_thermal_model if args.thermal == "identity" else apparent_temperature_model
     try:
         store = MeasurementStore(args.data_dir)
         if not store.channels:
             raise ValueError(f"no measurements under {args.data_dir}")
+        values = compute_indexes(store.channels, args.uplink_period_s, model)
+        if values and values[-1].window_end > LAST_STAMP:  # the grid's last point
+            raise ValueError(f"the index grid ends {values[-1].window_end - LAST_STAMP} s "
+                             f"past {format_utc(LAST_STAMP)}")
     except (StorageError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    model = identity_thermal_model if args.thermal == "identity" else apparent_temperature_model
     by_station: dict[str, list[IndexValue]] = {}
     latest: dict[tuple[str, str], str] = {}
-    for iv in compute_indexes(store.channels, args.uplink_period_s, model):
+    for iv in values:
         by_station.setdefault(iv.station_id, []).append(iv)
         latest[(iv.station_id, iv.kind.value)] = iv.color.value
     with OutputSet(args.out, "indexes_*.txt") as files:
@@ -269,7 +273,7 @@ def _cmd_compare(args) -> int:
             labels = ("mobile", "fixed")
             print(f"associated {count_readings(pop_a)} mobile samples to "
                   f"{len(association.by_station)} stations within {args.radius_m:.0f} m "
-                  f"({count_readings(unassociated)} unassociated)")
+                  f"({unassociated} unassociated)")
         report = compare_populations(pop_a, pop_b, labels=labels)
     except (StorageError, ValueError) as e:  # NoOverlapError is a ValueError
         print(f"data error: {e}", file=sys.stderr)

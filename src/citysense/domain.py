@@ -178,6 +178,7 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
 
 UTC_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 SECONDS_PER_DAY = 86400
+LAST_STAMP = 253402300799  # 9999-12-31T23:59:59Z, the last second UTC_FORMAT writes
 
 # Epoch second -> its ``UTC_FORMAT`` text. A run formats each of a few
 # hundred or thousand distinct stamps hundreds of times. A pure cache:

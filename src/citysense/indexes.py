@@ -117,7 +117,10 @@ def identity_thermal_model(air: float, radiant: float, wind: float, rh: float) -
 
 
 def _vapor_pressure_hpa(air: float, rh: float) -> float:
-    # Magnus form over water.
+    # Magnus form over water; it has no value at or below -237.7 degC (NaN,
+    # so the TCI is Unknown).
+    if air <= -237.7:
+        return math.nan
     return (rh / 100.0) * 6.105 * math.exp(17.27 * air / (237.7 + air))
 
 

@@ -15,14 +15,15 @@ a tick that lost readings goes on as a new tick of the rest.
 
 ``ScenarioConfig.validate`` puts every uplink on the shared sample grid,
 and links have fixed latencies, so a fate is known when routed and ``run``
-walks the grid with no event queue. At each grid time every node is sampled
-in node order, then the window that just closed is uplinked. A
-coordinator-bound tick joins its window's list if it arrives before the
-window ends; otherwise its readings are dropped and counted, so every
-emitted reading ends delivered to the server, lost on a link, or dropped.
-``coordinator_uplink`` only sorts and batches that list. Direct ticks and
-batches share one latency, so each is handed over when sent, in order of
-arrival. Equal seeds give byte-identical results.
+walks the grid with no event queue. Each sensing node's state (its sensor
+chain), loss stream and tallies are built before the walk. At each grid
+time every node is sampled in node order, then the window that just closed
+is uplinked. A coordinator-bound tick joins its window's list if it arrives
+before the window ends; otherwise its readings are dropped and counted, so
+every emitted reading ends delivered to the server, lost on a link, or
+dropped. ``coordinator_uplink`` only sorts and batches that list. Direct
+ticks and batches share one latency, so each is handed over when sent, in
+order of arrival. Equal seeds give byte-identical results.
 
 A ``RunSink`` gets one ``tick`` call per (node, tick), one ``arrivals``
 call per group the server receives (a direct tick, or a batch's ticks),
@@ -257,7 +258,6 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
     holds the full, deterministic output as well."""
     scenario.validate()
     states = scenario.build_node_states()
-    field_model = scenario.field
     start, period = scenario.start_epoch, scenario.sample_period_s
     uplink_period = scenario.uplink_period_s
 
@@ -271,15 +271,15 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
         if s.descriptor.kind is not NodeKind.MOBILE
     )
     topo = NetworkTopology(coordinator_id=coordinator, anchors=anchors, links=scenario.links)
-    # [node, loss stream, the node's tallies in the order of its readings]
-    sampled: list[list] = [
-        [s, BlockDraws(loss_generator(scenario.seed, s.descriptor.node_id).random), None]
-        for s in states
-        if s.descriptor.sensor_suite
-    ]
-
     result = SimulationResult(scenario_name=scenario.name, seed=scenario.seed)
     tallies = result.tallies
+    # (node, loss stream, the node's tallies in the order of its readings)
+    sampled = [
+        (s, BlockDraws(loss_generator(scenario.seed, s.descriptor.node_id).random),
+         [tallies.setdefault((s.descriptor.node_id, q), Tally()) for q in s.quantities])
+        for s in states
+        if s.quantities
+    ]
     if sink is None:
         sink = result
     window: list[NodeTick] = []  # coordinator-bound ticks of the open window
@@ -295,16 +295,11 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
             closed, window = window, []
         if k < n_ticks:
             window_end = start + (k // ticks_per_uplink + 1) * uplink_period
-            for entry in sampled:
-                node, rng, node_tallies = entry
+            for node, rng, node_tallies in sampled:
                 try:
-                    tick = sample(node, field_model, t)
+                    tick = sample(node, t)
                 except ValidationError as e:  # the scenario overflowed the sensor chain
                     raise ConfigError(f"node {node.descriptor.node_id}: {e}") from e
-                if node_tallies is None:
-                    node_tallies = entry[2] = [
-                        tallies.setdefault((tick.node_id, q), Tally()) for q in tick.quantities
-                    ]
                 choice = choose_link(node.descriptor, tick.position, topo)
                 arrival_t = choice.arrival(t)
                 fates = [route_measurement(choice, rng) for _ in tick.values]

@@ -16,17 +16,18 @@ The clamp keeps a finite reading within its quantity's range, and so do the
 LoD zero (every range holds 0) and quantization, which is monotone:
 ``SensorSpec`` refuses a resolution that rounds the top of the range past it.
 So ``sample`` checks only finiteness per reading, and the integer timestamp
-once per call, and returns one ``NodeTick``, not a record per reading. Each
-channel's noise comes from a ``BlockDraws`` stream, which equals scalar
-draws of its generator.
+once per call, and returns one ``NodeTick``, not a record per reading. A
+node's channels are fixed when its ``NodeState`` is built; each one's noise
+comes from a ``BlockDraws`` stream, which equals scalar draws of its generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field as dc_field
 from functools import partial
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .domain import (
     VALUE_RANGE, Flag, GeoPoint, NodeDescriptor, NodeKind, NodeTick, Quantity,
@@ -125,37 +126,47 @@ _FLAG_SETS = tuple(
     )
     for bits in range(8)
 )
+_EMPTY: Mapping = MappingProxyType({})  # an absent override map
 
 
 @dataclass
 class NodeState:
     """Mutable per-node simulation state, owned by a single simulation actor.
 
-    ``sensors``, ``bias_add``, ``bias_mul`` and the field's noise are read
-    once, at the node's first ``sample``, into a channel table: one row per
-    quantity of the suite, in order of ``Quantity.value``, holding the spec,
-    both biases, the noise stream and the physical range of the quantity;
-    its ticks share one tuple of those quantities. They are fixed from then
-    on; a later change to them, or a different field passed to ``sample``,
-    is not seen.
+    ``channels`` holds one row per quantity of the suite, in ``quantities``
+    order (by ``Quantity.value``; every tick shares that tuple): its spec
+    from ``sensors`` or the datasheet, its biases, its noise stream from
+    ``field`` and its range. ``sensors`` and the biases are read only here.
     """
 
     descriptor: NodeDescriptor
+    field: FieldModel = dc_field(repr=False)
     powered_since: int = 0
-    sensors: dict[Quantity, SensorSpec] = field(default_factory=dict)
+    sensors: InitVar[Mapping[Quantity, SensorSpec]] = _EMPTY
     trajectory: tuple[Path, float] | None = None  # (route, speed m/s)
-    bias_add: dict[Quantity, float] = field(default_factory=dict)
-    bias_mul: dict[Quantity, float] = field(default_factory=dict)
-    last_filtered: dict[Quantity, float] = field(default_factory=dict)
-    _channels: tuple[_Channel, ...] | None = field(default=None, init=False, repr=False)
-    _quantities: tuple[Quantity, ...] = field(default=(), init=False, repr=False)
+    bias_add: InitVar[Mapping[Quantity, float]] = _EMPTY
+    bias_mul: InitVar[Mapping[Quantity, float]] = _EMPTY
+    last_filtered: dict[Quantity, float] = dc_field(default_factory=dict)
+    channels: tuple[_Channel, ...] = dc_field(init=False, repr=False)
+    quantities: tuple[Quantity, ...] = dc_field(init=False, repr=False)
     _last_sample_t: int | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, sensors, bias_add, bias_mul):
         if self.descriptor.kind is NodeKind.MOBILE and self.trajectory is None:
             raise ValueError(f"mobile node {self.descriptor.node_id} needs a trajectory")
-        for q in self.descriptor.sensor_suite:  # datasheet defaults where not overridden
-            self.sensors.setdefault(q, default_sensor_spec(q))
+        rows = []
+        for q in sorted(self.descriptor.sensor_suite, key=lambda q: q.value):
+            sigma = self.field.noise_sigma.get(q, 0.0)
+            noise = None
+            if sigma > 0.0:
+                generator = noise_generator(self.field, self.descriptor.node_id, q)
+                noise = BlockDraws(partial(generator.normal, 0.0, sigma))
+            rows.append(_Channel(
+                q, sensors.get(q) or default_sensor_spec(q), bias_mul.get(q, 1.0),
+                bias_add.get(q, 0.0), noise, *VALUE_RANGE[q],
+            ))
+        self.channels = tuple(rows)
+        self.quantities = tuple(row.quantity for row in rows)
 
     def position_at(self, t: float) -> GeoPoint:
         if self.trajectory is not None:
@@ -163,26 +174,8 @@ class NodeState:
             return path_position(route, speed, t - self.powered_since)
         return self.descriptor.home_position
 
-    def channel_table(self, f: FieldModel) -> tuple[_Channel, ...]:
-        """The node's channel table, built from ``f`` on the first call."""
-        if self._channels is None:
-            rows = []
-            for q in sorted(self.descriptor.sensor_suite, key=lambda q: q.value):
-                sigma = f.noise_sigma.get(q, 0.0)
-                noise = None
-                if sigma > 0.0:
-                    generator = noise_generator(f, self.descriptor.node_id, q)
-                    noise = BlockDraws(partial(generator.normal, 0.0, sigma))
-                rows.append(_Channel(
-                    q, self.sensors[q], self.bias_mul.get(q, 1.0), self.bias_add.get(q, 0.0),
-                    noise, *VALUE_RANGE[q],
-                ))
-            self._channels = tuple(rows)
-            self._quantities = tuple(row.quantity for row in rows)
-        return self._channels
 
-
-def sample(node: NodeState, f: FieldModel, t: int) -> NodeTick:
+def sample(node: NodeState, t: int) -> NodeTick:
     """One reading of every quantity in the node's suite at time ``t``, as a tick.
 
     ``t`` must lie on the node's sampling grid; timestamps are epoch seconds,
@@ -196,13 +189,14 @@ def sample(node: NodeState, f: FieldModel, t: int) -> NodeTick:
     dt = float(t - node._last_sample_t) if node._last_sample_t is not None else None
     node._last_sample_t = t
     node_id = node.descriptor.node_id
+    f = node.field
     position = node.position_at(t)
     age = t - node.powered_since
     last_filtered = node.last_filtered
     isfinite = math.isfinite
     values: list[float] = []
     flags: list[frozenset[Flag]] = []
-    for q, spec, bias_mul, bias_add, noise, floor, ceiling in node.channel_table(f):
+    for q, spec, bias_mul, bias_add, noise, floor, ceiling in node.channels:
         raw = f.value(q, position, t) * bias_mul + bias_add
         if noise is not None:
             raw += noise.random()
@@ -231,4 +225,4 @@ def sample(node: NodeState, f: FieldModel, t: int) -> NodeTick:
             raise ValidationError("value", f"not finite: {value!r}")
         values.append(value)
         flags.append(_FLAG_SETS[bits])
-    return NodeTick(node_id, t, position, node._quantities, values, flags)
+    return NodeTick(node_id, t, position, node.quantities, values, flags)

@@ -48,7 +48,10 @@ from pathlib import Path as FsPath
 
 import yaml
 
-from .domain import NODE_ID, GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, parse_utc
+from .domain import (
+    LAST_STAMP, NODE_ID, GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, format_utc,
+    parse_utc,
+)
 from .field import FieldModel, GaussianPlume, Path
 from .indexes import TrafficAccessConfig
 from .netsim import ConfigError, DEFAULT_LINKS, LinkModel
@@ -124,28 +127,30 @@ class ScenarioConfig:
         missing = set(self.links) ^ set(Radio)
         if missing:
             raise ConfigError(f"links must configure every radio, missing {missing}")
+        if self.duration_s:  # the latest stamp a run writes: its last reading's arrival
+            last_sample = self.start_epoch + self.duration_s - self.sample_period_s
+            latest = int(last_sample + max(link.latency_s for link in self.links.values()))
+            if latest > LAST_STAMP:
+                raise ConfigError(f"the last reading arrives {latest - LAST_STAMP} s "
+                                  f"past {format_utc(LAST_STAMP)}")
 
     def build_node_states(self) -> list[NodeState]:
-        """One state per node, given the scenario's sensor overrides for its
-        suite; ``NodeState`` fills in the datasheet defaults."""
-        states = []
-        for n in self.nodes:
-            suite = n.descriptor.sensor_suite
-            sensors = {q: spec for q, spec in self.sensor_overrides.items() if q in suite}
-            trajectory = None
-            if n.descriptor.kind is NodeKind.MOBILE:
-                trajectory = (self.paths[n.route], n.speed_mps)
-            states.append(
-                NodeState(
-                    descriptor=n.descriptor,
-                    powered_since=self.start_epoch,
-                    sensors=sensors,
-                    trajectory=trajectory,
-                    bias_add=dict(n.bias_add),
-                    bias_mul=dict(n.bias_mul),
-                )
+        """One state per node, each reading the scenario's field and sensor
+        overrides and its own biases; ``NodeState`` takes its suite's share
+        and fills in the datasheet defaults."""
+        return [
+            NodeState(
+                descriptor=n.descriptor,
+                field=self.field,
+                powered_since=self.start_epoch,
+                sensors=self.sensor_overrides,
+                trajectory=(self.paths[n.route], n.speed_mps)
+                if n.descriptor.kind is NodeKind.MOBILE else None,
+                bias_add=n.bias_add,
+                bias_mul=n.bias_mul,
             )
-        return states
+            for n in self.nodes
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and
 sorted by ``domain.record_key``: (timestamp, node_id, quantity), the order
 of every coordinator batch too. ``format_tick`` owns the record line.
 ``DayFiles`` streams node ticks (``domain.NodeTick``) into them window by
-window, with at most one day file open at a time, into an ``OutputSet``: the
-one writer of every command's files, which replaces a directory's old set
-only once the new one is whole.
+window, each tick's lines as one run, with at most one day file open at a
+time, into an ``OutputSet``: the one writer of every command's files, which
+replaces a directory's old set only once the new one is whole.
 
 Loading validates every record as writing does, and each file must be named
 for the UTC day of every stamp it holds. Both refuse a key that is not
@@ -40,13 +40,13 @@ import os
 from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
 from itertools import combinations
-from operator import attrgetter, eq
+from operator import attrgetter
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .domain import (
     SECONDS_PER_DAY, UNITS, QUANTITY_CODES, Flag, GeoPoint, Measurement,
-    NodeTick, Quantity, RecordKey, ValidationError, format_utc, parse_utc, record_key,
+    NodeTick, Quantity, RecordKey, ValidationError, format_utc, parse_utc,
     tick_key, validate_node_id, validate_value,
 )
 
@@ -131,13 +131,10 @@ def format_tick(tick: NodeTick) -> str:
                     in zip(map(_VALUE_TEXT.__getitem__, tick.quantities), tick.values, tick.flags)])
 
 
-def _one_reading(m: Measurement) -> NodeTick:
-    return NodeTick(m.node_id, m.timestamp, m.position, (m.quantity,), [m.value], [m.flags])
-
-
 def serialize_measurement(m: Measurement) -> str:
     """The record line of ``m``, without its line end."""
-    return format_tick(_one_reading(m))[:-1]
+    tick = NodeTick(m.node_id, m.timestamp, m.position, (m.quantity,), [m.value], [m.flags])
+    return format_tick(tick)[:-1]
 
 
 def _number(field_name: str, text: str) -> float:
@@ -219,8 +216,10 @@ class DayFiles:
     file, which it closes at UTC midnight to open the next. A tick's first
     record must be above the last one written: equal is a duplicate, lower
     is out of order, and either is a ValueError naming the triple, after
-    which nothing more is written. Ticks that share a (timestamp, node) are
-    merged in record order. Leaving the block cleanly writes the rest."""
+    which nothing more is written. Ticks that share a (timestamp, node) keep
+    the order they were added in, so the second is written only if its
+    quantities follow the first's. Leaving the block cleanly writes the
+    rest."""
 
     def __init__(self, files: OutputSet):
         self._files = files
@@ -269,10 +268,6 @@ class DayFiles:
         cut = bisect_left(held, t, key=_stamp)
         ticks = held[:cut]
         del held[:cut]
-        keys = list(map(tick_key, ticks))
-        if any(map(eq, keys, keys[1:])):  # only a direct caller gives two ticks one key
-            rows = sorted((m for tick in ticks for m in tick.rows()), key=record_key)
-            ticks = list(map(_one_reading, rows))
         last, day_end, out = self._last, self._day_end, self._out
         for tick in ticks:
             timestamp, node_id, quantities = tick.timestamp, tick.node_id, tick.quantities

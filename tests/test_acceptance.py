@@ -245,16 +245,16 @@ def test_criterion_5_sensor_physics():
     assert lag_filter(0.0, 100.0, 90.0, 90.0) == pytest.approx(90.0, rel=1e-12)
     assert lag_filter(0.0, 100.0, 180.0, 90.0) == pytest.approx(99.0, rel=1e-12)
     field = StepField(0.0, 100.0, step_t=90, quantity=Quantity.TEMPERATURE)
-    node = fixed_node({Quantity.TEMPERATURE})
+    node = fixed_node({Quantity.TEMPERATURE}, field)
     values = {}
     for t in range(0, 271, 90):
-        (m,) = sample(node, field, t).rows()
+        (m,) = sample(node, t).rows()
         values[t] = m.value
     assert values[90] == pytest.approx(90.0, rel=1e-9)  # within one sample of t90
 
     # detection limit: a 3 ppm CO level against the 5 ppm limit clamps to 0
     f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(3.0)})
-    (m,) = sample(fixed_node({Quantity.CO}), f, 0).rows()
+    (m,) = sample(fixed_node({Quantity.CO}, f), 0).rows()
     assert m.value == 0.0 and Flag.BELOW_LOD in m.flags
 
     # 1 ppm quantization against closed forms, ties away from zero
@@ -262,17 +262,17 @@ def test_criterion_5_sensor_physics():
     assert quantize(7.5, 1.0) == 8.0
     assert quantize(-7.5, 1.0) == -8.0
     f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(7.4)})
-    (m,) = sample(fixed_node({Quantity.CO}), f, 0).rows()
+    (m,) = sample(fixed_node({Quantity.CO}, f), 0).rows()
     assert m.value == pytest.approx(co_ppm_to_mg_m3(7.0), rel=1e-12)
 
     # warm-up: gas readings flagged for the first 15 minutes, clean afterwards
     f = FieldModel(seed=1, baseline={Quantity.CO2: 451.1, Quantity.TEMPERATURE: 15.0})
-    node = fixed_node({Quantity.CO2, Quantity.TEMPERATURE}, powered_since=0)
+    node = fixed_node({Quantity.CO2, Quantity.TEMPERATURE}, f, powered_since=0)
     for t in range(0, 900, 300):
-        by_q = {m.quantity: m for m in sample(node, f, t).rows()}
+        by_q = {m.quantity: m for m in sample(node, t).rows()}
         assert Flag.WARMING_UP in by_q[Quantity.CO2].flags
         assert Flag.WARMING_UP not in by_q[Quantity.TEMPERATURE].flags
-    by_q = {m.quantity: m for m in sample(node, f, 900).rows()}
+    by_q = {m.quantity: m for m in sample(node, 900).rows()}
     assert Flag.WARMING_UP not in by_q[Quantity.CO2].flags
     ok(5, "t90 step response, LoD clamp, 1 ppm quantization, 15 min warm-up verified")
 

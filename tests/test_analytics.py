@@ -12,10 +12,11 @@ from citysense.analytics import (
     associate_mobile_to_fixed,
     compare_populations,
     estimate_pmf,
+    mobile_fixed_populations,
     relative_error,
     write_comparison_report,
 )
-from citysense.domain import Flag, GeoPoint, Measurement, Quantity, haversine_distance
+from citysense.domain import Flag, GeoPoint, Measurement, NodeKind, Quantity, haversine_distance
 from citysense.store import channels_from
 
 P = GeoPoint(43.716, 10.3966)
@@ -149,6 +150,18 @@ class TestAssociation:
         a = station("A", offset(P, 600))
         assoc = associate_mobile_to_fixed([P], [a], radius_m=700.0)
         assert set(assoc.by_station) == {"A"}
+
+    def test_mobile_samples_left_out_are_counted(self):
+        far = offset(P, 2000)
+        readings = [meas(1.0, t=0), meas(2.0, t=300, position=far), meas(3.0, t=600, position=far),
+                    meas(4.0, quantity=Quantity.O3, t=300, position=far),
+                    meas(5.0, node="A", position=offset(P, 100))]
+        nodes = {"M1": (NodeKind.MOBILE, None, None), "A": (NodeKind.FIXED, None, offset(P, 100))}
+        mobile, fixed, assoc, unassociated = mobile_fixed_populations(channels_from(readings), nodes)
+        assert mobile == channels_from(readings[:1])
+        assert fixed == channels_from(readings[4:])
+        assert assoc.unassociated == (far,)
+        assert unassociated == 3  # samples, not positions
 
     def test_partition_is_total_and_deterministic(self):
         stations = [station(f"S{i}", offset(P, 400 * i)) for i in range(4)]

@@ -172,6 +172,12 @@ def _simulate_edited(small_scenario_file, tmp_path, edit):
 
 
 class TestSimulateSummary:
+    def test_a_zero_duration_run_prints_no_node(self, small_scenario_file, tmp_path, capsys):
+        assert _simulate_edited(small_scenario_file, tmp_path, _set("duration_s", 0)) == 0
+        assert capsys.readouterr().out == (
+            "scenario 'mini' seed 7: 0 s simulated\n"
+            "  server received 0 measurements, loss rate 0.0000\n")
+
     def test_late_arrivals_are_reported_as_dropped(self, small_scenario_file, tmp_path, capsys):
         # Fixed readings reach the coordinator 1000 s after sampling, past
         # the 900 s uplink of their window: all 2 x 60 of them are dropped.
@@ -375,6 +381,25 @@ class TestSimulateConfigErrors:
         assert "Traceback" not in err
         assert rc == 0 or (rc == 1 and len(err.strip().splitlines()) == 1)
 
+    @pytest.mark.parametrize("start, duration_s, latency_s, past", [
+        ("9999-12-31T23:00:00Z", 7200, 2, 3303),  # samples into the year 10000
+        ("9999-12-31T23:45:00Z", 900, 299, 0),  # the last arrival at 23:59:59
+        ("9999-12-31T23:45:00Z", 900, 300, 1),
+    ])
+    def test_a_run_writing_past_year_9999_exits_1(
+        self, small_scenario_file, tmp_path, capsys, start, duration_s, latency_s, past
+    ):
+        edit = _both(_set("start_time", start), _set("duration_s", duration_s),
+                     _set("links", "wide_area", "latency_s", latency_s))
+        rc = _simulate_edited(small_scenario_file, tmp_path, edit)
+        if not past:
+            assert rc == 0
+            return
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: the last reading arrives {past} s past 9999-12-31T23:59:59Z\n")
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_flag_exits_1(self, small_scenario_file, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(small_scenario_file),
                    "--out", str(tmp_path / "o"), "--seed", "-1"])
@@ -426,6 +451,43 @@ class TestIndexes:
             err = capsys.readouterr().err
             _assert_one_line_data_error(rc, err)
             assert f"{day_file.name} line 6: duplicate record" in err
+
+    @pytest.mark.parametrize("air", ["-237.7", "-237.71", "-300.0"])
+    def test_air_at_or_below_the_magnus_pole_gives_an_unknown_tci(self, tmp_path, capsys, air):
+        data = tmp_path / "data"
+        data.mkdir()
+        head = "2015-04-20T00:00:00Z,T1,43.716,10.393,"
+        (data / "measurements-2015-04-20.txt").write_text(
+            f"{head}radiant_temperature,15.0,degC,\n"
+            f"{head}relative_humidity,70.0,%,\n"
+            f"{head}temperature,{air},degC,\n"
+            f"{head}wind_speed,0.7,m/s,\n")
+        out = tmp_path / "idx"
+        assert main(["indexes", str(data), "--out", str(out)]) == 0  # --thermal apparent
+        assert (out / "indexes_T1.txt").read_text() == "tci,T1,2015-04-20T00:15:00Z,nan,unknown\n"
+        assert capsys.readouterr().out == "T1 tci: unknown\n"
+
+    @pytest.mark.parametrize("stamp, past", [("23:44:59", 0), ("23:45:00", 1), ("23:55:00", 1)])
+    def test_an_index_grid_ending_past_year_9999_is_data_error(
+        self, sim_dir, tmp_path, capsys, stamp, past
+    ):
+        out = tmp_path / "idx"
+        assert main(["indexes", str(sim_dir), "--out", str(out)]) == 0
+        before = digest_tree(out)
+        data = tmp_path / "late"
+        data.mkdir()
+        (data / "measurements-9999-12-31.txt").write_text(
+            f"9999-12-31T{stamp}Z,T1,43.716,10.393,o3,50.0,ug/m3,\n")
+        capsys.readouterr()
+        rc = main(["indexes", str(data), "--out", str(out)])
+        if not past:  # the grid's one point is the last second of the year 9999
+            assert rc == 0
+            assert (out / "indexes_T1.txt").read_text() == "aqi_o3,T1,9999-12-31T23:45:00Z,50.0,green\n"
+            return
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert err == "data error: the index grid ends 1 s past 9999-12-31T23:59:59Z\n"
+        assert digest_tree(out) == before
 
     def test_empty_store_is_data_error(self, tmp_path):
         assert main(["indexes", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")]) == 2

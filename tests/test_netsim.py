@@ -525,7 +525,7 @@ def _event_queue_run(scenario):
         t, _, kind, payload = heapq.heappop(heap)
         if kind == "sample":
             node = by_id[payload]
-            readings = sample(node, scenario.field, t).rows()
+            readings = sample(node, t).rows()
             choice = choose_link(node.descriptor, readings[0].position, topo)
             for m in readings:
                 fate = route_measurement(choice, rngs[payload])

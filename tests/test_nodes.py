@@ -26,9 +26,9 @@ from citysense.nodes import (
 P = GeoPoint(43.716, 10.3966)
 
 
-def fixed_node(suite, sensors=None, **kw):
+def fixed_node(suite, field, sensors=None, **kw):
     d = NodeDescriptor("T1", NodeKind.FIXED, frozenset(suite), home_position=P)
-    return NodeState(descriptor=d, sensors=sensors or {}, **kw)
+    return NodeState(descriptor=d, field=field, sensors=sensors or {}, **kw)
 
 
 class TestLagFilter:
@@ -133,52 +133,52 @@ class StepField:
 class TestSample:
     def test_warmup_flags_gas_only(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0, Quantity.TEMPERATURE: 15.0})
-        node = fixed_node({Quantity.CO2, Quantity.TEMPERATURE}, powered_since=0)
-        by_q = {m.quantity: m for m in sample(node, f, 300).rows()}
+        node = fixed_node({Quantity.CO2, Quantity.TEMPERATURE}, f, powered_since=0)
+        by_q = {m.quantity: m for m in sample(node, 300).rows()}
         assert Flag.WARMING_UP in by_q[Quantity.CO2].flags
         assert Flag.WARMING_UP not in by_q[Quantity.TEMPERATURE].flags
 
     def test_warmup_clears_after_15_minutes(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
-        node = fixed_node({Quantity.CO2}, powered_since=0)
+        node = fixed_node({Quantity.CO2}, f, powered_since=0)
         for t in (0, 300, 600):
-            (m,) = sample(node, f, t).rows()
+            (m,) = sample(node, t).rows()
             assert Flag.WARMING_UP in m.flags
-        (m,) = sample(node, f, 900).rows()
+        (m,) = sample(node, 900).rows()
         assert Flag.WARMING_UP not in m.flags
 
     def test_below_lod_clamps_to_zero(self):
         # true CO 3 ppm against a 5 ppm detection limit (stored in mg/m3)
         f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(3.0)})
-        node = fixed_node({Quantity.CO})
-        (m,) = sample(node, f, 0).rows()
+        node = fixed_node({Quantity.CO}, f)
+        (m,) = sample(node, 0).rows()
         assert Flag.BELOW_LOD in m.flags
         assert m.value == 0.0
 
     @pytest.mark.parametrize("bias_add, expected", [(5.0, 100.0), (-120.0, 0.0)])
     def test_relative_humidity_is_clamped_to_0_to_100(self, bias_add, expected):
         f = FieldModel(seed=1, baseline={Quantity.RELATIVE_HUMIDITY: 99.5})
-        node = fixed_node({Quantity.RELATIVE_HUMIDITY},
+        node = fixed_node({Quantity.RELATIVE_HUMIDITY}, f,
                           bias_add={Quantity.RELATIVE_HUMIDITY: bias_add})
         for t in (0, 300):
-            (m,) = sample(node, f, t).rows()
+            (m,) = sample(node, t).rows()
             assert m.value == expected
         assert node.last_filtered[Quantity.RELATIVE_HUMIDITY] == 99.5 + bias_add
 
     def test_above_lod_quantized_to_1ppm(self):
         f = FieldModel(seed=1, baseline={Quantity.HC: 7.4})
-        node = fixed_node({Quantity.HC})
-        (m,) = sample(node, f, 0).rows()
+        node = fixed_node({Quantity.HC}, f)
+        (m,) = sample(node, 0).rows()
         assert m.value == 7.0
         assert Flag.QUANTIZED in m.flags
         assert Flag.BELOW_LOD not in m.flags
 
     def test_settles_within_1pct_after_5_t90(self):
         field = StepField(0.0, 100.0, step_t=300, quantity=Quantity.TEMPERATURE)
-        node = fixed_node({Quantity.TEMPERATURE})
+        node = fixed_node({Quantity.TEMPERATURE}, field)
         trace = {}
         for t in range(0, 1200, 90):  # sample every t90 seconds
-            (m,) = sample(node, field, t).rows()
+            (m,) = sample(node, t).rows()
             trace[t] = m.value
         assert trace[0] == 0.0
         # first grid point >= 5*t90 after the step: residual ~1e-5, well within 1%
@@ -186,10 +186,10 @@ class TestSample:
 
     def test_step_response_hits_90pct_one_sample_after_step(self):
         field = StepField(0.0, 100.0, step_t=90, quantity=Quantity.TEMPERATURE)
-        node = fixed_node({Quantity.TEMPERATURE})
+        node = fixed_node({Quantity.TEMPERATURE}, field)
         values = {}
         for t in range(0, 361, 90):
-            (m,) = sample(node, field, t).rows()
+            (m,) = sample(node, t).rows()
             values[t] = m.value
         assert values[90] == pytest.approx(90.0, rel=1e-9)   # t90 after the step
         assert values[180] == pytest.approx(99.0, rel=1e-9)  # 2*t90 after
@@ -197,42 +197,54 @@ class TestSample:
     def test_mobile_positions_stay_on_route(self):
         route = Path("r", (P, GeoPoint(43.716, 10.4053)))
         d = NodeDescriptor("M1", NodeKind.MOBILE, frozenset({Quantity.CO2}))
-        node = NodeState(descriptor=d, trajectory=(route, 4.0))
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
+        node = NodeState(descriptor=d, field=f, trajectory=(route, 4.0))
         for t in range(0, 3600, 300):
-            (m,) = sample(node, f, t).rows()
+            (m,) = sample(node, t).rows()
             assert _distance_to_segment(m.position, route.vertices[0], route.vertices[1]) < 1.0
 
     def test_mobile_requires_trajectory(self):
         d = NodeDescriptor("M1", NodeKind.MOBILE, frozenset({Quantity.CO2}))
         with pytest.raises(ValueError):
-            NodeState(descriptor=d)
+            NodeState(descriptor=d, field=FieldModel(seed=1, baseline={Quantity.CO2: 420.0}))
 
     def test_noise_streams_reproducible(self):
         f = FieldModel(seed=9, baseline={Quantity.CO2: 420.0}, noise_sigma={Quantity.CO2: 4.0})
         runs = []
         for _ in range(2):
-            node = fixed_node({Quantity.CO2}, sensors={Quantity.CO2: SensorSpec(Quantity.CO2, lod=0.0)})
-            runs.append([sample(node, f, t).values[0] for t in range(0, 3000, 300)])
+            node = fixed_node({Quantity.CO2}, f, sensors={Quantity.CO2: SensorSpec(Quantity.CO2, lod=0.0)})
+            runs.append([sample(node, t).values[0] for t in range(0, 3000, 300)])
         assert runs[0] == runs[1]
 
-    def test_channel_table_is_built_once_at_first_sample(self):
+    def test_channel_table_is_built_once_at_construction(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0, Quantity.O3: 50.0})
-        node = fixed_node({Quantity.O3, Quantity.CO2}, bias_add={Quantity.CO2: 5.0})
-        (co2, _) = sample(node, f, 0).rows()
-        table = node.channel_table(f)
+        bias_add = {Quantity.CO2: 5.0}
+        node = fixed_node({Quantity.O3, Quantity.CO2}, f, bias_add=bias_add)
+        table = node.channels
         assert [row.quantity for row in table] == [Quantity.CO2, Quantity.O3]
+        assert node.quantities == (Quantity.CO2, Quantity.O3)
         assert table[0].bias_add == 5.0 and table[0].noise is None
-        # biases are fixed after the first sample: a later edit is not seen
-        node.bias_add[Quantity.CO2] = 100.0
-        (later, _) = sample(node, f, 300).rows()
-        assert node.channel_table(f) is table
+        # the biases are read at construction: a later edit is not seen
+        (co2, _) = sample(node, 0).rows()
+        bias_add[Quantity.CO2] = 100.0
+        (later, _) = sample(node, 300).rows()
+        assert node.channels is table
         assert later.value == co2.value == 425.0
+
+    def test_building_states_leaves_the_sensor_overrides_unchanged(self):
+        f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})
+        co2 = SensorSpec(Quantity.CO2, lod=0.0)
+        sensors = {Quantity.CO2: co2}
+        first = fixed_node({Quantity.CO2, Quantity.HC}, f, sensors=sensors)
+        second = fixed_node({Quantity.CO, Quantity.CO2}, f, sensors=sensors)
+        assert sensors == {Quantity.CO2: co2}
+        assert [row.spec for row in first.channels] == [co2, default_sensor_spec(Quantity.HC)]
+        assert [row.spec for row in second.channels] == [default_sensor_spec(Quantity.CO), co2]
 
     def test_readings_share_interned_flag_sets(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 5.4, Quantity.HC: 2.0})
-        node = fixed_node({Quantity.CO2, Quantity.HC})
-        readings = [m for t in range(0, 900, 300) for m in sample(node, f, t).rows()]  # warm-up 900 s
+        node = fixed_node({Quantity.CO2, Quantity.HC}, f)
+        readings = [m for t in range(0, 900, 300) for m in sample(node, t).rows()]  # warm-up 900 s
         assert {m.flags for m in readings} == {
             frozenset({Flag.WARMING_UP, Flag.BELOW_LOD})
         }
@@ -241,15 +253,15 @@ class TestSample:
     def test_one_measurement_per_suite_quantity(self):
         f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})
         suite = {Quantity.TEMPERATURE, Quantity.RELATIVE_HUMIDITY, Quantity.O3}
-        node = fixed_node(suite)
-        ms = sample(node, f, 0).rows()
+        node = fixed_node(suite, f)
+        ms = sample(node, 0).rows()
         assert [m.quantity for m in ms] == sorted(suite, key=lambda q: q.value)
 
     def test_a_tick_holds_the_suite_as_columns_in_its_nodes_shared_order(self):
         f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})
         suite = {Quantity.TEMPERATURE, Quantity.RELATIVE_HUMIDITY, Quantity.O3}
-        node = fixed_node(suite)
-        first, second = sample(node, f, 0), sample(node, f, 300)
+        node = fixed_node(suite, f)
+        first, second = sample(node, 0), sample(node, 300)
         assert first.quantities == tuple(sorted(suite, key=lambda q: q.value))
         assert second.quantities is first.quantities  # one tuple per node
         assert len(first) == len(first.values) == len(first.flags) == 3
@@ -263,23 +275,23 @@ class TestSample:
     def test_readings_equal_checked_measurements(self):
         f = FieldModel(seed=3, baseline={q: 10.0 for q in Quantity},
                        noise_sigma={Quantity.CO2: 2.0, Quantity.O3: 1.0})
-        node = fixed_node({Quantity.CO2, Quantity.O3, Quantity.RELATIVE_HUMIDITY})
-        for m in sample(node, f, 0).rows():
+        node = fixed_node({Quantity.CO2, Quantity.O3, Quantity.RELATIVE_HUMIDITY}, f)
+        for m in sample(node, 0).rows():
             assert type(m) is Measurement
             assert m == Measurement(m.node_id, m.timestamp, m.position, m.quantity, m.value, m.flags)
 
     @pytest.mark.parametrize("field_value", [math.inf, -math.inf, math.nan])
     def test_non_finite_chain_value_raises(self, field_value):
-        node = fixed_node({Quantity.TEMPERATURE})
+        node = fixed_node({Quantity.TEMPERATURE}, StepField(field_value, field_value, 0))
         with pytest.raises(ValidationError, match="value: not finite"):
-            sample(node, StepField(field_value, field_value, 0), 0)
+            sample(node, 0)
 
     def test_float_time_raises_before_the_node_changes(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
-        node = fixed_node({Quantity.CO2})
-        sample(node, f, 0)
+        node = fixed_node({Quantity.CO2}, f)
+        sample(node, 0)
         with pytest.raises(ValidationError, match="timestamp: must be integer seconds UTC"):
-            sample(node, f, 300.0)
+            sample(node, 300.0)
         assert node._last_sample_t == 0
 
 

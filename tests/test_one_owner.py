@@ -30,7 +30,7 @@ from citysense.field import FieldModel
 from citysense.netsim import coordinator_uplink
 from citysense.nodes import NodeState, sample
 from citysense.store import DayFiles, MeasurementStore, OutputSet, channels_from, parse_measurement
-from tests.rows import one_reading_ticks
+from tests.rows import node_ticks
 
 P = GeoPoint(43.716, 10.3966)
 T0 = 1_429_488_000  # 2015-04-20T00:00:00Z
@@ -38,9 +38,9 @@ FAR = 1e6  # farther past every finite bound than any reading of the field
 QUANTITIES = sorted(Quantity, key=lambda q: q.value)
 
 
-def _static_node(q: Quantity, **kw) -> NodeState:
+def _static_node(q: Quantity, field: FieldModel, **kw) -> NodeState:
     kind = next(k for k in (NodeKind.FIXED, NodeKind.WEATHER_STATION) if q in ALLOWED_QUANTITIES[k])
-    return NodeState(NodeDescriptor("N1", kind, frozenset({q}), home_position=P), **kw)
+    return NodeState(NodeDescriptor("N1", kind, frozenset({q}), home_position=P), field, **kw)
 
 
 def _expected(bound: float, far: float) -> float:
@@ -64,7 +64,7 @@ class TestEveryLayerUsesValueRange:
         low, high = VALUE_RANGE[q]
         f = FieldModel(seed=1, baseline={q: 0.0})
         for far, bound in ((-FAR, low), (FAR, high)):
-            (m,) = sample(_static_node(q, bias_add={q: far}), f, T0).rows()
+            (m,) = sample(_static_node(q, f, bias_add={q: far}), T0).rows()
             assert validate_value(q, m.value) == m.value
             assert m.value == pytest.approx(_expected(bound, far), rel=1e-5)
             if math.isfinite(bound):
@@ -124,7 +124,7 @@ def test_the_loader_follows_the_record_order(tmp_path_factory, readings, data):
     root = tmp_path_factory.mktemp("days")
     with OutputSet(root, "measurements-*.txt") as files:
         with DayFiles(files) as days:
-            days.add(one_reading_ticks(readings))
+            days.add(node_ticks(readings))
     assert MeasurementStore(root).channels == channels_from(readings)
 
     # Swap two adjacent lines of one day file: the later one is refused.

@@ -26,7 +26,7 @@ from citysense.store import (
     parse_measurement,
     serialize_measurement,
 )
-from tests.rows import one_reading_ticks, store_rows
+from tests.rows import node_ticks, one_reading_ticks, store_rows
 
 P = GeoPoint(43.716, 10.3966)
 T0 = 1_429_488_000  # 2015-04-20T00:00:00Z
@@ -397,7 +397,9 @@ class TestDayFiles:
         ticks = [tick(n, T0 + dt, (Quantity.CO, Quantity.O3)) for dt in (600, 0, 300)
                  for n in ("T2", "T1")]
         batch = coordinator_uplink("C0", T0, T0 + 900, ticks)
-        save(tmp_path / "unsorted", [m for t in ticks for m in t.rows()][::-1])
+        with OutputSet(tmp_path / "unsorted", "measurements-*.txt") as files:
+            with DayFiles(files) as days:
+                days.add(node_ticks([m for t in ticks for m in t.rows()][::-1]))
         with OutputSet(tmp_path / "batch", "measurements-*.txt") as files:
             with DayFiles(files) as days:
                 days.add(batch.ticks)
@@ -430,20 +432,29 @@ class TestDayFiles:
                     days.add([tick("T0", T0, (Quantity.CO2,)), tick("T1", T0, quantities)])
         assert list(tmp_path.iterdir()) == []
 
-    def test_two_ticks_of_one_node_and_stamp_are_written_merged(self, tmp_path):
+    def test_two_ticks_of_one_node_and_stamp_are_written_only_in_record_order(self, tmp_path):
         # their codes interleave: co, co2, o3, temperature
         first = tick("T1", T0, (Quantity.CO, Quantity.O3), values=[1.0, 3.0])
         second = tick("T1", T0, (Quantity.CO2, Quantity.TEMPERATURE), values=[2.0, 4.0])
+        with pytest.raises(ValueError, match="^record out of order: T1 co at 2015-04-20T00:00:00Z$"):
+            with OutputSet(tmp_path, "measurements-*.txt") as files:
+                with DayFiles(files) as days:
+                    days.add([tick("T2", T0, (Quantity.CO,)), second,
+                              tick("T0", T0 + 300, (Quantity.CO,))])
+                    days.add([first])
+        assert list(tmp_path.iterdir()) == []
+        # ticks added in the order of their codes are written as they come
+        first = tick("T1", T0, (Quantity.CO, Quantity.CO2), values=[1.0, 2.0])
+        second = tick("T1", T0, (Quantity.O3, Quantity.TEMPERATURE), values=[3.0, 4.0])
         with OutputSet(tmp_path, "measurements-*.txt") as files:
             with DayFiles(files) as days:
-                days.add([tick("T2", T0, (Quantity.CO,)), second, tick("T0", T0 + 300, (Quantity.CO,))])
-                days.add([first])
+                days.add([tick("T2", T0, (Quantity.CO,)), first])
+                days.add([second])
         lines = (tmp_path / "measurements-2015-04-20.txt").read_text().splitlines()
         rows = [parse_measurement(line) for line in lines]
-        assert [(m.node_id, m.quantity.value, m.value) for m in rows[:4]] == [
-            ("T1", "co", 1.0), ("T1", "co2", 2.0), ("T1", "o3", 3.0), ("T1", "temperature", 4.0)]
-        assert [m.node_id for m in rows[4:]] == ["T2", "T0"]
-        assert rows == sorted(rows, key=record_key)
+        assert [(m.node_id, m.quantity.value, m.value) for m in rows] == [
+            ("T1", "co", 1.0), ("T1", "co2", 2.0), ("T1", "o3", 3.0), ("T1", "temperature", 4.0),
+            ("T2", "co", 451.0)]
 
     @pytest.mark.parametrize("q, value, reason", [
         (Quantity.TEMPERATURE, math.inf, "not finite: inf"),

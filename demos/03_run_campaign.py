@@ -11,7 +11,7 @@ Run: python demos/03_run_campaign.py
 
 import collections
 
-from citysense import apparent_temperature_model, compute_indexes, load_scenario, run
+from citysense import compute_indexes, load_scenario, run
 from citysense.netsim import DeliveryOutcome
 from citysense.store import channels_from
 
@@ -34,9 +34,7 @@ print(f"\ngas node-reports per 15-minute window: {counts} "
 
 print("\nlast index refresh of the day:")
 index_values = compute_indexes(
-    channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s,
-    apparent_temperature_model,
-)
+    channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s)
 final_t = max(iv.window_end for iv in index_values)
 for iv in index_values:
     if iv.window_end == final_t and iv.station_id in ("T2", "F5", "M1"):

@@ -1,15 +1,15 @@
 """The three environmental indexes and their color bands.
 
 AQI comes in two flavours (ozone over a trailing 8 h window, fine particles
-over 24 h), the thermal comfort index bands a perceived temperature, and the
-traffic index scales a base saturation flow by composition, steepness,
-location, and maneuvering factors.
+over 24 h), the thermal comfort index bands the apparent temperature of air
+and radiant temperature, wind and humidity, and the traffic index scales a
+base saturation flow by composition, steepness, location, and maneuvering
+factors.
 
 Run: python demos/04_indexes.py
 """
 
 from citysense import TrafficAccessConfig, aqi_o3, aqi_pm, tci, traffic_index
-from citysense.indexes import apparent_temperature_model
 
 print("ozone sub-index (8 h mean, ug/m3):")
 for mean in (50.0, 100.0, 200.0, 250.0):
@@ -28,7 +28,7 @@ cases = [
     ("windy winter day", 2.0, 2.0, 8.0, 80.0),
 ]
 for label, air, radiant, wind, rh in cases:
-    iv = tci(air, radiant, wind, rh, model=apparent_temperature_model)
+    iv = tci(air, radiant, wind, rh)
     print(f"  {label:18s} air {air:5.1f} -> perceived {iv.value:6.1f} degC ({iv.color.value})")
 
 print("\ntraffic index at a city access:")

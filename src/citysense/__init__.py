@@ -40,7 +40,6 @@ from .indexes import (
     aqi_o3,
     aqi_pm,
     compute_indexes,
-    identity_thermal_model,
     tci,
     traffic_index,
 )

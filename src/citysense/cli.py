@@ -24,9 +24,7 @@ from .analytics import (
 from .domain import LAST_STAMP, NODE_ID, QUANTITY_CODES, GeoPoint, NodeKind, format_utc
 from .indexes import (
     IndexValue,
-    apparent_temperature_model,
     compute_indexes,
-    identity_thermal_model,
     index_record_line,
     traffic_index,
 )
@@ -78,10 +76,6 @@ def _build_parser() -> _Parser:
     p_idx.add_argument("data_dir", help="directory holding measurement files")
     p_idx.add_argument("--out", required=True, help="output directory")
     p_idx.add_argument("--uplink-period-s", type=_positive_int, default=900)
-    p_idx.add_argument(
-        "--thermal", choices=("identity", "apparent"), default="apparent",
-        help="thermal model feeding the comfort index",
-    )
 
     p_cmp = sub.add_parser("compare", help="compare two measurement populations")
     p_cmp.add_argument("data_dir", help="directory holding measurement files + nodes.json")
@@ -191,12 +185,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_indexes(args) -> int:
-    model = identity_thermal_model if args.thermal == "identity" else apparent_temperature_model
     try:
         store = MeasurementStore(args.data_dir)
         if not store.channels:
             raise ValueError(f"no measurements under {args.data_dir}")
-        values = compute_indexes(store.channels, args.uplink_period_s, model)
+        values = compute_indexes(store.channels, args.uplink_period_s)
         if values and values[-1].window_end > LAST_STAMP:  # the grid's last point
             raise ValueError(f"the index grid ends {values[-1].window_end - LAST_STAMP} s "
                              f"past {format_utc(LAST_STAMP)}")

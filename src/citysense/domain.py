@@ -190,14 +190,16 @@ _MAX_STAMPS = 16384
 def format_utc(ts: int) -> str:
     """Render epoch seconds as ``YYYY-MM-DDTHH:MM:SSZ`` (UTC).
 
-    Equal to ``datetime.fromtimestamp(ts, timezone.utc).strftime(UTC_FORMAT)``,
-    which runs once per distinct stamp held in the cache.
+    Equal to ``datetime.fromtimestamp(ts, timezone.utc).strftime(UTC_FORMAT)``
+    with the year written in four digits (the C library's ``%Y`` writes the
+    year 999 as ``999``), which runs once per distinct stamp held in the cache.
     """
     stamp = _STAMPS.get(ts)
     if stamp is None:
         if len(_STAMPS) >= _MAX_STAMPS:
             _STAMPS.clear()
-        stamp = _STAMPS[ts] = datetime.fromtimestamp(ts, tz=timezone.utc).strftime(UTC_FORMAT)
+        moment = datetime.fromtimestamp(ts, tz=timezone.utc)
+        stamp = _STAMPS[ts] = moment.strftime(UTC_FORMAT.replace("%Y", f"{moment.year:04d}"))
     return stamp
 
 

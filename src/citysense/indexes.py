@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .domain import VALUE_RANGE, Quantity, format_utc, mean, usable_mask
 from .store import Channels
@@ -106,16 +106,6 @@ def aqi_pm(values: Sequence[float], station_id: str = "", window_end: int = 0) -
     return _mean_index(IndexKind.AQI_PM, PM_BANDS, values, station_id, window_end)
 
 
-# A thermal model maps (air temp degC, mean radiant temp degC, wind m/s,
-# relative humidity %) to one perceived temperature in degC.
-ThermalModel = Callable[[float, float, float, float], float]
-
-
-def identity_thermal_model(air: float, radiant: float, wind: float, rh: float) -> float:
-    """Returns the air temperature unchanged; handy for band testing."""
-    return air
-
-
 def _vapor_pressure_hpa(air: float, rh: float) -> float:
     # Magnus form over water; it has no value at or below -237.7 degC (NaN,
     # so the TCI is Unknown).
@@ -150,12 +140,13 @@ def tci(
     rh: float,
     station_id: str = "",
     window_end: int = 0,
-    model: ThermalModel = identity_thermal_model,
 ) -> IndexValue:
-    """Thermal comfort index: run the configured thermal model, then band it.
+    """Thermal comfort index: the apparent temperature of air temperature,
+    mean radiant temperature (degC), wind (m/s) and relative humidity (%),
+    banded.
 
-    Inputs must be finite and rh within its ``VALUE_RANGE``. Model outputs
-    outside [-13, 46) map to Unknown.
+    Inputs must be finite and rh within its ``VALUE_RANGE``. Apparent
+    temperatures outside [-13, 46) map to Unknown.
     """
     for name, v in (("air_temp", air_temp), ("radiant_temp", radiant_temp), ("wind", wind), ("rh", rh)):
         if not math.isfinite(v):
@@ -163,7 +154,7 @@ def tci(
     low, high = VALUE_RANGE[Quantity.RELATIVE_HUMIDITY]
     if not low <= rh <= high:
         raise ValueError(f"rh {rh} outside [{low:g}, {high:g}]")
-    value = model(air_temp, radiant_temp, wind, rh)
+    value = apparent_temperature_model(air_temp, radiant_temp, wind, rh)
     return IndexValue(IndexKind.TCI, station_id, window_end, value, classify(value, TCI_BANDS))
 
 
@@ -304,21 +295,26 @@ class IndexComputer:
     trimmed, so each window is a slice between two binary searches.
     """
 
-    def __init__(self, thermal_model: ThermalModel = identity_thermal_model):
-        self.thermal_model = thermal_model
+    def __init__(self):
         # station -> quantity -> (timestamps, values), sorted by timestamp
         self._series: dict[str, dict[Quantity, tuple[list[int], list[float]]]] = {}
 
     def ingest(self, channels: Channels) -> None:
-        """Take the usable part of each index input's channel as its series."""
+        """Take the usable part of each index input's channel as its series.
+        Raises ValueError, naming the station and quantity, for one that
+        already has a series; nothing of ``channels`` is then kept."""
+        taken = []
         for (station, q), channel in channels.items():
             if q not in _INDEX_INPUTS:
                 continue
             usable = usable_mask(channel.flags)
             timestamps = list(compress(channel.timestamps, usable))
             if timestamps:
-                values = list(compress(channel.values, usable))
-                self._series.setdefault(station, {})[q] = (timestamps, values)
+                if q in self._series.get(station, ()):
+                    raise ValueError(f"station {station!r} already holds {q.value} readings")
+                taken.append((station, q, (timestamps, list(compress(channel.values, usable)))))
+        for station, q, series in taken:
+            self._series.setdefault(station, {})[q] = series
 
     def update(self, t: int) -> list[IndexValue]:
         """Recompute every index from the readings stamped before ``t``: the
@@ -340,15 +336,11 @@ class IndexComputer:
                     break
                 latest.append(vs[i - 1])
             else:
-                out.append(tci(*latest, station, t, model=self.thermal_model))
+                out.append(tci(*latest, station, t))
         return out
 
 
-def compute_indexes(
-    channels: Channels,
-    period_s: int,
-    thermal_model: ThermalModel = identity_thermal_model,
-) -> list[IndexValue]:
+def compute_indexes(channels: Channels, period_s: int) -> list[IndexValue]:
     """Every index on a reporting grid of ``period_s``, from the channels of
     stored readings (``store.channels_from`` makes them from records).
 
@@ -358,7 +350,7 @@ def compute_indexes(
     """
     if not channels:
         return []
-    computer = IndexComputer(thermal_model=thermal_model)
+    computer = IndexComputer()
     computer.ingest(channels)
     first = min(channel.timestamps[0] for channel in channels.values()) // period_s
     last = max(channel.timestamps[-1] for channel in channels.values()) // period_s

@@ -400,6 +400,16 @@ class TestSimulateConfigErrors:
             f"config error: the last reading arrives {past} s past 9999-12-31T23:59:59Z\n")
         assert not (tmp_path / "o").exists()
 
+    def test_a_run_across_the_year_1000_is_stored_and_indexed(self, small_scenario_file, tmp_path):
+        edit = _both(_set("start_time", "0999-12-31T23:00:00Z"), _set("duration_s", 7200))
+        assert _simulate_edited(small_scenario_file, tmp_path, edit) == 0
+        days = sorted(p.name for p in (tmp_path / "o").glob("measurements-*.txt"))
+        assert days == ["measurements-0999-12-31.txt", "measurements-1000-01-01.txt"]
+        out = tmp_path / "idx"
+        assert main(["indexes", str(tmp_path / "o"), "--out", str(out)]) == 0
+        first = (out / "indexes_T1.txt").read_text().splitlines()[0]
+        assert first.split(",")[2] == "0999-12-31T23:15:00Z"
+
     def test_negative_seed_flag_exits_1(self, small_scenario_file, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(small_scenario_file),
                    "--out", str(tmp_path / "o"), "--seed", "-1"])
@@ -463,7 +473,7 @@ class TestIndexes:
             f"{head}temperature,{air},degC,\n"
             f"{head}wind_speed,0.7,m/s,\n")
         out = tmp_path / "idx"
-        assert main(["indexes", str(data), "--out", str(out)]) == 0  # --thermal apparent
+        assert main(["indexes", str(data), "--out", str(out)]) == 0
         assert (out / "indexes_T1.txt").read_text() == "tci,T1,2015-04-20T00:15:00Z,nan,unknown\n"
         assert capsys.readouterr().out == "T1 tci: unknown\n"
 
@@ -728,7 +738,8 @@ class TestWholeOutputSets:
         assert len(before) >= 2
         opened = _failing_second(monkeypatch, "indexes_")
         capsys.readouterr()
-        rc = main(["indexes", str(sim_dir), "--out", str(out), "--thermal", "identity"])
+        # a different grid, so a set written by the failed run would differ
+        rc = main(["indexes", str(sim_dir), "--out", str(out), "--uplink-period-s", "1800"])
         _assert_one_line_data_error(rc, capsys.readouterr().err)
         assert len(opened) == 2
         assert digest_tree(out) == before  # byte-identical, and no temporary
@@ -892,17 +903,18 @@ class TestParser:
             main(["banana"])
         assert e.value.code == 1
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["indexes", "--uplink-period-s", "0"], "--uplink-period-s"),
-        (["indexes", "--uplink-period-s", "-900"], "--uplink-period-s"),
-        (["indexes", "--uplink-period-s", "15m"], "--uplink-period-s"),
-        (["compare", "--mode", "mobile-fixed", "--radius-m", "nan"], "--radius-m"),
-        (["compare", "--mode", "mobile-fixed", "--radius-m", "-5"], "--radius-m"),
-        (["compare", "--mode", "mobile-fixed", "--radius-m", "inf"], "--radius-m"),
+    @pytest.mark.parametrize("argv, error", [
+        (["indexes", "--uplink-period-s", "0"], "argument --uplink-period-s:"),
+        (["indexes", "--uplink-period-s", "-900"], "argument --uplink-period-s:"),
+        (["indexes", "--uplink-period-s", "15m"], "argument --uplink-period-s:"),
+        (["compare", "--mode", "mobile-fixed", "--radius-m", "nan"], "argument --radius-m:"),
+        (["compare", "--mode", "mobile-fixed", "--radius-m", "-5"], "argument --radius-m:"),
+        (["compare", "--mode", "mobile-fixed", "--radius-m", "inf"], "argument --radius-m:"),
+        (["indexes", "--thermal", "apparent"], "unrecognized arguments: --thermal apparent"),
     ], ids=["period-0", "period-negative", "period-text", "radius-nan", "radius-negative",
-            "radius-inf"])
+            "radius-inf", "thermal"])
     def test_bad_numeric_flag_exits_1_and_touches_no_file(
-        self, sim_dir, tmp_path, capsys, argv, flag
+        self, sim_dir, tmp_path, capsys, argv, error
     ):
         out = tmp_path / "out"
         out.mkdir()
@@ -913,7 +925,7 @@ class TestParser:
         assert e.value.code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert f"error: argument {flag}:" in err
+        assert f"error: {error}" in err
         assert (digest_tree(sim_dir), digest_tree(out)) == before
 
 

@@ -235,6 +235,17 @@ class TestUtcTime:
         assert text == datetime.fromtimestamp(ts, tz=timezone.utc).strftime(UTC_FORMAT)
         assert parse_utc(text) == ts
 
+    @given(st.integers(_epoch("0001-01-01T00:00:00Z"), domain.LAST_STAMP))
+    @example(_epoch("0001-01-01T00:00:00Z"))
+    @example(_epoch("0999-12-31T23:59:59Z"))
+    @example(_epoch("1000-01-01T00:00:00Z"))
+    @example(domain.LAST_STAMP)
+    def test_every_year_is_written_in_four_digits_and_round_trips(self, ts):
+        text = format_utc(ts)
+        moment = datetime.fromtimestamp(ts, tz=timezone.utc)
+        assert text == f"{moment.year:04d}{moment.strftime(UTC_FORMAT[2:])}"
+        assert parse_utc(text) == ts
+
     def test_stamp_cache_never_exceeds_its_bound(self, monkeypatch):
         monkeypatch.setattr(domain, "_STAMPS", {})
         monkeypatch.setattr(domain, "_MAX_STAMPS", 8)

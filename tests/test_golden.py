@@ -20,7 +20,7 @@ import yaml
 
 from citysense.analytics import compare_populations, mobile_fixed_populations, write_comparison_report
 from citysense.cli import main
-from citysense.indexes import apparent_temperature_model, compute_indexes, index_record_line
+from citysense.indexes import compute_indexes, index_record_line
 from citysense.netsim import run
 from citysense.scenario import load_scenario, with_seed
 from citysense.store import channels_from
@@ -123,9 +123,7 @@ def test_compute_indexes_over_run_equals_indexes_step(outputs):
     cfg = with_seed(load_scenario("pisa-default"), int(SEED))
     result = run(cfg)
     values = compute_indexes(
-        channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s,
-        apparent_temperature_model,
-    )
+        channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s)
     in_memory: dict[str, list[str]] = {}
     for iv in values:
         in_memory.setdefault(iv.station_id, []).append(index_record_line(iv))

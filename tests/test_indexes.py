@@ -13,13 +13,13 @@ from citysense.indexes import (
     IndexKind,
     O3_BANDS,
     PM_BANDS,
+    TCI_BANDS,
     TrafficAccessConfig,
     apparent_temperature_model,
     aqi_o3,
     aqi_pm,
     classify,
     compute_indexes,
-    identity_thermal_model,
     index_record_line,
     tci,
     traffic_index,
@@ -116,16 +116,16 @@ class TestTci:
 
     @pytest.mark.parametrize("value,color", TCI_CASES)
     def test_band_table(self, value, color):
-        iv = tci(value, value, 0.0, 50.0)  # identity model: value = air temp
-        assert iv.color is color
+        assert classify(value, TCI_BANDS) is color
 
     @pytest.mark.parametrize("value", [46.0, 60.0, -13.0 - EPS, -40.0])
     def test_outside_coverage_is_unknown(self, value):
-        assert tci(value, value, 0.0, 50.0).color is IndexColor.UNKNOWN
+        assert classify(value, TCI_BANDS) is IndexColor.UNKNOWN
 
-    def test_identity_model_returns_air_temperature(self):
-        iv = tci(20.0, 35.0, 3.0, 80.0, model=identity_thermal_model)
-        assert iv.value == 20.0
+    def test_bands_the_apparent_temperature(self):
+        iv = tci(20.0, 35.0, 3.0, 80.0)
+        assert iv.value == apparent_temperature_model(20.0, 35.0, 3.0, 80.0)
+        assert iv.color is classify(iv.value, TCI_BANDS)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -308,6 +308,11 @@ def tci_readings(t, temp, node="T1"):
     ]
 
 
+def apparent(t, temp):
+    """The TCI value of ``tci_readings(t, temp)``."""
+    return apparent_temperature_model(*(m.value for m in tci_readings(t, temp)))
+
+
 class TestIndexComputer:
     def test_constant_stream_is_yellow_every_tick(self):
         computer = IndexComputer()
@@ -366,7 +371,7 @@ class TestIndexComputer:
         computer.ingest(channels_from(ms))
         tci_values = [iv for iv in computer.update(900) if iv.kind is IndexKind.TCI]
         assert len(tci_values) == 1
-        assert tci_values[0].value == 21.5  # identity model, latest reading
+        assert tci_values[0].value == apparent_temperature_model(21.5, 21.5, 0.5, 60.0)  # latest reading
         assert tci_values[0].color is IndexColor.GREEN
 
     def test_tci_needs_all_four_inputs(self):
@@ -385,8 +390,8 @@ class TestIndexComputer:
     def test_thermal_reading_stamped_at_t_is_not_used_at_t(self):
         computer = IndexComputer()
         computer.ingest(channels_from([*tci_readings(300, 10.0), *tci_readings(900, 30.0)]))
-        assert [iv.value for iv in computer.update(900)] == [10.0]
-        assert [iv.value for iv in computer.update(901)] == [30.0]
+        assert [iv.value for iv in computer.update(900)] == [apparent(300, 10.0)]
+        assert [iv.value for iv in computer.update(901)] == [apparent(900, 30.0)]
         only_at_t = IndexComputer()
         only_at_t.ingest(channels_from(tci_readings(900, 30.0)))
         assert only_at_t.update(900) == []
@@ -418,7 +423,7 @@ class TestComputeIndexes:
             for iv in compute_indexes(
                 channels_from([*tci_readings(300, 10.0), *tci_readings(900, 20.0)]), 900)
         ]
-        assert tci_values == [(900, 10.0), (1800, 20.0)]
+        assert tci_values == [(900, apparent(300, 10.0)), (1800, apparent(900, 20.0))]
 
     def test_station_appears_only_after_its_first_reading(self):
         records = [o3_measurement(40.0, t, node="T1") for t in range(0, 3600, 300)]
@@ -441,11 +446,11 @@ class TestComputeIndexes:
                 (Quantity.RELATIVE_HUMIDITY, 60.0),
             ):
                 ms.append(Measurement("T1", t, P, q, v))
-        expected = compute_indexes(channels_from(ms), 900, apparent_temperature_model)
+        expected = compute_indexes(channels_from(ms), 900)
         assert {iv.kind for iv in expected} == {IndexKind.AQI_O3, IndexKind.AQI_PM, IndexKind.TCI}
         shuffled = list(ms)
         random.Random(5).shuffle(shuffled)
-        assert compute_indexes(channels_from(shuffled), 900, apparent_temperature_model) == expected
+        assert compute_indexes(channels_from(shuffled), 900) == expected
 
 
 class RescanReference:
@@ -454,8 +459,7 @@ class RescanReference:
     over the readings in arrival order; a thermal input is the last reading
     appended among those stamped before t."""
 
-    def __init__(self, thermal_model):
-        self.thermal_model = thermal_model
+    def __init__(self):
         self.series: dict[str, dict[Quantity, list[tuple[int, float]]]] = {}
 
     def ingest(self, measurements):
@@ -478,14 +482,14 @@ class RescanReference:
                     if usable:
                         latest[q] = usable[-1][1]
                 if len(latest) == len(TCI_INPUTS):
-                    out.append(tci(*(latest[q] for q in TCI_INPUTS), station, t, model=self.thermal_model))
+                    out.append(tci(*(latest[q] for q in TCI_INPUTS), station, t))
         return out
 
 
-def reference_indexes(records, period_s, thermal_model):
+def reference_indexes(records, period_s):
     """The grid of ``compute_indexes`` driven by ``RescanReference``."""
     ordered = sorted(records, key=lambda m: m.timestamp)
-    reference = RescanReference(thermal_model)
+    reference = RescanReference()
     first, last = ordered[0].timestamp // period_s, ordered[-1].timestamp // period_s
     out, i = [], 0
     for t in range((first + 1) * period_s, (last + 2) * period_s, period_s):
@@ -506,14 +510,10 @@ def three_day_records():
 
 
 class TestWindowsAgainstRescan:
-    @pytest.mark.parametrize("model", [identity_thermal_model, apparent_temperature_model])
-    def test_three_day_campaign_equals_rescan(self, three_day_records, model):
+    def test_three_day_campaign_equals_rescan(self, three_day_records):
         period_s, records = three_day_records
-        got = [
-            index_record_line(iv)
-            for iv in compute_indexes(channels_from(records), period_s, model)
-        ]
-        want = [index_record_line(iv) for iv in reference_indexes(records, period_s, model)]
+        got = [index_record_line(iv) for iv in compute_indexes(channels_from(records), period_s)]
+        want = [index_record_line(iv) for iv in reference_indexes(records, period_s)]
         assert {line.split(",")[0] for line in got} == {"aqi_o3", "aqi_pm", "tci"}
         assert len(got) > 5000
         assert got == want  # value repr and colour, exactly
@@ -533,12 +533,12 @@ class TestIngestOrder:
 
     def test_shuffled_records_give_the_channels_and_updates_of_sorted_ones(self):
         ms = self._readings()  # in timestamp order
-        expected = IndexComputer(apparent_temperature_model)
+        expected = IndexComputer()
         expected.ingest(channels_from(ms))
         shuffled = list(ms)
         random.Random(11).shuffle(shuffled)
         assert channels_from(shuffled) == channels_from(ms)
-        computer = IndexComputer(apparent_temperature_model)
+        computer = IndexComputer()
         computer.ingest(channels_from(shuffled))
         # every reading is held before the first update, so each update
         # must pick its windows and latest thermal inputs by timestamp
@@ -546,20 +546,35 @@ class TestIngestOrder:
             assert computer.update(t) == expected.update(t)
         latest = [m.value for m in ms if m.timestamp == 911 and m.quantity in TCI_INPUTS]
         (got,) = [iv for iv in computer.update(1000) if iv.kind is IndexKind.TCI]
-        assert got == tci(*latest, "T1", 1000, model=apparent_temperature_model)
+        assert got == tci(*latest, "T1", 1000)
 
     def test_tci_takes_latest_timestamp_not_last_given(self):
         computer = IndexComputer()
         later_first = [*tci_readings(1200, 30.0), *tci_readings(600, 20.0), *tci_readings(300, 10.0)]
         computer.ingest(channels_from(later_first))
         values = [iv.value for t in (301, 901, 1201) for iv in computer.update(t)]
-        assert values == [10.0, 20.0, 30.0]
+        assert values == [apparent(300, 10.0), apparent(600, 20.0), apparent(1200, 30.0)]
+
+    def test_a_second_ingest_of_a_held_series_is_refused(self):
+        computer = IndexComputer()
+        computer.ingest(channels_from([o3_measurement(40.0, 100), o3_measurement(60.0, 200)]))
+        later = channels_from([o3_measurement(90.0, 86_500), o3_measurement(5.0, 300, node="T2")])
+        with pytest.raises(ValueError, match="station 'T1' already holds o3 readings"):
+            computer.ingest(later)
+        assert [(iv.station_id, iv.value) for iv in computer.update(900)] == [("T1", 50.0)]
+        # other quantities and stations are taken; unusable readings of a held series are no conflict
+        computer.ingest(channels_from([
+            Measurement("T1", 300, P, Quantity.PM25, 7.0), o3_measurement(5.0, 300, node="T2"),
+            o3_measurement(999.0, 400, flags=frozenset({Flag.WARMING_UP})),
+        ]))
+        assert [(iv.station_id, iv.value) for iv in computer.update(900)] == [
+            ("T1", 50.0), ("T1", 7.0), ("T2", 5.0)]
 
     def test_equal_timestamps_keep_the_order_given(self):
         # the last reading given among those stamped before t is the latest
         computer = IndexComputer()
         computer.ingest(channels_from([*tci_readings(300, 10.0), *tci_readings(300, 20.0)]))
-        assert [iv.value for iv in computer.update(900)] == [20.0]
+        assert [iv.value for iv in computer.update(900)] == [apparent(300, 20.0)]
 
 
 class TestRecordLine:

@@ -21,7 +21,9 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Flag, GeoPoint, NodeKind, Quantity, haversine_distance, mean, usable_mask
+from .domain import (
+    Flag, GeoPoint, NodeKind, Quantity, SiteGrid, haversine_distance, mean, usable_mask,
+)
 from .store import Channel, Channels, OutputSet
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
@@ -101,14 +103,15 @@ def associate_mobile_to_fixed(
     """Assign each of the distinct mobile sample ``positions`` to the nearest
     fixed station within ``radius_m`` meters; equidistant candidates go to
     the lower station id. Deterministic and idempotent: every position
-    lands in exactly one cell, measured against every station once.
+    lands in exactly one cell, measured in id order against the stations a
+    ``domain.SiteGrid`` finds near it, which gives the full scan's answer.
     """
-    stations = sorted(fixed_stations, key=lambda s: s[0])
+    grid = SiteGrid(sorted(fixed_stations, key=lambda s: s[0]), radius_m)
     by_station: dict[str, list[GeoPoint]] = {}
     unassociated: list[GeoPoint] = []
     for p in positions:
         best_id, best_d = None, math.inf
-        for sid, pos in stations:
+        for sid, pos in grid.near(p):
             d = haversine_distance(p, pos)
             if d < best_d:  # ties keep the earlier (lower) id
                 best_id, best_d = sid, d

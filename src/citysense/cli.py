@@ -214,14 +214,29 @@ def _cmd_indexes(args) -> int:
 # compare
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict; a ValueError if it repeats a key."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _load_nodes(data_dir: FsPath) -> dict[str, NodeRow]:
     """Read ``nodes.json`` as node id -> (kind, path tag, home position).
-    Raises ValueError, naming the node, on a file ``simulate`` would not
-    write."""
+    Raises ValueError, naming the file (and the node at fault, if one is),
+    on a file ``simulate`` would not write, such as one repeating a key."""
     nodes_path = data_dir / "nodes.json"
     if not nodes_path.is_file():
         raise StorageError(f"missing {nodes_path}; run `citysense simulate` first")
-    doc = json.loads(nodes_path.read_text())
+    try:
+        doc = json.loads(nodes_path.read_bytes().decode("utf-8"), object_pairs_hook=_unique_keys)
+    except OSError as e:
+        raise StorageError(f"cannot read {nodes_path}: {e}") from e
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ValueError(f"{nodes_path}: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{nodes_path}: expected an object of nodes, got {type(doc).__name__}")
     nodes = {}

@@ -176,6 +176,37 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
+class SiteGrid:
+    """Bentley and Friedman's fixed grid over ``sites``, (id, position) pairs.
+    ``near(p)`` is the subsequence of ``sites`` holding every site within
+    ``radius_m`` of ``p`` by ``haversine_distance``: cells are ``radius_m``
+    tall (|dphi| <= d / R) and wide at the band's highest latitude, inflated
+    so rounding only adds sites, and a site is filed under its cell's 3x3
+    block. It is every site for a radius of 0 or not finite, a band reaching
+    a pole, or cells touching the antimeridian."""
+
+    def __init__(self, sites: Sequence[tuple[str, GeoPoint]], radius_m: float):
+        self.sites = tuple(sites)
+        self._cells: dict[tuple[int, int], list[tuple[str, GeoPoint]]] | None = None
+        if 0.0 < radius_m < math.inf and self.sites:
+            self._dlat = math.degrees(radius_m / EARTH_RADIUS_M) * (1.0 + 1e-6) + 1e-9
+            top = min(90.0, max(abs(p.lat) for _, p in self.sites) + self._dlat)  # 90: too wide
+            half = math.sin(radius_m / (2.0 * EARTH_RADIUS_M)) / math.cos(math.radians(top))
+            self._dlon = math.degrees(2.0 * math.asin(min(1.0, half))) * (1.0 + 1e-6) + 1e-9
+            if max(abs(p.lon) for _, p in self.sites) + self._dlon < 180.0:
+                self._cells = {}
+                for site in self.sites:
+                    i, j = self._cell(site[1])
+                    for key in [(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]:
+                        self._cells.setdefault(key, []).append(site)
+
+    def _cell(self, p: GeoPoint) -> tuple[int, int]:
+        return math.floor(p.lat / self._dlat), math.floor(p.lon / self._dlon)
+
+    def near(self, p: GeoPoint) -> Sequence[tuple[str, GeoPoint]]:
+        return self.sites if self._cells is None else self._cells.get(self._cell(p), ())
+
+
 UTC_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 SECONDS_PER_DAY = 86400
 LAST_STAMP = 253402300799  # 9999-12-31T23:59:59Z, the last second UTC_FORMAT writes

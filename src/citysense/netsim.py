@@ -6,9 +6,9 @@ short-range link; a mobile node does so while a fixed-site node is in its
 radio range, and otherwise uplinks to the server over the wide area. The
 unit ``run`` hands on, from ``nodes.sample`` to its sink, is the node tick
 (``domain.NodeTick``): one node's readings of one grid time, which share a
-position, so the link is chosen once per tick (``choose_link``, the only
-anchor scan). Each reading then takes its own Bernoulli loss draw
-(``route_measurement``) from the node's loss stream, read in blocks
+position, so the link is chosen once per tick (``choose_link``, against
+the anchors near it on a grid). Each reading then takes its own Bernoulli
+loss draw (``route_measurement``) from the node's loss stream, read in blocks
 (``field.BlockDraws``) and drawn only over a lossy link. A reading's fate is
 the ``LinkChoice`` it took (the tick's own, or a ``LOST`` one on its link);
 a tick that lost readings goes on as a new tick of the rest.
@@ -39,14 +39,15 @@ import logging
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .domain import (
-    GAS_QUANTITIES, SECONDS_PER_DAY, GeoPoint, Measurement, NodeDescriptor, NodeKind,
-    NodeTick, Quantity, Radio, ReportBatch, ValidationError, haversine_distance, tick_key,
+    GAS_QUANTITIES, SECONDS_PER_DAY, GeoPoint, Measurement, NodeDescriptor, NodeKind, NodeTick,
+    Quantity, Radio, ReportBatch, SiteGrid, ValidationError, haversine_distance, tick_key,
 )
 from .field import BlockDraws, loss_generator
 from .nodes import sample
@@ -111,6 +112,10 @@ class NetworkTopology:
     anchors: tuple[tuple[str, GeoPoint], ...]  # static nodes a mobile can reach
     links: dict[Radio, LinkModel]
 
+    @cached_property
+    def anchor_grid(self) -> SiteGrid:  # the anchors, on cells of the mobile radio's range
+        return SiteGrid(self.anchors, self.links[Radio.SHORT_RANGE_MOBILE].range_m)
+
 
 @dataclass(frozen=True)
 class LinkChoice:
@@ -133,9 +138,9 @@ def choose_link(node: NodeDescriptor, position: GeoPoint, topo: NetworkTopology)
     """Decide the link for the readings ``node`` takes at ``position``.
 
     Fixed-site kinds go to the coordinator over the short-range link; a
-    mobile checks whether any static node is within its short-range radio
-    range and otherwise uplinks directly over the wide area network. Every
-    reading of one tick shares a position, so this runs once per tick.
+    mobile checks whether any anchor near it (``topo.anchor_grid``) is in its
+    short-range radio range, else uplinks directly over the wide area
+    network. Every reading of one tick shares a position: one call per tick.
     """
     if node.kind is NodeKind.COORDINATOR:
         return LinkChoice(None, DeliveryOutcome.DELIVERED_TO_COORDINATOR)
@@ -146,7 +151,7 @@ def choose_link(node: NodeDescriptor, position: GeoPoint, topo: NetworkTopology)
         mobile_link = topo.links[Radio.SHORT_RANGE_MOBILE]
         if any(
             haversine_distance(position, pos) <= mobile_link.range_m
-            for _, pos in topo.anchors
+            for _, pos in topo.anchor_grid.near(position)
         ):
             return LinkChoice(mobile_link, DeliveryOutcome.DELIVERED_TO_COORDINATOR)
     return LinkChoice(topo.links[Radio.WIDE_AREA], DeliveryOutcome.DELIVERED_TO_SERVER)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from collections.abc import Hashable
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -370,10 +371,26 @@ def parse_scenario(raw) -> ScenarioConfig:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class _UniqueKeyLoader(_YAML_LOADER):
+    """``_YAML_LOADER`` refusing a repeated mapping key, not keeping its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":  # ``<<`` is merged by the base
+                key = self.construct_object(key_node, deep=True)
+                if isinstance(key, Hashable):  # the base refuses the others
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"repeated key {key!r}", key_node.start_mark)
+                    seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def _read_yaml(path) -> object:
     """The YAML document in ``path``; a one-line ConfigError if unreadable."""
     try:
-        return yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        return yaml.load(path.read_text(), Loader=_UniqueKeyLoader)
     except (OSError, ValueError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read {path}: {' '.join(str(e).split())}") from None
 

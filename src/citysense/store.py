@@ -24,13 +24,14 @@ replaces a directory's old set only once the new one is whole.
 Loading validates every record as writing does, and each file must be named
 for the UTC day of every stamp it holds. Both refuse a key that is not
 above the one before it: a duplicate triple if equal, a record out of order
-if lower. Files are read in name order and split at ``\n`` only. A number
-(lat, lon, value) is text ``float`` reads without stripping whitespace,
-skipping an ``_`` or reading a non-ASCII digit; anything else is a data
-error, and each names its file and line. Each checked line goes straight
-into the columns of its ``Channel``, one per (node, quantity): timestamps,
-values, flag sets and positions. ``channels_from`` builds the same channels
-from records.
+if lower. Files are read in name order, as UTF-8 (a stray byte stays in its
+field, which refuses it) and split at ``\n`` only, in one pass that parses
+a tick's ``ts,node,lat,lon`` prefix once. A number (lat, lon, value) is text
+``float`` reads without stripping whitespace, skipping an ``_`` or reading a
+non-ASCII digit; anything else is a data error, and each names its file and
+line. Each checked line goes straight into the columns of its ``Channel``,
+one per (node, quantity): timestamps, values, flag sets and positions.
+``channels_from`` builds the same channels from records.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from pathlib import Path as FsPath
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .domain import (
-    SECONDS_PER_DAY, UNITS, QUANTITY_CODES, Flag, GeoPoint, Measurement,
+    SECONDS_PER_DAY, UNITS, QUANTITY_CODES, VALUE_RANGE, Flag, GeoPoint, Measurement,
     NodeTick, Quantity, RecordKey, ValidationError, format_utc, parse_utc,
     tick_key, validate_node_id, validate_value,
 )
@@ -137,6 +138,12 @@ def serialize_measurement(m: Measurement) -> str:
     return format_tick(tick)[:-1]
 
 
+# Quantity code -> (quantity, unit, low, high); the bounds are ``VALUE_RANGE``'s,
+# made finite so that ``low <= value <= high`` also refuses what is not finite.
+_READINGS = {code: (q, UNITS[q], *(math.nextafter(b, 0.0) if math.isinf(b) else b
+                                   for b in VALUE_RANGE[q])) for q, code in QUANTITY_CODES.items()}
+
+
 def _number(field_name: str, text: str) -> float:
     """``float(text)`` for a number of the record grammar. Text ``float``
     rejects is a ValidationError, and so is text it reads only by going
@@ -156,7 +163,6 @@ class _RecordParser:
 
     def __init__(self):
         self._node_ids: dict[str, str] = {}
-        self._quantities: dict[str, tuple[Quantity, str]] = {}
         self._timestamps: dict[str, int] = {}
         self._positions: dict[tuple[str, str], GeoPoint] = {}
         self._flags: dict[str, frozenset[Flag]] = {}
@@ -171,11 +177,9 @@ class _RecordParser:
         known_id = self._node_ids.get(node_id)
         if known_id is None:
             known_id = self._node_ids[node_id] = validate_node_id(node_id)
-        known_quantity = self._quantities.get(qcode)
-        if known_quantity is None:
-            quantity = Quantity(qcode)
-            known_quantity = self._quantities[qcode] = (quantity, UNITS[quantity])
-        quantity, expected_unit = known_quantity
+        if qcode not in _READINGS:
+            Quantity(qcode)  # raises: no quantity has this code
+        quantity, expected_unit, _, _ = _READINGS[qcode]
         if unit != expected_unit:
             raise ValueError(f"unit {unit!r} does not match quantity {qcode}")
         timestamp = self._timestamps.get(ts)
@@ -299,23 +303,16 @@ class Channel(NamedTuple):
 Channels = dict[tuple[str, Quantity], Channel]
 
 
-def _append(channels: Channels, key: tuple[str, Quantity], timestamp: int, value: float,
-            flags: frozenset[Flag], position: GeoPoint) -> None:
-    channel = channels.get(key)
-    if channel is None:
-        channel = channels[key] = Channel([], [], [], [])
-    channel.timestamps.append(timestamp)
-    channel.values.append(value)
-    channel.flags.append(flags)
-    channel.positions.append(position)
-
-
 def channels_from(records: Iterable[Measurement]) -> Channels:
     """The channels of ``records``, given in any order, as a load of their
     day files would make them (without its checks)."""
     channels: Channels = {}
     for m in sorted(records, key=attrgetter("timestamp")):  # equal stamps keep their order
-        _append(channels, (m.node_id, m.quantity), m.timestamp, m.value, m.flags, m.position)
+        channel = channels.get((m.node_id, m.quantity))
+        if channel is None:
+            channel = channels[m.node_id, m.quantity] = Channel([], [], [], [])
+        for column, item in zip(channel, (m.timestamp, m.value, m.flags, m.position)):
+            column.append(item)
     return channels
 
 
@@ -346,26 +343,58 @@ class MeasurementStore:
         """Append each checked line of ``files`` to its channel. Every key
         (taken from the line) must be above the one before it, in its file
         or the file before, so each channel grows in timestamp order, and
-        its stamp must fall on the UTC day its file is named for."""
+        its stamp must fall on the UTC day its file is named for. A line
+        that repeats the ``ts,node,lat,lon`` prefix of the line before it
+        has only its reading checked inline; any other line, or one those
+        checks doubt, goes through ``_RecordParser`` and the order and day
+        checks, which own every message."""
         parse = _RecordParser()
+        flag_sets: dict[str, frozenset[Flag]] = {}  # flags text, line end and all -> set
         channels = self.channels
-        last: RecordKey | tuple[()] = ()  # () sorts before every key
+        by_node: dict[str, dict[Quantity, Channel]] = {}  # the same channels, by node
+        timestamp, node_id, code = -math.inf, "", ""  # the last key, below every key
         for f in files:
             day_start = _day_start(f.name)
             day_end = day_start + SECONDS_PER_DAY
-            with f.open(newline="\n") as lines:
+            head = None  # the prefix of the file's last line parsed in full
+            with f.open(encoding="utf-8", errors="surrogateescape", newline="\n") as lines:
                 for lineno, line in enumerate(lines, 1):
-                    try:
-                        key, quantity, position, value, flags = parse(line.rstrip("\n"))
-                        if key <= last:
-                            raise _order_error(last, key)
-                        if not day_start <= key[0] < day_end:
-                            raise ValueError(f"timestamp {format_utc(key[0])} is not on "
-                                             f"{format_utc(day_start)[:10]}")
-                    except ValueError as e:
-                        raise ValueError(f"{f.name} line {lineno}: {e}") from e
-                    last = key
-                    _append(channels, (key[1], quantity), key[0], value, flags, position)
+                    fields = line.rsplit(",", 4)
+                    value = None
+                    if fields[0] == head:  # 8 fields, and the key's stamp and node are the last
+                        _, qcode, text, unit, flag_text = fields
+                        reading = _READINGS.get(qcode)
+                        flag_set = flag_sets.get(flag_text)
+                        if (reading and unit == reading[1] and flag_set is not None and qcode > code
+                                and "_" not in text and text.isascii() and text.strip() == text):
+                            try:
+                                number = float(text)
+                            except ValueError:
+                                number = math.nan
+                            if reading[2] <= number <= reading[3]:
+                                quantity, value, code = reading[0], number, qcode
+                    if value is None:
+                        last = (timestamp, node_id, code)
+                        try:
+                            key, quantity, position, value, flag_set = parse(line.rstrip("\n"))
+                            if key <= last:
+                                raise _order_error(last, key)
+                            if not day_start <= key[0] < day_end:
+                                raise ValueError(f"timestamp {format_utc(key[0])} is not on "
+                                                 f"{format_utc(day_start)[:10]}")
+                        except ValueError as e:
+                            raise ValueError(f"{f.name} line {lineno}: {e}") from e
+                        head, (timestamp, node_id, code) = fields[0], key
+                        flag_sets[fields[4]] = flag_set
+                        node_channels = by_node.setdefault(node_id, {})
+                    channel = node_channels.get(quantity)
+                    if channel is None:
+                        channel = node_channels[quantity] = channels[node_id, quantity] = (
+                            Channel([], [], [], []))
+                    channel.timestamps.append(timestamp)
+                    channel.values.append(value)
+                    channel.flags.append(flag_set)
+                    channel.positions.append(position)
 
     def __len__(self) -> int:
         return count_readings(self.channels)

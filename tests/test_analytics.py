@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from citysense.analytics import (
     EmptySampleError,
@@ -18,6 +18,7 @@ from citysense.analytics import (
 )
 from citysense.domain import Flag, GeoPoint, Measurement, NodeKind, Quantity, haversine_distance
 from citysense.store import channels_from
+from tests.geo import grid_cases
 
 P = GeoPoint(43.716, 10.3966)
 M_PER_DEG_LAT = math.pi * 6371000.0 / 180.0
@@ -215,6 +216,15 @@ class TestAssociationDifferential:
         assert tie in assoc.by_station["E0"]  # the tie goes to the lower id
         assert edge in assoc.by_station["L0"]  # d == radius_m is inside
         assert unassociated, "some position should fall outside every radius"
+
+    @settings(max_examples=300)
+    @given(grid_cases(min_sites=1))
+    def test_matches_brute_force_at_poles_antimeridian_ties_and_any_radius(self, case):
+        stations, positions, radius = case
+        assoc = associate_mobile_to_fixed(positions, stations, radius_m=radius)
+        by_station, unassociated = brute_force_association(positions, stations, radius)
+        assert dict(assoc.by_station) == by_station
+        assert assoc.unassociated == unassociated
 
 
 class TestComparePopulations:

@@ -410,6 +410,42 @@ class TestSimulateConfigErrors:
         first = (out / "indexes_T1.txt").read_text().splitlines()[0]
         assert first.split(",")[2] == "0999-12-31T23:15:00Z"
 
+    @pytest.mark.parametrize("repeat, key", [
+        ("duration_s: 3600\n", "duration_s"),
+        ("  - {id: X9, kind: coordinator, lat: 43.716, lon: 10.3966, lat: 43.7,"
+         " quantities: []}\n", "lat"),
+        ("paths:\n  other: [[43.7195, 10.3966], [43.72, 10.3966]]\n", "paths"),
+    ], ids=["top-level", "nested", "mapping"])
+    def test_a_repeated_yaml_key_exits_1_naming_key_and_line(
+        self, small_scenario_file, tmp_path, capsys, repeat, key
+    ):
+        # PyYAML keeps a repeated key's last value: 3600 s would be simulated.
+        text = small_scenario_file.read_text()
+        line = len(text.splitlines()) + 1  # the first line of ``repeat``
+        small_scenario_file.write_text(text + repeat)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--scenario", str(small_scenario_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1
+        assert err.startswith(f"config error: cannot read {small_scenario_file}: "
+                              f"repeated key {key!r}")
+        assert f"line {line}," in err
+        assert not out.exists()
+
+    def test_a_repeated_access_file_key_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "access.yaml"
+        p.write_text("composition: {cars: 1.0}\ns_b: 1800\ns_b: 900\n")
+        assert main(["traffic", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "repeated key 's_b'" in err and "line 3," in err
+
+    def test_yaml_merge_keys_still_load(self, small_scenario_file, tmp_path):
+        text = small_scenario_file.read_text().replace(
+            "  co: {lod: 0.0}\n  co2: {lod: 0.0}", "  co: &lod {lod: 0.0}\n  co2: {<<: *lod}")
+        small_scenario_file.write_text(text)
+        assert main(["simulate", "--scenario", str(small_scenario_file),
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_negative_seed_flag_exits_1(self, small_scenario_file, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(small_scenario_file),
                    "--out", str(tmp_path / "o"), "--seed", "-1"])
@@ -560,6 +596,28 @@ class TestFieldTextOutsideTheGrammar:
         assert err.startswith(f"data error: {name} line 3: {message}")
 
 
+class TestBytesOutsideUtf8:
+    @pytest.mark.parametrize(
+        "command", [["indexes"], ["compare", "--mode", "paths"], ["compare", "--mode", "mobile-fixed"]]
+    )
+    def test_a_stray_byte_is_named_by_file_and_line_whatever_the_locale(
+        self, sim_dir, tmp_path, capsys, command
+    ):
+        # The byte lands in the unit of line 3, read the same in every locale.
+        day_file, lines = _first_day_file(sim_dir)
+        fields = lines[2].split(",")
+        lines[2] = ",".join(fields[:6] + ["\udcff", *fields[7:]])
+        day_file.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(citysense.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "citysense.cli", *command[:1], str(sim_dir), *command[1:],
+             "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        _assert_one_line_data_error(proc.returncode, proc.stderr)
+        assert proc.stderr == (f"data error: {day_file.name} line 3: unit '\\udcff' does not "
+                               f"match quantity {fields[4]}\n")
+
+
 class TestCompare:
     def test_mobile_fixed_mode(self, sim_dir, tmp_path):
         out = tmp_path / "cmp"
@@ -646,6 +704,24 @@ class TestCompare:
         err = capsys.readouterr().err
         _assert_one_line_data_error(rc, err)
         assert "nodes.json" in err and needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["paths", "mobile-fixed"])
+    @pytest.mark.parametrize("cut, needle", [
+        (lambda text: text[:8], "Expecting"),
+        (lambda text: text.replace("{", "{\n  \"T1\": {},", 1), "repeated key 'T1'"),
+        (lambda text: text.replace('"kind"', '"kind": "fixed", "kind"', 1), "repeated key 'kind'"),
+        (lambda text: text.replace('"T1"', '"T\udcff1"', 1), "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["truncated", "repeated-node", "repeated-field", "not-utf-8"])
+    def test_nodes_json_is_named_in_every_refusal(self, sim_dir, tmp_path, capsys, mode, cut,
+                                                  needle):
+        nodes_path = sim_dir / "nodes.json"
+        nodes_path.write_bytes(cut(nodes_path.read_text()).encode("utf-8", "surrogateescape"))
+        out = tmp_path / "cmp"
+        rc = main(["compare", str(sim_dir), "--mode", mode, "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert err.startswith(f"data error: {nodes_path}: ") and needle in err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["paths", "mobile-fixed"])

@@ -4,7 +4,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citysense import domain
 from citysense.domain import (
@@ -16,6 +16,7 @@ from citysense.domain import (
     NodeTick,
     Quantity,
     ReportBatch,
+    SiteGrid,
     UNITS,
     VALUE_RANGE,
     ValidationError,
@@ -26,6 +27,7 @@ from citysense.domain import (
     parse_utc,
     validate_value,
 )
+from tests.geo import grid_cases
 
 P = GeoPoint(43.716, 10.3966)
 
@@ -98,6 +100,37 @@ class TestHaversine:
         bc = haversine_distance(b, c)
         ac = haversine_distance(a, c)
         assert ac <= ab + bc + 1e-6 * max(1.0, ac)
+
+
+class TestSiteGrid:
+    @settings(max_examples=300)
+    @given(grid_cases())
+    def test_near_holds_every_site_within_the_radius_in_site_order(self, case):
+        sites, queries, radius = case
+        grid = SiteGrid(sites, radius)
+        for q in queries:
+            near = list(grid.near(q))
+            assert near == [s for s in sites if s in near]  # a subsequence, in order
+            within = [s for s in sites if haversine_distance(q, s[1]) <= radius]
+            assert all(s in near for s in within), (q, within, near)
+
+    def test_a_city_is_searched_through_cells(self):
+        sites = [(f"S{i}", GeoPoint(43.7 + 0.01 * i, 10.4)) for i in range(10)]
+        grid = SiteGrid(sites, 500.0)
+        near = grid.near(GeoPoint(43.7, 10.4))  # three rows of cells span 0.0135 degrees
+        assert near[0] == sites[0] and len(near) <= 2
+        assert grid.near(GeoPoint(-43.7, 10.4)) == ()
+
+    @pytest.mark.parametrize("sites, radius", [
+        ([("A", P)], 0.0),
+        ([("A", P)], math.inf),
+        ([("A", P)], 1e7),  # the band reaches a pole
+        ([("A", GeoPoint(89.999, 0.0))], 500.0),
+        ([("A", GeoPoint(10.0, 179.999))], 500.0),  # cells touch the antimeridian
+        ([("A", GeoPoint(10.0, -179.999))], 500.0),
+    ])
+    def test_without_a_grid_every_site_is_near(self, sites, radius):
+        assert SiteGrid(sites, radius).near(GeoPoint(-45.0, -90.0)) == tuple(sites)
 
 
 class TestUnits:

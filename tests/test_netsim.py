@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
 
 from citysense import cli, netsim
 from citysense.domain import (
@@ -39,6 +40,7 @@ from citysense.field import DRAW_BLOCK, BlockDraws, loss_generator
 from citysense.nodes import sample
 from citysense.scenario import load_scenario, with_seed
 from citysense.store import DayFiles, OutputSet, serialize_measurement
+from tests.geo import grid_cases
 from tests.rows import one_reading_ticks
 
 P = GeoPoint(43.716, 10.3966)
@@ -115,6 +117,19 @@ class TestRouteMeasurement:
             r, link, arrival_t = route(m, node, topo, np.random.default_rng(0))
             assert r.outcome is DeliveryOutcome.DELIVERED_TO_SERVER
             assert link is Radio.WIDE_AREA and arrival_t == 300 + 2
+
+    @settings(max_examples=300)
+    @given(grid_cases())
+    def test_the_anchor_grid_chooses_as_a_scan_of_every_anchor(self, case):
+        anchors, positions, radius = case
+        links = {**DEFAULT_LINKS, Radio.SHORT_RANGE_MOBILE: LinkModel(
+            Radio.SHORT_RANGE_MOBILE, radius or 5e-324, 0.0, 1.0)}
+        topo = NetworkTopology("C0", tuple(anchors), links)
+        for p in positions:
+            in_range = any(haversine_distance(p, pos) <= links[Radio.SHORT_RANGE_MOBILE].range_m
+                           for _, pos in anchors)
+            expected = Radio.SHORT_RANGE_MOBILE if in_range else Radio.WIDE_AREA
+            assert choose_link(mobile_descriptor(), p, topo).link.kind is expected
 
     def test_certain_loss_is_lost(self):
         links = dict(DEFAULT_LINKS)

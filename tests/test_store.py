@@ -2,9 +2,11 @@ import dataclasses
 import math
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from citysense.domain import (
     Flag,
@@ -13,11 +15,13 @@ from citysense.domain import (
     NodeTick,
     Quantity,
     ValidationError,
+    format_utc,
     record_key,
 )
 from citysense import store as store_module
 from citysense.netsim import coordinator_uplink
 from citysense.store import (
+    Channel,
     DayFiles,
     MeasurementStore,
     OutputSet,
@@ -697,3 +701,126 @@ class TestOutputSet:
     def test_creates_the_directory(self, tmp_path):
         write_set(tmp_path / "a" / "b", {"nodes.json": "new\n"})
         assert snapshot(tmp_path / "a" / "b") == {"nodes.json": b"new\n"}
+
+
+def line_loader(root):
+    """The channels of the day files under ``root`` as the store loaded them
+    before its one-pass loader: every line through ``_RecordParser``, then
+    the order and day checks. The reference the loader must equal."""
+    parse = store_module._RecordParser()
+    channels = {}
+    last = ()
+    for f in sorted(root.glob("measurements-*.txt")):
+        day_start = store_module._day_start(f.name)
+        with f.open(encoding="utf-8", errors="surrogateescape", newline="\n") as lines:
+            for lineno, line in enumerate(lines, 1):
+                try:
+                    key, quantity, position, value, flags = parse(line.rstrip("\n"))
+                    if key <= last:
+                        raise store_module._order_error(last, key)
+                    if not day_start <= key[0] < day_start + 86400:
+                        raise ValueError(f"timestamp {format_utc(key[0])} is not on "
+                                         f"{format_utc(day_start)[:10]}")
+                except ValueError as e:
+                    raise ValueError(f"{f.name} line {lineno}: {e}") from e
+                last = key
+                channel = channels.setdefault((key[1], quantity), Channel([], [], [], []))
+                for column, item in zip(channel, (key[0], value, flags, position)):
+                    column.append(item)
+    return channels
+
+
+def outcome(load, root):
+    """What ``load(root)`` gives: its channels, every float by ``repr``, in
+    order, or its error text."""
+    try:
+        channels = load(root)
+    except ValueError as e:
+        return str(e)
+    return [(key, ts, [repr(v) for v in values], flags, [(repr(p.lat), repr(p.lon)) for p in ps])
+            for key, (ts, values, flags, ps) in channels.items()]
+
+
+def two_day_store():
+    """The day files of a small two-day store, by name: fixed and mobile
+    nodes, several quantities per tick, flags, and values of every sign."""
+    quantities = (Quantity.CO, Quantity.CO2, Quantity.RELATIVE_HUMIDITY, Quantity.TEMPERATURE)
+    ticks = []
+    for k, t in enumerate(range(T0 + 86400 - 900, T0 + 86400 + 900, 300)):
+        for node, position in (("F1", P), ("M1", GeoPoint(43.7 + k * 1e-4, 10.39 - k * 3e-5))):
+            ticks.append(NodeTick(node, t, position, quantities,
+                                  [2.5e-05 * k, 451.0 + k, 99.5, -1.25 * k],
+                                  [frozenset({Flag.QUANTIZED}), frozenset(), frozenset(),
+                                   frozenset({Flag.BELOW_LOD, Flag.WARMING_UP})]))
+    with tempfile.TemporaryDirectory() as tmp:
+        with OutputSet(tmp, "measurements-*.txt") as files:
+            with DayFiles(files) as days:
+                days.add(ticks)
+        return {p.name: p.read_text() for p in sorted(Path(tmp).iterdir())}
+
+
+TWO_DAYS = two_day_store()
+ALPHABET = list("0123456789,.-+e_ :;TZx\n\r") + ["\x85", "\u2028", "\u0663", "\udcff", "nan",
+                                                    "inf", "co2", "ppmV", "quantized"]
+
+
+@st.composite
+def mutated_stores(draw):
+    """``TWO_DAYS`` with one change: a character of one field of a line
+    replaced by up to two others, a line dropped or copied, or two lines
+    swapped."""
+    files = {name: text.split("\n")[:-1] for name, text in TWO_DAYS.items()}
+    name = draw(st.sampled_from(sorted(files)))
+    lines = files[name]
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    change = draw(st.sampled_from(["char", "char", "char", "drop", "copy", "swap"]))
+    if change == "char":  # in a field drawn first, so that short fields get their share
+        fields = lines[i].split(",")
+        k = draw(st.integers(0, len(fields) - 1))
+        at = draw(st.integers(0, len(fields[k])))
+        new = "".join(draw(st.lists(st.sampled_from(ALPHABET), max_size=2)))
+        fields[k] = fields[k][:at] + new + fields[k][at + 1:]
+        lines[i] = ",".join(fields)
+    elif change == "drop":
+        del lines[i]
+    elif change == "copy":
+        lines.insert(j, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
+
+
+class TestOnePassLoaderEqualsTheLineLoader:
+    def test_the_unchanged_store_loads_in_full(self, tmp_path):
+        for name, text in TWO_DAYS.items():
+            (tmp_path / name).write_text(text)
+        assert sorted(TWO_DAYS) == ["measurements-2015-04-20.txt", "measurements-2015-04-21.txt"]
+        loaded = outcome(lambda root: MeasurementStore(root).channels, tmp_path)
+        assert loaded == outcome(line_loader, tmp_path) and len(loaded) == 8
+
+    @pytest.mark.parametrize("text", [
+        "4_51.0", " 451.0", "451.0 ", "451.0\x0c", "4\u06631.0", "451\u2028", "1_0", "nan", "inf",
+        "-inf", "1e999", "-1e999", "-0.0", "5e-324", "0x1p3", "+451", "451.", ".5", "1E5", "",
+    ])
+    @pytest.mark.parametrize("lineno", [1, 2, 8])  # a tick's first line, and lines after it
+    def test_each_number_text_of_a_value_loads_or_fails_as_the_line_loader_does(
+        self, tmp_path, text, lineno
+    ):
+        for name, day in TWO_DAYS.items():
+            lines = day.split("\n")
+            fields = lines[lineno - 1].split(",")
+            fields[5] = text
+            lines[lineno - 1] = ",".join(fields)
+            (tmp_path / name).write_text("\n".join(lines))
+        expected = outcome(line_loader, tmp_path)
+        assert outcome(lambda root: MeasurementStore(root).channels, tmp_path) == expected
+
+    @settings(max_examples=400)
+    @given(mutated_stores())
+    def test_a_changed_store_loads_or_fails_as_the_line_loader_does(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, text in files.items():
+                (root / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+            expected = outcome(line_loader, root)
+            assert outcome(lambda r: MeasurementStore(r).channels, root) == expected

@@ -88,8 +88,9 @@ def test_tracer_finds_every_name_but_the_known_absent_ones(tmp_path):
     assert layers["indexes.ingest_calls"] == 1  # compute_indexes ingests every record once
     for name in ("indexes.recompute_values", "analytics.associated", "analytics.compare_s"):
         assert layers[name] > 0, name
-    # The association measures each distinct mobile position against each
-    # fixed station once, so the pairs counted are the distances computed.
+    # The pairs counted are every (distinct mobile position, fixed station):
+    # the full scan's work, taken from the arguments. The association itself
+    # measures only the stations its grid finds near each position.
     kinds = {nid: node["kind"] for nid, node in json.loads((sim / "nodes.json").read_text()).items()}
     mobile_positions = {
         (float(fields[2]), float(fields[3]))

@@ -4,37 +4,50 @@ Nine sensing nodes (seven fixed on two intersecting monitored paths, two on
 bicycles), a coordinator at the path intersection batching reports every
 15 minutes, and a weather station. The coordinator receives each node's
 5-minute samples over short-range radio; out-of-range bicycles fall back to
-the wide-area uplink.
+the wide-area uplink. The run writes its files into a temporary directory,
+and the server's day files are read back for the counts and indexes.
 
 Run: python demos/03_run_campaign.py
 """
 
-import collections
+import tempfile
 
-from citysense import compute_indexes, load_scenario, run
+from citysense import compute_indexes, load_scenario
+from citysense.cli import simulate
+from citysense.domain import GAS_QUANTITIES
 from citysense.netsim import DeliveryOutcome
-from citysense.store import channels_from
+from citysense.store import MeasurementStore
 
 cfg = load_scenario("pisa-default")
 print(f"scenario {cfg.name!r}: {len(cfg.nodes)} nodes, {cfg.duration_s // 3600} h, seed {cfg.seed}")
 
-result = run(cfg)
+with tempfile.TemporaryDirectory() as out:
+    tallies, received = simulate(cfg, out)
+    channels = MeasurementStore(out).channels
 
-print(f"\nserver received {len(result.server_measurements)} measurements "
-      f"in {len(result.batches)} report batches")
+print(f"\nserver received {received} measurements "
+      f"over {cfg.duration_s // cfg.uplink_period_s} uplink windows")
 
-outcomes = collections.Counter(d.outcome for d in result.deliveries)
-for outcome in DeliveryOutcome:
-    print(f"  {outcome.value:26s} {outcomes.get(outcome, 0):6d}")
+outcomes = {
+    DeliveryOutcome.DELIVERED_TO_COORDINATOR: sum(t.to_coordinator for t in tallies.values()),
+    DeliveryOutcome.DELIVERED_TO_SERVER: sum(t.to_server for t in tallies.values()),
+    DeliveryOutcome.LOST: sum(t.lost for t in tallies.values()),
+}
+for outcome, count in outcomes.items():
+    print(f"  {outcome.value:26s} {count:6d}")
 
-per_window = result.gas_reports_per_window(cfg.uplink_period_s, cfg.start_epoch)
-counts = sorted(set(per_window.values()))
+# Distinct (node, stamp) gas reports the server holds per uplink window.
+reports: dict[int, set[tuple[str, int]]] = {}
+for (node_id, quantity), channel in channels.items():
+    if quantity in GAS_QUANTITIES:
+        for t in channel.timestamps:
+            reports.setdefault((t - cfg.start_epoch) // cfg.uplink_period_s, set()).add((node_id, t))
+counts = sorted({len(r) for r in reports.values()})
 print(f"\ngas node-reports per 15-minute window: {counts} "
       f"(9 sensing nodes x 3 sampling slots = 27)")
 
 print("\nlast index refresh of the day:")
-index_values = compute_indexes(
-    channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s)
+index_values = compute_indexes(channels, cfg.uplink_period_s)
 final_t = max(iv.window_end for iv in index_values)
 for iv in index_values:
     if iv.window_end == final_t and iv.station_id in ("T2", "F5", "M1"):

@@ -4,12 +4,15 @@ Runs the bundled scenario twice over one day: once clean, once with the
 bicycles' hydrocarbon channel biased 1.75x (a stand-in for sensors riding
 close to exhaust level). Mobile samples are associated to the nearest fixed
 station within 500 m, then the two populations are compared per quantity.
+Each run writes its files into a temporary directory, and the populations
+are formed from the day files read back.
 
 Run: python demos/05_compare_populations.py [out-dir]
 """
 
 import dataclasses
 import sys
+import tempfile
 from pathlib import Path
 
 from citysense import (
@@ -17,18 +20,19 @@ from citysense import (
     compare_populations,
     load_scenario,
     mobile_fixed_populations,
-    run,
     write_comparison_report,
 )
+from citysense.cli import simulate
 from citysense.domain import NodeKind
-from citysense.store import channels_from
+from citysense.store import MeasurementStore
 
 
-def mobile_fixed_report(cfg, result):
+def mobile_fixed_report(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        simulate(cfg, out)
+        channels = MeasurementStore(out).channels
     nodes = {n.descriptor.node_id: (n.descriptor.kind, n.path_tag, n.descriptor.home_position) for n in cfg.nodes}
-    pop_mobile, pop_fixed, _, _ = mobile_fixed_populations(
-        channels_from(m for _, m in result.server_measurements), nodes, radius_m=500.0
-    )
+    pop_mobile, pop_fixed, _, _ = mobile_fixed_populations(channels, nodes, radius_m=500.0)
     return compare_populations(pop_mobile, pop_fixed, labels=("mobile", "fixed"))
 
 
@@ -42,7 +46,7 @@ biased_nodes = [
 biased = dataclasses.replace(base, nodes=biased_nodes)
 
 for label, cfg in (("unbiased", base), ("HC bias 1.75x on bicycles", biased)):
-    report = mobile_fixed_report(cfg, run(cfg))
+    report = mobile_fixed_report(cfg)
     print(f"\n=== {label} ===")
     print(f"{'quantity':20s} {'mobile':>10s} {'fixed':>10s} {'rel_err':>8s}")
     for row in report.rows:

@@ -46,7 +46,6 @@ from .indexes import (
 from .netsim import (
     DeliveryOutcome,
     LinkModel,
-    SimulationResult,
     choose_link,
     coordinator_uplink,
     route_measurement,
@@ -54,7 +53,7 @@ from .netsim import (
 )
 from .nodes import NodeState, SensorSpec, default_sensor_spec, lag_filter, quantize, sample
 from .scenario import ScenarioConfig, load_scenario, with_seed
-from .store import MeasurementStore, parse_measurement, serialize_measurement
+from .store import MeasurementStore
 
 __version__ = "0.1.0"
 

@@ -28,7 +28,7 @@ from .indexes import (
     index_record_line,
     traffic_index,
 )
-from .netsim import ConfigError, DeliveryOutcome, RunSink, SimulationResult, Tally, run
+from .netsim import ConfigError, DeliveryOutcome, RunSink, Tallies, Tally, run
 from .scenario import ScenarioConfig, load_access, load_scenario, with_seed
 from .store import DayFiles, MeasurementStore, OutputSet, StorageError, count_readings
 
@@ -129,7 +129,7 @@ class _LogSink(RunSink):
         self._days.write_before(t)
 
 
-def simulate(cfg: ScenarioConfig, out: str | FsPath) -> tuple[SimulationResult, int]:
+def simulate(cfg: ScenarioConfig, out: str | FsPath) -> tuple[Tallies, int]:
     """Run ``cfg`` and replace the output set under ``out`` with its
     delivery log, day files and ``nodes.json``. Returns the run's tallies
     and the number of readings the server received. A run that fails
@@ -146,21 +146,21 @@ def simulate(cfg: ScenarioConfig, out: str | FsPath) -> tuple[SimulationResult, 
     }
     with OutputSet(out, "measurements-*.txt") as files:
         with files.open("delivery-log.txt") as log, DayFiles(files) as days:
-            result = run(cfg, _LogSink(log, days))
+            tallies = run(cfg, _LogSink(log, days))
         with files.open("nodes.json") as f:
             f.write(json.dumps(nodes_doc, indent=2, sort_keys=True) + "\n")
-    return result, days.written
+    return tallies, days.written
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
-    result, received = simulate(cfg, args.out)
+    tallies, received = simulate(cfg, args.out)
 
     print(f"scenario {cfg.name!r} seed {cfg.seed}: {cfg.duration_s} s simulated")
     per_node: dict[str, Tally] = {}
-    for (node_id, _), t in result.tallies.items():
+    for (node_id, _), t in tallies.items():
         per_node.setdefault(node_id, Tally()).add(t)
     total_emitted = total_undelivered = 0
     for node in cfg.nodes:

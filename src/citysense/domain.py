@@ -294,10 +294,6 @@ def validate_value(quantity: Quantity, value: float) -> float:
 RecordKey = tuple[int, str, str]
 
 
-def record_key(m: Measurement) -> RecordKey:
-    return (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity])
-
-
 @dataclass(slots=True)
 class NodeTick:
     """One node's readings at one stamp and position, as parallel columns;
@@ -320,7 +316,7 @@ class NodeTick:
                 for q, value, flags in zip(self.quantities, self.values, self.flags)]
 
 
-# A tick's sort key: ticks in this order give their records in record_key order.
+# A tick's sort key: ticks in this order give their records in RecordKey order.
 tick_key = attrgetter("timestamp", "node_id")
 
 
@@ -410,7 +406,7 @@ class ReportBatch:
     def __post_init__(self):
         for tick in self.ticks:
             if tick.timestamp > self.uplink_time:
-                raise ValidationError("measurements", f"timestamp {tick.timestamp} "
+                raise ValidationError("ticks", f"timestamp {tick.timestamp} "
                                       f"after uplink time {self.uplink_time}")
 
     @property

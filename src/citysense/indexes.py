@@ -342,7 +342,7 @@ class IndexComputer:
 
 def compute_indexes(channels: Channels, period_s: int) -> list[IndexValue]:
     """Every index on a reporting grid of ``period_s``, from the channels of
-    stored readings (``store.channels_from`` makes them from records).
+    stored readings (``store.MeasurementStore.channels``).
 
     The grid holds each multiple of ``period_s`` after the first reading,
     through the first multiple after the last one. At each grid point ``t``

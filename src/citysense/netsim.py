@@ -29,15 +29,14 @@ A ``RunSink`` gets one ``tick`` call per (node, tick), one ``arrivals``
 call per group the server receives (a direct tick, or a batch's ticks),
 every batch, and at each uplink grid time a low watermark: every server
 reading stamped before it has been handed over, so a sink can write out and
-forget what precedes it. Only the default sink, ``SimulationResult``,
-makes ``Measurement`` rows, and it keeps everything.
+forget what precedes it. ``run`` itself keeps only the tallies it returns.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import compress
@@ -46,8 +45,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .domain import (
-    GAS_QUANTITIES, SECONDS_PER_DAY, GeoPoint, Measurement, NodeDescriptor, NodeKind, NodeTick,
-    Quantity, Radio, ReportBatch, SiteGrid, ValidationError, haversine_distance, tick_key,
+    SECONDS_PER_DAY, GeoPoint, NodeDescriptor, NodeKind, NodeTick, Quantity, Radio, ReportBatch,
+    SiteGrid, ValidationError, haversine_distance, tick_key,
 )
 from .field import BlockDraws, loss_generator
 from .nodes import sample
@@ -91,16 +90,6 @@ class DeliveryOutcome(str, Enum):
     DELIVERED_TO_COORDINATOR = "delivered_to_coordinator"
     DELIVERED_TO_SERVER = "delivered_to_server"
     LOST = "lost"
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
-    """One reading's fate as ``SimulationResult.deliveries`` lists it."""
-
-    measurement: Measurement
-    outcome: DeliveryOutcome
-    link: Radio | None
-    arrival_t: int | None  # None when lost
 
 
 @dataclass(frozen=True)
@@ -196,6 +185,10 @@ class Tally:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
+# (node id, quantity) -> the tally of its readings; what ``run`` returns.
+Tallies = dict[tuple[str, Quantity], Tally]
+
+
 class RunSink:
     """Receives the results of ``run`` as its loop produces them.
     Each method does nothing here; a sink overrides what it needs."""
@@ -220,47 +213,9 @@ class RunSink:
         the run's end."""
 
 
-@dataclass
-class SimulationResult(RunSink):
-    """Everything a run produced, in deterministic order, with each reading
-    as a ``Measurement`` row. It is the sink ``run`` records into when it is
-    given none; with another sink, only the tallies are filled."""
-
-    scenario_name: str
-    seed: int
-    server_measurements: list[tuple[int, Measurement]] = field(default_factory=list)
-    batches: list[ReportBatch] = field(default_factory=list)
-    deliveries: list[DeliveryRecord] = field(default_factory=list)
-    tallies: dict[tuple[str, Quantity], Tally] = field(default_factory=dict)
-
-    def gas_reports_per_window(self, t_i: int, start_epoch: int) -> dict[int, int]:
-        """Distinct (node, tick) gas reports the server holds per uplink
-        window, keyed by 1-based window number."""
-        seen: dict[int, set[tuple[str, int]]] = {}
-        for _, m in self.server_measurements:
-            if m.quantity in GAS_QUANTITIES:
-                window = (m.timestamp - start_epoch) // t_i + 1
-                seen.setdefault(window, set()).add((m.node_id, m.timestamp))
-        return {w: len(s) for w, s in sorted(seen.items())}
-
-    def tick(self, tick, fates, arrival_t) -> None:
-        self.deliveries.extend(
-            DeliveryRecord(m, fate.outcome, fate.link.kind if fate.link else None,
-                           None if fate.outcome is DeliveryOutcome.LOST else arrival_t)
-            for m, fate in zip(tick.rows(), fates)
-        )
-
-    def arrivals(self, t, ticks) -> None:
-        self.server_measurements.extend((t, m) for tick in ticks for m in tick.rows())
-
-    def batch(self, batch: ReportBatch) -> None:
-        self.batches.append(batch)
-
-
-def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationResult:
+def run(scenario: "ScenarioConfig", sink: RunSink) -> Tallies:
     """Execute the scenario, handing each result to ``sink`` as it is
-    produced, and return the tallies; with no sink, the returned result
-    holds the full, deterministic output as well."""
+    produced, and return the tallies of each (node id, quantity)."""
     scenario.validate()
     states = scenario.build_node_states()
     start, period = scenario.start_epoch, scenario.sample_period_s
@@ -276,8 +231,7 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
         if s.descriptor.kind is not NodeKind.MOBILE
     )
     topo = NetworkTopology(coordinator_id=coordinator, anchors=anchors, links=scenario.links)
-    result = SimulationResult(scenario_name=scenario.name, seed=scenario.seed)
-    tallies = result.tallies
+    tallies: Tallies = {}
     # (node, loss stream, the node's tallies in the order of its readings)
     sampled = [
         (s, BlockDraws(loss_generator(scenario.seed, s.descriptor.node_id).random),
@@ -285,8 +239,6 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
         for s in states
         if s.quantities
     ]
-    if sink is None:
-        sink = result
     window: list[NodeTick] = []  # coordinator-bound ticks of the open window
     n_ticks = scenario.duration_s // period
     ticks_per_uplink = uplink_period // period
@@ -338,4 +290,4 @@ def run(scenario: "ScenarioConfig", sink: RunSink | None = None) -> SimulationRe
             sink.arrivals(int(t + wa_latency), batch.ticks)
         if window_closes:
             sink.watermark(t)
-    return result
+    return tallies

@@ -388,9 +388,11 @@ class _UniqueKeyLoader(_YAML_LOADER):
 
 
 def _read_yaml(path) -> object:
-    """The YAML document in ``path``; a one-line ConfigError if unreadable."""
+    """The YAML document in ``path``; a one-line ConfigError if unreadable.
+    The open file goes to the loader, so a YAML error names ``path``."""
     try:
-        return yaml.load(path.read_text(), Loader=_UniqueKeyLoader)
+        with path.open() as f:
+            return yaml.load(f, Loader=_UniqueKeyLoader)
     except (OSError, ValueError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read {path}: {' '.join(str(e).split())}") from None
 

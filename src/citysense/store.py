@@ -14,8 +14,8 @@ File format (normative, one record per line, comma separated):
     flags     = semicolon-joined flag codes, sorted; empty when clean
 
 Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and
-sorted by ``domain.record_key``: (timestamp, node_id, quantity), the order
-of every coordinator batch too. ``format_tick`` owns the record line.
+sorted by ``domain.RecordKey``: (timestamp, node_id, quantity code), the
+order of every coordinator batch too. ``format_tick`` owns the record line.
 ``DayFiles`` streams node ticks (``domain.NodeTick``) into them window by
 window, each tick's lines as one run, with at most one day file open at a
 time, into an ``OutputSet``: the one writer of every command's files, which
@@ -31,7 +31,6 @@ a tick's ``ts,node,lat,lon`` prefix once. A number (lat, lon, value) is text
 non-ASCII digit; anything else is a data error, and each names its file and
 line. Each checked line goes straight into the columns of its ``Channel``,
 one per (node, quantity): timestamps, values, flag sets and positions.
-``channels_from`` builds the same channels from records.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ from pathlib import Path as FsPath
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .domain import (
-    SECONDS_PER_DAY, UNITS, QUANTITY_CODES, VALUE_RANGE, Flag, GeoPoint, Measurement,
-    NodeTick, Quantity, RecordKey, ValidationError, format_utc, parse_utc,
-    tick_key, validate_node_id, validate_value,
+    SECONDS_PER_DAY, UNITS, QUANTITY_CODES, VALUE_RANGE, Flag, GeoPoint, NodeTick, Quantity,
+    RecordKey, ValidationError, format_utc, parse_utc, tick_key, validate_node_id, validate_value,
 )
 
 
@@ -132,12 +130,6 @@ def format_tick(tick: NodeTick) -> str:
                     in zip(map(_VALUE_TEXT.__getitem__, tick.quantities), tick.values, tick.flags)])
 
 
-def serialize_measurement(m: Measurement) -> str:
-    """The record line of ``m``, without its line end."""
-    tick = NodeTick(m.node_id, m.timestamp, m.position, (m.quantity,), [m.value], [m.flags])
-    return format_tick(tick)[:-1]
-
-
 # Quantity code -> (quantity, unit, low, high); the bounds are ``VALUE_RANGE``'s,
 # made finite so that ``low <= value <= high`` also refuses what is not finite.
 _READINGS = {code: (q, UNITS[q], *(math.nextafter(b, 0.0) if math.isinf(b) else b
@@ -169,7 +161,7 @@ class _RecordParser:
 
     def __call__(self, line: str) -> tuple[RecordKey, Quantity, GeoPoint, float, frozenset[Flag]]:
         """The checked fields of one line, given without its line end: its
-        key (``domain.record_key``), quantity, position, value and flags."""
+        key (``domain.RecordKey``), quantity, position, value and flags."""
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed record: {line!r}")
@@ -195,11 +187,6 @@ class _RecordParser:
             flag_set = self._flags[flags] = frozenset(Flag(f) for f in flags.split(";") if f)
         validate_value(quantity, value)
         return (timestamp, known_id, qcode), quantity, position, value, flag_set
-
-
-def parse_measurement(line: str) -> Measurement:
-    (timestamp, node_id, _), quantity, position, value, flags = _RecordParser()(line.rstrip("\n"))
-    return Measurement(node_id, timestamp, position, quantity, value, flags)
 
 
 _stamp = attrgetter("timestamp")
@@ -301,19 +288,6 @@ class Channel(NamedTuple):
 
 # (node id, quantity) -> its channel; only a pair with readings has one.
 Channels = dict[tuple[str, Quantity], Channel]
-
-
-def channels_from(records: Iterable[Measurement]) -> Channels:
-    """The channels of ``records``, given in any order, as a load of their
-    day files would make them (without its checks)."""
-    channels: Channels = {}
-    for m in sorted(records, key=attrgetter("timestamp")):  # equal stamps keep their order
-        channel = channels.get((m.node_id, m.quantity))
-        if channel is None:
-            channel = channels[m.node_id, m.quantity] = Channel([], [], [], [])
-        for column, item in zip(channel, (m.timestamp, m.value, m.flags, m.position)):
-            column.append(item)
-    return channels
 
 
 def count_readings(channels: Channels) -> int:

@@ -1,10 +1,32 @@
-"""Row and tick forms of records that tests build for the package's
-tick and column interfaces."""
+"""Row forms of records, for tests: the package hands readings on as node
+ticks and keeps them at rest as channels, and these helpers give the same
+readings as ``Measurement`` rows to check both against a plain reference."""
 
+from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 
-from citysense.domain import Measurement, NodeTick, record_key
+from citysense.domain import (
+    GAS_QUANTITIES, QUANTITY_CODES, Measurement, NodeTick, Radio, RecordKey,
+)
+from citysense.netsim import DeliveryOutcome, RunSink, run
+from citysense.store import Channel, Channels, _RecordParser, format_tick
+
+
+def record_key(m: Measurement) -> RecordKey:
+    """The key the day files and coordinator batches order records by."""
+    return (m.timestamp, m.node_id, QUANTITY_CODES[m.quantity])
+
+
+def serialize_measurement(m: Measurement) -> str:
+    """The record line of ``m``, without its line end."""
+    return format_tick(*one_reading_ticks([m]))[:-1]
+
+
+def parse_measurement(line: str) -> Measurement:
+    """The checked record of one line, as the store's loader checks it."""
+    (timestamp, node_id, _), quantity, position, value, flags = _RecordParser()(line.rstrip("\n"))
+    return Measurement(node_id, timestamp, position, quantity, value, flags)
 
 
 def one_reading_ticks(records):
@@ -14,22 +36,88 @@ def one_reading_ticks(records):
 
 
 def node_ticks(records):
-    """``records`` in ``domain.record_key`` order as ticks, one per run of
-    readings that share a stamp, node and position: one tick per (node,
-    stamp) where a node has one position per stamp, as ``run`` makes them."""
+    """``records`` in ``record_key`` order as ticks, one per run of readings
+    that share a stamp, node and position: one tick per (node, stamp) where
+    a node has one position per stamp, as ``run`` makes them."""
     ticks = []
     rows = sorted(records, key=record_key)
-    for (timestamp, node_id, position), run in groupby(
+    for (timestamp, node_id, position), run_ in groupby(
             rows, attrgetter("timestamp", "node_id", "position")):
-        run = list(run)
-        ticks.append(NodeTick(node_id, timestamp, position, tuple(m.quantity for m in run),
-                              [m.value for m in run], [m.flags for m in run]))
+        run_ = list(run_)
+        ticks.append(NodeTick(node_id, timestamp, position, tuple(m.quantity for m in run_),
+                              [m.value for m in run_], [m.flags for m in run_]))
     return ticks
 
 
+def channels_from(records) -> Channels:
+    """The channels of ``records``, given in any order, as a load of their
+    day files would make them (without its checks)."""
+    channels: Channels = {}
+    for m in sorted(records, key=attrgetter("timestamp")):  # equal stamps keep their order
+        channel = channels.get((m.node_id, m.quantity))
+        if channel is None:
+            channel = channels[m.node_id, m.quantity] = Channel([], [], [], [])
+        for column, item in zip(channel, (m.timestamp, m.value, m.flags, m.position)):
+            column.append(item)
+    return channels
+
+
 def store_rows(store):
-    """Every record of ``store``, in ``domain.record_key`` order: the row
-    view of its channels."""
+    """Every record of ``store``, in ``record_key`` order: the row view of
+    its channels."""
     return sorted((Measurement(node_id, t, position, q, value, flags)
                    for (node_id, q), channel in store.channels.items()
                    for t, value, flags, position in zip(*channel)), key=record_key)
+
+
+@dataclass(frozen=True, slots=True)
+class DeliveryRecord:
+    """One reading's fate, as ``RowRecorder.deliveries`` lists it."""
+
+    measurement: Measurement
+    outcome: DeliveryOutcome
+    link: Radio | None
+    arrival_t: int | None  # None when lost
+
+
+class RowRecorder(RunSink):
+    """A sink that keeps everything a run hands over, in order, with each
+    reading as a ``Measurement`` row: every reading's fate, every reading
+    the server receives with its arrival time, and every batch. ``tallies``
+    holds what ``run`` returned, once ``record`` has run it."""
+
+    def __init__(self):
+        self.deliveries: list[DeliveryRecord] = []
+        self.server_measurements: list[tuple[int, Measurement]] = []
+        self.batches = []
+        self.tallies = {}
+
+    def tick(self, tick, fates, arrival_t) -> None:
+        self.deliveries.extend(
+            DeliveryRecord(m, fate.outcome, fate.link.kind if fate.link else None,
+                           None if fate.outcome is DeliveryOutcome.LOST else arrival_t)
+            for m, fate in zip(tick.rows(), fates)
+        )
+
+    def arrivals(self, t, ticks) -> None:
+        self.server_measurements.extend((t, m) for tick in ticks for m in tick.rows())
+
+    def batch(self, batch) -> None:
+        self.batches.append(batch)
+
+    def gas_reports_per_window(self, t_i: int, start_epoch: int) -> dict[int, int]:
+        """Distinct (node, tick) gas reports the server holds per uplink
+        window, keyed by 1-based window number."""
+        seen: dict[int, set[tuple[str, int]]] = {}
+        for _, m in self.server_measurements:
+            if m.quantity in GAS_QUANTITIES:
+                window = (m.timestamp - start_epoch) // t_i + 1
+                seen.setdefault(window, set()).add((m.node_id, m.timestamp))
+        return {w: len(s) for w, s in sorted(seen.items())}
+
+
+def record(scenario) -> RowRecorder:
+    """Run ``scenario`` into a ``RowRecorder`` and return it, tallies and all."""
+    recorder = RowRecorder()
+    recorder.tallies = run(scenario, recorder)
+    return recorder

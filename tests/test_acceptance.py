@@ -23,10 +23,10 @@ from citysense.indexes import (
     classify,
     traffic_index,
 )
-from citysense.netsim import LinkModel, run
+from citysense.netsim import LinkModel
 from citysense.nodes import lag_filter, quantize, sample
 from citysense.scenario import load_scenario
-from citysense.store import channels_from
+from tests.rows import channels_from, record
 from tests.test_nodes import StepField, fixed_node
 
 
@@ -41,13 +41,13 @@ def pisa():
 
 @pytest.fixture(scope="module")
 def pisa_day(pisa):
-    return run(pisa)
+    return record(pisa)
 
 
 @pytest.fixture(scope="module")
 def campaign_zero_bias(pisa):
     cfg = dataclasses.replace(pisa, duration_s=3 * 86400)
-    return cfg, run(cfg)
+    return cfg, record(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def campaign_hc_bias(pisa):
         for n in pisa.nodes
     ]
     cfg = dataclasses.replace(pisa, duration_s=3 * 86400, nodes=nodes)
-    return cfg, run(cfg)
+    return cfg, record(cfg)
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def test_criterion_4_conservation_under_loss(pisa, loss):
         Radio.WIDE_AREA: LinkModel(Radio.WIDE_AREA, math.inf, loss, 2.0),
     }
     cfg = dataclasses.replace(pisa, duration_s=3600, links=links)
-    result = run(cfg)
+    result = record(cfg)
     assert result.tallies
     for tally in result.tallies.values():
         assert tally.emitted == tally.to_coordinator + tally.to_server + tally.lost

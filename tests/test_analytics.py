@@ -17,8 +17,8 @@ from citysense.analytics import (
     write_comparison_report,
 )
 from citysense.domain import Flag, GeoPoint, Measurement, NodeKind, Quantity, haversine_distance
-from citysense.store import channels_from
 from tests.geo import grid_cases
+from tests.rows import channels_from
 
 P = GeoPoint(43.716, 10.3966)
 M_PER_DEG_LAT = math.pi * 6371000.0 / 180.0

@@ -18,6 +18,7 @@ import citysense
 from citysense import cli, domain, netsim, store
 from citysense.cli import main
 from citysense.scenario import load_scenario
+from tests.rows import record
 
 
 def digest_tree(root):
@@ -762,7 +763,8 @@ class TestReadStepsBuildNoRows:
 class TestSimulateBuildsNoRows:
     def test_no_measurement_is_built_from_sensor_chain_to_day_files(self, monkeypatch, tmp_path):
         """``simulate`` hands node ticks from the sensor chain to the day
-        files; only the in-memory ``SimulationResult`` makes rows of them."""
+        files; only a sink that records rows, such as the tests' row
+        recorder, makes rows of them."""
         cfg = load_scenario("pisa-default")
         links = {kind: dataclasses.replace(link, loss_prob=0.2) for kind, link in cfg.links.items()}
         cfg = dataclasses.replace(cfg, duration_s=7200, links=links)
@@ -774,11 +776,11 @@ class TestSimulateBuildsNoRows:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(domain.Measurement, "__init__", counted_init)
-        result, received = cli.simulate(cfg, tmp_path / "sim")
+        tallies, received = cli.simulate(cfg, tmp_path / "sim")
         assert built == []
-        assert 0 < received < sum(t.emitted for t in result.tallies.values())
-        # the counters see the rows the in-memory run builds
-        assert len(netsim.run(cfg).server_measurements) == received
+        assert 0 < received < sum(t.emitted for t in tallies.values())
+        # the counters see the rows the row recorder builds
+        assert len(record(cfg).server_measurements) == received
         assert len(built) >= received
 
 

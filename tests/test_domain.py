@@ -237,8 +237,10 @@ class TestNodeTick:
 
 class TestReportBatch:
     def test_rejects_future_timestamps(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as e:
             ReportBatch("C0", 999, (tick(1000, "T0"), tick(1000)))
+        assert e.value.field_name == "ticks"
+        assert e.value.reason == "timestamp 1000 after uplink time 999"
 
     def test_accepts_boundary(self):
         ticks = (tick(700), tick(1000))

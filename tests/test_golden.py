@@ -21,9 +21,8 @@ import yaml
 from citysense.analytics import compare_populations, mobile_fixed_populations, write_comparison_report
 from citysense.cli import main
 from citysense.indexes import compute_indexes, index_record_line
-from citysense.netsim import run
 from citysense.scenario import load_scenario, with_seed
-from citysense.store import channels_from
+from tests.rows import channels_from, record
 
 SEED = "7"
 
@@ -117,11 +116,11 @@ def test_output_digests(outputs, step):
 
 def test_compute_indexes_over_run_equals_indexes_step(outputs):
     """``compute_indexes`` over the channels of the records ``run()`` hands
-    the server (``store.channels_from``) gives exactly the lines
+    the server (``tests.rows.channels_from``) gives exactly the lines
     ``citysense indexes`` writes from the channels of the stored day files,
     so in-memory records and the store round trip give the same indexes."""
     cfg = with_seed(load_scenario("pisa-default"), int(SEED))
-    result = run(cfg)
+    result = record(cfg)
     values = compute_indexes(
         channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s)
     in_memory: dict[str, list[str]] = {}
@@ -139,10 +138,10 @@ def test_mobile_fixed_rule_over_run_equals_compare_step(tmp_path):
     """The mobile-fixed rule and ``compare_populations`` over the channels of
     the records ``run()`` hands the server write exactly the files of
     ``citysense compare --mode mobile-fixed``, so the in-memory path (the
-    demo, the acceptance test) and the CLI path form the same populations."""
+    acceptance test) and the CLI path form the same populations."""
     cfg = with_seed(load_scenario("pisa-default"), int(SEED))
     nodes = {n.descriptor.node_id: (n.descriptor.kind, n.path_tag, n.descriptor.home_position) for n in cfg.nodes}
-    records = channels_from(m for _, m in run(cfg).server_measurements)
+    records = channels_from(m for _, m in record(cfg).server_measurements)
     mobile, fixed, _, _ = mobile_fixed_populations(records, nodes)
     write_comparison_report(compare_populations(mobile, fixed, labels=("mobile", "fixed")), tmp_path)
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}

@@ -24,9 +24,8 @@ from citysense.indexes import (
     tci,
     traffic_index,
 )
-from citysense.netsim import run
 from citysense.scenario import load_scenario, with_seed
-from citysense.store import channels_from
+from tests.rows import channels_from, record
 
 EPS = 1e-9
 TCI_INPUTS = (
@@ -506,7 +505,7 @@ def reference_indexes(records, period_s):
 def three_day_records():
     cfg = with_seed(load_scenario("pisa-default"), 7)
     cfg = dataclasses.replace(cfg, duration_s=3 * 86400)
-    return cfg.uplink_period_s, [m for _, m in run(cfg).server_measurements]
+    return cfg.uplink_period_s, [m for _, m in record(cfg).server_measurements]
 
 
 class TestWindowsAgainstRescan:
@@ -520,7 +519,7 @@ class TestWindowsAgainstRescan:
 
 
 class TestIngestOrder:
-    """Records may come in any order: ``store.channels_from`` puts each
+    """Records may come in any order: ``channels_from`` puts each
     channel in timestamp order, and ``ingest`` takes each series whole."""
 
     def _readings(self):

@@ -19,16 +19,13 @@ from citysense.domain import (
     NodeKind,
     Quantity,
     Radio,
-    record_key,
 )
 from citysense.netsim import (
     DEFAULT_LINKS,
     DeliveryOutcome,
     LinkModel,
-    DeliveryRecord,
     NetworkTopology,
     RunSink,
-    SimulationResult,
     Tally,
     choose_link,
     coordinator_uplink,
@@ -39,9 +36,11 @@ from citysense.domain import haversine_distance
 from citysense.field import DRAW_BLOCK, BlockDraws, loss_generator
 from citysense.nodes import sample
 from citysense.scenario import load_scenario, with_seed
-from citysense.store import DayFiles, OutputSet, serialize_measurement
+from citysense.store import DayFiles, OutputSet
 from tests.geo import grid_cases
-from tests.rows import one_reading_ticks
+from tests.rows import (
+    DeliveryRecord, RowRecorder, one_reading_ticks, record, record_key, serialize_measurement,
+)
 
 P = GeoPoint(43.716, 10.3966)
 FAR = GeoPoint(43.76, 10.3966)  # ~4.9 km north of everything
@@ -229,16 +228,16 @@ def pisa():
 class TestRun:
     def test_one_hour_lossless_delivers_108_per_gas_quantity(self, pisa):
         cfg = dataclasses.replace(pisa, duration_s=3600)
-        result = run(cfg)
+        tallies = run(cfg, RunSink())
         for q in GAS_QUANTITIES:
             delivered = sum(
-                t.to_coordinator + t.to_server for (nid, tq), t in result.tallies.items() if tq is q
+                t.to_coordinator + t.to_server for (nid, tq), t in tallies.items() if tq is q
             )
             assert delivered == 108  # 9 nodes x 12 sampling slots
 
     def test_zero_duration_is_empty(self, pisa):
         cfg = dataclasses.replace(pisa, duration_s=0)
-        result = run(cfg)
+        result = record(cfg)
         assert result.server_measurements == []
         assert result.batches == []
         assert result.deliveries == []
@@ -247,14 +246,14 @@ class TestRun:
         cfg = dataclasses.replace(pisa, duration_s=3600)
         logs = []
         for _ in range(2):
-            result = run(cfg)
+            result = record(cfg)
             logs.append([_log_line(d) for d in result.deliveries])
         assert logs[0] == logs[1]
 
     def test_different_seed_changes_the_stream(self, pisa):
         cfg = dataclasses.replace(pisa, duration_s=3600)
-        a = run(cfg)
-        b = run(with_seed(cfg, 99))
+        a = record(cfg)
+        b = record(with_seed(cfg, 99))
         va = [m.value for _, m in a.server_measurements]
         vb = [m.value for _, m in b.server_measurements]
         assert va != vb
@@ -265,7 +264,7 @@ class TestRun:
         links[Radio.SHORT_RANGE_MOBILE] = LinkModel(Radio.SHORT_RANGE_MOBILE, 300.0, 0.5, 1.0)
         links[Radio.WIDE_AREA] = LinkModel(Radio.WIDE_AREA, math.inf, 0.1, 2.0)
         cfg = dataclasses.replace(pisa, duration_s=3600, links=links)
-        result = run(cfg)
+        result = record(cfg)
         assert result.tallies, "expected traffic"
         lost_total = 0
         for tally in result.tallies.values():
@@ -276,7 +275,7 @@ class TestRun:
             t.to_coordinator + t.to_server - t.dropped for t in result.tallies.values()
         ) == len(result.server_measurements)
 
-    def test_a_sink_sees_every_fate_and_the_default_server_records(self, pisa):
+    def test_a_sink_sees_every_fate_and_the_recorded_server_records(self, pisa):
         class CountingSink(RunSink):
             def __init__(self):
                 self.fates = {outcome: 0 for outcome in DeliveryOutcome}
@@ -301,10 +300,10 @@ class TestRun:
         links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 0.3, 1.0)
         links[Radio.WIDE_AREA] = LinkModel(Radio.WIDE_AREA, math.inf, 0.1, 2.0)
         cfg = dataclasses.replace(pisa, duration_s=3600, links=links)
-        recorded = run(cfg)
+        recorded = record(cfg)
         sink = CountingSink()
         streamed = run(cfg, sink)
-        tallies = streamed.tallies.values()
+        tallies = streamed.values()
         assert sum(sink.fates.values()) == sum(t.emitted for t in tallies) == len(recorded.deliveries)
         assert sink.fates[DeliveryOutcome.LOST] == sum(t.lost for t in tallies) > 0
         # one call per (node, tick): every node with sensors, every sample tick
@@ -312,16 +311,16 @@ class TestRun:
         assert len(sink.ticks) == len(set(sink.ticks)) == sensing * 3600 // cfg.sample_period_s
         assert sink.received == recorded.server_measurements
         assert sink.batches == len(recorded.batches)
-        assert streamed.tallies == recorded.tallies
-        # Given a sink, the run keeps none of what it handed over.
-        assert streamed.deliveries == streamed.server_measurements == streamed.batches == []
+        assert streamed == recorded.tallies
+        # The run keeps none of what it handed over: it returns the tallies alone.
+        assert type(streamed) is dict and all(type(t) is Tally for t in tallies)
 
     def test_late_arrivals_are_dropped_and_counted(self, pisa):
         # A short-range latency above the uplink period makes every fixed
         # reading reach the coordinator after its window was uplinked.
         links = dict(pisa.links)
         links[Radio.SHORT_RANGE_FIXED] = LinkModel(Radio.SHORT_RANGE_FIXED, 500.0, 0.0, 1000.0)
-        result = run(dataclasses.replace(pisa, links=links))
+        result = record(dataclasses.replace(pisa, links=links))
         tallies = result.tallies.values()
         assert sum(t.emitted for t in tallies) == 27648
         assert sum(t.lost for t in tallies) == 0
@@ -341,7 +340,7 @@ class TestRun:
         cfg = dataclasses.replace(
             pisa, start_time="1969-12-31T22:00:00Z", duration_s=3 * 3600, links=links,
         )
-        result = run(cfg)
+        result = record(cfg)
         stamps = [t for t, _ in result.server_measurements]
         assert stamps == sorted(stamps)
         assert stamps[0] < 0 < stamps[-1]
@@ -355,7 +354,7 @@ class TestRun:
 
     def test_causality(self, pisa):
         cfg = dataclasses.replace(pisa, duration_s=1800)
-        result = run(cfg)
+        result = record(cfg)
         for d in result.deliveries:
             if d.arrival_t is not None:
                 assert d.arrival_t >= d.measurement.timestamp
@@ -381,7 +380,7 @@ class TestRun:
             else:
                 nodes.append(n)
         cfg = dataclasses.replace(pisa, duration_s=3600, paths=paths, nodes=nodes)
-        result = run(cfg)
+        result = record(cfg)
 
         m2 = [d for d in result.deliveries if d.measurement.node_id == "M2"]
         assert m2 and all(d.outcome is DeliveryOutcome.DELIVERED_TO_SERVER for d in m2)
@@ -391,13 +390,12 @@ class TestRun:
 
     def test_fixed_node_emits_duration_over_period_samples(self, pisa):
         cfg = dataclasses.replace(pisa, duration_s=7200)
-        result = run(cfg)
-        tally = result.tallies[("T1", Quantity.CO2)]
+        tally = run(cfg, RunSink())[("T1", Quantity.CO2)]
         assert tally.emitted == 7200 // cfg.sample_period_s
 
     def test_timestamps_monotone_per_node_and_quantity(self, pisa):
         cfg = dataclasses.replace(pisa, duration_s=3600)
-        result = run(cfg)
+        result = record(cfg)
         last: dict = {}
         for d in result.deliveries:
             key = (d.measurement.node_id, d.measurement.quantity)
@@ -449,7 +447,7 @@ class TestRoutingOncePerTick:
             return haversine_distance(a, b)
 
         monkeypatch.setattr(netsim, "haversine_distance", counted)
-        run(lossy_pisa)
+        run(lossy_pisa, RunSink())
         states = lossy_pisa.build_node_states()
         mobiles = sum(1 for s in states if s.descriptor.kind is NodeKind.MOBILE)
         anchors = len(states) - mobiles
@@ -458,7 +456,7 @@ class TestRoutingOncePerTick:
         assert 0 < len(calls) <= mobiles * ticks * anchors
 
     def test_deliveries_equal_per_reading_reference(self, lossy_pisa):
-        result = run(lossy_pisa)
+        result = record(lossy_pisa)
         states = {s.descriptor.node_id: s.descriptor for s in lossy_pisa.build_node_states()}
         topo = NetworkTopology(
             coordinator_id="C0",
@@ -522,7 +520,7 @@ def _event_queue_run(scenario):
     )
     by_id = {s.descriptor.node_id: s for s in states}
     rngs = {nid: loss_generator(scenario.seed, nid) for nid in by_id}
-    result = SimulationResult(scenario_name=scenario.name, seed=scenario.seed)
+    result = RowRecorder()
     heap, seq, buffer = [], itertools.count(), []
 
     def push(t, kind, payload):
@@ -641,7 +639,7 @@ class TestGridWalkOrder:
     ])
     def test_run_equals_the_event_queue_reference(self, pisa, make):
         cfg = make(pisa)
-        got, expected = run(cfg), _event_queue_run(cfg)
+        got, expected = record(cfg), _event_queue_run(cfg)
         assert got.deliveries == expected.deliveries
         assert got.server_measurements == expected.server_measurements
         assert _batch_rows(got.batches) == _batch_rows(expected.batches)
@@ -659,7 +657,7 @@ class TestGridWalkOrder:
         # renders each DeliveryRecord of run() alone.
         cfg = make(pisa)
         cli.simulate(cfg, tmp_path)
-        expected = [_log_line(d) for d in run(cfg).deliveries]
+        expected = [_log_line(d) for d in record(cfg).deliveries]
         assert (tmp_path / "delivery-log.txt").read_text().splitlines() == expected
 
 
@@ -712,7 +710,7 @@ class TestStreamedDayFiles:
         # test_golden.py pin the file format itself.
         cfg = make(pisa)
         _, received = cli.simulate(cfg, tmp_path / "streamed")
-        server_measurements = run(cfg).server_measurements
+        server_measurements = record(cfg).server_measurements
         with OutputSet(tmp_path / "one-shot", "measurements-*.txt") as files:
             with DayFiles(files) as days:
                 days.add(one_reading_ticks(m for _, m in server_measurements))
@@ -759,7 +757,7 @@ def test_day_files_are_the_serialized_server_records_in_record_order(tmp_path):
     # the in-memory run hands the server, one line per record.
     cfg = _two_lossy_districts()
     _, received = cli.simulate(cfg, tmp_path)
-    records = sorted((m for _, m in run(cfg).server_measurements), key=record_key)
+    records = sorted((m for _, m in record(cfg).server_measurements), key=record_key)
     by_day = {}
     for m in records:
         by_day.setdefault(f"measurements-{_stamp(m.timestamp)[:10]}.txt", []).append(

@@ -1,8 +1,8 @@
 """Rules that several layers apply are owned by one table or helper in
 ``domain``, and every layer agrees with it: the physical range of a
 quantity (``VALUE_RANGE``), which the field, the sensor chain and the
-record check read, and the record order (``record_key``), which coordinator
-batches, day files and their loader all follow."""
+record check read, and the record order (``domain.RecordKey``), which
+coordinator batches, day files and their loader all follow."""
 
 import math
 import random
@@ -23,14 +23,13 @@ from citysense.domain import (
     VALUE_RANGE,
     ValidationError,
     format_utc,
-    record_key,
     validate_value,
 )
 from citysense.field import FieldModel
 from citysense.netsim import coordinator_uplink
 from citysense.nodes import NodeState, sample
-from citysense.store import DayFiles, MeasurementStore, OutputSet, channels_from, parse_measurement
-from tests.rows import node_ticks
+from citysense.store import DayFiles, MeasurementStore, OutputSet
+from tests.rows import channels_from, node_ticks, parse_measurement, record_key
 
 P = GeoPoint(43.716, 10.3966)
 T0 = 1_429_488_000  # 2015-04-20T00:00:00Z

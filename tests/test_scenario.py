@@ -63,6 +63,16 @@ class TestYamlLoaders:
         assert scenario._YAML_LOADER is yaml.CSafeLoader
 
 
+def test_a_yaml_error_names_the_file_and_line(small_scenario_file):
+    text = small_scenario_file.read_text()
+    line = len(text.splitlines()) + 1
+    small_scenario_file.write_text(text + "duration_s: 3600\n")
+    with pytest.raises(ConfigError) as e:
+        load_scenario(small_scenario_file)
+    assert str(e.value) == (f"cannot read {small_scenario_file}: repeated key 'duration_s' "
+                            f'in "{small_scenario_file}", line {line}, column 1')
+
+
 class TestValidation:
     def _raw(self, small_scenario_file):
         return yaml.safe_load(small_scenario_file.read_text())

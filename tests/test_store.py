@@ -16,7 +16,6 @@ from citysense.domain import (
     Quantity,
     ValidationError,
     format_utc,
-    record_key,
 )
 from citysense import store as store_module
 from citysense.netsim import coordinator_uplink
@@ -27,10 +26,10 @@ from citysense.store import (
     OutputSet,
     StorageError,
     format_tick,
-    parse_measurement,
-    serialize_measurement,
 )
-from tests.rows import node_ticks, one_reading_ticks, store_rows
+from tests.rows import (
+    node_ticks, one_reading_ticks, parse_measurement, record_key, serialize_measurement, store_rows,
+)
 
 P = GeoPoint(43.716, 10.3966)
 T0 = 1_429_488_000  # 2015-04-20T00:00:00Z

@@ -42,10 +42,14 @@ with tracer.step_span("compare_mobile"):
 print(json.dumps({"rc": rc, "missing": tracer.missing, "layers": tracer.metrics()}))
 """
 
-# Absent on purpose: the writer the first three traced was replaced by
-# store.OutputSet, and MeasurementStore.all, a row view that only tests
-# called, was removed (store.all_s read 0 in every run before).
+# Absent on purpose, in the tracer's install order: serialize_measurement,
+# a one-record formatter that no CLI step called (store.bytes_written read 0
+# in every run before), was removed with the in-memory row output of run();
+# the writer the next three traced was replaced by store.OutputSet; and
+# MeasurementStore.all, a row view that only tests called, was removed
+# (store.all_s read 0 in every run before).
 ABSENT = [
+    "citysense.store.serialize_measurement",
     "citysense.store.write_delivery_log",
     "MeasurementStore.append",
     "MeasurementStore.flush",

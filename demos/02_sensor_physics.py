@@ -9,14 +9,14 @@ Run: python demos/02_sensor_physics.py
 
 from citysense import FieldModel, GeoPoint, Quantity
 from citysense.domain import Flag, NodeDescriptor, NodeKind, co_ppm_to_mg_m3
-from citysense.nodes import NodeState, lag_filter, quantize, sample
+from citysense.nodes import NodeState, SensorChain, lag_factor, quantize
 
 P = GeoPoint(43.716, 10.3966)
 
 print("first-order tracking, t90 = 90 s, step 0 -> 100:")
 level = 0.0
 for step in range(1, 5):
-    level = lag_filter(level, 100.0, dt=90.0, t90=90.0)
+    level = 100.0 + (level - 100.0) * lag_factor(dt=90.0, t90=90.0)
     print(f"  after {step * 90:3d} s: {level:7.3f}   (expected {100 * (1 - 10.0 ** -step):7.3f})")
 
 print("\nquantization to 1 ppm, ties away from zero:")
@@ -33,8 +33,10 @@ node = NodeState(
     field=field,
     powered_since=0,
 )
+chain = SensorChain([node], period=300)  # every channel of its nodes, one grid time at a time
 for t in range(0, 1500, 300):
-    (m,) = sample(node, t).rows()
+    (tick,) = chain.sample(t)
+    (m,) = tick.rows()
     flags = ",".join(sorted(f.value for f in m.flags)) or "-"
     print(f"  t={t:4d}s  value={m.value:6.1f} ppmV  flags: {flags}")
 
@@ -47,5 +49,6 @@ node = NodeState(
     ),
     field=field,
 )
-(m,) = sample(node, 0).rows()
+(tick,) = SensorChain([node], period=300).sample(0)
+(m,) = tick.rows()
 print(f"  value={m.value} mg/m3, flagged below_lod={Flag.BELOW_LOD in m.flags}")

@@ -48,10 +48,9 @@ from .netsim import (
     LinkModel,
     choose_link,
     coordinator_uplink,
-    route_measurement,
     run,
 )
-from .nodes import NodeState, SensorSpec, default_sensor_spec, lag_filter, quantize, sample
+from .nodes import NodeState, SensorChain, SensorSpec, default_sensor_spec, lag_factor, quantize
 from .scenario import ScenarioConfig, load_scenario, with_seed
 from .store import MeasurementStore
 

@@ -109,18 +109,19 @@ class _LogSink(RunSink):
         self._write = log.write
         self._days = days
 
-    def tick(self, tick, fates, arrival_t) -> None:
+    def tick(self, tick, choice, lost, arrival_t) -> None:
         # The readings share their stamp, node and link, so the line start
         # and each outcome's line end are formatted once, and written in one go.
         head = f"{format_utc(tick.timestamp)},{tick.node_id},"
-        ends: dict[DeliveryOutcome, str] = {}
-        for fate in fates:
-            if fate.outcome not in ends:
-                link = fate.link.kind.value if fate.link else ""
-                arrival = "" if fate.outcome is DeliveryOutcome.LOST else format_utc(arrival_t)
-                ends[fate.outcome] = f",{fate.outcome.value},{link},{arrival}\n"
-        self._write("".join([f"{head}{QUANTITY_CODES[q]}{ends[fate.outcome]}"
-                             for q, fate in zip(tick.quantities, fates)]))
+        link = choice.link.kind.value if choice.link else ""
+        end = f",{choice.outcome.value},{link},{format_utc(arrival_t)}\n"
+        codes = map(QUANTITY_CODES.__getitem__, tick.quantities)
+        if lost is None:
+            self._write(f"{head}{(end + head).join(codes)}{end}")
+        else:
+            lost_end = f",{DeliveryOutcome.LOST.value},{link},\n"
+            self._write("".join([f"{head}{code}{lost_end if gone else end}"
+                                 for code, gone in zip(codes, lost)]))
 
     def arrivals(self, t, ticks) -> None:
         self._days.add(ticks)

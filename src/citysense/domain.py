@@ -135,6 +135,11 @@ class Radio(str, Enum):
     WIDE_AREA = "wide_area"
 
 
+class ConfigError(ValueError):
+    """The scenario references something that does not resolve, or makes
+    a reading overflow the sensor chain."""
+
+
 class ValidationError(ValueError):
     """A value failed a domain invariant. Carries the offending field."""
 

@@ -11,16 +11,18 @@ clamped to the physical range of the quantity (``domain.VALUE_RANGE``; a
 NaN becomes the range's low end). The sinusoid peaks at local
 noon and integrates to zero over whole days, so daily population means stay
 at the configured baselines. The baseline, diurnal and rush-hour terms depend
-only on the quantity and the time of day, so ``FieldModel.value`` computes
-them once per (quantity, t mod 86400) and keeps their sum in a bounded memo;
-the plume terms are added to it in the same order as before, so a value is
-the same float whether or not its time of day was memoised.
+only on the quantity and the time of day, so ``FieldModel.tod_terms``
+computes them once per (quantity, t mod 86400) and keeps their sum in a
+bounded memo; ``value`` adds each plume's term (``GaussianPlume.at``) to it
+in order, so a value is the same float whether or not its time of day was
+memoised, and so is the sum of the same terms that the sensor chain makes
+for a node that stays put.
 
 Sensor noise is *not* part of the field: nodes draw it from per-(node,
 quantity) streams so that runs are reproducible and streams are independent
-(see :func:`noise_generator`). ``BlockDraws`` hands out the draws of such a
-stream, or of a node's loss stream, one float at a time from blocks that
-numpy fills at once.
+(see :func:`noise_generator`), ``DRAW_BLOCK`` draws at a time. ``BlockDraws``
+hands out the draws of a node's loss stream, a few at a time, from blocks
+that numpy fills at once.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ class GaussianPlume:
     def __post_init__(self):
         if not self.sigma_m > 0:
             raise ValueError(f"sigma_m must be > 0, got {self.sigma_m}")
+
+    def at(self, position: GeoPoint) -> float:
+        """The plume's term at ``position``."""
+        d = haversine_distance(position, self.center)
+        return self.amplitude * math.exp(-0.5 * (d / self.sigma_m) ** 2)
 
 
 def _rush_hour_profile(tod_s: float) -> float:
@@ -103,7 +110,15 @@ class FieldModel:
 
     def value(self, quantity: Quantity, position: GeoPoint, t: int | float) -> float:
         """Ground-truth value of ``quantity`` at ``position`` and epoch second ``t``."""
-        tod = t % SECONDS_PER_DAY
+        v = self.tod_terms(quantity, t % SECONDS_PER_DAY)
+        for plume in self.plumes.get(quantity, ()):
+            v += plume.at(position)
+        low, high = VALUE_RANGE[quantity]
+        return min(high, max(low, v))
+
+    def tod_terms(self, quantity: Quantity, tod: int | float) -> float:
+        """The baseline plus the diurnal and rush-hour terms at time of day
+        ``tod`` (``t % SECONDS_PER_DAY``), through the memo."""
         v = self._tod_terms.get(quantity, _NO_TERMS).get(tod)
         if v is None:
             v = self._time_of_day_terms(quantity, tod)
@@ -111,11 +126,7 @@ class FieldModel:
             if sum(map(len, memo.values())) >= _MAX_TOD_TERMS:
                 memo.clear()
             memo.setdefault(quantity, {})[tod] = v
-        for plume in self.plumes.get(quantity, ()):
-            d = haversine_distance(position, plume.center)
-            v += plume.amplitude * math.exp(-0.5 * (d / plume.sigma_m) ** 2)
-        low, high = VALUE_RANGE[quantity]
-        return min(high, max(low, v))
+        return v
 
     def _time_of_day_terms(self, quantity: Quantity, tod: int | float) -> float:
         """The baseline plus the diurnal and rush-hour terms at time of day ``tod``."""
@@ -148,28 +159,30 @@ def loss_generator(seed: int, node_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, _stable_id_hash(node_id), 0xF0551])
 
 
-# Draws ``BlockDraws`` asks numpy for at once. A block of Python floats is held
-# per sensor channel, so a wider block costs memory in a dense network.
+# Draws a noise block or ``BlockDraws`` asks numpy for at once. The sensor chain
+# holds a block per noisy channel, so a wider block costs memory in a dense network.
 DRAW_BLOCK = 32
 
 
 class BlockDraws:
-    """The draws of ``draw``, handed out one at a time as Python floats by
-    ``random()``. ``draw(n)`` returns a generator's next ``n`` draws, as
-    ``Generator.random`` or ``partial(Generator.normal, 0.0, sigma)`` do,
-    and is called for ``DRAW_BLOCK`` at a time. numpy fills a block with the
-    floats that as many scalar calls would return, in order, so the stream
-    equals scalar draws. The method is named as a Generator's scalar uniform
-    draw, so a Generator can stand in for a stream of uniform draws."""
+    """The draws of ``draw``, handed out in order by ``take(n)`` as a list
+    of ``n`` Python floats. ``draw(k)`` returns a generator's next ``k``
+    draws, as ``Generator.random`` does, and is called for at least
+    ``DRAW_BLOCK`` at a time. numpy fills a block with the floats that as
+    many scalar calls would return, in order, so the stream equals scalar
+    draws however it is taken."""
 
-    __slots__ = ("random",)
+    __slots__ = ("_draw", "_block", "_at")
 
     def __init__(self, draw: Callable[[int], np.ndarray]):
-        def floats():
-            while True:
-                yield from draw(DRAW_BLOCK).tolist()
+        self._draw, self._block, self._at = draw, [], 0  # ``_at``: the next draw's index
 
-        self.random: Callable[[], float] = floats().__next__
+    def take(self, n: int) -> list[float]:
+        at = self._at
+        if at + n > len(self._block):
+            self._block, at = self._block[at:] + self._draw(max(n, DRAW_BLOCK)).tolist(), 0
+        self._at = at + n
+        return self._block[at:at + n]
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,22 @@
 """Network simulation on the sampling grid: sampling, link-level delivery,
-coordinator batching, and server ingestion, one node tick at a time.
+coordinator batching, and server ingestion, one grid time at a time.
 
 Topology is a star: fixed-site nodes reach the coordinator over the
 short-range link; a mobile node does so while a fixed-site node is in its
-radio range, and otherwise uplinks to the server over the wide area. The
-unit ``run`` hands on, from ``nodes.sample`` to its sink, is the node tick
-(``domain.NodeTick``): one node's readings of one grid time, which share a
-position, so the link is chosen once per tick (``choose_link``, against
-the anchors near it on a grid). Each reading then takes its own Bernoulli
-loss draw (``route_measurement``) from the node's loss stream, read in blocks
-(``field.BlockDraws``) and drawn only over a lossy link. A reading's fate is
-the ``LinkChoice`` it took (the tick's own, or a ``LOST`` one on its link);
-a tick that lost readings goes on as a new tick of the rest.
+radio range, and otherwise uplinks to the server over the wide area. At
+each grid time ``nodes.SensorChain`` samples every sensing node, and ``run``
+hands on each node's tick (``domain.NodeTick``): its readings share a
+position, so the link is chosen once per tick (``choose_link``, against the
+anchors near it on a grid), or once per run for a node that stays put. Over
+a lossy link each reading takes a Bernoulli loss draw from the node's loss
+stream (``field.BlockDraws``): the tick's lost mask. A tick that lost
+readings goes on as a new tick of the rest.
 
 ``ScenarioConfig.validate`` puts every uplink on the shared sample grid,
 and links have fixed latencies, so a fate is known when routed and ``run``
-walks the grid with no event queue. Each sensing node's state (its sensor
-chain), loss stream and tallies are built before the walk. At each grid
-time every node is sampled in node order, then the window that just closed
+walks the grid with no event queue. The sensor chain, each node's link
+choice and loss stream are built before the walk. At each grid time every
+node is sampled and routed in node order, then the window that just closed
 is uplinked. A coordinator-bound tick joins its window's list if it arrives
 before the window ends; otherwise its readings are dropped and counted, so
 every emitted reading ends delivered to the server, lost on a link, or
@@ -29,7 +28,8 @@ A ``RunSink`` gets one ``tick`` call per (node, tick), one ``arrivals``
 call per group the server receives (a direct tick, or a batch's ticks),
 every batch, and at each uplink grid time a low watermark: every server
 reading stamped before it has been handed over, so a sink can write out and
-forget what precedes it. ``run`` itself keeps only the tallies it returns.
+forget what precedes it. ``run`` itself counts ticks per node and lost
+readings per channel, and returns them as tallies.
 """
 
 from __future__ import annotations
@@ -42,23 +42,17 @@ from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .domain import (
-    SECONDS_PER_DAY, GeoPoint, NodeDescriptor, NodeKind, NodeTick, Quantity, Radio, ReportBatch,
-    SiteGrid, ValidationError, haversine_distance, tick_key,
+    SECONDS_PER_DAY, ConfigError, GeoPoint, NodeDescriptor, NodeKind, NodeTick, Quantity, Radio,
+    ReportBatch, SiteGrid, haversine_distance, tick_key,
 )
 from .field import BlockDraws, loss_generator
-from .nodes import sample
+from .nodes import SensorChain
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
 logger = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    """The scenario references something that does not resolve."""
 
 
 @dataclass(frozen=True)
@@ -108,18 +102,15 @@ class NetworkTopology:
 
 @dataclass(frozen=True)
 class LinkChoice:
-    """How every reading of one sample tick travels: over ``link`` (None for
+    """How every reading of one node tick travels: over ``link`` (None for
     the coordinator's own readings, which take no radio hop), to ``outcome``
-    unless the link loses it. It is also a reading's fate: the tick's choice
-    if the reading gets through, a ``LOST`` choice on the same link if not."""
+    unless the link loses it."""
 
     link: LinkModel | None
     outcome: DeliveryOutcome
 
-    def arrival(self, t: int) -> int | None:
-        """When a reading sent at ``t`` this way arrives; None if lost."""
-        if self.outcome is DeliveryOutcome.LOST:
-            return None
+    def arrival(self, t: int) -> int:
+        """When a reading sent at ``t`` this way arrives, if not lost."""
         return t if self.link is None else int(t + self.link.latency_s)
 
 
@@ -144,19 +135,6 @@ def choose_link(node: NodeDescriptor, position: GeoPoint, topo: NetworkTopology)
         ):
             return LinkChoice(mobile_link, DeliveryOutcome.DELIVERED_TO_COORDINATOR)
     return LinkChoice(topo.links[Radio.WIDE_AREA], DeliveryOutcome.DELIVERED_TO_SERVER)
-
-
-def route_measurement(choice: LinkChoice, rng: np.random.Generator) -> LinkChoice:
-    """Send one freshly sampled reading the way ``choice`` says, and return
-    its fate: ``choice`` itself, or a ``LOST`` choice on its link. Loss is
-    Bernoulli per message with the link's probability, drawn by
-    ``rng.random()`` (a Generator, or a ``BlockDraws`` over one) only when
-    that probability is above 0, and never retried. Local readings take no
-    radio hop and are never lost."""
-    link = choice.link
-    if link is not None and link.loss_prob > 0.0 and rng.random() < link.loss_prob:
-        return LinkChoice(link, DeliveryOutcome.LOST)
-    return choice
 
 
 def coordinator_uplink(coordinator_id: str, window_start: int, window_end: int,
@@ -193,9 +171,11 @@ class RunSink:
     """Receives the results of ``run`` as its loop produces them.
     Each method does nothing here; a sink overrides what it needs."""
 
-    def tick(self, tick: NodeTick, fates: list[LinkChoice], arrival_t: int) -> None:
-        """One node tick, when routed, with each reading's fate and the time
-        those not lost arrive where their link leads."""
+    def tick(self, tick: NodeTick, choice: LinkChoice, lost: list[bool] | None,
+             arrival_t: int) -> None:
+        """One node tick, when routed: the way its readings were sent, which
+        of them the link lost (None when it lost none) and when those not
+        lost arrive where their link leads."""
 
     def arrivals(self, t: int, ticks: Sequence[NodeTick]) -> None:
         """Ticks the server receives at ``t``, when sent (so ``t`` never
@@ -231,13 +211,17 @@ def run(scenario: "ScenarioConfig", sink: RunSink) -> Tallies:
         if s.descriptor.kind is not NodeKind.MOBILE
     )
     topo = NetworkTopology(coordinator_id=coordinator, anchors=anchors, links=scenario.links)
-    tallies: Tallies = {}
-    # (node, loss stream, the node's tallies in the order of its readings)
-    sampled = [
-        (s, BlockDraws(loss_generator(scenario.seed, s.descriptor.node_id).random),
-         [tallies.setdefault((s.descriptor.node_id, q), Tally()) for q in s.quantities])
-        for s in states
-        if s.quantities
+    chain = SensorChain(states, period)
+    # Per sensing node: its descriptor, its link choice if it stays put (None
+    # if it moves), its loss stream, its counts of direct, on-time and late
+    # coordinator-bound ticks, and its channels' lost readings per count.
+    routes = [
+        (s.descriptor,
+         None if s.descriptor.kind is NodeKind.MOBILE
+         else choose_link(s.descriptor, s.descriptor.home_position, topo),
+         BlockDraws(loss_generator(scenario.seed, s.descriptor.node_id).random),
+         [0, 0, 0], [[0] * len(s.channels) for _ in range(3)])
+        for s in chain.nodes
     ]
     window: list[NodeTick] = []  # coordinator-bound ticks of the open window
     n_ticks = scenario.duration_s // period
@@ -252,37 +236,32 @@ def run(scenario: "ScenarioConfig", sink: RunSink) -> Tallies:
             closed, window = window, []
         if k < n_ticks:
             window_end = start + (k // ticks_per_uplink + 1) * uplink_period
-            for node, rng, node_tallies in sampled:
-                try:
-                    tick = sample(node, t)
-                except ValidationError as e:  # the scenario overflowed the sensor chain
-                    raise ConfigError(f"node {node.descriptor.node_id}: {e}") from e
-                choice = choose_link(node.descriptor, tick.position, topo)
+            for tick, (descriptor, choice, draws, counts, lost_counts) in zip(
+                    chain.sample(t), routes):
+                if choice is None:
+                    choice = choose_link(descriptor, tick.position, topo)
                 arrival_t = choice.arrival(t)
-                fates = [route_measurement(choice, rng) for _ in tick.values]
-                sink.tick(tick, fates, arrival_t)
+                link, lost = choice.link, None
+                if link is not None and link.loss_prob > 0.0:
+                    lost = [draw < link.loss_prob for draw in draws.take(len(tick.values))]
+                    if True not in lost:
+                        lost = None
+                sink.tick(tick, choice, lost, arrival_t)
                 direct = choice.outcome is DeliveryOutcome.DELIVERED_TO_SERVER
                 late = not direct and arrival_t >= window_end  # after its window was uplinked
-                lost = False
-                for fate, tally in zip(fates, node_tallies):
-                    tally.emitted += 1
-                    if fate.outcome is DeliveryOutcome.LOST:
-                        tally.lost += 1
-                        lost = True
-                    elif direct:
-                        tally.to_server += 1
-                    else:
-                        tally.to_coordinator += 1
-                        if late:
-                            tally.dropped += 1
-                if lost:  # the readings that got through go on as a tick of their own
-                    kept = [fate.outcome is not DeliveryOutcome.LOST for fate in fates]
+                fate = 0 if direct else 2 if late else 1
+                counts[fate] += 1
+                if lost is not None:  # the readings that got through go on as a tick of their own
+                    lost_now = lost_counts[fate]
+                    for i in compress(range(len(lost)), lost):
+                        lost_now[i] += 1
+                    kept = [not x for x in lost]
                     tick = NodeTick(tick.node_id, t, tick.position,
                                     tuple(compress(tick.quantities, kept)),
                                     list(compress(tick.values, kept)), list(compress(tick.flags, kept)))
-                if tick and direct:
+                if tick.values and direct:
                     sink.arrivals(arrival_t, [tick])
-                elif tick and not late:
+                elif tick.values and not late:
                     window.append(tick)
         if uplink:
             batch = coordinator_uplink(coordinator, t - uplink_period, t, closed)
@@ -290,4 +269,11 @@ def run(scenario: "ScenarioConfig", sink: RunSink) -> Tallies:
             sink.arrivals(int(t + wa_latency), batch.ticks)
         if window_closes:
             sink.watermark(t)
+    tallies: Tallies = {}
+    for node, (*_, (direct, on_time, late), lost) in zip(chain.nodes, routes):
+        for q, lost_direct, lost_on_time, lost_late in zip(node.quantities, *lost):
+            tallies[node.descriptor.node_id, q] = Tally(
+                emitted=direct + on_time + late, lost=lost_direct + lost_on_time + lost_late,
+                to_coordinator=on_time + late - lost_on_time - lost_late,
+                to_server=direct - lost_direct, dropped=late - lost_late)
     return tallies

@@ -50,12 +50,12 @@ from pathlib import Path as FsPath
 import yaml
 
 from .domain import (
-    LAST_STAMP, NODE_ID, GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio, format_utc,
-    parse_utc,
+    LAST_STAMP, NODE_ID, ConfigError, GeoPoint, NodeDescriptor, NodeKind, Quantity, Radio,
+    format_utc, parse_utc,
 )
 from .field import FieldModel, GaussianPlume, Path
 from .indexes import TrafficAccessConfig
-from .netsim import ConfigError, DEFAULT_LINKS, LinkModel
+from .netsim import DEFAULT_LINKS, LinkModel
 from .nodes import NodeState, SensorSpec, default_sensor_spec
 
 

@@ -216,7 +216,8 @@ class DayFiles:
         self._files = files
         self._held: list[NodeTick] = []
         self._node_ids: set[str] = set()
-        self._in_code_order: set[tuple[Quantity, ...]] = set()  # checked quantities
+        # Checked quantities -> the finite bounds of each (``_READINGS``).
+        self._in_range: dict[tuple[Quantity, ...], list[tuple[float, float]]] = {}
         self._last: RecordKey | tuple[()] = ()  # () sorts before every key
         self._day_end = -math.inf  # end of the open file's UTC day
         self._open = ExitStack()  # holds the open day file, ``_out``
@@ -234,7 +235,7 @@ class DayFiles:
     def add(self, ticks: Iterable[NodeTick]) -> None:
         """Check ``ticks``, holding those with readings until written: each
         stamp, new node id, new ``quantities`` and value."""
-        node_ids, in_code_order, held = self._node_ids, self._in_code_order, self._held
+        node_ids, in_range, held = self._node_ids, self._in_range, self._held
         for tick in ticks:
             if not tick:
                 continue
@@ -242,15 +243,17 @@ class DayFiles:
                 raise ValidationError("timestamp", "must be integer seconds UTC")
             if tick.node_id not in node_ids:
                 node_ids.add(validate_node_id(tick.node_id))
-            if tick.quantities not in in_code_order:
+            bounds = in_range.get(tick.quantities)
+            if bounds is None:
                 codes = [QUANTITY_CODES[q] for q in tick.quantities]
                 for before, code in zip(codes, codes[1:]):
                     if code <= before:
                         raise _order_error((tick.timestamp, tick.node_id, before),
                                            (tick.timestamp, tick.node_id, code))
-                in_code_order.add(tick.quantities)
-            for q, value in zip(tick.quantities, tick.values):
-                validate_value(q, value)
+                bounds = in_range[tick.quantities] = [_READINGS[code][2:] for code in codes]
+            if not all([low <= value <= high for (low, high), value in zip(bounds, tick.values)]):
+                for q, value in zip(tick.quantities, tick.values):
+                    validate_value(q, value)  # raises, naming the first value out of range
             held.append(tick)
 
     def write_before(self, t: float) -> None:

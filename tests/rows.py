@@ -92,11 +92,12 @@ class RowRecorder(RunSink):
         self.batches = []
         self.tallies = {}
 
-    def tick(self, tick, fates, arrival_t) -> None:
+    def tick(self, tick, choice, lost, arrival_t) -> None:
+        link = choice.link.kind if choice.link else None
         self.deliveries.extend(
-            DeliveryRecord(m, fate.outcome, fate.link.kind if fate.link else None,
-                           None if fate.outcome is DeliveryOutcome.LOST else arrival_t)
-            for m, fate in zip(tick.rows(), fates)
+            DeliveryRecord(m, DeliveryOutcome.LOST, link, None) if gone
+            else DeliveryRecord(m, choice.outcome, link, arrival_t)
+            for m, gone in zip(tick.rows(), lost or [False] * len(tick))
         )
 
     def arrivals(self, t, ticks) -> None:

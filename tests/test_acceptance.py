@@ -24,10 +24,10 @@ from citysense.indexes import (
     traffic_index,
 )
 from citysense.netsim import LinkModel
-from citysense.nodes import lag_filter, quantize, sample
+from citysense.nodes import lag_factor, quantize
 from citysense.scenario import load_scenario
 from tests.rows import channels_from, record
-from tests.test_nodes import StepField, fixed_node
+from tests.test_nodes import StepField, fixed_node, readings, still_mobile_node
 
 
 def ok(criterion: int, message: str) -> None:
@@ -242,19 +242,16 @@ def test_criterion_4_conservation_under_loss(pisa, loss):
 
 def test_criterion_5_sensor_physics():
     # step response: exactly 90% one t90 after the step, 99% after two
-    assert lag_filter(0.0, 100.0, 90.0, 90.0) == pytest.approx(90.0, rel=1e-12)
-    assert lag_filter(0.0, 100.0, 180.0, 90.0) == pytest.approx(99.0, rel=1e-12)
+    assert 100.0 + (0.0 - 100.0) * lag_factor(90.0, 90.0) == pytest.approx(90.0, rel=1e-12)
+    assert 100.0 + (0.0 - 100.0) * lag_factor(180.0, 90.0) == pytest.approx(99.0, rel=1e-12)
     field = StepField(0.0, 100.0, step_t=90, quantity=Quantity.TEMPERATURE)
-    node = fixed_node({Quantity.TEMPERATURE}, field)
-    values = {}
-    for t in range(0, 271, 90):
-        (m,) = sample(node, t).rows()
-        values[t] = m.value
+    node = still_mobile_node({Quantity.TEMPERATURE}, field)
+    values = {m.timestamp: m.value for m in readings(node, range(0, 271, 90), period=90)}
     assert values[90] == pytest.approx(90.0, rel=1e-9)  # within one sample of t90
 
     # detection limit: a 3 ppm CO level against the 5 ppm limit clamps to 0
     f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(3.0)})
-    (m,) = sample(fixed_node({Quantity.CO}, f), 0).rows()
+    (m,) = readings(fixed_node({Quantity.CO}, f), [0])
     assert m.value == 0.0 and Flag.BELOW_LOD in m.flags
 
     # 1 ppm quantization against closed forms, ties away from zero
@@ -262,18 +259,17 @@ def test_criterion_5_sensor_physics():
     assert quantize(7.5, 1.0) == 8.0
     assert quantize(-7.5, 1.0) == -8.0
     f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(7.4)})
-    (m,) = sample(fixed_node({Quantity.CO}, f), 0).rows()
+    (m,) = readings(fixed_node({Quantity.CO}, f), [0])
     assert m.value == pytest.approx(co_ppm_to_mg_m3(7.0), rel=1e-12)
 
     # warm-up: gas readings flagged for the first 15 minutes, clean afterwards
     f = FieldModel(seed=1, baseline={Quantity.CO2: 451.1, Quantity.TEMPERATURE: 15.0})
     node = fixed_node({Quantity.CO2, Quantity.TEMPERATURE}, f, powered_since=0)
+    flagged = {(m.timestamp, m.quantity): Flag.WARMING_UP in m.flags
+               for m in readings(node, range(0, 901, 300))}
     for t in range(0, 900, 300):
-        by_q = {m.quantity: m for m in sample(node, t).rows()}
-        assert Flag.WARMING_UP in by_q[Quantity.CO2].flags
-        assert Flag.WARMING_UP not in by_q[Quantity.TEMPERATURE].flags
-    by_q = {m.quantity: m for m in sample(node, 900).rows()}
-    assert Flag.WARMING_UP not in by_q[Quantity.CO2].flags
+        assert flagged[t, Quantity.CO2] and not flagged[t, Quantity.TEMPERATURE]
+    assert not flagged[900, Quantity.CO2]
     ok(5, "t90 step response, LoD clamp, 1 ppm quantization, 15 min warm-up verified")
 
 

@@ -3,8 +3,9 @@
 The checks keep reference tables written out independently of the package;
 the first test holds them equal to the package's own tables, so that a change
 to either side shows here rather than as a failed benchmark round. The
-property then runs the four CLI steps on drawn ``dense-city`` scenarios and
-expects every check to pass on what they write.
+property then runs the four CLI steps on drawn ``dense-city`` scenarios,
+with LoD, resolution and warm-up overrides of the gas channels, and expects
+every check to pass on what they write.
 """
 
 import io
@@ -55,7 +56,27 @@ def dense_cities(draw):
         # one sample period no reading is late.
         latest = doc["sample_period_s"] - 1 if radio != "wide_area" else 3600
         link["latency_s"] = draw(st.integers(0, latest), label=f"{radio} latency")
+    for q in GAS:
+        doc["sensors"][q] = draw(gas_sensor(doc["field"], q), label=f"{q} sensor")
     return doc
+
+
+GAS = ("co", "co2", "hc")
+
+
+def gas_sensor(field: dict, q: str):
+    """LoD, resolution and warm-up overrides of gas ``q``; an absent key
+    keeps the datasheet's. A LoD is 0, the datasheet's or far from every
+    reading, above or below. One near the readings would censor those below
+    it, and the mean of the rest would sit above the truth by more than the
+    checks' mean-residual bound: that draw cannot be judged."""
+    spread = abs(field["diurnal_amplitude"].get(q, 0.0)) + 7.0 * field["noise_sigma"].get(q, 0.0)
+    far = [field["baseline"][q] + 2.0 * spread, max(0.0, field["baseline"][q] - 2.0 * spread)]
+    return st.fixed_dictionaries({}, optional={
+        "lod": st.sampled_from([0.0, *far]),
+        "resolution": st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+        "warmup_s": st.sampled_from([0.0, 300.0, 1000.5, 5400.0]),
+    })
 
 
 @settings(max_examples=25, derandomize=True, deadline=None,

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import citysense
-from citysense import cli, domain, netsim, store
+from citysense import cli, domain, nodes, store
 from citysense.cli import main
 from citysense.scenario import load_scenario
 from tests.rows import record
@@ -83,21 +83,21 @@ class TestSimulateStreaming:
         self, small_scenario_file, sim_dir, monkeypatch
     ):
         before = digest_tree(sim_dir)
-        real_sample = netsim.sample
-        ticks = []
+        real_sample = nodes.SensorChain.sample
+        grid_times = []
 
-        def failing_sample(*args):
-            ticks.append(args)
-            if len(ticks) == 10:  # of 18 sample ticks
+        def failing_sample(chain, t):
+            grid_times.append(t)
+            if len(grid_times) == 4:  # of 6 grid times
                 # The delivery log is being streamed while the run goes on.
                 assert (sim_dir / ".delivery-log.txt.tmp").is_file()
                 raise RuntimeError("sensor bus fault")
-            return real_sample(*args)
+            return real_sample(chain, t)
 
-        monkeypatch.setattr(netsim, "sample", failing_sample)
+        monkeypatch.setattr(nodes.SensorChain, "sample", failing_sample)
         with pytest.raises(RuntimeError, match="sensor bus fault"):
             main(["simulate", "--scenario", str(small_scenario_file), "--out", str(sim_dir)])
-        assert len(ticks) == 10
+        assert len(grid_times) == 4
         assert digest_tree(sim_dir) == before  # byte-identical, and no temporary
         monkeypatch.undo()
 

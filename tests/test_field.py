@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -212,21 +211,29 @@ class TestTimeOfDayMemo:
 class TestBlockDraws:
     N = 3 * DRAW_BLOCK + 5  # crosses three block boundaries
 
-    def test_normal_draws_equal_scalar_calls(self):
-        f = FieldModel(seed=5, baseline={Quantity.CO2: 400.0})
-        scalar = noise_generator(f, "T1", Quantity.CO2)
-        stream = BlockDraws(partial(noise_generator(f, "T1", Quantity.CO2).normal, 0.0, 2.5))
-        expected = [scalar.normal(0.0, 2.5) for _ in range(self.N)]
-        drawn = [stream.random() for _ in range(self.N)]
-        assert drawn == expected
-        assert all(type(x) is float for x in drawn)
-
     def test_uniform_draws_equal_scalar_calls(self):
         scalar = loss_generator(11, "M1")
         stream = BlockDraws(loss_generator(11, "M1").random)
-        drawn = [stream.random() for _ in range(self.N)]
+        drawn = [stream.take(1)[0] for _ in range(self.N)]
         assert drawn == [scalar.random() for _ in range(self.N)]
         assert all(type(x) is float for x in drawn)
+
+    def test_uneven_takes_across_blocks_equal_scalar_calls(self):
+        scalar = loss_generator(3, "M1")
+        stream = BlockDraws(loss_generator(3, "M1").random)
+        counts = [5, 13, 1, 0, 31, 7, 40, 2] * 3  # one take wider than a block
+        drawn = [stream.take(n) for n in counts]
+        assert list(map(len, drawn)) == counts
+        assert [x for taken in drawn for x in taken] == [
+            scalar.random() for _ in range(sum(counts))]
+
+    def test_normal_blocks_equal_scalar_calls(self):
+        # The sensor chain fills its noise blocks with normal(0, sigma, DRAW_BLOCK).
+        f = FieldModel(seed=5, baseline={Quantity.CO2: 400.0})
+        scalar = noise_generator(f, "T1", Quantity.CO2)
+        blocks = noise_generator(f, "T1", Quantity.CO2)
+        drawn = [x for _ in range(3) for x in blocks.normal(0.0, 2.5, DRAW_BLOCK).tolist()]
+        assert drawn == [scalar.normal(0.0, 2.5) for _ in range(3 * DRAW_BLOCK)]
 
     def test_draws_a_block_at_a_time(self):
         sizes = []
@@ -237,7 +244,7 @@ class TestBlockDraws:
 
         stream = BlockDraws(draw)
         assert sizes == []  # nothing is drawn before the first float is asked for
-        assert [stream.random() for _ in range(DRAW_BLOCK + 1)] == (
+        assert [stream.take(1)[0] for _ in range(DRAW_BLOCK + 1)] == (
             list(map(float, range(DRAW_BLOCK))) + [0.0])
         assert sizes == [DRAW_BLOCK, DRAW_BLOCK]
 

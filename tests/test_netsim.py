@@ -29,18 +29,17 @@ from citysense.netsim import (
     Tally,
     choose_link,
     coordinator_uplink,
-    route_measurement,
     run,
 )
 from citysense.domain import haversine_distance
-from citysense.field import DRAW_BLOCK, BlockDraws, loss_generator
-from citysense.nodes import sample
+from citysense.field import loss_generator
 from citysense.scenario import load_scenario, with_seed
 from citysense.store import DayFiles, OutputSet
 from tests.geo import grid_cases
 from tests.rows import (
     DeliveryRecord, RowRecorder, one_reading_ticks, record, record_key, serialize_measurement,
 )
+from tests.scalar_chain import ScalarNode, route_measurement
 
 P = GeoPoint(43.716, 10.3966)
 FAR = GeoPoint(43.76, 10.3966)  # ~4.9 km north of everything
@@ -70,10 +69,12 @@ def mobile_descriptor(node_id="M1"):
 
 
 def route(m, node, topo, rng):
-    """Route ``m`` as ``run()`` does: the link chosen at its position. Returns
-    its fate, the link's radio (None without a radio hop) and its arrival."""
+    """Route ``m`` as the per-reading reference does: the link chosen at its
+    position. Returns its fate, the link's radio (None without a radio hop)
+    and its arrival."""
     fate = route_measurement(choose_link(node, m.position, topo), rng)
-    return fate, fate.link.kind if fate.link else None, fate.arrival(m.timestamp)
+    lost = fate.outcome is DeliveryOutcome.LOST
+    return fate, fate.link.kind if fate.link else None, None if lost else fate.arrival(m.timestamp)
 
 
 def _stamp(t):
@@ -157,7 +158,7 @@ class TestRouteMeasurement:
         for fate in fates:
             if scalar.random() < 0.5:
                 assert fate is not choice and fate.link is choice.link
-                assert fate.outcome is DeliveryOutcome.LOST and fate.arrival(300) is None
+                assert fate.outcome is DeliveryOutcome.LOST
             else:
                 assert fate is choice and fate.arrival(300) == 301
         assert {fate.outcome for fate in fates} == {
@@ -176,25 +177,21 @@ class TestRouteMeasurement:
 
 
 class TestLossStream:
-    def test_drawn_only_over_a_lossy_link(self):
-        # in range: the lossy short-range link; out of range: the lossless wide area
-        links = dict(DEFAULT_LINKS)
-        links[Radio.SHORT_RANGE_MOBILE] = LinkModel(Radio.SHORT_RANGE_MOBILE, 300.0, 0.5, 1.0)
-        topo = dataclasses.replace(TOPO, links=links)
-        stream, scalar = BlockDraws(loss_generator(3, "M1").random), loss_generator(3, "M1")
-        lossy_readings = 0
-        for k in range(3 * DRAW_BLOCK):
-            position = FAR if k % 3 == 0 else P
-            choice = choose_link(mobile_descriptor(), position, topo)
-            for q in (Quantity.CO2, Quantity.O3):
-                fate = route_measurement(choice, stream)
-                lost = False
-                if choice.link.loss_prob > 0.0:
-                    lossy_readings += 1
-                    lost = scalar.random() < 0.5
-                assert (fate.outcome is DeliveryOutcome.LOST) is lost
-        assert lossy_readings == 128  # four blocks, drawn on two ticks of three
-        assert stream.random() == scalar.random()  # both consumed the same draws
+    def test_drawn_only_over_a_lossy_link(self, pisa):
+        # M2's short-range link is lossy, the wide area is not: it takes a
+        # draw per reading on the ticks it is in short range, and none on the
+        # others, so its fates follow its stream read on those ticks alone.
+        links = dict(pisa.links)
+        links[Radio.SHORT_RANGE_MOBILE] = dataclasses.replace(
+            links[Radio.SHORT_RANGE_MOBILE], loss_prob=0.3)
+        cfg = dataclasses.replace(pisa, duration_s=4 * 3600, links=links)
+        m2 = [d for d in record(cfg).deliveries if d.measurement.node_id == "M2"]
+        scalar = loss_generator(cfg.seed, "M2")
+        for d in m2:
+            lost = d.link is Radio.SHORT_RANGE_MOBILE and scalar.random() < 0.3
+            assert (d.outcome is DeliveryOutcome.LOST) is lost
+        assert {d.link for d in m2} == {Radio.SHORT_RANGE_MOBILE, Radio.WIDE_AREA}
+        assert any(d.outcome is DeliveryOutcome.LOST for d in m2)
 
 
 class TestCoordinatorUplink:
@@ -283,11 +280,11 @@ class TestRun:
                 self.received = []
                 self.batches = 0
 
-            def tick(self, tick, fates, arrival_t):
-                assert len(tick) == len(fates) > 0
+            def tick(self, tick, choice, lost, arrival_t):
+                assert len(tick) > 0 and (lost is None or len(lost) == len(tick) and any(lost))
                 self.ticks.append((tick.node_id, tick.timestamp))
-                for fate in fates:
-                    self.fates[fate.outcome] += 1
+                for gone in lost or [False] * len(tick):
+                    self.fates[DeliveryOutcome.LOST if gone else choice.outcome] += 1
 
             def arrivals(self, t, ticks):
                 assert all(ticks)  # a tick that lost every reading is not handed over
@@ -518,7 +515,7 @@ def _event_queue_run(scenario):
         ),
         links=scenario.links,
     )
-    by_id = {s.descriptor.node_id: s for s in states}
+    by_id = {s.descriptor.node_id: ScalarNode(s) for s in states}
     rngs = {nid: loss_generator(scenario.seed, nid) for nid in by_id}
     result = RowRecorder()
     heap, seq, buffer = [], itertools.count(), []
@@ -538,8 +535,8 @@ def _event_queue_run(scenario):
         t, _, kind, payload = heapq.heappop(heap)
         if kind == "sample":
             node = by_id[payload]
-            readings = sample(node, t).rows()
-            choice = choose_link(node.descriptor, readings[0].position, topo)
+            readings = node.sample(t).rows()
+            choice = choose_link(node.state.descriptor, readings[0].position, topo)
             for m in readings:
                 fate = route_measurement(choice, rngs[payload])
                 link = fate.link

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citysense.domain import (
+    ConfigError,
     Flag,
     GeoPoint,
     Measurement,
@@ -13,14 +14,14 @@ from citysense.domain import (
     ValidationError,
     co_ppm_to_mg_m3,
 )
-from citysense.field import FieldModel, Path
+from citysense.field import DRAW_BLOCK, FieldModel, Path
 from citysense.nodes import (
     NodeState,
+    SensorChain,
     SensorSpec,
     default_sensor_spec,
-    lag_filter,
+    lag_factor,
     quantize,
-    sample,
 )
 
 P = GeoPoint(43.716, 10.3966)
@@ -31,22 +32,39 @@ def fixed_node(suite, field, sensors=None, **kw):
     return NodeState(descriptor=d, field=field, sensors=sensors or {}, **kw)
 
 
-class TestLagFilter:
-    def test_fixed_point(self):
-        assert lag_filter(42.0, 42.0, 30.0, 90.0) == 42.0
+def still_mobile_node(suite, field):
+    """A mobile node parked at ``P``: the chain asks ``field.value`` for it."""
+    d = NodeDescriptor("M1", NodeKind.MOBILE, frozenset(suite))
+    return NodeState(descriptor=d, field=field, trajectory=(Path("parked", (P,)), 1.0))
+
+
+def ticks(node, times, period=300):
+    """The node's ticks at ``times``, in turn, from one chain of ``period`` s."""
+    chain = SensorChain([node], period)
+    return [chain.sample(t)[0] for t in times]
+
+
+def readings(node, times, period=300):
+    """The readings of ``ticks``, as rows, in order."""
+    return [m for tick in ticks(node, times, period) for m in tick.rows()]
+
+
+class TestLagFactor:
+    def test_no_time_keeps_the_last_reading(self):
+        assert lag_factor(0.0, 90.0) == 1.0
 
     def test_step_reaches_90_percent_at_t90(self):
-        assert lag_filter(0.0, 100.0, 90.0, 90.0) == pytest.approx(90.0, rel=1e-12)
+        assert 100.0 + (0.0 - 100.0) * lag_factor(90.0, 90.0) == pytest.approx(90.0, rel=1e-12)
 
     def test_step_reaches_99_percent_at_twice_t90(self):
-        assert lag_filter(0.0, 100.0, 180.0, 90.0) == pytest.approx(99.0, rel=1e-12)
+        assert 100.0 + (0.0 - 100.0) * lag_factor(180.0, 90.0) == pytest.approx(99.0, rel=1e-12)
 
     @given(
         st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
         st.floats(0.001, 1e4), st.floats(1.0, 1e4),
     )
     def test_contraction(self, prev, target, dt, t90):
-        out = lag_filter(prev, target, dt, t90)
+        out = target + (prev - target) * lag_factor(dt, t90)
         assert abs(out - target) <= abs(prev - target) + 1e-9
 
 
@@ -123,35 +141,36 @@ class StepField:
     def __init__(self, before, after, step_t, quantity=Quantity.CO2):
         self.seed = 0
         self.noise_sigma = {}
+        self.plumes = {}
         self._before, self._after, self._step_t = before, after, step_t
         self._q = quantity
+
+    def tod_terms(self, q, tod):
+        return 0.0
 
     def value(self, q, p, t):
         return self._after if t >= self._step_t else self._before
 
 
-class TestSample:
+class TestSensorChain:
     def test_warmup_flags_gas_only(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0, Quantity.TEMPERATURE: 15.0})
         node = fixed_node({Quantity.CO2, Quantity.TEMPERATURE}, f, powered_since=0)
-        by_q = {m.quantity: m for m in sample(node, 300).rows()}
+        by_q = {m.quantity: m for m in readings(node, [300])}
         assert Flag.WARMING_UP in by_q[Quantity.CO2].flags
         assert Flag.WARMING_UP not in by_q[Quantity.TEMPERATURE].flags
 
     def test_warmup_clears_after_15_minutes(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
         node = fixed_node({Quantity.CO2}, f, powered_since=0)
-        for t in (0, 300, 600):
-            (m,) = sample(node, t).rows()
-            assert Flag.WARMING_UP in m.flags
-        (m,) = sample(node, 900).rows()
-        assert Flag.WARMING_UP not in m.flags
+        flagged = [Flag.WARMING_UP in m.flags for m in readings(node, (0, 300, 600, 900))]
+        assert flagged == [True, True, True, False]
 
     def test_below_lod_clamps_to_zero(self):
         # true CO 3 ppm against a 5 ppm detection limit (stored in mg/m3)
         f = FieldModel(seed=1, baseline={Quantity.CO: co_ppm_to_mg_m3(3.0)})
         node = fixed_node({Quantity.CO}, f)
-        (m,) = sample(node, 0).rows()
+        (m,) = readings(node, [0])
         assert Flag.BELOW_LOD in m.flags
         assert m.value == 0.0
 
@@ -160,37 +179,33 @@ class TestSample:
         f = FieldModel(seed=1, baseline={Quantity.RELATIVE_HUMIDITY: 99.5})
         node = fixed_node({Quantity.RELATIVE_HUMIDITY}, f,
                           bias_add={Quantity.RELATIVE_HUMIDITY: bias_add})
+        chain = SensorChain([node], 300)
         for t in (0, 300):
-            (m,) = sample(node, t).rows()
+            (m,) = chain.sample(t)[0].rows()
             assert m.value == expected
-        assert node.last_filtered[Quantity.RELATIVE_HUMIDITY] == 99.5 + bias_add
+        assert chain._last.tolist() == [99.5 + bias_add]  # the lag tracks the unclamped value
 
     def test_above_lod_quantized_to_1ppm(self):
         f = FieldModel(seed=1, baseline={Quantity.HC: 7.4})
         node = fixed_node({Quantity.HC}, f)
-        (m,) = sample(node, 0).rows()
+        (m,) = readings(node, [0])
         assert m.value == 7.0
         assert Flag.QUANTIZED in m.flags
         assert Flag.BELOW_LOD not in m.flags
 
     def test_settles_within_1pct_after_5_t90(self):
         field = StepField(0.0, 100.0, step_t=300, quantity=Quantity.TEMPERATURE)
-        node = fixed_node({Quantity.TEMPERATURE}, field)
-        trace = {}
-        for t in range(0, 1200, 90):  # sample every t90 seconds
-            (m,) = sample(node, t).rows()
-            trace[t] = m.value
+        node = still_mobile_node({Quantity.TEMPERATURE}, field)
+        times = range(0, 1200, 90)  # sample every t90 seconds
+        trace = {m.timestamp: m.value for m in readings(node, times, period=90)}
         assert trace[0] == 0.0
         # first grid point >= 5*t90 after the step: residual ~1e-5, well within 1%
         assert trace[810] == pytest.approx(100.0, rel=0.01)
 
     def test_step_response_hits_90pct_one_sample_after_step(self):
         field = StepField(0.0, 100.0, step_t=90, quantity=Quantity.TEMPERATURE)
-        node = fixed_node({Quantity.TEMPERATURE}, field)
-        values = {}
-        for t in range(0, 361, 90):
-            (m,) = sample(node, t).rows()
-            values[t] = m.value
+        node = still_mobile_node({Quantity.TEMPERATURE}, field)
+        values = {m.timestamp: m.value for m in readings(node, range(0, 361, 90), period=90)}
         assert values[90] == pytest.approx(90.0, rel=1e-9)   # t90 after the step
         assert values[180] == pytest.approx(99.0, rel=1e-9)  # 2*t90 after
 
@@ -199,8 +214,7 @@ class TestSample:
         d = NodeDescriptor("M1", NodeKind.MOBILE, frozenset({Quantity.CO2}))
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
         node = NodeState(descriptor=d, field=f, trajectory=(route, 4.0))
-        for t in range(0, 3600, 300):
-            (m,) = sample(node, t).rows()
+        for m in readings(node, range(0, 3600, 300)):
             assert _distance_to_segment(m.position, route.vertices[0], route.vertices[1]) < 1.0
 
     def test_mobile_requires_trajectory(self):
@@ -213,8 +227,18 @@ class TestSample:
         runs = []
         for _ in range(2):
             node = fixed_node({Quantity.CO2}, f, sensors={Quantity.CO2: SensorSpec(Quantity.CO2, lod=0.0)})
-            runs.append([sample(node, t).values[0] for t in range(0, 3000, 300)])
+            runs.append([m.value for m in readings(node, range(0, 3000, 300))])
         assert runs[0] == runs[1]
+
+    def test_noise_is_drawn_a_block_at_a_time(self):
+        f = FieldModel(seed=9, baseline={Quantity.CO2: 420.0}, noise_sigma={Quantity.CO2: 4.0})
+        node = fixed_node({Quantity.CO2}, f)
+        sizes = []
+        draw = node.channels[0].noise
+        node.channels = (node.channels[0]._replace(
+            noise=lambda n: sizes.append(n) or draw(n)),)
+        ticks(node, range(0, (DRAW_BLOCK + 1) * 300, 300))
+        assert sizes == [DRAW_BLOCK, DRAW_BLOCK]
 
     def test_channel_table_is_built_once_at_construction(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0, Quantity.O3: 50.0})
@@ -225,9 +249,10 @@ class TestSample:
         assert node.quantities == (Quantity.CO2, Quantity.O3)
         assert table[0].bias_add == 5.0 and table[0].noise is None
         # the biases are read at construction: a later edit is not seen
-        (co2, _) = sample(node, 0).rows()
+        chain = SensorChain([node], 300)
+        (co2, _) = chain.sample(0)[0].rows()
         bias_add[Quantity.CO2] = 100.0
-        (later, _) = sample(node, 300).rows()
+        (later, _) = chain.sample(300)[0].rows()
         assert node.channels is table
         assert later.value == co2.value == 425.0
 
@@ -244,24 +269,24 @@ class TestSample:
     def test_readings_share_interned_flag_sets(self):
         f = FieldModel(seed=1, baseline={Quantity.CO2: 5.4, Quantity.HC: 2.0})
         node = fixed_node({Quantity.CO2, Quantity.HC}, f)
-        readings = [m for t in range(0, 900, 300) for m in sample(node, t).rows()]  # warm-up 900 s
-        assert {m.flags for m in readings} == {
+        ms = readings(node, range(0, 900, 300))  # warm-up 900 s
+        assert {m.flags for m in ms} == {
             frozenset({Flag.WARMING_UP, Flag.BELOW_LOD})
         }
-        assert len({id(m.flags) for m in readings}) == 1
+        assert len({id(m.flags) for m in ms}) == 1
 
     def test_one_measurement_per_suite_quantity(self):
         f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})
         suite = {Quantity.TEMPERATURE, Quantity.RELATIVE_HUMIDITY, Quantity.O3}
         node = fixed_node(suite, f)
-        ms = sample(node, 0).rows()
+        ms = readings(node, [0])
         assert [m.quantity for m in ms] == sorted(suite, key=lambda q: q.value)
 
     def test_a_tick_holds_the_suite_as_columns_in_its_nodes_shared_order(self):
         f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})
         suite = {Quantity.TEMPERATURE, Quantity.RELATIVE_HUMIDITY, Quantity.O3}
         node = fixed_node(suite, f)
-        first, second = sample(node, 0), sample(node, 300)
+        first, second = ticks(node, (0, 300))
         assert first.quantities == tuple(sorted(suite, key=lambda q: q.value))
         assert second.quantities is first.quantities  # one tuple per node
         assert len(first) == len(first.values) == len(first.flags) == 3
@@ -271,28 +296,39 @@ class TestSample:
             for q, v, fl in zip(first.quantities, first.values, first.flags)
         ]
 
+    def test_a_chain_hands_over_one_tick_per_node_with_a_suite_in_node_order(self):
+        f = FieldModel(seed=1, baseline={q: 10.0 for q in Quantity})
+        silent = NodeState(NodeDescriptor("C0", NodeKind.COORDINATOR, frozenset(), P), f)
+        first = fixed_node({Quantity.O3}, f)
+        second = NodeState(NodeDescriptor("T2", NodeKind.FIXED, frozenset({Quantity.CO2}), P), f)
+        chain = SensorChain([second, silent, first], 300)
+        assert chain.nodes == [second, first]
+        assert [(tick.node_id, tick.quantities) for tick in chain.sample(0)] == [
+            ("T2", (Quantity.CO2,)), ("T1", (Quantity.O3,))]
 
     def test_readings_equal_checked_measurements(self):
         f = FieldModel(seed=3, baseline={q: 10.0 for q in Quantity},
                        noise_sigma={Quantity.CO2: 2.0, Quantity.O3: 1.0})
         node = fixed_node({Quantity.CO2, Quantity.O3, Quantity.RELATIVE_HUMIDITY}, f)
-        for m in sample(node, 0).rows():
-            assert type(m) is Measurement
+        for m in readings(node, [0]):
+            assert type(m) is Measurement and type(m.value) is float
             assert m == Measurement(m.node_id, m.timestamp, m.position, m.quantity, m.value, m.flags)
 
     @pytest.mark.parametrize("field_value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_chain_value_raises(self, field_value):
-        node = fixed_node({Quantity.TEMPERATURE}, StepField(field_value, field_value, 0))
-        with pytest.raises(ValidationError, match="value: not finite"):
-            sample(node, 0)
+    def test_non_finite_chain_value_raises_naming_the_node(self, field_value):
+        node = still_mobile_node({Quantity.TEMPERATURE}, StepField(field_value, field_value, 0))
+        with pytest.raises(ConfigError, match=f"^node M1: value: not finite: {field_value!r}$"):
+            ticks(node, [0])
 
-    def test_float_time_raises_before_the_node_changes(self):
-        f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0})
-        node = fixed_node({Quantity.CO2}, f)
-        sample(node, 0)
-        with pytest.raises(ValidationError, match="timestamp: must be integer seconds UTC"):
-            sample(node, 300.0)
-        assert node._last_sample_t == 0
+    def test_the_first_node_with_a_non_finite_reading_is_named(self):
+        f = FieldModel(seed=1, baseline={Quantity.TEMPERATURE: 1e308, Quantity.O3: 1e308})
+        nodes = [NodeState(NodeDescriptor(f"T{i}", NodeKind.FIXED, frozenset({q}), P), f,
+                           bias_mul={q: mul})
+                 for i, (q, mul) in enumerate([(Quantity.TEMPERATURE, 1.0),
+                                                (Quantity.TEMPERATURE, 10.0),
+                                                (Quantity.O3, 10.0)])]
+        with pytest.raises(ConfigError, match=r"^node T1: value: not finite: inf$"):
+            SensorChain(nodes, 300).sample(0)
 
 
 def _distance_to_segment(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:

@@ -27,7 +27,7 @@ from citysense.domain import (
 )
 from citysense.field import FieldModel
 from citysense.netsim import coordinator_uplink
-from citysense.nodes import NodeState, sample
+from citysense.nodes import NodeState, SensorChain
 from citysense.store import DayFiles, MeasurementStore, OutputSet
 from tests.rows import channels_from, node_ticks, parse_measurement, record_key
 
@@ -63,7 +63,7 @@ class TestEveryLayerUsesValueRange:
         low, high = VALUE_RANGE[q]
         f = FieldModel(seed=1, baseline={q: 0.0})
         for far, bound in ((-FAR, low), (FAR, high)):
-            (m,) = sample(_static_node(q, f, bias_add={q: far}), T0).rows()
+            (m,) = SensorChain([_static_node(q, f, bias_add={q: far})], 300).sample(T0)[0].rows()
             assert validate_value(q, m.value) == m.value
             assert m.value == pytest.approx(_expected(bound, far), rel=1e-5)
             if math.isfinite(bound):

@@ -11,6 +11,7 @@ and analytics layers.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,18 +43,30 @@ with tracer.step_span("compare_mobile"):
 print(json.dumps({"rc": rc, "missing": tracer.missing, "layers": tracer.metrics()}))
 """
 
-# Absent on purpose, in the tracer's install order: serialize_measurement,
-# a one-record formatter that no CLI step called (store.bytes_written read 0
-# in every run before), was removed with the in-memory row output of run();
-# the writer the next three traced was replaced by store.OutputSet; and
-# MeasurementStore.all, a row view that only tests called, was removed
-# (store.all_s read 0 in every run before).
+# Absent on purpose, in the tracer's install order: nodes.sample and
+# netsim.route_measurement, the sensor chain and the loss draw one reading at
+# a time, were replaced by nodes.SensorChain, which samples every node of a
+# grid time at once, and the per-tick loss mask of netsim.run (their time is
+# now netsim.run's own); serialize_measurement, a one-record formatter that
+# no CLI step called (store.bytes_written read 0 in every run before), was
+# removed with the in-memory row output of run(); the writer the next three
+# traced was replaced by store.OutputSet; and MeasurementStore.all, a row
+# view that only tests called, was removed (store.all_s read 0 in every run
+# before).
 ABSENT = [
+    "citysense.nodes.sample",
+    "citysense.netsim.route_measurement",
     "citysense.store.serialize_measurement",
     "citysense.store.write_delivery_log",
     "MeasurementStore.append",
     "MeasurementStore.flush",
     "MeasurementStore.all",
+]
+
+# The per-layer metrics of the two absent names above, which read 0.
+ZERO = [
+    "nodes.sample_calls", "nodes.readings", "nodes.sample_self_s", "netsim.route_calls",
+    "netsim.route_self_s", "netsim.delivered", "netsim.lost",
 ]
 
 
@@ -76,19 +89,20 @@ def test_tracer_finds_every_name_but_the_known_absent_ones(tmp_path):
     assert doc["missing"] == ABSENT
     layers = doc["layers"]
     assert layers["netsim.uplink_calls"] == 4  # one per 900 s window of the hour
-    for name in (
-        "netsim.uplink_scanned", "netsim.uplink_batched", "nodes.sample_calls",
-        "nodes.readings", "netsim.route_calls", "netsim.delivered",
-    ):
+    for name in ("netsim.uplink_scanned", "netsim.uplink_batched", "netsim.loop_self_s"):
         assert layers[name] > 0, name
-    # Each emitted reading is one line of the delivery log. The tracer counts
-    # readings as the len() of each tick nodes.sample returns, and one route
-    # call, delivered or lost, per reading.
+    assert {name: layers[name] for name in ZERO} == dict.fromkeys(ZERO, 0)
+    # Each emitted reading is one line of the delivery log, and simulate's
+    # per-node lines count each one delivered or lost (a dropped reading
+    # was delivered to the coordinator).
     sim = tmp_path / "out" / "sim"
     emitted = len((sim / "delivery-log.txt").read_text().splitlines())
-    assert layers["nodes.readings"] == emitted > 0
-    assert layers["netsim.route_calls"] == emitted
-    assert layers["netsim.delivered"] + layers["netsim.lost"] == emitted
+    tallies = [tuple(map(int, re.findall(r"\d+", line.split(":", 1)[1])))
+               for line in proc.stdout.splitlines() if line.startswith("  ") and ": emitted" in line]
+    assert len(tallies) == 10  # every sensing node of pisa-default
+    assert sum(t[0] for t in tallies) == emitted > 0
+    assert sum(to_coordinator + direct + lost
+               for _, to_coordinator, direct, lost, _ in tallies) == emitted
     assert layers["indexes.ingest_calls"] == 1  # compute_indexes ingests every record once
     for name in ("indexes.recompute_values", "analytics.associated", "analytics.compare_s"):
         assert layers[name] > 0, name

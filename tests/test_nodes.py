@@ -11,7 +11,6 @@ from citysense.domain import (
     NodeDescriptor,
     NodeKind,
     Quantity,
-    ValidationError,
     co_ppm_to_mg_m3,
 )
 from citysense.field import DRAW_BLOCK, FieldModel, Path

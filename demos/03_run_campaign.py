@@ -16,7 +16,7 @@ from citysense import compute_indexes, load_scenario
 from citysense.cli import simulate
 from citysense.domain import GAS_QUANTITIES
 from citysense.netsim import DeliveryOutcome
-from citysense.store import MeasurementStore
+from citysense.store import MeasurementStore, read_days
 
 cfg = load_scenario("pisa-default")
 print(f"scenario {cfg.name!r}: {len(cfg.nodes)} nodes, {cfg.duration_s // 3600} h, seed {cfg.seed}")
@@ -24,6 +24,7 @@ print(f"scenario {cfg.name!r}: {len(cfg.nodes)} nodes, {cfg.duration_s // 3600} 
 with tempfile.TemporaryDirectory() as out:
     tallies, received = simulate(cfg, out)
     channels = MeasurementStore(out).channels
+    index_values = list(compute_indexes(read_days(out), cfg.uplink_period_s))
 
 print(f"\nserver received {received} measurements "
       f"over {cfg.duration_s // cfg.uplink_period_s} uplink windows")
@@ -47,7 +48,6 @@ print(f"\ngas node-reports per 15-minute window: {counts} "
       f"(9 sensing nodes x 3 sampling slots = 27)")
 
 print("\nlast index refresh of the day:")
-index_values = compute_indexes(channels, cfg.uplink_period_s)
 final_t = max(iv.window_end for iv in index_values)
 for iv in index_values:
     if iv.window_end == final_t and iv.station_id in ("T2", "F5", "M1"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
@@ -22,9 +23,12 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .domain import (
-    Flag, GeoPoint, NodeKind, Quantity, SiteGrid, haversine_distance, mean, usable_mask,
+    FLAG_SETS, Flag, GeoPoint, NodeKind, Quantity, SiteGrid, haversine_distance, mean, usable_mask,
 )
 from .store import Channel, Channels, OutputSet
+
+# The flag codes (``domain.FLAG_SETS``) of the sets holding ``Flag.BELOW_LOD``.
+_BELOW_LOD_CODES = [code for code, flags in enumerate(FLAG_SETS) if Flag.BELOW_LOD in flags]
 
 DEFAULT_ASSOCIATION_RADIUS_M = 500.0
 BIN_COUNT = 30  # equal-width PMF bins per compared quantity
@@ -170,11 +174,15 @@ def mobile_fixed_populations(
     association = associate_mobile_to_fixed(list(positions), fixed, radius_m)
     inside = {p for ps in association.by_station.values() for p in ps}
     pop_mobile, unassociated = {}, 0
-    for key, channel in mobile.items():
-        near = [p in inside for p in channel.positions]
-        unassociated += near.count(False)
-        if any(near):
-            pop_mobile[key] = Channel(*(list(compress(column, near)) for column in channel))
+    for key, (timestamps, values, codes, places) in mobile.items():
+        if len(places) < len(values):  # every reading at one place
+            places = places * len(values)
+        near = bytes(map(inside.__contains__, places))
+        unassociated += near.count(0)
+        if 1 in near:
+            pop_mobile[key] = Channel(array("q", compress(timestamps, near)),
+                                      array("d", compress(values, near)),
+                                      bytearray(compress(codes, near)), list(compress(places, near)))
     return pop_mobile, _of_nodes(channels, association.by_station), association, unassociated
 
 
@@ -199,22 +207,28 @@ class ComparisonReport:
     incomparable: tuple[Quantity, ...]
 
 
-def _split_by_quantity(
-    population: Channels,
-) -> tuple[dict[Quantity, list[float]], dict[Quantity, float]]:
-    """Each quantity's usable values, and the share of its readings flagged
-    below LoD."""
-    values: dict[Quantity, list[float]] = {}
+# A quantity's channels in a population: the values and usable mask of each.
+_Pieces = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _split_by_quantity(population: Channels) -> tuple[dict[Quantity, _Pieces], dict[Quantity, float]]:
+    """Each quantity's channels with usable values, as views of their
+    columns, and the share of its readings flagged below LoD."""
+    pieces: dict[Quantity, _Pieces] = {}
     totals: Counter[Quantity] = Counter()
     flagged: Counter[Quantity] = Counter()
     for (_, q), channel in population.items():
-        totals[q] += len(channel.flags)
-        flag_counts = Counter(channel.flags)
-        flagged[q] += sum(n for flags, n in flag_counts.items() if Flag.BELOW_LOD in flags)
-        usable = list(compress(channel.values, usable_mask(channel.flags)))
-        if usable:
-            values.setdefault(q, []).extend(usable)
-    return values, {q: flagged[q] / n for q, n in totals.items()}
+        codes = channel.flags
+        totals[q] += len(codes)
+        flagged[q] += sum(map(codes.count, _BELOW_LOD_CODES))
+        usable = np.frombuffer(usable_mask(codes), dtype=bool)
+        if usable.any():
+            pieces.setdefault(q, []).append((np.frombuffer(channel.values), usable))
+    return pieces, {q: flagged[q] / n for q, n in totals.items()}
+
+
+def _usable_values(pieces: _Pieces) -> np.ndarray:
+    return np.concatenate([values[usable] for values, usable in pieces])
 
 
 def _widen(v: float, by: float) -> float:
@@ -250,14 +264,14 @@ def compare_populations(
         raise NoOverlapError("populations share no quantity with usable samples")
     rows = []
     for q in shared:
-        va, vb = values_a[q], values_b[q]
-        lo = min(min(va), min(vb))
-        hi = max(max(va), max(vb))
+        va, vb = _usable_values(values_a[q]), _usable_values(values_b[q])  # one quantity at a time
+        lo = float(min(va.min(), vb.min()))
+        hi = float(max(va.max(), vb.max()))
         scale = 1.0 if hi - lo < math.inf else 2.0  # halving such wide bounds is exact
         edges = (np.linspace(lo / scale, hi / scale, BIN_COUNT + 1) * scale if lo < hi
                  else np.array([_widen(lo, -0.5), _widen(hi, 0.5)]))
-        mean_a = mean(va)
-        mean_b = mean(vb)
+        mean_a = mean(va.tolist())
+        mean_b = mean(vb.tolist())
         rows.append(
             ComparisonRow(
                 quantity=q,

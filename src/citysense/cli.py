@@ -10,8 +10,9 @@ import argparse
 import json
 import math
 import sys
+from itertools import groupby
 from pathlib import Path as FsPath
-from typing import TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .analytics import (
     DEFAULT_ASSOCIATION_RADIUS_M,
@@ -21,16 +22,18 @@ from .analytics import (
     path_populations,
     write_comparison_report,
 )
-from .domain import LAST_STAMP, NODE_ID, QUANTITY_CODES, GeoPoint, NodeKind, format_utc
+from .domain import (
+    LAST_STAMP, NODE_ID, QUANTITY_CODES, SECONDS_PER_DAY, GeoPoint, NodeKind, format_utc,
+)
 from .indexes import (
-    IndexValue,
-    compute_indexes,
-    index_record_line,
+    INDEX_INPUTS, IndexColor, IndexKind, IndexValue, compute_indexes, index_record_line,
     traffic_index,
 )
 from .netsim import ConfigError, DeliveryOutcome, RunSink, Tallies, Tally, run
 from .scenario import ScenarioConfig, load_access, load_scenario, with_seed
-from .store import DayFiles, MeasurementStore, OutputSet, StorageError, count_readings
+from .store import (
+    Day, DayFiles, MeasurementStore, OutputSet, StorageError, count_readings, read_days,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -185,29 +188,51 @@ def _cmd_simulate(args) -> int:
 # indexes
 
 
+def _write_indexes(
+    files: OutputSet, values: Iterable[IndexValue],
+) -> dict[tuple[str, IndexKind], IndexColor]:
+    """Write ``values`` into one ``indexes_<station>.txt`` per station, a UTC
+    day of grid points at a time, so that no more than a day's lines are
+    held. Returns the latest color of each (station, index kind)."""
+    latest: dict[tuple[str, IndexKind], IndexColor] = {}
+    written: set[str] = set()
+    for _, day in groupby(values, lambda iv: iv.window_end // SECONDS_PER_DAY):
+        by_station: dict[str, list[str]] = {}
+        for iv in day:
+            if iv.window_end > LAST_STAMP:  # only the grid's last point can be
+                raise ValueError(f"the index grid ends {iv.window_end - LAST_STAMP} s "
+                                 f"past {format_utc(LAST_STAMP)}")
+            by_station.setdefault(iv.station_id, []).append(f"{index_record_line(iv)}\n")
+            latest[iv.station_id, iv.kind] = iv.color
+        for station, lines in by_station.items():
+            name = f"indexes_{station}.txt"
+            with files.append(name) if station in written else files.open(name) as f:
+                f.writelines(lines)
+            written.add(station)
+    return latest
+
+
+def _handed_on(first: list[Day], rest: Iterator[Day]) -> Iterator[Day]:
+    """The day in ``first``, taken out of it, then ``rest``: nothing here
+    keeps a day once handed on, so its channels go once they are ingested."""
+    yield first.pop()
+    yield from rest
+
+
 def _cmd_indexes(args) -> int:
     try:
-        store = MeasurementStore(args.data_dir)
-        if not store.channels:
+        days = read_days(args.data_dir, lambda _, q: q in INDEX_INPUTS)
+        first = [next(days, None)]
+        if first[0] is None:
             raise ValueError(f"no measurements under {args.data_dir}")
-        values = compute_indexes(store.channels, args.uplink_period_s)
-        if values and values[-1].window_end > LAST_STAMP:  # the grid's last point
-            raise ValueError(f"the index grid ends {values[-1].window_end - LAST_STAMP} s "
-                             f"past {format_utc(LAST_STAMP)}")
+        values = compute_indexes(_handed_on(first, days), args.uplink_period_s)
+        with OutputSet(args.out, "indexes_*.txt") as files:
+            latest = _write_indexes(files, values)
     except (StorageError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    by_station: dict[str, list[IndexValue]] = {}
-    latest: dict[tuple[str, str], str] = {}
-    for iv in values:
-        by_station.setdefault(iv.station_id, []).append(iv)
-        latest[(iv.station_id, iv.kind.value)] = iv.color.value
-    with OutputSet(args.out, "indexes_*.txt") as files:
-        for station in sorted(by_station):
-            with files.open(f"indexes_{station}.txt") as f:
-                f.writelines(f"{index_record_line(iv)}\n" for iv in by_station[station])
-    for (station, kind), color in sorted(latest.items()):
-        print(f"{station} {kind}: {color}")
+    for (station, kind), color in sorted(latest.items()):  # kinds sort as their str values
+        print(f"{station} {kind.value}: {color.value}")
     return EXIT_OK
 
 
@@ -269,11 +294,26 @@ def _load_nodes(data_dir: FsPath) -> dict[str, NodeRow]:
 def _cmd_compare(args) -> int:
     data_dir = FsPath(args.data_dir)
     try:
-        store = MeasurementStore(data_dir)
-        nodes = _load_nodes(data_dir)
-        unknown = sorted({nid for nid, _ in store.channels} - nodes.keys())
+        try:
+            nodes = _load_nodes(data_dir)
+        except (StorageError, ValueError):
+            MeasurementStore(data_dir, lambda *_: False)  # a data error in a day file comes first
+            raise
+        if args.mode == "paths":  # the fixed nodes of a path
+            kept = {nid for nid, (kind, path, _) in nodes.items() if kind is NodeKind.FIXED and path}
+        else:  # the fixed and the mobile nodes
+            kept = {nid for nid, (kind, _, _) in nodes.items()
+                    if kind in (NodeKind.FIXED, NodeKind.MOBILE)}
+        unknown: set[str] = set()  # the node ids of the store that nodes.json lacks
+
+        def keep(node_id: str, _) -> bool:
+            if node_id not in nodes:
+                unknown.add(node_id)
+            return node_id in kept
+
+        store = MeasurementStore(data_dir, keep, timestamps=False)
         if unknown:
-            raise ValueError(f"{data_dir / 'nodes.json'} has no entry for {', '.join(unknown)}")
+            raise ValueError(f"{data_dir / 'nodes.json'} has no entry for {', '.join(sorted(unknown))}")
         if args.mode == "paths":
             pop_a, pop_b, labels = path_populations(store.channels, nodes)
         else:

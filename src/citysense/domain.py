@@ -8,6 +8,7 @@ instances can be shared freely between concurrent contexts.
 
 from __future__ import annotations
 
+import calendar
 import math
 import re
 from dataclasses import dataclass, field
@@ -116,10 +117,19 @@ class Flag(str, Enum):
 EXCLUDED_FLAGS = frozenset({Flag.BELOW_LOD, Flag.WARMING_UP})
 
 
-def usable_mask(flags: Sequence[frozenset[Flag]]) -> list[bool]:
-    """Per reading of a flags column, whether it is free of ``EXCLUDED_FLAGS``."""
-    usable = {f: EXCLUDED_FLAGS.isdisjoint(f) for f in set(flags)}
-    return list(map(usable.__getitem__, flags))
+# Every flag set, indexed by its one-byte code: bit i of a code stands for
+# the i-th ``Flag``. A stored channel keeps each reading's set as its code.
+FLAG_SETS = tuple(frozenset(f for i, f in enumerate(Flag) if code >> i & 1)
+                  for code in range(1 << len(Flag)))
+FLAG_CODES = {flags: code for code, flags in enumerate(FLAG_SETS)}
+# Flag code -> 1 where its set is free of ``EXCLUDED_FLAGS``, else 0.
+_USABLE = bytes(EXCLUDED_FLAGS.isdisjoint(flags) for flags in FLAG_SETS).ljust(256, b"\0")
+
+
+def usable_mask(codes: bytes | bytearray) -> bytes:
+    """Per reading of a column of flag codes (``FLAG_SETS``), 1 where its set
+    is free of ``EXCLUDED_FLAGS``, else 0."""
+    return codes.translate(_USABLE)
 
 
 class NodeKind(str, Enum):
@@ -243,14 +253,16 @@ def parse_utc(text: str) -> int:
     """Inverse of :func:`format_utc`. Raises ValueError, naming ``text`` by
     its repr, on anything ``format_utc`` does not write: what ``strptime``
     rejects for ``UTC_FORMAT``, and what it accepts beyond it (a space-padded
-    field, non-ASCII digits)."""
+    field, non-ASCII digits). The fields are read by position, loosely, and
+    only a text that ``format_utc`` writes back unchanged is taken."""
     try:
-        ts = int(datetime.strptime(text, UTC_FORMAT).replace(tzinfo=timezone.utc).timestamp())
-    except ValueError:
-        ts = None
-    if ts is None or format_utc(ts) != text:
-        raise ValueError(f"timestamp {text!r} is not {UTC_FORMAT}")
-    return ts
+        ts = calendar.timegm((int(text[:4]), int(text[5:7]), int(text[8:10]),
+                              int(text[11:13]), int(text[14:16]), int(text[17:19])))
+        if format_utc(ts) == text:
+            return ts
+    except (ValueError, OverflowError, OSError):  # a field, or a year, out of range
+        pass
+    raise ValueError(f"timestamp {text!r} is not {UTC_FORMAT}")
 
 
 def mean(values: Sequence[float]) -> float:

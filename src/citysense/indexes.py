@@ -6,21 +6,23 @@ belongs to the band above it.
 
 ``compute_indexes`` recomputes the air-quality and thermal indexes on a
 reporting grid from a store's channels (``store.Channel``: the columns of
-one node and quantity, in timestamp order), each usable series taken whole.
-The value at a grid point ``t`` reads only readings stamped before ``t``.
+one node and quantity, in timestamp order), one day file at a time
+(``store.read_days``). The value at a grid point ``t`` reads only readings
+stamped before ``t``, so each series keeps only what later points read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .domain import VALUE_RANGE, Quantity, format_utc, mean, usable_mask
-from .store import Channels
+from .store import Channels, Day
 
 HOUR_S = 3600
 O3_WINDOW_S = 8 * HOUR_S
@@ -276,8 +278,11 @@ _TCI_INPUTS = (
     Quantity.WIND_SPEED,
     Quantity.RELATIVE_HUMIDITY,
 )
-_INDEX_INPUTS = frozenset({Quantity.O3, Quantity.PM25, *_TCI_INPUTS})
+INDEX_INPUTS = frozenset({Quantity.O3, Quantity.PM25, *_TCI_INPUTS})
 _AQI = ((Quantity.O3, O3_WINDOW_S, aqi_o3), (Quantity.PM25, PM_WINDOW_S, aqi_pm))
+# How far before a grid point an index reads each input: its AQI window, or
+# nothing for a thermal input, which needs only its latest reading.
+_REACH_S = {Quantity.O3: O3_WINDOW_S, Quantity.PM25: PM_WINDOW_S, **dict.fromkeys(_TCI_INPUTS, 0)}
 _NO_SERIES = ((), ())
 
 
@@ -290,31 +295,54 @@ class IndexComputer:
     station has a usable reading stamped before ``t`` for it (for the
     thermal index, one of each input).
 
-    Each (station, quantity) series is the usable part of its channel: two
-    parallel lists, timestamps and values, in timestamp order and never
-    trimmed, so each window is a slice between two binary searches.
+    Each (station, quantity) series is the usable part of its channels: two
+    parallel arrays, timestamps and values, in timestamp order, so each
+    window is a slice between two binary searches. :meth:`trim` drops what
+    no later update reads.
     """
 
     def __init__(self):
         # station -> quantity -> (timestamps, values), sorted by timestamp
-        self._series: dict[str, dict[Quantity, tuple[list[int], list[float]]]] = {}
+        self._series: dict[str, dict[Quantity, tuple[array, array]]] = {}
 
     def ingest(self, channels: Channels) -> None:
-        """Take the usable part of each index input's channel as its series.
-        Raises ValueError, naming the station and quantity, for one that
-        already has a series; nothing of ``channels`` is then kept."""
+        """Append the usable part of each index input's channel to its
+        series. Raises ValueError, naming the station and quantity, for one
+        whose usable readings do not all follow those it holds; nothing of
+        ``channels`` is then kept."""
         taken = []
         for (station, q), channel in channels.items():
-            if q not in _INDEX_INPUTS:
+            if q not in INDEX_INPUTS:
                 continue
             usable = usable_mask(channel.flags)
-            timestamps = list(compress(channel.timestamps, usable))
-            if timestamps:
-                if q in self._series.get(station, ()):
-                    raise ValueError(f"station {station!r} already holds {q.value} readings")
-                taken.append((station, q, (timestamps, list(compress(channel.values, usable)))))
-        for station, q, series in taken:
-            self._series.setdefault(station, {})[q] = series
+            first = usable.find(1)
+            if first >= 0:
+                held = self._series.get(station, {}).get(q)
+                if held and channel.timestamps[first] <= held[0][-1]:
+                    raise ValueError(f"station {station!r} already holds {q.value} readings "
+                                     f"up to {format_utc(held[0][-1])}")
+                taken.append((station, q, channel, usable))
+        for station, q, channel, usable in taken:
+            timestamps, values = self._series.setdefault(station, {}).setdefault(
+                q, (array("q"), array("d")))
+            if 0 in usable:
+                timestamps.extend(compress(channel.timestamps, usable))
+                values.extend(compress(channel.values, usable))
+            else:  # every reading usable: a copy of the columns
+                timestamps.extend(channel.timestamps)
+                values.extend(channel.values)
+
+    def trim(self, t: int) -> None:
+        """Drop the readings no update at ``t`` or later reads: those before
+        each AQI window, and those before each thermal input's latest reading
+        stamped before ``t``. The last reading before each cut stays, so that
+        a station's indexes appear at the same grid points as untrimmed."""
+        for series in self._series.values():
+            for q, (ts, vs) in series.items():
+                cut = bisect_left(ts, t - _REACH_S[q]) - 1
+                if cut > 0:
+                    del ts[:cut]
+                    del vs[:cut]
 
     def update(self, t: int) -> list[IndexValue]:
         """Recompute every index from the readings stamped before ``t``: the
@@ -327,7 +355,9 @@ class IndexComputer:
                 ts, vs = series.get(q, _NO_SERIES)
                 end = bisect_left(ts, t)
                 if end:
-                    out.append(index(vs[bisect_left(ts, t - window_s, 0, end):end], station, t))
+                    # as floats once, not once for each of the mean's passes
+                    window = vs[bisect_left(ts, t - window_s, 0, end):end].tolist()
+                    out.append(index(window, station, t))
             latest = []
             for q in _TCI_INPUTS:
                 ts, vs = series.get(q, _NO_SERIES)
@@ -340,22 +370,32 @@ class IndexComputer:
         return out
 
 
-def compute_indexes(channels: Channels, period_s: int) -> list[IndexValue]:
-    """Every index on a reporting grid of ``period_s``, from the channels of
-    stored readings (``store.MeasurementStore.channels``).
+def compute_indexes(days: Iterable[Day], period_s: int) -> Iterator[IndexValue]:
+    """Every index on a reporting grid of ``period_s``, from the days of
+    stored readings (``store.read_days``), in time order.
 
-    The grid holds each multiple of ``period_s`` after the first reading,
-    through the first multiple after the last one. At each grid point ``t``
-    every index is recomputed from the readings stamped before ``t``.
+    The grid holds each multiple of ``period_s`` after the first reading of
+    any quantity, through the first multiple after the last one. At each
+    grid point ``t`` every index is recomputed from the readings stamped
+    before ``t``. Once a day is ingested, the points its readings have
+    passed are computed, and so is the first point after its last reading
+    if it falls within the day's ``end``. The series are then trimmed to
+    what later points read, so what is held does not grow with the days.
     """
-    if not channels:
-        return []
     computer = IndexComputer()
-    computer.ingest(channels)
-    first = min(channel.timestamps[0] for channel in channels.values()) // period_s
-    last = max(channel.timestamps[-1] for channel in channels.values()) // period_s
-    grid = range((first + 1) * period_s, (last + 2) * period_s, period_s)
-    return [iv for t in grid for iv in computer.update(t)]
+    t = after = None  # the next grid point; the first after the last reading
+    for channels, first, last, end in days:
+        if t is None:
+            t = (first // period_s + 1) * period_s
+        computer.ingest(channels)
+        del channels  # held as series now, so the next day's load can reuse its memory
+        after = (last // period_s + 1) * period_s  # on the grid, whatever follows
+        while t <= (after if after <= end else last):  # each reading stamped before t is in
+            yield from computer.update(t)
+            t += period_s
+        computer.trim(t)
+    if t is not None and t <= after:
+        yield from computer.update(t)
 
 
 def index_record_line(iv: IndexValue) -> str:

@@ -29,24 +29,29 @@ field, which refuses it) and split at ``\n`` only, in one pass that parses
 a tick's ``ts,node,lat,lon`` prefix once. A number (lat, lon, value) is text
 ``float`` reads without stripping whitespace, skipping an ``_`` or reading a
 non-ASCII digit; anything else is a data error, and each names its file and
-line. Each checked line goes straight into the columns of its ``Channel``,
-one per (node, quantity): timestamps, values, flag sets and positions.
+line. ``read_days`` checks every line of every file, but keeps only the
+channels its caller selects, one ``Channel`` per (node, quantity): compact
+columns of stamps, values and flag codes, and a position per reading only
+where the node moved. It hands them on one day file at a time;
+``MeasurementStore`` holds them all.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
 from itertools import combinations
 from operator import attrgetter
 from pathlib import Path as FsPath
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .domain import (
-    SECONDS_PER_DAY, UNITS, QUANTITY_CODES, VALUE_RANGE, Flag, GeoPoint, NodeTick, Quantity,
-    RecordKey, ValidationError, format_utc, parse_utc, tick_key, validate_node_id, validate_value,
+    FLAG_CODES, SECONDS_PER_DAY, UNITS, QUANTITY_CODES, VALUE_RANGE, Flag, GeoPoint, NodeTick,
+    Quantity, RecordKey, ValidationError, format_utc, parse_utc, tick_key, validate_node_id,
+    validate_value,
 )
 
 
@@ -63,7 +68,8 @@ class OutputSet:
     whole. ``open(name)`` streams one file to a temporary beside it and
     closes it when its block ends; blocks may overlap, as ``simulate``'s
     delivery log stays open while its day files stream. A name opens once
-    per set. When the set's block ends cleanly, every
+    per set; ``append(name)`` reopens it to write on at its end. When the
+    set's block ends cleanly, every
     temporary is renamed into place, then the old files matching
     ``stale_glob`` that the set did not write are deleted. An exception
     removes every temporary and leaves the old files as they were; any
@@ -73,6 +79,7 @@ class OutputSet:
         self.directory = FsPath(directory)
         self.stale_glob = stale_glob
         self.paths: list[FsPath] = []  # every file opened, in order
+        self._opened: set[FsPath] = set()
 
     def __enter__(self) -> OutputSet:
         try:
@@ -84,10 +91,19 @@ class OutputSet:
     @contextmanager
     def open(self, name: str) -> Iterator[TextIO]:
         path = self.directory / name
-        if path in self.paths:  # its temporary holds what the set wrote
+        if path in self._opened:  # its temporary holds what the set wrote
             raise ValueError(f"{name} is already part of this output set")
         self.paths.append(path)
+        self._opened.add(path)
         with open(_temporary(path), "w", newline="\n") as f:
+            yield f
+
+    @contextmanager
+    def append(self, name: str) -> Iterator[TextIO]:
+        path = self.directory / name
+        if path not in self._opened:
+            raise ValueError(f"{name} is not part of this output set")
+        with open(_temporary(path), "a", newline="\n") as f:
             yield f
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -151,12 +167,13 @@ def _number(field_name: str, text: str) -> float:
 
 class _RecordParser:
     """Parses record lines, running the strict parse of each distinct
-    timestamp, position, flags, node id and quantity text once per parser."""
+    timestamp, flags, node id and quantity text once per parser, and of a
+    node's position once until it moves."""
 
     def __init__(self):
         self._node_ids: dict[str, str] = {}
         self._timestamps: dict[str, int] = {}
-        self._positions: dict[tuple[str, str], GeoPoint] = {}
+        self._positions: dict[str, tuple[str, str, GeoPoint]] = {}  # node id -> its last
         self._flags: dict[str, frozenset[Flag]] = {}
 
     def __call__(self, line: str) -> tuple[RecordKey, Quantity, GeoPoint, float, frozenset[Flag]]:
@@ -177,10 +194,12 @@ class _RecordParser:
         timestamp = self._timestamps.get(ts)
         if timestamp is None:
             timestamp = self._timestamps[ts] = parse_utc(ts)
-        position = self._positions.get((lat, lon))
-        if position is None:
-            position = self._positions[lat, lon] = GeoPoint(
-                _number("lat", lat), _number("lon", lon))
+        last = self._positions.get(known_id)
+        if last is not None and last[0] == lat and last[1] == lon:
+            position = last[2]
+        else:
+            position = GeoPoint(_number("lat", lat), _number("lon", lon))
+            self._positions[known_id] = lat, lon, position
         value = _number("value", value)
         flag_set = self._flags.get(flags)
         if flag_set is None:
@@ -281,20 +300,52 @@ class DayFiles:
 
 
 class Channel(NamedTuple):
-    """The readings of one (node, quantity) in timestamp order, as columns."""
+    """The readings of one (node, quantity) in timestamp order, as compact
+    columns: stamps (none where the read step keeps none), values, flag
+    codes (``domain.FLAG_SETS``) and positions, one per reading once the
+    node has moved, else the one place all its readings share."""
 
-    timestamps: list[int]
-    values: list[float]
-    flags: list[frozenset[Flag]]
+    timestamps: array  # of 'q'
+    values: array  # of 'd'
+    flags: bytearray
     positions: list[GeoPoint]
+
+    @classmethod
+    def at(cls, position: GeoPoint) -> Channel:
+        """An empty channel whose readings start at ``position``."""
+        return cls(array("q"), array("d"), bytearray(), [position])
+
+    def place(self, position: GeoPoint) -> None:
+        """Note that the reading just appended is at ``position``, which is
+        not the very object of the one place all readings so far share."""
+        positions = self.positions
+        if positions[0] == position:
+            positions[0] = position  # so the next reading there passes ``is``
+        else:  # the node moved: one position per reading from here on
+            positions *= len(self.values) - 1
+            positions.append(position)
 
 
 # (node id, quantity) -> its channel; only a pair with readings has one.
 Channels = dict[tuple[str, Quantity], Channel]
 
+# Whether a read step keeps the channel of a (node id, quantity).
+Selection = Callable[[str, Quantity], bool]
+
+
+class Day(NamedTuple):
+    """The kept channels of one day file, the stamps of its first and last
+    reading, kept or not, and the end of its UTC day: every reading of a
+    later day file is stamped at or after it."""
+
+    channels: Channels
+    first: int
+    last: int
+    end: int
+
 
 def count_readings(channels: Channels) -> int:
-    return sum(len(channel.timestamps) for channel in channels.values())
+    return sum(len(channel.values) for channel in channels.values())
 
 
 def _day_start(name: str) -> int:
@@ -305,73 +356,109 @@ def _day_start(name: str) -> int:
         raise ValueError(f"{name}: not a day file name, measurements-YYYY-MM-DD.txt") from None
 
 
-class MeasurementStore:
-    """The checked records of the day files under one directory, if any."""
+def read_days(root: str | FsPath, keep: Selection | None = None, timestamps: bool = True,
+              into: Channels | None = None) -> Iterator[Day]:
+    """The checked readings of the day files under ``root``, one ``Day`` per
+    file that holds any, in name order. Every line is checked; the channels
+    ``keep`` selects (all by default, each asked once per file) are kept,
+    with their stamps unless ``timestamps`` is false. Each day's channels
+    are a dict of its own, or the channels of every file go into ``into``.
+    An OSError is a StorageError.
 
-    def __init__(self, root: str | FsPath):
+    Every key (taken from the line) must be above the one before it, in its
+    file or the file before, so each channel grows in timestamp order, and
+    its stamp must fall on the UTC day its file is named for. A line that
+    repeats the ``ts,node,lat,lon`` prefix of the line before it has only
+    its reading checked inline; any other line, or one those checks doubt,
+    goes through ``_RecordParser`` and the order and day checks, which own
+    every message."""
+    root = FsPath(root)
+    try:
+        yield from _read(sorted(root.glob("measurements-*.txt")), keep, timestamps, into)
+    except OSError as e:
+        raise StorageError(f"cannot open store at {root}: {e}") from e
+
+
+def _read(files: list[FsPath], keep: Selection | None, keep_stamps: bool,
+          into: Channels | None) -> Iterator[Day]:
+    flag_codes: dict[str, int] = {}  # flags text, line end and all -> flag code
+    channels = {} if into is None else into
+    by_node: dict[str, dict[Quantity, Channel | None]] = {}  # the same channels, by node
+    timestamp, node_id, code = -math.inf, "", ""  # the last key, below every key
+    for f in files:
+        day_start = _day_start(f.name)
+        day_end = day_start + SECONDS_PER_DAY
+        if into is None:
+            channels, by_node = {}, {}
+        parse = _RecordParser()  # its caches hold one file's texts
+        head = None  # the prefix of the file's last line parsed in full
+        first = None
+        with f.open(encoding="utf-8", errors="surrogateescape", newline="\n") as lines:
+            for lineno, line in enumerate(lines, 1):
+                fields = line.rsplit(",", 4)
+                value = None
+                if fields[0] == head:  # 8 fields, and the key's stamp and node are the last
+                    _, qcode, text, unit, flag_text = fields
+                    reading = _READINGS.get(qcode)
+                    flag_code = flag_codes.get(flag_text)
+                    if (reading and unit == reading[1] and flag_code is not None and qcode > code
+                            and "_" not in text and text.isascii() and text.strip() == text):
+                        try:
+                            number = float(text)
+                        except ValueError:
+                            number = math.nan
+                        if reading[2] <= number <= reading[3]:
+                            quantity, value, code = reading[0], number, qcode
+                if value is None:
+                    last = (timestamp, node_id, code)
+                    try:
+                        key, quantity, position, value, flag_set = parse(line.rstrip("\n"))
+                        if key <= last:
+                            raise _order_error(last, key)
+                        if not day_start <= key[0] < day_end:
+                            raise ValueError(f"timestamp {format_utc(key[0])} is not on "
+                                             f"{format_utc(day_start)[:10]}")
+                    except ValueError as e:
+                        raise ValueError(f"{f.name} line {lineno}: {e}") from e
+                    head, (timestamp, node_id, code) = fields[0], key
+                    if first is None:
+                        first = timestamp
+                    flag_code = flag_codes[fields[4]] = FLAG_CODES[flag_set]
+                    node_channels = by_node.setdefault(node_id, {})
+                channel = node_channels.get(quantity, False)
+                if channel is False:  # the channel's first reading: keep it or not
+                    channel = node_channels[quantity] = (
+                        Channel.at(position) if keep is None or keep(node_id, quantity) else None)
+                    if channel is not None:
+                        channels[node_id, quantity] = channel
+                if channel is not None:  # the reading joins each column
+                    stamps, values, codes, positions = channel
+                    if keep_stamps:
+                        stamps.append(timestamp)
+                    values.append(value)
+                    codes.append(flag_code)
+                    if len(positions) > 1:
+                        positions.append(position)
+                    elif positions[0] is not position:
+                        channel.place(position)
+        if first is not None:
+            day = [Day(channels, first, timestamp, day_end)]
+            if into is None:  # keep nothing of a day once handed on
+                channels = by_node = node_channels = channel = parse = None
+            yield day.pop()
+
+
+class MeasurementStore:
+    """The checked readings of the day files under one directory, if any:
+    the channels ``keep`` selects (all by default), each whole; see
+    ``read_days``. ``len`` counts the readings held."""
+
+    def __init__(self, root: str | FsPath, keep: Selection | None = None,
+                 timestamps: bool = True):
         self.root = FsPath(root)
         self.channels: Channels = {}
-        try:
-            self._load(sorted(self.root.glob("measurements-*.txt")))
-        except OSError as e:
-            raise StorageError(f"cannot open store at {self.root}: {e}") from e
-
-    def _load(self, files: list[FsPath]) -> None:
-        """Append each checked line of ``files`` to its channel. Every key
-        (taken from the line) must be above the one before it, in its file
-        or the file before, so each channel grows in timestamp order, and
-        its stamp must fall on the UTC day its file is named for. A line
-        that repeats the ``ts,node,lat,lon`` prefix of the line before it
-        has only its reading checked inline; any other line, or one those
-        checks doubt, goes through ``_RecordParser`` and the order and day
-        checks, which own every message."""
-        parse = _RecordParser()
-        flag_sets: dict[str, frozenset[Flag]] = {}  # flags text, line end and all -> set
-        channels = self.channels
-        by_node: dict[str, dict[Quantity, Channel]] = {}  # the same channels, by node
-        timestamp, node_id, code = -math.inf, "", ""  # the last key, below every key
-        for f in files:
-            day_start = _day_start(f.name)
-            day_end = day_start + SECONDS_PER_DAY
-            head = None  # the prefix of the file's last line parsed in full
-            with f.open(encoding="utf-8", errors="surrogateescape", newline="\n") as lines:
-                for lineno, line in enumerate(lines, 1):
-                    fields = line.rsplit(",", 4)
-                    value = None
-                    if fields[0] == head:  # 8 fields, and the key's stamp and node are the last
-                        _, qcode, text, unit, flag_text = fields
-                        reading = _READINGS.get(qcode)
-                        flag_set = flag_sets.get(flag_text)
-                        if (reading and unit == reading[1] and flag_set is not None and qcode > code
-                                and "_" not in text and text.isascii() and text.strip() == text):
-                            try:
-                                number = float(text)
-                            except ValueError:
-                                number = math.nan
-                            if reading[2] <= number <= reading[3]:
-                                quantity, value, code = reading[0], number, qcode
-                    if value is None:
-                        last = (timestamp, node_id, code)
-                        try:
-                            key, quantity, position, value, flag_set = parse(line.rstrip("\n"))
-                            if key <= last:
-                                raise _order_error(last, key)
-                            if not day_start <= key[0] < day_end:
-                                raise ValueError(f"timestamp {format_utc(key[0])} is not on "
-                                                 f"{format_utc(day_start)[:10]}")
-                        except ValueError as e:
-                            raise ValueError(f"{f.name} line {lineno}: {e}") from e
-                        head, (timestamp, node_id, code) = fields[0], key
-                        flag_sets[fields[4]] = flag_set
-                        node_channels = by_node.setdefault(node_id, {})
-                    channel = node_channels.get(quantity)
-                    if channel is None:
-                        channel = node_channels[quantity] = channels[node_id, quantity] = (
-                            Channel([], [], [], []))
-                    channel.timestamps.append(timestamp)
-                    channel.values.append(value)
-                    channel.flags.append(flag_set)
-                    channel.positions.append(position)
+        for _ in read_days(self.root, keep, timestamps, self.channels):
+            pass
 
     def __len__(self) -> int:
         return count_readings(self.channels)

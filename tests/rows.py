@@ -7,10 +7,11 @@ from itertools import groupby
 from operator import attrgetter
 
 from citysense.domain import (
-    GAS_QUANTITIES, QUANTITY_CODES, Measurement, NodeTick, Radio, RecordKey,
+    FLAG_CODES, FLAG_SETS, GAS_QUANTITIES, QUANTITY_CODES, SECONDS_PER_DAY, Measurement, NodeTick,
+    Radio, RecordKey,
 )
 from citysense.netsim import DeliveryOutcome, RunSink, run
-from citysense.store import Channel, Channels, _RecordParser, format_tick
+from citysense.store import Channel, Channels, Day, _RecordParser, format_tick
 
 
 def record_key(m: Measurement) -> RecordKey:
@@ -49,6 +50,17 @@ def node_ticks(records):
     return ticks
 
 
+def append(channel: Channel, timestamp: int, value: float, code: int, position) -> None:
+    """Add one reading to ``channel`` as the store's loader does."""
+    channel.timestamps.append(timestamp)
+    channel.values.append(value)
+    channel.flags.append(code)
+    if len(channel.positions) > 1:
+        channel.positions.append(position)
+    elif channel.positions[0] is not position:
+        channel.place(position)
+
+
 def channels_from(records) -> Channels:
     """The channels of ``records``, given in any order, as a load of their
     day files would make them (without its checks)."""
@@ -56,10 +68,32 @@ def channels_from(records) -> Channels:
     for m in sorted(records, key=attrgetter("timestamp")):  # equal stamps keep their order
         channel = channels.get((m.node_id, m.quantity))
         if channel is None:
-            channel = channels[m.node_id, m.quantity] = Channel([], [], [], [])
-        for column, item in zip(channel, (m.timestamp, m.value, m.flags, m.position)):
-            column.append(item)
+            channel = channels[m.node_id, m.quantity] = Channel.at(m.position)
+        append(channel, m.timestamp, m.value, FLAG_CODES[m.flags], m.position)
     return channels
+
+
+def days_from(records, by_day: bool = False) -> list[Day]:
+    """``records`` as the days ``compute_indexes`` takes: one for them all,
+    or with ``by_day`` one per UTC day, as ``store.read_days`` gives them."""
+    groups: dict[int, list[Measurement]] = {}
+    for m in records:
+        groups.setdefault(m.timestamp // SECONDS_PER_DAY if by_day else 0, []).append(m)
+    days = []
+    for _, group in sorted(groups.items()):
+        last = max(m.timestamp for m in group)
+        days.append(Day(channels_from(group), min(m.timestamp for m in group), last,
+                        (last // SECONDS_PER_DAY + 1) * SECONDS_PER_DAY))
+    return days
+
+
+def readings(channel: Channel):
+    """Each reading of ``channel`` as (timestamp, value, flags, position),
+    its flag code as the set and its position repeated where it shares one."""
+    timestamps, values, codes, positions = channel
+    if len(positions) < len(values):
+        positions = positions * len(values)
+    return zip(timestamps, values, map(FLAG_SETS.__getitem__, codes), positions, strict=True)
 
 
 def store_rows(store):
@@ -67,7 +101,7 @@ def store_rows(store):
     its channels."""
     return sorted((Measurement(node_id, t, position, q, value, flags)
                    for (node_id, q), channel in store.channels.items()
-                   for t, value, flags, position in zip(*channel)), key=record_key)
+                   for t, value, flags, position in readings(channel)), key=record_key)
 
 
 @dataclass(frozen=True, slots=True)

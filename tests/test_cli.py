@@ -17,7 +17,7 @@ import yaml
 import citysense
 from citysense import cli, domain, nodes, store
 from citysense.cli import main
-from citysense.scenario import load_scenario
+from citysense.scenario import load_scenario, with_seed
 from tests.rows import record
 
 
@@ -535,6 +535,36 @@ class TestIndexes:
         _assert_one_line_data_error(rc, err)
         assert err == "data error: the index grid ends 1 s past 9999-12-31T23:59:59Z\n"
         assert digest_tree(out) == before
+
+    def test_readings_indexes_does_not_read_still_bound_the_grid(self, tmp_path, capsys):
+        # A weather station's pressure is the first reading, one sample period
+        # before the first input, and the last: the grid runs from after the
+        # first reading of any quantity through the first point after the last.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "measurements-2015-04-20.txt").write_text(
+            "2015-04-20T00:00:00Z,W1,43.716,10.393,pressure,1013.0,hPa,\n"
+            "2015-04-20T00:05:00Z,T1,43.716,10.393,o3,50.0,ug/m3,\n"
+            "2015-04-20T00:35:00Z,W1,43.716,10.393,pressure,1013.5,hPa,\n")
+        out = tmp_path / "idx"
+        assert main(["indexes", str(data), "--out", str(out), "--uplink-period-s", "300"]) == 0
+        assert (out / "indexes_T1.txt").read_text() == "".join(
+            f"aqi_o3,T1,2015-04-20T00:{minute:02d}:00Z,50.0,green\n" for minute in range(10, 45, 5))
+        assert sorted(p.name for p in out.iterdir()) == ["indexes_T1.txt"]
+        assert capsys.readouterr().out == "T1 aqi_o3: green\n"
+
+    def test_a_store_without_index_inputs_writes_no_index_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "measurements-2015-04-20.txt").write_text(
+            "2015-04-20T00:00:00Z,T1,43.716,10.393,co,0.5,mg/m3,\n"
+            "2015-04-20T00:00:00Z,W1,43.716,10.393,pressure,1013.0,hPa,\n")
+        out = tmp_path / "idx"
+        out.mkdir()
+        (out / "indexes_T1.txt").write_text("previous\n")
+        assert main(["indexes", str(data), "--out", str(out)]) == 0
+        assert list(out.iterdir()) == []  # a whole set of no files replaced the old one
+        assert capsys.readouterr() == ("", "")
 
     def test_empty_store_is_data_error(self, tmp_path):
         assert main(["indexes", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")]) == 2
@@ -1075,3 +1105,39 @@ class TestSimulateMemory:
         (rc_1, peak_1), (rc_4, peak_4) = peak(24), peak(96)
         assert rc_1 == rc_4 == 0
         assert peak_4 <= 1.2 * peak_1, (peak_1, peak_4)
+
+
+class TestReadStepMemory:
+    def test_indexes_holds_a_day_at_a_time_and_compare_compact_channels(self, tmp_path, monkeypatch):
+        # indexes reads one day file at a time and trims its windows, so 3
+        # days may peak at most 1.25x what 1 day does; compare holds each
+        # reading it keeps as a value and a flag code. A warm-up run over the
+        # longest store fills, from empty, the format_utc stamps every
+        # measured run uses (see TestSimulateMemory), so only what a run
+        # holds itself is traced.
+        cfg = with_seed(load_scenario("pisa-default"), 7)
+        stored = {}
+        for days in (1, 3):
+            _, stored[days] = cli.simulate(
+                dataclasses.replace(cfg, duration_s=days * 86400), tmp_path / f"{days}d")
+
+        def peak(argv):
+            tracemalloc.start()
+            try:
+                return main(argv), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def indexes(days):
+            return ["indexes", str(tmp_path / f"{days}d"), "--out", str(tmp_path / "idx")]
+
+        compare = ["compare", str(tmp_path / "3d"), "--mode", "mobile-fixed", "--out",
+                   str(tmp_path / "cmp")]
+        monkeypatch.setattr(domain, "_STAMPS", {})
+        assert main(indexes(3)) == main(compare) == 0
+        (rc_1, peak_1), (rc_3, peak_3) = peak(indexes(1)), peak(indexes(3))
+        assert rc_1 == rc_3 == 0
+        assert peak_3 <= 1.25 * peak_1, (peak_1, peak_3)
+        rc, compare_peak = peak(compare)
+        assert rc == 0
+        assert compare_peak <= 32 * stored[3], (compare_peak, stored[3])

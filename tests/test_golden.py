@@ -22,7 +22,7 @@ from citysense.analytics import compare_populations, mobile_fixed_populations, w
 from citysense.cli import main
 from citysense.indexes import compute_indexes, index_record_line
 from citysense.scenario import load_scenario, with_seed
-from tests.rows import channels_from, record
+from tests.rows import channels_from, days_from, record
 
 SEED = "7"
 
@@ -116,13 +116,13 @@ def test_output_digests(outputs, step):
 
 def test_compute_indexes_over_run_equals_indexes_step(outputs):
     """``compute_indexes`` over the channels of the records ``run()`` hands
-    the server (``tests.rows.channels_from``) gives exactly the lines
+    the server (``tests.rows.days_from``) gives exactly the lines
     ``citysense indexes`` writes from the channels of the stored day files,
     so in-memory records and the store round trip give the same indexes."""
     cfg = with_seed(load_scenario("pisa-default"), int(SEED))
     result = record(cfg)
-    values = compute_indexes(
-        channels_from(m for _, m in result.server_measurements), cfg.uplink_period_s)
+    values = list(compute_indexes(
+        days_from(m for _, m in result.server_measurements), cfg.uplink_period_s))
     in_memory: dict[str, list[str]] = {}
     for iv in values:
         in_memory.setdefault(iv.station_id, []).append(index_record_line(iv))

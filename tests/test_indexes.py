@@ -25,7 +25,7 @@ from citysense.indexes import (
     traffic_index,
 )
 from citysense.scenario import load_scenario, with_seed
-from tests.rows import channels_from, record
+from tests.rows import channels_from, days_from, record
 
 EPS = 1e-9
 TCI_INPUTS = (
@@ -400,12 +400,12 @@ class TestComputeIndexes:
     def _o3(self, records):
         return [
             (iv.window_end, iv.value)
-            for iv in compute_indexes(channels_from(records), 900)
+            for iv in compute_indexes(days_from(records), 900)
             if iv.kind is IndexKind.AQI_O3
         ]
 
     def test_no_records_no_values(self):
-        assert compute_indexes({}, 900) == []
+        assert list(compute_indexes([], 900)) == []
 
     def test_grid_runs_from_after_first_to_after_last_reading(self):
         values = self._o3([o3_measurement(40.0, 300), o3_measurement(100.0, 1000)])
@@ -420,7 +420,7 @@ class TestComputeIndexes:
         tci_values = [
             (iv.window_end, iv.value)
             for iv in compute_indexes(
-                channels_from([*tci_readings(300, 10.0), *tci_readings(900, 20.0)]), 900)
+                days_from([*tci_readings(300, 10.0), *tci_readings(900, 20.0)]), 900)
         ]
         assert tci_values == [(900, apparent(300, 10.0)), (1800, apparent(900, 20.0))]
 
@@ -429,7 +429,7 @@ class TestComputeIndexes:
         records += [o3_measurement(60.0, t, node="T2") for t in range(2000, 3600, 300)]
         records += tci_readings(2000, 20.0, node="T3")
         stations = {}
-        for iv in compute_indexes(channels_from(records), 900):
+        for iv in compute_indexes(days_from(records), 900):
             stations.setdefault(iv.station_id, []).append(iv.window_end)
         assert stations == {"T1": [900, 1800, 2700, 3600], "T2": [2700, 3600], "T3": [2700, 3600]}
 
@@ -445,11 +445,11 @@ class TestComputeIndexes:
                 (Quantity.RELATIVE_HUMIDITY, 60.0),
             ):
                 ms.append(Measurement("T1", t, P, q, v))
-        expected = compute_indexes(channels_from(ms), 900)
+        expected = list(compute_indexes(days_from(ms), 900))
         assert {iv.kind for iv in expected} == {IndexKind.AQI_O3, IndexKind.AQI_PM, IndexKind.TCI}
         shuffled = list(ms)
         random.Random(5).shuffle(shuffled)
-        assert compute_indexes(channels_from(shuffled), 900) == expected
+        assert list(compute_indexes(days_from(shuffled), 900)) == expected
 
 
 class RescanReference:
@@ -511,11 +511,38 @@ def three_day_records():
 class TestWindowsAgainstRescan:
     def test_three_day_campaign_equals_rescan(self, three_day_records):
         period_s, records = three_day_records
-        got = [index_record_line(iv) for iv in compute_indexes(channels_from(records), period_s)]
+        got = [index_record_line(iv) for iv in compute_indexes(days_from(records), period_s)]
         want = [index_record_line(iv) for iv in reference_indexes(records, period_s)]
         assert {line.split(",")[0] for line in got} == {"aqi_o3", "aqi_pm", "tci"}
         assert len(got) > 5000
         assert got == want  # value repr and colour, exactly
+
+    @pytest.mark.parametrize("period_s", [900, 3600, 1000, 7 * 3600])
+    def test_a_day_at_a_time_equals_the_whole_campaign(self, three_day_records, period_s):
+        # One day ingested at a time, trimmed between days, gives the lines of
+        # the campaign ingested whole; a period that does not divide the day
+        # leaves the first point after a day's last reading to the next day.
+        _, records = three_day_records
+        by_day = days_from(records, by_day=True)
+        assert len(by_day) == 3
+        got = [index_record_line(iv) for iv in compute_indexes(by_day, period_s)]
+        assert got == [index_record_line(iv) for iv in compute_indexes(days_from(records), period_s)]
+        assert got == [index_record_line(iv) for iv in reference_indexes(records, period_s)]
+
+    def test_trim_keeps_what_later_updates_read(self):
+        ms = [o3_measurement(float(t % 97), t) for t in range(0, 20 * 3600, 300)]
+        ms += [Measurement("T1", 0, P, Quantity.PM25, 9.0), *tci_readings(600, 12.0)]
+        whole, trimmed = IndexComputer(), IndexComputer()
+        whole.ingest(channels_from(ms))
+        trimmed.ingest(channels_from(ms))
+        trimmed.trim(12 * 3600)
+        for t in range(12 * 3600, 22 * 3600, 900):
+            assert trimmed.update(t) == whole.update(t)
+        held = trimmed._series["T1"]
+        # o3 from the last reading before the 8 h window on, the latest of each other input
+        assert held[Quantity.O3][0][:2].tolist() == [4 * 3600 - 300, 4 * 3600]
+        assert len(held[Quantity.O3][0]) == 1 + (20 - 4) * 12
+        assert {len(held[q][0]) for q in held if q is not Quantity.O3} == {1}
 
 
 class TestIngestOrder:
@@ -557,8 +584,10 @@ class TestIngestOrder:
     def test_a_second_ingest_of_a_held_series_is_refused(self):
         computer = IndexComputer()
         computer.ingest(channels_from([o3_measurement(40.0, 100), o3_measurement(60.0, 200)]))
-        later = channels_from([o3_measurement(90.0, 86_500), o3_measurement(5.0, 300, node="T2")])
-        with pytest.raises(ValueError, match="station 'T1' already holds o3 readings"):
+        # an ingest appends to a held series only readings stamped after it
+        later = channels_from([o3_measurement(90.0, 200), o3_measurement(5.0, 300, node="T2")])
+        with pytest.raises(ValueError, match="station 'T1' already holds o3 readings up to "
+                                             "1970-01-01T00:03:20Z"):
             computer.ingest(later)
         assert [(iv.station_id, iv.value) for iv in computer.update(900)] == [("T1", 50.0)]
         # other quantities and stations are taken; unusable readings of a held series are no conflict

@@ -3,12 +3,14 @@ import math
 import re
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from citysense.domain import (
+    FLAG_CODES,
     Flag,
     GeoPoint,
     Measurement,
@@ -18,6 +20,7 @@ from citysense.domain import (
     format_utc,
 )
 from citysense import store as store_module
+from citysense.indexes import INDEX_INPUTS
 from citysense.netsim import coordinator_uplink
 from citysense.store import (
     Channel,
@@ -26,9 +29,11 @@ from citysense.store import (
     OutputSet,
     StorageError,
     format_tick,
+    read_days,
 )
 from tests.rows import (
-    node_ticks, one_reading_ticks, parse_measurement, record_key, serialize_measurement, store_rows,
+    append, node_ticks, one_reading_ticks, parse_measurement, readings, record_key,
+    serialize_measurement, store_rows,
 )
 
 P = GeoPoint(43.716, 10.3966)
@@ -257,10 +262,10 @@ class TestWriteMeasurements:
 
     def test_loaded_records_share_repeated_field_values(self, tmp_path):
         flags = frozenset({Flag.QUANTIZED})
-        save(tmp_path, [meas(node=f"N{i}", t=T0 + 300 * (i % 2), flags=flags) for i in range(6)])
+        save(tmp_path, [meas(node=f"N{i % 2}", t=T0 + 300 * (i // 2), flags=flags) for i in range(6)])
         loaded = store_rows(MeasurementStore(tmp_path))
         assert len(loaded) == 6
-        assert len({id(m.position) for m in loaded}) == 1
+        assert len({id(m.position) for m in loaded}) == 2  # one a node, however often it is read
         assert len({id(m.flags) for m in loaded}) == 1
         assert all(m.position == P and m.flags == flags for m in loaded)
 
@@ -723,21 +728,43 @@ def line_loader(root):
                 except ValueError as e:
                     raise ValueError(f"{f.name} line {lineno}: {e}") from e
                 last = key
-                channel = channels.setdefault((key[1], quantity), Channel([], [], [], []))
-                for column, item in zip(channel, (key[0], value, flags, position)):
-                    column.append(item)
+                channel = channels.setdefault((key[1], quantity), Channel.at(position))
+                append(channel, key[0], value, FLAG_CODES[flags], position)
     return channels
 
 
+def expand(channel):
+    """Each reading of a channel: its timestamp, value by ``repr``, flag set
+    and position by ``repr``, in order."""
+    return [(t, repr(v), flags, repr(p.lat), repr(p.lon)) for t, v, flags, p in readings(channel)]
+
+
 def outcome(load, root):
-    """What ``load(root)`` gives: its channels, every float by ``repr``, in
-    order, or its error text."""
+    """What ``load(root)`` gives: its channels, each expanded reading by
+    reading (``expand``), or its error text."""
     try:
         channels = load(root)
     except ValueError as e:
         return str(e)
-    return [(key, ts, [repr(v) for v in values], flags, [(repr(p.lat), repr(p.lon)) for p in ps])
-            for key, (ts, values, flags, ps) in channels.items()]
+    return [(key, expand(channel)) for key, channel in channels.items()]
+
+
+def index_inputs(_, quantity):
+    """The selection of ``citysense indexes``."""
+    return quantity in INDEX_INPUTS
+
+
+def days_outcome(root, keep=None):
+    """What ``read_days(root, keep)`` gives, as ``outcome`` does: each
+    channel's readings over every day, or its error text."""
+    merged = {}
+    try:
+        for day in read_days(root, keep):
+            for key, channel in day.channels.items():
+                merged.setdefault(key, []).extend(expand(channel))
+    except ValueError as e:
+        return str(e)
+    return list(merged.items())
 
 
 def two_day_store():
@@ -823,3 +850,64 @@ class TestOnePassLoaderEqualsTheLineLoader:
                 (root / name).write_bytes(text.encode("utf-8", "surrogateescape"))
             expected = outcome(line_loader, root)
             assert outcome(lambda r: MeasurementStore(r).channels, root) == expected
+
+    @settings(max_examples=400)
+    @given(mutated_stores())
+    def test_a_selected_load_refuses_what_a_full_load_refuses(self, files):
+        # Day by day with the selection of ``indexes`` (two of the store's
+        # four quantities): the full load's input channels, or its error.
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, text in files.items():
+                (root / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+            full = outcome(line_loader, root)
+            if not isinstance(full, str):
+                full = [(key, rs) for key, rs in full if key[1] in INDEX_INPUTS]
+            assert days_outcome(root, index_inputs) == full
+
+
+class TestReadDays:
+    def test_each_day_file_is_a_day_of_its_own(self, tmp_path):
+        for name, text in TWO_DAYS.items():
+            (tmp_path / name).write_text(text)
+        days = list(read_days(tmp_path))
+        assert [(format_utc(day.first), format_utc(day.last)) for day in days] == [
+            ("2015-04-20T23:45:00Z", "2015-04-20T23:55:00Z"),
+            ("2015-04-21T00:00:00Z", "2015-04-21T00:10:00Z")]
+        assert days_outcome(tmp_path) == outcome(line_loader, tmp_path)
+        whole = MeasurementStore(tmp_path).channels
+        for key in whole:  # the days' columns end to end are the store's
+            assert expand(whole[key]) == [r for day in days for r in expand(day.channels[key])]
+
+    def test_a_day_keeps_its_span_when_it_keeps_no_channel(self, tmp_path):
+        for name, text in TWO_DAYS.items():
+            (tmp_path / name).write_text(text)
+        days = list(read_days(tmp_path, lambda *_: False))
+        assert [day.channels for day in days] == [{}, {}]
+        assert [day.first for day in days] == [day.first for day in read_days(tmp_path)]
+
+    def test_stamps_are_kept_only_when_asked(self, tmp_path):
+        for name, text in TWO_DAYS.items():
+            (tmp_path / name).write_text(text)
+        store = MeasurementStore(tmp_path, timestamps=False)
+        assert len(store) == 48 and {len(c.timestamps) for c in store.channels.values()} == {0}
+
+    def test_a_fixed_channel_holds_one_position_and_a_moving_one_one_per_reading(self, tmp_path):
+        for name, text in TWO_DAYS.items():
+            (tmp_path / name).write_text(text)
+        channels = MeasurementStore(tmp_path).channels
+        assert {key[0]: len(c.positions) for key, c in channels.items()} == {"F1": 1, "M1": 6}
+        assert all(isinstance(c.values, array) and c.values.typecode == "d" and
+                   c.timestamps.typecode == "q" and isinstance(c.flags, bytearray)
+                   for c in channels.values())
+
+    def test_a_node_that_comes_back_still_has_a_position_per_reading(self):
+        elsewhere = GeoPoint(43.7, 10.4)
+        channel = Channel.at(P)
+        for t, position in enumerate([P, P, elsewhere, P]):
+            append(channel, t, 1.0, 0, position)
+        assert channel.positions == [P, P, elsewhere, P]
+        still = Channel.at(P)
+        for t in range(3):
+            append(still, t, 1.0, 0, GeoPoint(P.lat, P.lon))  # equal, another object
+        assert still.positions == [P]

@@ -137,6 +137,18 @@ def _of_nodes(channels: Channels, node_ids: Collection[str]) -> Channels:
     return {key: channel for key, channel in channels.items() if key[0] in node_ids}
 
 
+def nodes_compared(mode: str, nodes: Mapping[str, NodeRow]) -> set[str]:
+    """The ids of the nodes whose readings a compare ``mode`` reads: for
+    ``paths`` the fixed nodes with a path tag, for ``mobile-fixed`` the
+    fixed and the mobile nodes."""
+    if mode == "paths":
+        return {nid for nid, (kind, path, _) in nodes.items() if kind is NodeKind.FIXED and path}
+    if mode == "mobile-fixed":
+        return {nid for nid, (kind, _, _) in nodes.items()
+                if kind in (NodeKind.FIXED, NodeKind.MOBILE)}
+    raise ValueError(f"unknown compare mode {mode!r}")
+
+
 def path_populations(
     channels: Channels, nodes: Mapping[str, NodeRow],
 ) -> tuple[Channels, Channels, tuple[str, str]]:
@@ -144,9 +156,8 @@ def path_populations(
     a ValueError), with the tags as labels: the alphabetically first is
     population a, the second the reference population b."""
     tags: dict[str, set[str]] = {}
-    for nid, (kind, path, _) in nodes.items():
-        if kind is NodeKind.FIXED and path:
-            tags.setdefault(path, set()).add(nid)
+    for nid in nodes_compared("paths", nodes):
+        tags.setdefault(nodes[nid][1], set()).add(nid)
     if len(tags) != 2:
         raise ValueError(f"paths mode needs exactly two path tags, found {sorted(tags)}")
     tag_a, tag_b = sorted(tags)
@@ -168,8 +179,10 @@ def mobile_fixed_populations(
     :func:`associate_mobile_to_fixed`); the fixed population is every
     reading of the stations that received one.
     """
-    fixed = [(nid, home) for nid, (kind, _, home) in nodes.items() if kind is NodeKind.FIXED]
-    mobile = _of_nodes(channels, {nid for nid, row in nodes.items() if row[0] is NodeKind.MOBILE})
+    compared = nodes_compared("mobile-fixed", nodes)
+    fixed = [(nid, home) for nid, (kind, _, home) in nodes.items()
+             if nid in compared and kind is NodeKind.FIXED]
+    mobile = _of_nodes(channels, {nid for nid in compared if nodes[nid][0] is NodeKind.MOBILE})
     positions = dict.fromkeys(p for channel in mobile.values() for p in channel.positions)
     association = associate_mobile_to_fixed(list(positions), fixed, radius_m)
     inside = {p for ps in association.by_station.values() for p in ps}

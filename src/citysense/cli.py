@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from itertools import groupby
+from contextlib import ExitStack
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, TextIO
 
@@ -19,11 +19,12 @@ from .analytics import (
     NodeRow,
     compare_populations,
     mobile_fixed_populations,
+    nodes_compared,
     path_populations,
     write_comparison_report,
 )
 from .domain import (
-    LAST_STAMP, NODE_ID, QUANTITY_CODES, SECONDS_PER_DAY, GeoPoint, NodeKind, format_utc,
+    LAST_STAMP, NODE_ID, QUANTITY_CODES, GeoPoint, NodeKind, format_utc,
 )
 from .indexes import (
     INDEX_INPUTS, IndexColor, IndexKind, IndexValue, compute_indexes, index_record_line,
@@ -191,24 +192,23 @@ def _cmd_simulate(args) -> int:
 def _write_indexes(
     files: OutputSet, values: Iterable[IndexValue],
 ) -> dict[tuple[str, IndexKind], IndexColor]:
-    """Write ``values`` into one ``indexes_<station>.txt`` per station, a UTC
-    day of grid points at a time, so that no more than a day's lines are
-    held. Returns the latest color of each (station, index kind)."""
+    """Write ``values`` into one ``indexes_<station>.txt`` per station, each
+    line as it comes, every station's file open until the last with a small
+    buffer, so that the open files hold little while later days are read.
+    Returns the latest color of each (station, index kind)."""
     latest: dict[tuple[str, IndexKind], IndexColor] = {}
-    written: set[str] = set()
-    for _, day in groupby(values, lambda iv: iv.window_end // SECONDS_PER_DAY):
-        by_station: dict[str, list[str]] = {}
-        for iv in day:
+    with ExitStack() as stack:
+        out: dict[str, TextIO] = {}
+        for iv in values:
             if iv.window_end > LAST_STAMP:  # only the grid's last point can be
                 raise ValueError(f"the index grid ends {iv.window_end - LAST_STAMP} s "
                                  f"past {format_utc(LAST_STAMP)}")
-            by_station.setdefault(iv.station_id, []).append(f"{index_record_line(iv)}\n")
+            f = out.get(iv.station_id)
+            if f is None:
+                f = out[iv.station_id] = stack.enter_context(
+                    files.open(f"indexes_{iv.station_id}.txt", buffer=512))
+            f.write(f"{index_record_line(iv)}\n")
             latest[iv.station_id, iv.kind] = iv.color
-        for station, lines in by_station.items():
-            name = f"indexes_{station}.txt"
-            with files.append(name) if station in written else files.open(name) as f:
-                f.writelines(lines)
-            written.add(station)
     return latest
 
 
@@ -299,11 +299,7 @@ def _cmd_compare(args) -> int:
         except (StorageError, ValueError):
             MeasurementStore(data_dir, lambda *_: False)  # a data error in a day file comes first
             raise
-        if args.mode == "paths":  # the fixed nodes of a path
-            kept = {nid for nid, (kind, path, _) in nodes.items() if kind is NodeKind.FIXED and path}
-        else:  # the fixed and the mobile nodes
-            kept = {nid for nid, (kind, _, _) in nodes.items()
-                    if kind in (NodeKind.FIXED, NodeKind.MOBILE)}
+        kept = nodes_compared(args.mode, nodes)
         unknown: set[str] = set()  # the node ids of the store that nodes.json lacks
 
         def keep(node_id: str, _) -> bool:

@@ -68,42 +68,50 @@ class OutputSet:
     whole. ``open(name)`` streams one file to a temporary beside it and
     closes it when its block ends; blocks may overlap, as ``simulate``'s
     delivery log stays open while its day files stream. A name opens once
-    per set; ``append(name)`` reopens it to write on at its end. When the
-    set's block ends cleanly, every
+    per set. When the set's block ends cleanly, every
     temporary is renamed into place, then the old files matching
     ``stale_glob`` that the set did not write are deleted. An exception
-    removes every temporary and leaves the old files as they were; any
-    OSError, from creating the directory on, becomes one StorageError."""
+    removes every temporary and every directory the set created, and leaves
+    the old files as they were; any OSError, from creating the directory
+    on, becomes one StorageError."""
 
     def __init__(self, directory: str | FsPath, stale_glob: str):
         self.directory = FsPath(directory)
         self.stale_glob = stale_glob
         self.paths: list[FsPath] = []  # every file opened, in order
-        self._opened: set[FsPath] = set()
+        self._made: list[FsPath] = []  # the directories the set created, deepest first
 
     def __enter__(self) -> OutputSet:
+        directory = self.directory
+        while not directory.exists():
+            self._made.append(directory)
+            directory = directory.parent
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
         except OSError as e:
+            self._unmake()
             raise StorageError(f"cannot write {self.directory}: {e}") from e
         return self
 
-    @contextmanager
-    def open(self, name: str) -> Iterator[TextIO]:
-        path = self.directory / name
-        if path in self._opened:  # its temporary holds what the set wrote
-            raise ValueError(f"{name} is already part of this output set")
-        self.paths.append(path)
-        self._opened.add(path)
-        with open(_temporary(path), "w", newline="\n") as f:
-            yield f
+    def _unmake(self) -> None:
+        try:
+            for directory in self._made:
+                directory.rmdir()
+        except OSError:  # not there, or no longer empty: leave it and its parents
+            pass
 
     @contextmanager
-    def append(self, name: str) -> Iterator[TextIO]:
+    def open(self, name: str, buffer: int = -1) -> Iterator[TextIO]:
+        """``name``'s temporary, open to write; with a ``buffer`` size, what
+        is written is held only in a byte buffer of that size, for a set
+        that keeps many files open at once."""
         path = self.directory / name
-        if path not in self._opened:
-            raise ValueError(f"{name} is not part of this output set")
-        with open(_temporary(path), "a", newline="\n") as f:
+        if path in self.paths:  # its temporary holds what the set wrote
+            raise ValueError(f"{name} is already part of this output set")
+        self.paths.append(path)
+        with open(_temporary(path), "w", buffering=buffer, newline="\n") as f:
+            if buffer > 0:
+                f.reconfigure(write_through=True)  # no text waits above the bytes
             yield f
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -120,6 +128,7 @@ class OutputSet:
                 exc = e
         for path in self.paths:
             _temporary(path).unlink(missing_ok=True)
+        self._unmake()
         if isinstance(exc, OSError) and not isinstance(exc, StorageError):
             raise StorageError(f"cannot write {self.directory}: {exc}") from exc
 
@@ -167,13 +176,12 @@ def _number(field_name: str, text: str) -> float:
 
 class _RecordParser:
     """Parses record lines, running the strict parse of each distinct
-    timestamp, flags, node id and quantity text once per parser, and of a
-    node's position once until it moves."""
+    timestamp, position, flags, node id and quantity text once per parser."""
 
     def __init__(self):
         self._node_ids: dict[str, str] = {}
         self._timestamps: dict[str, int] = {}
-        self._positions: dict[str, tuple[str, str, GeoPoint]] = {}  # node id -> its last
+        self._positions: dict[tuple[str, str], GeoPoint] = {}
         self._flags: dict[str, frozenset[Flag]] = {}
 
     def __call__(self, line: str) -> tuple[RecordKey, Quantity, GeoPoint, float, frozenset[Flag]]:
@@ -194,12 +202,10 @@ class _RecordParser:
         timestamp = self._timestamps.get(ts)
         if timestamp is None:
             timestamp = self._timestamps[ts] = parse_utc(ts)
-        last = self._positions.get(known_id)
-        if last is not None and last[0] == lat and last[1] == lon:
-            position = last[2]
-        else:
-            position = GeoPoint(_number("lat", lat), _number("lon", lon))
-            self._positions[known_id] = lat, lon, position
+        position = self._positions.get((lat, lon))
+        if position is None:
+            position = self._positions[lat, lon] = GeoPoint(
+                _number("lat", lat), _number("lon", lon))
         value = _number("value", value)
         flag_set = self._flags.get(flags)
         if flag_set is None:
@@ -319,7 +325,7 @@ class Channel(NamedTuple):
         """Note that the reading just appended is at ``position``, which is
         not the very object of the one place all readings so far share."""
         positions = self.positions
-        if positions[0] == position:
+        if repr(positions[0]) == repr(position):  # equal, and so is the sign of a zero
             positions[0] = position  # so the next reading there passes ``is``
         else:  # the node moved: one position per reading from here on
             positions *= len(self.values) - 1

@@ -821,8 +821,8 @@ def _failing_second(monkeypatch, prefix):
     opened = []
 
     @contextmanager
-    def failing_open(self, name):
-        with real_open(self, name) as f:
+    def failing_open(self, name, **kwargs):
+        with real_open(self, name, **kwargs) as f:
             if name.startswith(prefix):
                 opened.append(name)
                 if len(opened) == 2:
@@ -911,6 +911,30 @@ class TestWholeOutputSets:
             assert err == (f"data error: {name} line 1: "
                            "timestamp 2015-04-20T00:00:00Z is not on 2015-04-21\n")
         assert not (tmp_path / "o").exists()
+
+    def test_a_malformed_later_day_leaves_no_new_index_directory(
+        self, sim_dir, tmp_path, capsys, monkeypatch
+    ):
+        # indexes writes the first day's lines before it reads the second file
+        last = sorted(sim_dir.glob("measurements-*.txt"))[-1]
+        next_day = domain.parse_utc(f"{last.name[13:23]}T00:00:00Z") + domain.SECONDS_PER_DAY
+        bad = sim_dir / f"measurements-{domain.format_utc(next_day)[:10]}.txt"
+        bad.write_text("not a record\n")
+        real_open, opened = store.OutputSet.open, []
+
+        def spied_open(self, name, **kwargs):
+            opened.append(name)
+            return real_open(self, name, **kwargs)
+
+        monkeypatch.setattr(store.OutputSet, "open", spied_open)
+        out = tmp_path / "new" / "idx"
+        capsys.readouterr()
+        rc = main(["indexes", str(sim_dir), "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_one_line_data_error(rc, err)
+        assert err.startswith(f"data error: {bad.name} line 1: malformed record")
+        assert opened  # the first day's index files were open when the second failed
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("command", [["indexes"], ["compare", "--mode", "paths"]])
     def test_missing_data_directory_is_data_error_and_not_created(

@@ -64,7 +64,8 @@ def test_only_the_store_writes_files():
 
 def test_the_guard_sees_the_writes_of_the_store():
     found = file_writes((PACKAGE / "store.py").read_text())
-    assert any("open(_temporary(path), 'w', newline='\\n')" in line for line in found)
+    assert any("open(_temporary(path), 'w', buffering=buffer, newline='\\n')" in line
+               for line in found)
     assert any("os.replace(" in line for line in found)
     assert any(".unlink(" in line for line in found)
     assert any(".mkdir(" in line for line in found)

@@ -262,10 +262,10 @@ class TestWriteMeasurements:
 
     def test_loaded_records_share_repeated_field_values(self, tmp_path):
         flags = frozenset({Flag.QUANTIZED})
-        save(tmp_path, [meas(node=f"N{i % 2}", t=T0 + 300 * (i // 2), flags=flags) for i in range(6)])
+        save(tmp_path, [meas(node=f"N{i}", t=T0 + 300 * (i % 2), flags=flags) for i in range(6)])
         loaded = store_rows(MeasurementStore(tmp_path))
         assert len(loaded) == 6
-        assert len({id(m.position) for m in loaded}) == 2  # one a node, however often it is read
+        assert len({id(m.position) for m in loaded}) == 1
         assert len({id(m.flags) for m in loaded}) == 1
         assert all(m.position == P and m.flags == flags for m in loaded)
 
@@ -706,6 +706,25 @@ class TestOutputSet:
         write_set(tmp_path / "a" / "b", {"nodes.json": "new\n"})
         assert snapshot(tmp_path / "a" / "b") == {"nodes.json": b"new\n"}
 
+    def test_a_small_buffer_holds_at_most_its_size(self, tmp_path):
+        with OutputSet(tmp_path, "*.dat") as files:
+            with files.open("a.dat", buffer=16) as f:
+                f.write("0123456789\n")
+                assert (tmp_path / ".a.dat.tmp").read_text() == ""
+                f.write("abcdefghij\n")
+                assert (tmp_path / ".a.dat.tmp").read_text().startswith("0123456789\n")
+        assert snapshot(tmp_path) == {"a.dat": b"0123456789\nabcdefghij\n"}
+
+    def test_failure_removes_the_directories_the_set_created(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        with pytest.raises(RuntimeError, match="run failed"):
+            with OutputSet(tmp_path / "a" / "b" / "c", "*.dat") as files:
+                with files.open("r.dat") as f:
+                    f.write("new\n")
+                raise RuntimeError("run failed")
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+        assert list((tmp_path / "a").iterdir()) == []
+
 
 def line_loader(root):
     """The channels of the day files under ``root`` as the store loaded them
@@ -728,8 +747,12 @@ def line_loader(root):
                 except ValueError as e:
                     raise ValueError(f"{f.name} line {lineno}: {e}") from e
                 last = key
-                channel = channels.setdefault((key[1], quantity), Channel.at(position))
-                append(channel, key[0], value, FLAG_CODES[flags], position)
+                # Each reading keeps its own position, so that how a channel
+                # stores them (``Channel.place``) is checked, not shared.
+                channel = channels.setdefault((key[1], quantity),
+                                              Channel(array("q"), array("d"), bytearray(), []))
+                for column, item in zip(channel, (key[0], value, FLAG_CODES[flags], position)):
+                    column.append(item)
     return channels
 
 
@@ -911,3 +934,10 @@ class TestReadDays:
         for t in range(3):
             append(still, t, 1.0, 0, GeoPoint(P.lat, P.lon))  # equal, another object
         assert still.positions == [P]
+
+    def test_a_zero_of_the_other_sign_is_another_place(self):
+        zero, minus_zero = GeoPoint(0.0, 10.0), GeoPoint(-0.0, 10.0)
+        channel = Channel.at(zero)
+        for t, position in enumerate([zero, minus_zero, GeoPoint(0.0, 10.0)]):
+            append(channel, t, 1.0, 0, position)
+        assert [repr(p.lat) for p in channel.positions] == ["0.0", "-0.0", "0.0"]

@@ -24,13 +24,13 @@ from .analytics import (
     write_comparison_report,
 )
 from .domain import (
-    LAST_STAMP, NODE_ID, QUANTITY_CODES, GeoPoint, NodeKind, format_utc,
+    LAST_STAMP, NODE_ID, QUANTITY_CODES, ConfigError, GeoPoint, NodeKind, format_utc,
 )
 from .indexes import (
     INDEX_INPUTS, IndexColor, IndexKind, IndexValue, compute_indexes, index_record_line,
     traffic_index,
 )
-from .netsim import ConfigError, DeliveryOutcome, RunSink, Tallies, Tally, run
+from .netsim import DeliveryOutcome, RunSink, Tallies, Tally, run
 from .scenario import ScenarioConfig, load_access, load_scenario, with_seed
 from .store import (
     Day, DayFiles, MeasurementStore, OutputSet, StorageError, count_readings, read_days,

@@ -118,7 +118,8 @@ EXCLUDED_FLAGS = frozenset({Flag.BELOW_LOD, Flag.WARMING_UP})
 
 
 # Every flag set, indexed by its one-byte code: bit i of a code stands for
-# the i-th ``Flag``. A stored channel keeps each reading's set as its code.
+# the i-th ``Flag``. A reading's set travels as its code, from the sensor
+# chain's ticks to the stored channels.
 FLAG_SETS = tuple(frozenset(f for i, f in enumerate(Flag) if code >> i & 1)
                   for code in range(1 << len(Flag)))
 FLAG_CODES = {flags: code for code, flags in enumerate(FLAG_SETS)}
@@ -315,22 +316,24 @@ RecordKey = tuple[int, str, str]
 class NodeTick:
     """One node's readings at one stamp and position, as parallel columns;
     ``len`` counts them. ``quantities`` rises in code order, and one tuple
-    is shared by every tick of a node."""
+    is shared by every tick of a node. ``flags`` holds each reading's
+    one-byte flag code (``FLAG_SETS``)."""
 
     node_id: str
     timestamp: int
     position: GeoPoint
     quantities: tuple[Quantity, ...]
     values: list[float]
-    flags: list[frozenset[Flag]]
+    flags: bytes
 
     def __len__(self) -> int:
         return len(self.values)
 
     def rows(self) -> list[Measurement]:
-        """The tick's readings as ``Measurement`` rows, in column order."""
-        return [Measurement(self.node_id, self.timestamp, self.position, q, value, flags)
-                for q, value, flags in zip(self.quantities, self.values, self.flags)]
+        """The tick's readings as ``Measurement`` rows, in column order,
+        each flag code as its set."""
+        return [Measurement(self.node_id, self.timestamp, self.position, q, value, FLAG_SETS[code])
+                for q, value, code in zip(self.quantities, self.values, self.flags)]
 
 
 # A tick's sort key: ticks in this order give their records in RecordKey order.

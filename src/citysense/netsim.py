@@ -43,7 +43,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 from .domain import (
-    SECONDS_PER_DAY, ConfigError, GeoPoint, NodeDescriptor, NodeKind, NodeTick, Quantity, Radio,
+    SECONDS_PER_DAY, GeoPoint, NodeDescriptor, NodeKind, NodeTick, Quantity, Radio,
     ReportBatch, SiteGrid, haversine_distance, tick_key,
 )
 from .field import BlockDraws, loss_generator
@@ -258,7 +258,8 @@ def run(scenario: "ScenarioConfig", sink: RunSink) -> Tallies:
                     kept = [not x for x in lost]
                     tick = NodeTick(tick.node_id, t, tick.position,
                                     tuple(compress(tick.quantities, kept)),
-                                    list(compress(tick.values, kept)), list(compress(tick.flags, kept)))
+                                    list(compress(tick.values, kept)),
+                                    bytes(compress(tick.flags, kept)))
                 if tick.values and direct:
                     sink.arrivals(arrival_t, [tick])
                 elif tick.values and not late:

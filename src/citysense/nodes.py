@@ -18,7 +18,8 @@ channel of every sensing node at once, as numpy columns. The clamp keeps a
 finite reading within its quantity's range, and so do the LoD zero (every
 range holds 0) and quantization, which is monotone: ``SensorSpec`` refuses
 a resolution that rounds the top of the range past it. So the chain checks
-only that each reading is finite. It hands on one ``NodeTick`` per node.
+only that each reading is finite. It hands on one ``NodeTick`` per node,
+its flags one byte per reading: the reading's code in ``domain.FLAG_SETS``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .domain import (
-    SECONDS_PER_DAY, VALUE_RANGE, ConfigError, Flag, GeoPoint, NodeDescriptor, NodeKind, NodeTick,
-    Quantity, co_ppm_to_mg_m3,
+    FLAG_CODES, SECONDS_PER_DAY, VALUE_RANGE, ConfigError, Flag, GeoPoint, NodeDescriptor, NodeKind,
+    NodeTick, Quantity, co_ppm_to_mg_m3,
 )
 from .field import DRAW_BLOCK, FieldModel, Path, noise_generator, path_position
 
@@ -113,16 +114,10 @@ class _Channel(NamedTuple):
     noise: Callable[[int], np.ndarray] | None  # the next n noise draws; None without noise
 
 
-# Flag bits of one reading -> its flag set; readings share these 8 sets.
-_WARMING_UP, _BELOW_LOD, _QUANTIZED = 1, 2, 4
-_FLAG_SETS = tuple(
-    frozenset(
-        f for bit, f in ((_WARMING_UP, Flag.WARMING_UP), (_BELOW_LOD, Flag.BELOW_LOD),
-                         (_QUANTIZED, Flag.QUANTIZED))
-        if bits & bit
-    )
-    for bits in range(8)
-)
+# The flag code (``domain.FLAG_SETS``) of each single flag; a reading's
+# code is the sum of those of its flags.
+_WARMING_UP, _BELOW_LOD, _QUANTIZED = (
+    FLAG_CODES[frozenset({f})] for f in (Flag.WARMING_UP, Flag.BELOW_LOD, Flag.QUANTIZED))
 _EMPTY: Mapping = MappingProxyType({})  # an absent override map
 
 
@@ -255,7 +250,7 @@ class SensorChain:
             node_id = self.nodes[bisect_right(bounds, i) - 1].descriptor.node_id
             raise ConfigError(f"node {node_id}: value: not finite: {float(quantized[i])!r}")
         values = quantized.tolist()
-        flags = list(map(_FLAG_SETS.__getitem__, bits.tolist()))
+        flags = bits.astype(np.uint8).tobytes()
         return [NodeTick(n.descriptor.node_id, t, position, n.quantities,
                          values[a:b], flags[a:b])
                 for n, position, a, b in zip(self.nodes, positions, bounds, bounds[1:])]

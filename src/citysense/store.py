@@ -11,15 +11,16 @@ File format (normative, one record per line, comma separated):
     quantity  = code from domain.Quantity
     value     = shortest exact decimal representation (round-trips bit-exact)
     unit      = unit string of the quantity (redundant, for self-description)
-    flags     = semicolon-joined flag codes, sorted; empty when clean
+    flags     = semicolon-joined flag names (domain.Flag), sorted; empty when clean
 
 Files are partitioned by UTC day (``measurements-YYYY-MM-DD.txt``) and
 sorted by ``domain.RecordKey``: (timestamp, node_id, quantity code), the
 order of every coordinator batch too. ``format_tick`` owns the record line.
-``DayFiles`` streams node ticks (``domain.NodeTick``) into them window by
-window, each tick's lines as one run, with at most one day file open at a
-time, into an ``OutputSet``: the one writer of every command's files, which
-replaces a directory's old set only once the new one is whole.
+``DayFiles`` streams node ticks (``domain.NodeTick``, each reading's flags
+a one-byte ``domain.FLAG_SETS`` code, written as its set's text) into them
+window by window, each tick's lines as one run, with at most one day file
+open at a time, into an ``OutputSet``: the one writer of every command's
+files, which replaces a directory's old set only once the new one is whole.
 
 Loading validates every record as writing does, and each file must be named
 for the UTC day of every stamp it holds. Both refuse a key that is not
@@ -43,15 +44,14 @@ import os
 from array import array
 from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
-from itertools import combinations
 from operator import attrgetter
 from pathlib import Path as FsPath
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .domain import (
-    FLAG_CODES, SECONDS_PER_DAY, UNITS, QUANTITY_CODES, VALUE_RANGE, Flag, GeoPoint, NodeTick,
-    Quantity, RecordKey, ValidationError, format_utc, parse_utc, tick_key, validate_node_id,
-    validate_value,
+    FLAG_CODES, FLAG_SETS, SECONDS_PER_DAY, UNITS, QUANTITY_CODES, VALUE_RANGE, Flag, GeoPoint,
+    NodeTick, Quantity, RecordKey, ValidationError, format_utc, parse_utc, tick_key,
+    validate_node_id, validate_value,
 )
 
 
@@ -133,12 +133,8 @@ class OutputSet:
             raise StorageError(f"cannot write {self.directory}: {exc}") from exc
 
 
-# Flag set -> its record text, for every subset of ``Flag``.
-_FLAGS_TEXT: dict[frozenset[Flag], str] = {
-    frozenset(flags): ";".join(sorted(f.value for f in flags))
-    for n in range(len(Flag) + 1)
-    for flags in combinations(Flag, n)
-}
+# Flag code (``domain.FLAG_SETS``) -> the record text of its set.
+_FLAGS_TEXT = tuple(";".join(sorted(f.value for f in flags)) for flags in FLAG_SETS)
 
 
 # Quantity -> the record text on either side of a value: "code," and ",unit,".
@@ -150,8 +146,8 @@ def format_tick(tick: NodeTick) -> str:
     the record format. The ``ts,node,lat,lon,`` prefix is formatted once."""
     position = tick.position
     prefix = f"{format_utc(tick.timestamp)},{tick.node_id},{position.lat!r},{position.lon!r},"
-    return "".join([f"{prefix}{code}{value!r}{unit}{_FLAGS_TEXT[flags]}\n"
-                    for (code, unit), value, flags
+    return "".join([f"{prefix}{code}{value!r}{unit}{_FLAGS_TEXT[flag_code]}\n"
+                    for (code, unit), value, flag_code
                     in zip(map(_VALUE_TEXT.__getitem__, tick.quantities), tick.values, tick.flags)])
 
 
@@ -176,17 +172,19 @@ def _number(field_name: str, text: str) -> float:
 
 class _RecordParser:
     """Parses record lines, running the strict parse of each distinct
-    timestamp, position, flags, node id and quantity text once per parser."""
+    timestamp, position, flags, node id and quantity text once per parser.
+    A flags text is read as its set's one-byte code (``domain.FLAG_SETS``),
+    in any order of its flags."""
 
     def __init__(self):
         self._node_ids: dict[str, str] = {}
         self._timestamps: dict[str, int] = {}
         self._positions: dict[tuple[str, str], GeoPoint] = {}
-        self._flags: dict[str, frozenset[Flag]] = {}
+        self._flags: dict[str, int] = {}
 
-    def __call__(self, line: str) -> tuple[RecordKey, Quantity, GeoPoint, float, frozenset[Flag]]:
+    def __call__(self, line: str) -> tuple[RecordKey, Quantity, GeoPoint, float, int]:
         """The checked fields of one line, given without its line end: its
-        key (``domain.RecordKey``), quantity, position, value and flags."""
+        key (``domain.RecordKey``), quantity, position, value and flag code."""
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed record: {line!r}")
@@ -207,11 +205,12 @@ class _RecordParser:
             position = self._positions[lat, lon] = GeoPoint(
                 _number("lat", lat), _number("lon", lon))
         value = _number("value", value)
-        flag_set = self._flags.get(flags)
-        if flag_set is None:
-            flag_set = self._flags[flags] = frozenset(Flag(f) for f in flags.split(";") if f)
+        flag_code = self._flags.get(flags)
+        if flag_code is None:
+            flag_code = self._flags[flags] = FLAG_CODES[
+                frozenset(Flag(f) for f in flags.split(";") if f)]
         validate_value(quantity, value)
-        return (timestamp, known_id, qcode), quantity, position, value, flag_set
+        return (timestamp, known_id, qcode), quantity, position, value, flag_code
 
 
 _stamp = attrgetter("timestamp")
@@ -418,7 +417,7 @@ def _read(files: list[FsPath], keep: Selection | None, keep_stamps: bool,
                 if value is None:
                     last = (timestamp, node_id, code)
                     try:
-                        key, quantity, position, value, flag_set = parse(line.rstrip("\n"))
+                        key, quantity, position, value, flag_code = parse(line.rstrip("\n"))
                         if key <= last:
                             raise _order_error(last, key)
                         if not day_start <= key[0] < day_end:
@@ -429,7 +428,7 @@ def _read(files: list[FsPath], keep: Selection | None, keep_stamps: bool,
                     head, (timestamp, node_id, code) = fields[0], key
                     if first is None:
                         first = timestamp
-                    flag_code = flag_codes[fields[4]] = FLAG_CODES[flag_set]
+                    flag_codes[fields[4]] = flag_code
                     node_channels = by_node.setdefault(node_id, {})
                 channel = node_channels.get(quantity, False)
                 if channel is False:  # the channel's first reading: keep it or not

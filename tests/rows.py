@@ -26,14 +26,14 @@ def serialize_measurement(m: Measurement) -> str:
 
 def parse_measurement(line: str) -> Measurement:
     """The checked record of one line, as the store's loader checks it."""
-    (timestamp, node_id, _), quantity, position, value, flags = _RecordParser()(line.rstrip("\n"))
-    return Measurement(node_id, timestamp, position, quantity, value, flags)
+    (timestamp, node_id, _), quantity, position, value, code = _RecordParser()(line.rstrip("\n"))
+    return Measurement(node_id, timestamp, position, quantity, value, FLAG_SETS[code])
 
 
 def one_reading_ticks(records):
     """Each of ``records`` as a tick of its own, in the order given."""
-    return [NodeTick(m.node_id, m.timestamp, m.position, (m.quantity,), [m.value], [m.flags])
-            for m in records]
+    return [NodeTick(m.node_id, m.timestamp, m.position, (m.quantity,), [m.value],
+                     bytes([FLAG_CODES[m.flags]])) for m in records]
 
 
 def node_ticks(records):
@@ -46,7 +46,7 @@ def node_ticks(records):
             rows, attrgetter("timestamp", "node_id", "position")):
         run_ = list(run_)
         ticks.append(NodeTick(node_id, timestamp, position, tuple(m.quantity for m in run_),
-                              [m.value for m in run_], [m.flags for m in run_]))
+                              [m.value for m in run_], bytes(FLAG_CODES[m.flags] for m in run_)))
     return ticks
 
 

@@ -3,11 +3,13 @@ them before ``nodes.SensorChain`` and the per-tick loss mask of
 ``netsim.run``. Kept as a reference that both are checked against, as
 ``_event_queue_run`` in ``test_netsim.py`` keeps the event loop of before
 the grid walk. Every float goes through the same operations in the same
-order as in the vector chain, so values equal bit for bit."""
+order as in the vector chain, so values equal bit for bit. Each reading's
+flag set is built here, flag by flag, and handed on as its code in
+``domain.FLAG_CODES``, as a tick carries it."""
 
 import math
 
-from citysense.domain import VALUE_RANGE, Flag, NodeKind, NodeTick, ValidationError
+from citysense.domain import FLAG_CODES, VALUE_RANGE, Flag, NodeKind, NodeTick, ValidationError
 from citysense.field import loss_generator, noise_generator
 from citysense.netsim import DeliveryOutcome, LinkChoice, NetworkTopology, Tally, choose_link
 from citysense.nodes import NodeState
@@ -83,8 +85,9 @@ class ScalarNode:
             if not math.isfinite(value):
                 raise ValidationError("value", f"not finite: {value!r}")
             values.append(value)
-            flags.append(frozenset(flag_set))
-        return NodeTick(node.descriptor.node_id, t, position, node.quantities, values, flags)
+            flags.append(FLAG_CODES[frozenset(flag_set)])
+        return NodeTick(node.descriptor.node_id, t, position, node.quantities, values,
+                        bytes(flags))
 
 
 def route_measurement(choice: LinkChoice, rng) -> LinkChoice:

@@ -218,7 +218,7 @@ class TestFrozenValues:
 def tick(timestamp, node_id="T1"):
     """A two-reading tick of ``node_id`` at ``timestamp``."""
     return NodeTick(node_id, timestamp, P, (Quantity.CO2, Quantity.O3), [423.26, 51.3],
-                    [frozenset(), frozenset({domain.Flag.QUANTIZED})])
+                    bytes([0, domain.FLAG_CODES[frozenset({domain.Flag.QUANTIZED})]]))
 
 
 class TestNodeTick:
@@ -232,7 +232,7 @@ class TestNodeTick:
         assert all(type(m) is Measurement and m.position is P for m in t.rows())
 
     def test_an_empty_tick_is_false(self):
-        assert not NodeTick("T1", 0, P, (), [], [])
+        assert not NodeTick("T1", 0, P, (), [], b"")
 
 
 class TestReportBatch:

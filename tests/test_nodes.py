@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citysense.domain import (
+    FLAG_SETS,
     ConfigError,
     Flag,
     GeoPoint,
@@ -291,8 +292,8 @@ class TestSensorChain:
         assert len(first) == len(first.values) == len(first.flags) == 3
         assert (first.node_id, first.timestamp, first.position) == ("T1", 0, P)
         assert first.rows() == [
-            Measurement("T1", 0, P, q, v, fl)
-            for q, v, fl in zip(first.quantities, first.values, first.flags)
+            Measurement("T1", 0, P, q, v, FLAG_SETS[code])
+            for q, v, code in zip(first.quantities, first.values, first.flags)
         ]
 
     def test_a_chain_hands_over_one_tick_per_node_with_a_suite_in_node_order(self):

@@ -1,8 +1,10 @@
 """Rules that several layers apply are owned by one table or helper in
 ``domain``, and every layer agrees with it: the physical range of a
 quantity (``VALUE_RANGE``), which the field, the sensor chain and the
-record check read, and the record order (``domain.RecordKey``), which
-coordinator batches, day files and their loader all follow."""
+record check read; the record order (``domain.RecordKey``), which
+coordinator batches, day files and their loader all follow; and the flag
+table (``FLAG_SETS``), whose one-byte codes the sensor chain emits, the
+day files write as their sets' text and the loader reads back."""
 
 import math
 import random
@@ -13,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from citysense.domain import (
     ALLOWED_QUANTITIES,
+    FLAG_CODES,
+    FLAG_SETS,
     Flag,
     GeoPoint,
     Measurement,
@@ -22,13 +26,14 @@ from citysense.domain import (
     Quantity,
     VALUE_RANGE,
     ValidationError,
+    co_ppm_to_mg_m3,
     format_utc,
     validate_value,
 )
 from citysense.field import FieldModel
 from citysense.netsim import coordinator_uplink
 from citysense.nodes import NodeState, SensorChain
-from citysense.store import DayFiles, MeasurementStore, OutputSet
+from citysense.store import DayFiles, MeasurementStore, OutputSet, read_days
 from tests.rows import channels_from, node_ticks, parse_measurement, record_key
 
 P = GeoPoint(43.716, 10.3966)
@@ -84,7 +89,7 @@ class TestEveryLayerUsesValueRange:
 def test_batches_and_day_files_share_the_record_order(tmp_path):
     quantities = (Quantity.CO, Quantity.CO2, Quantity.O3, Quantity.TEMPERATURE)  # code order
     ticks = [
-        NodeTick(node, T0 + t, P, quantities, [1.0] * 4, [frozenset()] * 4)
+        NodeTick(node, T0 + t, P, quantities, [1.0] * 4, bytes(4))
         for node in ("F5", "M1", "T1", "T10", "T2")
         for t in (0, 300, 600)
     ]
@@ -139,3 +144,29 @@ def test_the_loader_follows_the_record_order(tmp_path_factory, readings, data):
                f"{m.node_id} {m.quantity.value} at {format_utc(m.timestamp)}")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MeasurementStore(root)
+
+
+@pytest.mark.parametrize("code", range(len(FLAG_SETS)))
+def test_a_flag_code_is_written_as_its_set_and_read_back(tmp_path, code):
+    with OutputSet(tmp_path, "measurements-*.txt") as files:
+        with DayFiles(files) as days:
+            days.add([NodeTick("T1", T0, P, (Quantity.CO2,), [451.0], bytes([code]))])
+    (line,) = (tmp_path / "measurements-2015-04-20.txt").read_text().splitlines()
+    assert line.split(",")[-1] == ";".join(sorted(f.value for f in FLAG_SETS[code]))
+    (day,) = read_days(tmp_path)
+    assert day.channels["T1", Quantity.CO2].flags == bytes([code])
+
+
+def test_the_sensor_chain_flags_each_reading_with_its_sets_code():
+    f = FieldModel(seed=1, baseline={Quantity.CO2: 420.0, Quantity.CO: co_ppm_to_mg_m3(3.0),
+                                     Quantity.HC: 7.4})
+    warming = NodeState(NodeDescriptor("T1", NodeKind.FIXED, frozenset({Quantity.CO2}), P), f,
+                        powered_since=T0)
+    warm = NodeState(NodeDescriptor("T2", NodeKind.FIXED, frozenset({Quantity.CO, Quantity.HC}), P),
+                     f)
+    first, second = SensorChain([warming, warm], 300).sample(T0)
+    assert first.flags == bytes([FLAG_CODES[frozenset({Flag.WARMING_UP})]])
+    assert second.quantities == (Quantity.CO, Quantity.HC)
+    assert second.values == [0.0, 7.0]
+    assert second.flags == bytes([FLAG_CODES[frozenset({Flag.BELOW_LOD})],
+                                  FLAG_CODES[frozenset({Flag.QUANTIZED})]])

@@ -4,8 +4,7 @@ import pytest
 import yaml
 
 from citysense import scenario
-from citysense.domain import NodeKind, Quantity, Radio
-from citysense.netsim import ConfigError
+from citysense.domain import ConfigError, NodeKind, Quantity, Radio
 from citysense.scenario import load_scenario, parse_scenario, with_seed
 
 

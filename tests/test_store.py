@@ -88,7 +88,7 @@ class TestRecordFormat:
 
     def test_a_tick_gives_one_line_per_reading_with_one_prefix(self):
         t = NodeTick("T1", T0, P, (Quantity.CO, Quantity.CO2), [2.5, 451.0],
-                     [frozenset(), frozenset({Flag.QUANTIZED})])
+                     bytes([0, FLAG_CODES[frozenset({Flag.QUANTIZED})]]))
         assert format_tick(t) == (
             "2015-04-20T00:00:00Z,T1,43.716,10.3966,co,2.5,mg/m3,\n"
             "2015-04-20T00:00:00Z,T1,43.716,10.3966,co2,451.0,ppmV,quantized\n")
@@ -213,7 +213,7 @@ class TestRecordFormat:
 def tick(node, t, quantities, values=None, position=P):
     """A tick of ``node`` at ``t`` holding ``quantities``, with clean flags."""
     values = values or [451.0] * len(quantities)
-    return NodeTick(node, t, position, quantities, values, [frozenset()] * len(quantities))
+    return NodeTick(node, t, position, quantities, values, bytes(len(quantities)))
 
 
 def batch_of(n, t0=T0):
@@ -738,7 +738,7 @@ def line_loader(root):
         with f.open(encoding="utf-8", errors="surrogateescape", newline="\n") as lines:
             for lineno, line in enumerate(lines, 1):
                 try:
-                    key, quantity, position, value, flags = parse(line.rstrip("\n"))
+                    key, quantity, position, value, code = parse(line.rstrip("\n"))
                     if key <= last:
                         raise store_module._order_error(last, key)
                     if not day_start <= key[0] < day_start + 86400:
@@ -751,7 +751,7 @@ def line_loader(root):
                 # stores them (``Channel.place``) is checked, not shared.
                 channel = channels.setdefault((key[1], quantity),
                                               Channel(array("q"), array("d"), bytearray(), []))
-                for column, item in zip(channel, (key[0], value, FLAG_CODES[flags], position)):
+                for column, item in zip(channel, (key[0], value, code, position)):
                     column.append(item)
     return channels
 
@@ -799,8 +799,9 @@ def two_day_store():
         for node, position in (("F1", P), ("M1", GeoPoint(43.7 + k * 1e-4, 10.39 - k * 3e-5))):
             ticks.append(NodeTick(node, t, position, quantities,
                                   [2.5e-05 * k, 451.0 + k, 99.5, -1.25 * k],
-                                  [frozenset({Flag.QUANTIZED}), frozenset(), frozenset(),
-                                   frozenset({Flag.BELOW_LOD, Flag.WARMING_UP})]))
+                                  bytes(FLAG_CODES[frozenset(flags)] for flags in (
+                                      {Flag.QUANTIZED}, (), (),
+                                      {Flag.BELOW_LOD, Flag.WARMING_UP}))))
     with tempfile.TemporaryDirectory() as tmp:
         with OutputSet(tmp, "measurements-*.txt") as files:
             with DayFiles(files) as days:

@@ -16,8 +16,8 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from citysense.domain import ValidationError
-from citysense.netsim import ConfigError, DeliveryOutcome, LinkChoice, RunSink, run
+from citysense.domain import FLAG_SETS, ConfigError, ValidationError
+from citysense.netsim import DeliveryOutcome, LinkChoice, RunSink, run
 from citysense.scenario import parse_scenario
 from tests.scalar_chain import reference_run
 
@@ -39,8 +39,11 @@ class TickRecorder(RunSink):
 
 
 def _comparable(calls):
+    """Each call's fields, its flag codes as the sets ``domain.FLAG_SETS``
+    names: the reference builds each reading's set itself."""
     return [(tick.node_id, tick.timestamp, tick.position, tick.quantities, repr(tick.values),
-             tick.flags, fates, arrival_t) for tick, fates, arrival_t in calls]
+             [FLAG_SETS[code] for code in tick.flags], fates, arrival_t)
+            for tick, fates, arrival_t in calls]
 
 
 def _sub_map(draw, keys, values):

@@ -8,7 +8,8 @@ same (position, time) query always returns the same number.
 Run: python demos/01_synthetic_field.py
 """
 
-from citysense import FieldModel, GaussianPlume, GeoPoint, Quantity
+from citysense.domain import GeoPoint, Quantity
+from citysense.field import FieldModel, GaussianPlume
 
 CENTER = GeoPoint(43.716, 10.3966)
 NEAR_ROAD = GeoPoint(43.716, 10.401)  # ~355 m east

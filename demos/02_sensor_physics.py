@@ -7,8 +7,8 @@ quantization. This script walks a single CO2 channel through all four.
 Run: python demos/02_sensor_physics.py
 """
 
-from citysense import FieldModel, GeoPoint, Quantity
-from citysense.domain import Flag, NodeDescriptor, NodeKind, co_ppm_to_mg_m3
+from citysense.domain import Flag, GeoPoint, NodeDescriptor, NodeKind, Quantity, co_ppm_to_mg_m3
+from citysense.field import FieldModel
 from citysense.nodes import NodeState, SensorChain, lag_factor, quantize
 
 P = GeoPoint(43.716, 10.3966)

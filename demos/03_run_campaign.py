@@ -12,10 +12,11 @@ Run: python demos/03_run_campaign.py
 
 import tempfile
 
-from citysense import compute_indexes, load_scenario
 from citysense.cli import simulate
 from citysense.domain import GAS_QUANTITIES
+from citysense.indexes import compute_indexes
 from citysense.netsim import DeliveryOutcome
+from citysense.scenario import load_scenario
 from citysense.store import MeasurementStore, read_days
 
 cfg = load_scenario("pisa-default")

@@ -9,7 +9,7 @@ factors.
 Run: python demos/04_indexes.py
 """
 
-from citysense import TrafficAccessConfig, aqi_o3, aqi_pm, tci, traffic_index
+from citysense.indexes import TrafficAccessConfig, aqi_o3, aqi_pm, tci, traffic_index
 
 print("ozone sub-index (8 h mean, ug/m3):")
 for mean in (50.0, 100.0, 200.0, 250.0):

@@ -15,15 +15,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from citysense import (
-    Quantity,
-    compare_populations,
-    load_scenario,
-    mobile_fixed_populations,
-    write_comparison_report,
-)
+from citysense.analytics import compare_populations, mobile_fixed_populations, write_comparison_report
 from citysense.cli import simulate
-from citysense.domain import NodeKind
+from citysense.domain import NodeKind, Quantity
+from citysense.scenario import load_scenario
 from citysense.store import MeasurementStore
 
 

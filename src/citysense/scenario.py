@@ -39,6 +39,7 @@ naming the key; ``load_access`` reads traffic access files the same way.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from collections.abc import Hashable
 from contextlib import contextmanager
@@ -54,7 +55,7 @@ from .domain import (
     format_utc, parse_utc,
 )
 from .field import FieldModel, GaussianPlume, Path
-from .indexes import TrafficAccessConfig
+from .indexes import TrafficAccessConfig, traffic_index
 from .netsim import DEFAULT_LINKS, LinkModel
 from .nodes import NodeState, SensorSpec, default_sensor_spec
 
@@ -424,7 +425,9 @@ def load_access(path: str | FsPath) -> TrafficAccessConfig:
         cfg = TrafficAccessConfig(
             **{k: read(raw[k], k) for k, read in _ACCESS_FIELDS.items() if k in raw}
         )
-        cfg.factors()  # a mix with no defined traffic index is a config error too
+        # a mix with no defined traffic index, or one that overflows, is a config error too
+        if not math.isfinite(ti := traffic_index(cfg).value):
+            raise ValueError(f"traffic index is not finite: {ti}")
     return cfg
 
 

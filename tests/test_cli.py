@@ -1013,9 +1013,11 @@ class TestTraffic:
             ("composition: {cars: '1.0'}\n", "composition.cars"),
             ("grade: flat\n", "composition"),
             ("composition: {cars: 1.0}\nsteepness_pct: 50\ngrade: uphill\n", "steepness_pct"),
+            ("composition: {bicycles: 1.0}\ns_b: 1.0e+308\ngrade: downhill\nsteepness_pct: 50\n",
+             "traffic index is not finite: inf"),
         ],
         ids=["share-null", "composition-list", "equivalents-list", "s_b-nan", "s_b-negative",
-             "steepness-inf", "share-quoted", "no-composition", "steep-uphill"],
+             "steepness-inf", "share-quoted", "no-composition", "steep-uphill", "ti-overflow"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, text, needle):
         assert main(["traffic", str(self._write(tmp_path, text))]) == 1

@@ -1,17 +1,20 @@
-"""Every name a module of the package or of the tests imports is used in
-that module, so a change that stops using a name takes its import out too.
-A name counts as used where the module reads it, or where it appears in a
-string annotation (a ``TYPE_CHECKING`` import is often read only there).
-``__init__.py`` is left out: its imports are the package's exports."""
+"""Every name a module of the package, of the tests or of the demos imports
+is used in that module, so a change that stops using a name takes its import
+out too. A name counts as used where the module reads it, or where it
+appears in a string annotation (a ``TYPE_CHECKING`` import is often read only
+there). The package itself binds no name of its modules: each is imported
+from the module that owns it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(path for path in [*ROOT.glob("src/citysense/*.py"), *ROOT.glob("tests/*.py")]
-                 if path.name != "__init__.py")
+MODULES = sorted([*ROOT.glob("src/citysense/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
 
 def _annotations(tree: ast.AST):
@@ -61,3 +64,23 @@ def test_the_check_counts_reads_and_string_annotations_only():
         "    return json.dumps(os.sep)\n"
     )
     assert unused_imports(source) == ["5: Other"]
+
+
+LAYERING = """
+import importlib, pkgutil, sys, types
+import citysense.domain, citysense.store, citysense.indexes
+print("numpy" in sys.modules)
+import citysense
+modules = [importlib.import_module(f"citysense.{m.name}") for m in pkgutil.iter_modules(citysense.__path__)]
+print(sorted(name for name, value in vars(citysense).items()
+             if not name.startswith("__") and not isinstance(value, types.ModuleType)
+             and any(value is vars(m).get(name) for m in modules)))
+"""
+
+
+def test_read_side_modules_load_without_numpy_and_the_package_binds_no_module_name():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAYERING], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines() == ["False", "[]"]

@@ -16,6 +16,7 @@ from citysense.domain import (
     Measurement,
     NodeTick,
     Quantity,
+    VALUE_RANGE,
     ValidationError,
     format_utc,
 )
@@ -56,17 +57,10 @@ def snapshot(root):
     return {p.name: p.read_bytes() for p in root.iterdir()}
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
 @st.composite
 def measurements(draw):
     q = draw(st.sampled_from(list(Quantity)))
-    value = draw(finite)
-    if q in {Quantity.PM25, Quantity.HC, Quantity.CO2, Quantity.CO, Quantity.O3, Quantity.WIND_SPEED}:
-        value = abs(value)
-    elif q is Quantity.RELATIVE_HUMIDITY:
-        value = draw(st.floats(0.0, 100.0))
+    value = draw(st.floats(*VALUE_RANGE[q], allow_nan=False, allow_infinity=False, width=64))
     return Measurement(
         node_id=draw(st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True)),
         timestamp=draw(st.integers(0, 4_000_000_000)),

@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     p_idx = sub.add_parser("indexes", help="recompute index records from stored data")
     p_idx.add_argument("data_dir", help="directory holding measurement files")
     p_idx.add_argument("--out", required=True, help="output directory")
-    p_idx.add_argument("--uplink-period-s", type=_positive_int, default=900)
+    p_idx.add_argument("--uplink-period-s", type=_positive_int, default=ScenarioConfig.uplink_period_s)
 
     p_cmp = sub.add_parser("compare", help="compare two measurement populations")
     p_cmp.add_argument("data_dir", help="directory holding measurement files + nodes.json")

@@ -2,8 +2,9 @@
 their units and physical ranges, WGS84 positions, measurements and their
 one record order, node ticks, node descriptors, and report batches.
 
-Everything in this module is a value that is not changed once built;
-instances can be shared freely between concurrent contexts.
+The enums and frozen dataclasses are values, shared freely between concurrent
+contexts, except that a ``ReportBatch`` holds ``NodeTick``s, which are mutable;
+``format_utc`` keeps a process-wide cache of recent stamps.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from typing import Sequence
 
@@ -227,27 +229,16 @@ UTC_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 SECONDS_PER_DAY = 86400
 LAST_STAMP = 253402300799  # 9999-12-31T23:59:59Z, the last second UTC_FORMAT writes
 
-# Epoch second -> its ``UTC_FORMAT`` text. A run formats each of a few
-# hundred or thousand distinct stamps hundreds of times. A pure cache:
-# cleared when full, so it stays small however many stamps a process formats.
-_STAMPS: dict[int, str] = {}
-_MAX_STAMPS = 16384
-
-
+@lru_cache(maxsize=16384)
 def format_utc(ts: int) -> str:
     """Render epoch seconds as ``YYYY-MM-DDTHH:MM:SSZ`` (UTC).
 
     Equal to ``datetime.fromtimestamp(ts, timezone.utc).strftime(UTC_FORMAT)``
-    with the year written in four digits (the C library's ``%Y`` writes the
-    year 999 as ``999``), which runs once per distinct stamp held in the cache.
+    with the year written in four digits (``%Y`` writes 999 as ``999``). A run
+    formats each stamp hundreds of times, so the 16,384 last used are cached.
     """
-    stamp = _STAMPS.get(ts)
-    if stamp is None:
-        if len(_STAMPS) >= _MAX_STAMPS:
-            _STAMPS.clear()
-        moment = datetime.fromtimestamp(ts, tz=timezone.utc)
-        stamp = _STAMPS[ts] = moment.strftime(UTC_FORMAT.replace("%Y", f"{moment.year:04d}"))
-    return stamp
+    moment = datetime.fromtimestamp(ts, tz=timezone.utc)
+    return moment.strftime(UTC_FORMAT.replace("%Y", f"{moment.year:04d}"))
 
 
 def parse_utc(text: str) -> int:
@@ -348,9 +339,7 @@ _MOBILE_QUANTITIES = frozenset(
         Quantity.TEMPERATURE,
         Quantity.RELATIVE_HUMIDITY,
         Quantity.DEW_POINT,
-        Quantity.HC,
-        Quantity.CO2,
-        Quantity.CO,
+        *GAS_QUANTITIES,
         Quantity.O3,
         Quantity.PRESSURE,
     }

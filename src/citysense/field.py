@@ -12,11 +12,11 @@ NaN becomes the range's low end). The sinusoid peaks at local
 noon and integrates to zero over whole days, so daily population means stay
 at the configured baselines. The baseline, diurnal and rush-hour terms depend
 only on the quantity and the time of day, so ``FieldModel.tod_terms``
-computes them once per (quantity, t mod 86400) and keeps their sum in a
-bounded memo; ``value`` adds each plume's term (``GaussianPlume.at``) to it
-in order, so a value is the same float whether or not its time of day was
-memoised, and so is the sum of the same terms that the sensor chain makes
-for a node that stays put.
+computes their sum once per (quantity, t mod 86400) and keeps it in a
+per-field LRU cache of the 16,384 most recently used entries; ``value`` adds
+each plume's term (``GaussianPlume.at``) to it in order, so a value is the
+same float whether or not its time of day was cached, and so is the sum of
+the same terms that the sensor chain makes for a node that stays put.
 
 Sensor noise is *not* part of the field: nodes draw it from per-(node,
 quantity) streams so that runs are reproducible and streams are independent
@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -77,10 +77,25 @@ def _rush_hour_profile(tod_s: float) -> float:
     return morning + evening
 
 
-# Entries the time-of-day memo of one FieldModel holds, over all quantities,
-# before it is cleared: a 5-minute grid needs 288 per quantity.
+def _time_of_day_terms(baseline: dict, diurnal_amplitude: dict, traffic_coupling: dict,
+                       quantity: Quantity, tod: int | float) -> float:
+    """The baseline plus the diurnal and rush-hour terms at time of day ``tod``."""
+    try:
+        v = baseline[quantity]
+    except KeyError:
+        raise UnknownQuantityError(quantity) from None
+    amp = diurnal_amplitude.get(quantity, 0.0)
+    if amp:
+        v += amp * math.sin(2.0 * math.pi * (tod - 6 * 3600.0) / SECONDS_PER_DAY)
+    coupling = traffic_coupling.get(quantity, 0.0)
+    if coupling:
+        v += coupling * _rush_hour_profile(tod)
+    return v
+
+
+# Entries the time-of-day cache of one FieldModel holds, over all quantities:
+# a 5-minute grid needs 288 per quantity.
 _MAX_TOD_TERMS = 16384
-_NO_TERMS: dict[int | float, float] = {}  # a quantity not yet memoised; never written
 
 
 @dataclass(frozen=True)
@@ -88,9 +103,9 @@ class FieldModel:
     """Deterministic generator of ground-truth values.
 
     Identical configuration (including ``seed``) yields identical values at
-    every query. The configuration is read-only; the one mutable part is a
-    memo of the time-of-day terms, which takes no part in comparison and
-    which ``dataclasses.replace`` gives the new instance empty.
+    every query. The configuration is read-only; the one mutable part is the
+    cache of ``tod_terms``, which takes no part in comparison and which
+    ``dataclasses.replace`` gives the new instance empty.
     """
 
     seed: int
@@ -99,9 +114,6 @@ class FieldModel:
     traffic_coupling: dict[Quantity, float] = field(default_factory=dict)
     plumes: dict[Quantity, tuple[GaussianPlume, ...]] = field(default_factory=dict)
     noise_sigma: dict[Quantity, float] = field(default_factory=dict)
-    # quantity -> t mod 86400 -> baseline + diurnal + rush-hour terms.
-    _tod_terms: dict[Quantity, dict[int | float, float]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for q, sigma in self.noise_sigma.items():
@@ -116,31 +128,12 @@ class FieldModel:
         low, high = VALUE_RANGE[quantity]
         return min(high, max(low, v))
 
-    def tod_terms(self, quantity: Quantity, tod: int | float) -> float:
-        """The baseline plus the diurnal and rush-hour terms at time of day
-        ``tod`` (``t % SECONDS_PER_DAY``), through the memo."""
-        v = self._tod_terms.get(quantity, _NO_TERMS).get(tod)
-        if v is None:
-            v = self._time_of_day_terms(quantity, tod)
-            memo = self._tod_terms
-            if sum(map(len, memo.values())) >= _MAX_TOD_TERMS:
-                memo.clear()
-            memo.setdefault(quantity, {})[tod] = v
-        return v
-
-    def _time_of_day_terms(self, quantity: Quantity, tod: int | float) -> float:
-        """The baseline plus the diurnal and rush-hour terms at time of day ``tod``."""
-        try:
-            v = self.baseline[quantity]
-        except KeyError:
-            raise UnknownQuantityError(quantity) from None
-        amp = self.diurnal_amplitude.get(quantity, 0.0)
-        if amp:
-            v += amp * math.sin(2.0 * math.pi * (tod - 6 * 3600.0) / SECONDS_PER_DAY)
-        coupling = self.traffic_coupling.get(quantity, 0.0)
-        if coupling:
-            v += coupling * _rush_hour_profile(tod)
-        return v
+    @cached_property
+    def tod_terms(self) -> Callable[[Quantity, int | float], float]:
+        """``tod_terms(quantity, tod)``: ``_time_of_day_terms`` of this field's tables
+        through an LRU cache that holds the tables, not the field: no reference cycle."""
+        return lru_cache(maxsize=_MAX_TOD_TERMS)(partial(
+            _time_of_day_terms, self.baseline, self.diurnal_amplitude, self.traffic_coupling))
 
 
 def _stable_id_hash(node_id: str) -> int:

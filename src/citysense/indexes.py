@@ -221,8 +221,8 @@ class TrafficAccessConfig:
             unknown = set(shares) - set(table)
             if unknown:
                 raise ValueError(f"{label}: unknown keys {sorted(unknown)}")
-            if any(v < 0 for v in shares.values()):
-                raise ValueError(f"{label}: negative share")
+            if not all(0.0 <= v < math.inf for v in (*shares.values(), *table.values())):
+                raise ValueError(f"{label}: a share or equivalent is negative or not finite")
             if abs(sum(shares.values()) - 1.0) > 1e-9:
                 raise ValueError(f"{label}: shares must sum to 1")
         if self.grade not in ("flat", "uphill", "downhill"):

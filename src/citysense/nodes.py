@@ -35,8 +35,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .domain import (
-    FLAG_CODES, SECONDS_PER_DAY, VALUE_RANGE, ConfigError, Flag, GeoPoint, NodeDescriptor, NodeKind,
-    NodeTick, Quantity, co_ppm_to_mg_m3,
+    FLAG_CODES, GAS_QUANTITIES, SECONDS_PER_DAY, VALUE_RANGE, ConfigError, Flag, GeoPoint,
+    NodeDescriptor, NodeKind, NodeTick, Quantity, co_ppm_to_mg_m3,
 )
 from .field import DRAW_BLOCK, FieldModel, Path, noise_generator, path_position
 
@@ -66,16 +66,14 @@ class SensorSpec:
 
 @cache
 def default_sensor_spec(quantity: Quantity) -> SensorSpec:
-    """Datasheet defaults, one spec per quantity. The gas channels carry LoD
-    and 1 ppm resolution; CO values are stored in mg/m3, so its ppm figures
-    are converted. Every other channel is continuous, with no warm-up."""
+    """Datasheet defaults, one spec per quantity. The gas channels (``GAS_QUANTITIES``)
+    carry the warm-up, LoD and 1 ppm resolution, CO's converted from ppm to mg/m3,
+    its storage unit. Every other channel is continuous, with no warm-up."""
+    if quantity not in GAS_QUANTITIES:
+        return SensorSpec(quantity, warmup_s=0.0)
     if quantity is Quantity.CO:
         return SensorSpec(quantity, lod=co_ppm_to_mg_m3(5.0), resolution=co_ppm_to_mg_m3(1.0))
-    if quantity is Quantity.CO2:
-        return SensorSpec(quantity, lod=10.0, resolution=1.0)
-    if quantity is Quantity.HC:
-        return SensorSpec(quantity, lod=5.0, resolution=1.0)
-    return SensorSpec(quantity, warmup_s=0.0)
+    return SensorSpec(quantity, lod={Quantity.CO2: 10.0, Quantity.HC: 5.0}[quantity], resolution=1.0)
 
 
 def lag_factor(dt: float, t90: float) -> float:

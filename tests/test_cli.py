@@ -1015,9 +1015,13 @@ class TestTraffic:
             ("composition: {cars: 1.0}\nsteepness_pct: 50\ngrade: uphill\n", "steepness_pct"),
             ("composition: {bicycles: 1.0}\ns_b: 1.0e+308\ngrade: downhill\nsteepness_pct: 50\n",
              "traffic index is not finite: inf"),
+            ("composition: {cars: 1.0}\nmaneuver_shares: {straight: 1.0}\n"
+             "maneuver_equivalents: {straight: -2.0, turning_right: 1.25, turning_left: 1.75}\n",
+             "maneuver_shares: a share or equivalent is negative or not finite"),
         ],
         ids=["share-null", "composition-list", "equivalents-list", "s_b-nan", "s_b-negative",
-             "steepness-inf", "share-quoted", "no-composition", "steep-uphill", "ti-overflow"],
+             "steepness-inf", "share-quoted", "no-composition", "steep-uphill", "ti-overflow",
+             "equivalent-negative"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, text, needle):
         assert main(["traffic", str(self._write(tmp_path, text))]) == 1
@@ -1101,11 +1105,11 @@ class TestLogging:
 
 
 class TestSimulateMemory:
-    def test_peak_memory_does_not_grow_with_simulated_days(self, tmp_path, monkeypatch):
+    def test_peak_memory_does_not_grow_with_simulated_days(self, tmp_path):
         # The day files stream window by window, so no list of every server
         # reading is built: 4 days may peak at most 1.2x what 1 day does.
         # Two caches grow with the days up to their own bounds, the field's
-        # time-of-day memo (one day) and the format_utc stamps (16,384): an
+        # time-of-day cache (one day) and the format_utc stamps (16,384): an
         # untraced warm-up over the longest run fills both, from empty, with
         # all the measured runs use, so only what a run holds itself is
         # traced. Four of the bundled nodes, one of each kind, keep it short.
@@ -1126,7 +1130,7 @@ class TestSimulateMemory:
             finally:
                 tracemalloc.stop()
 
-        monkeypatch.setattr(domain, "_STAMPS", {})
+        domain.format_utc.cache_clear()
         assert simulate(96) == 0
         (rc_1, peak_1), (rc_4, peak_4) = peak(24), peak(96)
         assert rc_1 == rc_4 == 0
@@ -1134,7 +1138,7 @@ class TestSimulateMemory:
 
 
 class TestReadStepMemory:
-    def test_indexes_holds_a_day_at_a_time_and_compare_compact_channels(self, tmp_path, monkeypatch):
+    def test_indexes_holds_a_day_at_a_time_and_compare_compact_channels(self, tmp_path):
         # indexes reads one day file at a time and trims its windows, so 3
         # days may peak at most 1.25x what 1 day does; compare holds each
         # reading it keeps as a value and a flag code. A warm-up run over the
@@ -1159,7 +1163,7 @@ class TestReadStepMemory:
 
         compare = ["compare", str(tmp_path / "3d"), "--mode", "mobile-fixed", "--out",
                    str(tmp_path / "cmp")]
-        monkeypatch.setattr(domain, "_STAMPS", {})
+        domain.format_utc.cache_clear()
         assert main(indexes(3)) == main(compare) == 0
         (rc_1, peak_1), (rc_3, peak_3) = peak(indexes(1)), peak(indexes(3))
         assert rc_1 == rc_3 == 0

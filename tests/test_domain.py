@@ -281,14 +281,15 @@ class TestUtcTime:
         assert text == f"{moment.year:04d}{moment.strftime(UTC_FORMAT[2:])}"
         assert parse_utc(text) == ts
 
-    def test_stamp_cache_never_exceeds_its_bound(self, monkeypatch):
-        monkeypatch.setattr(domain, "_STAMPS", {})
-        monkeypatch.setattr(domain, "_MAX_STAMPS", 8)
-        for ts in range(1_429_488_000, 1_429_488_000 + 50 * 300, 300):
+    def test_stamp_cache_never_exceeds_its_bound(self):
+        format_utc.cache_clear()
+        assert format_utc.cache_info().maxsize == 16384
+        for ts in range(1_429_488_000, 1_429_488_000 + (16384 + 50) * 300, 300):
             for _ in range(2):
                 text = format_utc(ts)
                 assert text == datetime.fromtimestamp(ts, tz=timezone.utc).strftime(UTC_FORMAT)
-                assert len(domain._STAMPS) <= 8
+                assert format_utc.cache_info().currsize <= 16384
+        assert format_utc.cache_info().currsize == 16384
 
     def test_example(self):
         assert format_utc(1_429_488_300) == "2015-04-20T00:05:00Z"

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -170,42 +172,65 @@ class TestTimeOfDayMemo:
         for t in times:
             for q in self.QUANTITIES:
                 for p in self.POSITIONS:
-                    fresh._tod_terms.clear()  # computed from scratch
+                    fresh.tod_terms.cache_clear()  # computed from scratch
                     expected = fresh.value(q, p, t)
                     v = f.value(q, p, t)  # a memo hit after the first day
                     assert v == expected and math.copysign(1.0, v) == math.copysign(1.0, expected)
-        # each time of day was computed once per quantity, not once per day
-        assert {q: len(terms) for q, terms in f._tod_terms.items()} == {
-            q: 288 + 7 for q in self.QUANTITIES}
+        # each time of day was computed once per quantity, not once per day:
+        # one miss per distinct (quantity, time of day), and every entry kept
+        distinct = len(self.QUANTITIES) * (288 + 7)
+        info = f.tod_terms.cache_info()
+        assert info.misses == info.currsize == distinct
+        assert info.hits == len(times) * len(self.QUANTITIES) * len(self.POSITIONS) - distinct
 
     def test_int_and_float_time_of_the_same_second_share_an_entry(self):
         f = memo_field()
         a = f.value(Quantity.O3, P, 86400 + 3600)
         b = f.value(Quantity.O3, P, 3600.0)
         assert a == b == memo_field().value(Quantity.O3, P, 3600.0)
-        assert list(f._tod_terms) == [Quantity.O3] and list(f._tod_terms[Quantity.O3]) == [3600]
+        info = f.tod_terms.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
     def test_memo_never_exceeds_its_cap(self, monkeypatch):
+        assert memo_field().tod_terms.cache_info().maxsize == field_module._MAX_TOD_TERMS == 16384
         monkeypatch.setattr(field_module, "_MAX_TOD_TERMS", 7)
         f = memo_field()
         for t in range(0, 86400, 300):
             for q in self.QUANTITIES:
                 assert f.value(q, P, t) == memo_field().value(q, P, t)
-                assert sum(len(terms) for terms in f._tod_terms.values()) <= 7
+                info = f.tod_terms.cache_info()
+                assert info.maxsize == 7 and info.currsize <= 7
 
     def test_unknown_quantity_is_not_memoised(self):
         f = memo_field()
         for _ in range(2):
             with pytest.raises(UnknownQuantityError):
                 f.value(Quantity.CO2, P, 0)
-        assert f._tod_terms == {}
+        info = f.tod_terms.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (0, 2, 0)
 
     def test_replace_starts_an_empty_memo_and_equality_ignores_it(self):
         f = memo_field()
         f.value(Quantity.O3, P, 0)
         g = dataclasses.replace(f, seed=9)
-        assert g._tod_terms == {} and f._tod_terms != {}
+        assert g.tod_terms.cache_info().currsize == 0 and f.tod_terms.cache_info().currsize == 1
         assert dataclasses.replace(f) == f == memo_field()
+
+    def test_a_field_holding_memo_entries_is_freed_without_the_collector(self):
+        # The memo holds the field's tables, not the field: no reference
+        # cycle, so dropping the last reference frees it at once.
+        f = memo_field()
+        f.value(Quantity.O3, P, 0)
+        assert f.tod_terms.cache_info().currsize == 1
+        ref = weakref.ref(f)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del f
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestBlockDraws:

@@ -284,6 +284,22 @@ class TestTrafficIndex:
         with pytest.raises(ValueError):
             TrafficAccessConfig(composition={"cars": 0.4, "buses": 0.4})
 
+    @pytest.mark.parametrize("weight", [-2.0, math.nan, math.inf])
+    def test_negative_or_non_finite_maneuver_equivalent_is_refused(self, weight):
+        # a negative weight would give a negative K4 and traffic index, a NaN
+        # one a NaN index, an infinite one an index of 0
+        with pytest.raises(ValueError, match="maneuver_shares: a share or equivalent is negative"):
+            TrafficAccessConfig(
+                composition={"cars": 1.0},
+                maneuver_shares={"straight": 1.0},
+                maneuver_equivalents={"straight": weight, "turning_right": 1.25, "turning_left": 1.75},
+            )
+
+    @pytest.mark.parametrize("share", [math.nan, math.inf])
+    def test_non_finite_share_is_refused(self, share):
+        with pytest.raises(ValueError, match="composition: a share or equivalent is negative"):
+            TrafficAccessConfig(composition={"cars": share})
+
     def test_degenerate_composition(self):
         cfg = TrafficAccessConfig(
             composition={"cars": 1.0},

@@ -4,7 +4,9 @@ quantity (``VALUE_RANGE``), which the field, the sensor chain and the
 record check read; the record order (``domain.RecordKey``), which
 coordinator batches, day files and their loader all follow; and the flag
 table (``FLAG_SETS``), whose one-byte codes the sensor chain emits, the
-day files write as their sets' text and the loader reads back."""
+day files write as their sets' text and the loader reads back; and the
+multi-gas channels (``GAS_QUANTITIES``), the only ones whose default
+sensor spec warms up."""
 
 import math
 import random
@@ -17,6 +19,7 @@ from citysense.domain import (
     ALLOWED_QUANTITIES,
     FLAG_CODES,
     FLAG_SETS,
+    GAS_QUANTITIES,
     Flag,
     GeoPoint,
     Measurement,
@@ -32,7 +35,7 @@ from citysense.domain import (
 )
 from citysense.field import FieldModel
 from citysense.netsim import coordinator_uplink
-from citysense.nodes import NodeState, SensorChain
+from citysense.nodes import NodeState, SensorChain, default_sensor_spec
 from citysense.store import DayFiles, MeasurementStore, OutputSet, read_days
 from tests.rows import channels_from, node_ticks, parse_measurement, record_key
 
@@ -170,3 +173,7 @@ def test_the_sensor_chain_flags_each_reading_with_its_sets_code():
     assert second.values == [0.0, 7.0]
     assert second.flags == bytes([FLAG_CODES[frozenset({Flag.BELOW_LOD})],
                                   FLAG_CODES[frozenset({Flag.QUANTIZED})]])
+
+
+def test_the_gas_channels_are_the_ones_whose_default_spec_warms_up():
+    assert {q for q in Quantity if default_sensor_spec(q).warmup_s > 0} == GAS_QUANTITIES
